@@ -21,7 +21,7 @@ import numpy as np
 from . import operators as ops
 from .errors import DomainError, SingularityError, UnsupportedKernelError
 from .operators import OperatorSpec, high_order_coeffs
-from .special_functions import bessel_i, bessel_j, bessel_k, bessel_y, assoc_legendre
+from .special_functions import assoc_legendre, bessel_block, spherical_bessel_block
 
 # kernel classes
 FUNDAMENTAL = "fundamental"
@@ -147,100 +147,10 @@ def _is_radial(family):
     return family.operator.kind not in (ops.CONVECTION_DIFFUSION, ops.CONV_DIFF_POWER)
 
 
-# ---------------------------------------------------------------------------
-# scalar <-> array plumbing
-
-def _umap(fn, arr):
-    flat = np.asarray(arr, dtype=float).ravel()
-    out = np.fromiter((fn(float(v)) for v in flat), dtype=float, count=flat.size)
-    return out.reshape(np.shape(arr))
-
-
-def _j0_arr(z):
-    return _umap(lambda v: bessel_j(0, v), z)
-
-
-def _y0_arr(z):
-    return _umap(lambda v: bessel_y(0, v), z)
-
-
-def _i0_arr(z):
-    return _umap(lambda v: bessel_i(0, v), z)
-
-
-def _k0_arr(z):
-    return _umap(lambda v: bessel_k(0, v), z)
-
-
 def _as_xt(point):
     if isinstance(point, SpaceTimePoint):
         return np.asarray(point.x, dtype=float), point.t
     return np.asarray(point, dtype=float), None
-
-
-# spherical Bessel/Hankel pieces for the 3D high-order kernels (half-integer
-# orders stay private to this module; the public API is integer-order only)
-
-def _sph_jn(n, z):
-    if z < max(0.5, 0.1 * n):
-        term = z ** n / math.prod(range(1, 2 * n + 2, 2))
-        total = term
-        q = -0.5 * z * z
-        for k in range(1, 40):
-            term *= q / (k * (2 * (n + k) + 1))
-            total += term
-            if abs(term) < 1e-18 * abs(total):
-                break
-        return total
-    jm = math.sin(z) / z
-    if n == 0:
-        return jm
-    j = jm / z - math.cos(z) / z
-    for k in range(1, n):
-        jm, j = j, (2.0 * k + 1.0) / z * j - jm
-    return j
-
-
-def _sph_yn(n, z):
-    ym = -math.cos(z) / z
-    if n == 0:
-        return ym
-    y = ym / z - math.sin(z) / z
-    for k in range(1, n):
-        ym, y = y, (2.0 * k + 1.0) / z * y - ym
-    return y
-
-
-def _sph_in(n, z):
-    # modified spherical i_n = sqrt(pi/2z) I_{n+1/2}
-    if z < max(1.0, 0.5 * n):
-        term = z ** n / math.prod(range(1, 2 * n + 2, 2))
-        total = term
-        q = 0.5 * z * z
-        for k in range(1, 60):
-            term *= q / (k * (2 * (n + k) + 1))
-            total += term
-            if term < 1e-18 * total:
-                break
-        return total
-    im = math.sinh(z) / z
-    if n == 0:
-        return im
-    i1 = (z * math.cosh(z) - math.sinh(z)) / (z * z)
-    if n == 1:
-        return i1
-    for k in range(1, n):
-        im, i1 = i1, im - (2.0 * k + 1.0) / z * i1
-    return i1
-
-
-def _sph_kn(n, z):
-    # modified spherical k_n = sqrt(pi/2z) K_{n+1/2}(z)
-    #                        = (pi/2z) e^{-z} sum_j (n+j)! / (j!(n-j)!(2z)^j), exact
-    s = 0.0
-    for j in range(n + 1):
-        s += math.factorial(n + j) / (math.factorial(j) * math.factorial(n - j) * (2.0 * z) ** j)
-    return 0.5 * math.pi / z * math.exp(-z) * s
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +187,20 @@ def _steady_block(family, dx):
             return 1.0 / (4.0 * math.pi ** 2 * re * re)
         if op.kind == ops.HELMHOLTZ and op.power_n == 0:
             if dim == 2:
-                return 0.25j * (_j0_arr(op.k * re) + 1j * _y0_arr(op.k * re))
+                z = op.k * re
+                return 0.25j * (bessel_block("j", 0, z) + 1j * bessel_block("y", 0, z))
             sign = 1.0 if family.outgoing_3d else -1.0
             return np.exp(sign * 1j * op.k * re) / (_FOUR_PI * re)
         if op.kind == ops.MODIFIED_HELMHOLTZ and op.power_n == 0:
             if dim == 2:
-                return _k0_arr(op.k * re) / _TWO_PI
+                return bessel_block("k", 0, op.k * re) / _TWO_PI
             return np.exp(-op.k * re) / (_FOUR_PI * re)
         if op.kind == ops.CONVECTION_DIFFUSION and op.power_n == 0:
             drift = np.exp(-np.einsum("...i,i->...", dx, np.asarray(op.velocity))
                            / (2.0 * op.diffusion))
             mu = op.mu_cd
             if dim == 2:
-                return _k0_arr(mu * re) / _TWO_PI * drift
+                return bessel_block("k", 0, mu * re) / _TWO_PI * drift
             return np.exp(-mu * re) / (_FOUR_PI * re) * drift
         if op.kind == ops.BIHARMONIC:
             if dim == 2:
@@ -306,20 +217,20 @@ def _steady_block(family, dx):
             n = op.power_n
             z = op.k * re
             if dim == 2:
-                jn = _umap(lambda v: bessel_j(n, v), z)
-                yn = _umap(lambda v: bessel_y(n, v), z)
+                jn = bessel_block("j", n, z)
+                yn = bessel_block("y", n, z)
                 return co.A[n] * z ** n * 1j * (jn + 1j * yn)
-            hj = _umap(lambda v: _sph_jn(n, v), z)
-            hy = _umap(lambda v: _sph_yn(n, v), z)
+            hj = spherical_bessel_block("j", n, z)
+            hy = spherical_bessel_block("y", n, z)
             return co.A[n] * z ** n * math.sqrt(2.0 / math.pi) * 1j * (hj + 1j * hy)
         if op.kind == ops.MOD_HELMHOLTZ_POWER:
             co = high_order_coeffs(op)
             n = op.power_n
             z = op.k * re
             if dim == 2:
-                return co.A[n] * z ** n * _umap(lambda v: bessel_k(n, v), z)
-            return co.A[n] * z ** n * math.sqrt(2.0 / math.pi) * _umap(
-                lambda v: _sph_kn(n, v), z)
+                return co.A[n] * z ** n * bessel_block("k", n, z)
+            return co.A[n] * z ** n * math.sqrt(2.0 / math.pi) * spherical_bessel_block(
+                "k", n, z)
         if op.kind == ops.CONV_DIFF_POWER:
             co = high_order_coeffs(op)
             n = op.power_n
@@ -327,18 +238,18 @@ def _steady_block(family, dx):
             z = mu * re
             drift = np.exp(-np.einsum("...i,i->...", dx, np.asarray(op.velocity))
                            / (2.0 * op.diffusion))
-            return co.A[n] * z ** n * _umap(lambda v: bessel_k(n, v), z) * drift
+            return co.A[n] * z ** n * bessel_block("k", n, z) * drift
 
     if kind == FUNDAMENTAL_REAL:
         if op.kind == ops.HELMHOLTZ and op.power_n == 0:
             if dim == 2:
-                return _y0_arr(op.k * re) / _TWO_PI
+                return bessel_block("y", 0, op.k * re) / _TWO_PI
             return np.cos(op.k * re) / (_FOUR_PI * re)
         if op.kind == ops.HELMHOLTZ_POWER and dim == 2:
             co = high_order_coeffs(op)
             n = op.power_n
             z = op.k * re
-            return co.A[n] * z ** n * _umap(lambda v: bessel_y(n, v), z)
+            return co.A[n] * z ** n * bessel_block("y", n, z)
 
     if kind == HARMONIC:
         n = op.power_n if op.kind == ops.POLY_LAPLACE else (
@@ -353,22 +264,22 @@ def _steady_block(family, dx):
             z = op.k * re
             if dim == 2:
                 if n == 0:
-                    return _j0_arr(z) / _TWO_PI
-                return co.A[n] * z ** n * _umap(lambda v: bessel_j(n, v), z)
+                    return bessel_block("j", 0, z) / _TWO_PI
+                return co.A[n] * z ** n * bessel_block("j", n, z)
             if n == 0:
                 return np.sinc(z / math.pi) * op.k / _FOUR_PI  # sin(kr)/(4 pi r)
-            return co.A[n] * z ** n * math.sqrt(2.0 / math.pi) * _umap(
-                lambda v: _sph_jn(n, v), z)
+            return co.A[n] * z ** n * math.sqrt(2.0 / math.pi) * spherical_bessel_block(
+                "j", n, z)
         if op.kind in (ops.MODIFIED_HELMHOLTZ, ops.MOD_HELMHOLTZ_POWER):
             z = op.k * re
             if dim == 2:
                 if n == 0:
-                    return _i0_arr(z) / _TWO_PI
-                return co.A[n] * z ** n * _umap(lambda v: bessel_i(n, v), z)
+                    return bessel_block("i", 0, z) / _TWO_PI
+                return co.A[n] * z ** n * bessel_block("i", n, z)
             if n == 0:
                 return np.sinh(z) / (_FOUR_PI * re)
-            return co.A[n] * z ** n * math.sqrt(2.0 / math.pi) * _umap(
-                lambda v: _sph_in(n, v), z)
+            return co.A[n] * z ** n * math.sqrt(2.0 / math.pi) * spherical_bessel_block(
+                "i", n, z)
         if op.kind in (ops.CONVECTION_DIFFUSION, ops.CONV_DIFF_POWER):
             mu = op.mu_cd
             z = mu * re
@@ -376,8 +287,8 @@ def _steady_block(family, dx):
                            / (2.0 * op.diffusion))
             if dim == 2:
                 if n == 0:
-                    return _i0_arr(z) / _TWO_PI * drift
-                return co.A[n] * z ** n * _umap(lambda v: bessel_i(n, v), z) * drift
+                    return bessel_block("i", 0, z) / _TWO_PI * drift
+                return co.A[n] * z ** n * bessel_block("i", n, z) * drift
             return np.sinh(z) / (_FOUR_PI * re) * drift
 
     raise UnsupportedKernelError(
@@ -431,7 +342,7 @@ def _time_block(family, dx, dt):
         active = np.broadcast_to(dt > 0.0, shape)
         dta = np.broadcast_to(dt, shape)[active]
         ra = np.broadcast_to(r, shape)[active]
-        radial = _j0_arr(ra) if dim == 2 else np.sinc(ra / math.pi)
+        radial = bessel_block("j", 0, ra) if dim == 2 else np.sinc(ra / math.pi)
         if op.kind == ops.HEAT:
             out[active] = np.exp(-op.k * dta) * radial
         else:
@@ -536,31 +447,31 @@ def _radial_derivs(family, re):
         return (1.0 / (4.0 * math.pi ** 2 * re * re),
                 -2.0 / (4.0 * math.pi ** 2 * re ** 3))
     if family.kind == FUNDAMENTAL_REAL and op.kind == ops.HELMHOLTZ and op.power_n == 0:
-        if dim == 2:
-            y1 = _umap(lambda v: bessel_y(1, v), op.k * re)
-            return _y0_arr(op.k * re) / _TWO_PI, -op.k * y1 / _TWO_PI
         z = op.k * re
+        if dim == 2:
+            return (bessel_block("y", 0, z) / _TWO_PI,
+                    -op.k * bessel_block("y", 1, z) / _TWO_PI)
         return (np.cos(z) / (_FOUR_PI * re),
                 -(op.k * np.sin(z) * re + np.cos(z)) / (_FOUR_PI * re * re))
     if family.kind == FUNDAMENTAL and op.kind == ops.MODIFIED_HELMHOLTZ and op.power_n == 0:
         z = op.k * re
         if dim == 2:
-            k1 = _umap(lambda v: bessel_k(1, v), z)
-            return _k0_arr(z) / _TWO_PI, -op.k * k1 / _TWO_PI
+            return (bessel_block("k", 0, z) / _TWO_PI,
+                    -op.k * bessel_block("k", 1, z) / _TWO_PI)
         e = np.exp(-z)
         return e / (_FOUR_PI * re), -e * (z + 1.0) / (_FOUR_PI * re * re)
     if family.kind == RADIAL_TREFFTZ and op.kind == ops.HELMHOLTZ and op.power_n == 0:
         z = op.k * re
         if dim == 2:
-            j1 = _umap(lambda v: bessel_j(1, v), z)
-            return _j0_arr(z) / _TWO_PI, -op.k * j1 / _TWO_PI
+            return (bessel_block("j", 0, z) / _TWO_PI,
+                    -op.k * bessel_block("j", 1, z) / _TWO_PI)
         return (np.sinc(z / math.pi) * op.k / _FOUR_PI,
                 (op.k * np.cos(z) * re - np.sin(z)) / (_FOUR_PI * re * re))
     if family.kind == RADIAL_TREFFTZ and op.kind == ops.MODIFIED_HELMHOLTZ and op.power_n == 0:
         z = op.k * re
         if dim == 2:
-            i1 = _umap(lambda v: bessel_i(1, v), z)
-            return _i0_arr(z) / _TWO_PI, op.k * i1 / _TWO_PI
+            return (bessel_block("i", 0, z) / _TWO_PI,
+                    op.k * bessel_block("i", 1, z) / _TWO_PI)
         return (np.sinh(z) / (_FOUR_PI * re),
                 (op.k * np.cosh(z) * re - np.sinh(z)) / (_FOUR_PI * re * re))
     return None
@@ -647,28 +558,28 @@ def _radial_second_derivs(family, re):
         z = k * re_arr
         if dim == 2:
             # Y0''(z) = -Y0 + Y1/z
-            gpp = -k * k * (_y0_arr(z) - _umap(lambda v: bessel_y(1, v), z) / z) / _TWO_PI
+            gpp = -k * k * (bessel_block("y", 0, z) - bessel_block("y", 1, z) / z) / _TWO_PI
         else:
             gpp = (-k * k * np.cos(z) * re_arr ** 2 + 2.0 * k * np.sin(z) * re_arr
                    + 2.0 * np.cos(z)) / (_FOUR_PI * re_arr ** 3)
     elif family.kind == FUNDAMENTAL and op.kind == ops.MODIFIED_HELMHOLTZ:
         z = k * re_arr
         if dim == 2:
-            gpp = k * k * (_k0_arr(z) + _umap(lambda v: bessel_k(1, v), z) / z) / _TWO_PI
+            gpp = k * k * (bessel_block("k", 0, z) + bessel_block("k", 1, z) / z) / _TWO_PI
         else:
             e = np.exp(-z)
             gpp = e * (z * z + 2.0 * z + 2.0) / (_FOUR_PI * re_arr ** 3)
     elif family.kind == RADIAL_TREFFTZ and op.kind == ops.HELMHOLTZ:
         z = k * re_arr
         if dim == 2:
-            gpp = -k * k * (_j0_arr(z) - _umap(lambda v: bessel_j(1, v), z) / z) / _TWO_PI
+            gpp = -k * k * (bessel_block("j", 0, z) - bessel_block("j", 1, z) / z) / _TWO_PI
         else:
             gpp = (-k * k * np.sin(z) * re_arr ** 2 - 2.0 * k * np.cos(z) * re_arr
                    + 2.0 * np.sin(z)) / (_FOUR_PI * re_arr ** 3)
     elif family.kind == RADIAL_TREFFTZ and op.kind == ops.MODIFIED_HELMHOLTZ:
         z = k * re_arr
         if dim == 2:
-            gpp = k * k * (_i0_arr(z) - _umap(lambda v: bessel_i(1, v), z) / z) / _TWO_PI
+            gpp = k * k * (bessel_block("i", 0, z) - bessel_block("i", 1, z) / z) / _TWO_PI
         else:
             gpp = (k * k * np.sinh(z) * re_arr ** 2 - 2.0 * k * np.cosh(z) * re_arr
                    + 2.0 * np.sinh(z)) / (_FOUR_PI * re_arr ** 3)
@@ -836,10 +747,10 @@ def eval_tcomplete_member(family, index, point):
             return rho ** (m + 2) * ang
         if op.kind in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER):
             dn = (op.k * rho) ** n
-            return dn * bessel_j(m + n, op.k * rho) * ang
+            return dn * float(bessel_block("j", m + n, op.k * rho)) * ang
         if op.kind in (ops.MODIFIED_HELMHOLTZ, ops.MOD_HELMHOLTZ_POWER):
             dn = (op.k * rho) ** n
-            return dn * bessel_i(m + n, op.k * rho) * ang
+            return dn * float(bessel_block("i", m + n, op.k * rho)) * ang
         raise UnsupportedKernelError(f"no 2D T-complete row for {op.kind!r}")
     # 3D: rho, polar angle phi from x3, azimuth theta; degree-v radial parts
     rho = float(np.linalg.norm(x))
@@ -858,9 +769,9 @@ def eval_tcomplete_member(family, index, point):
     if op.kind == ops.BIHARMONIC:
         return rho ** (v + 2) * pvm * ang
     if op.kind == ops.HELMHOLTZ:
-        return _sph_jn(v, op.k * rho) * pvm * ang if rho > 0 else (pvm * ang if v == 0 else 0.0)
+        return float(spherical_bessel_block("j", v, op.k * rho)) * pvm * ang
     if op.kind == ops.MODIFIED_HELMHOLTZ:
-        return _sph_in(v, op.k * rho) * pvm * ang if rho > 0 else (pvm * ang if v == 0 else 0.0)
+        return float(spherical_bessel_block("i", v, op.k * rho)) * pvm * ang
     raise UnsupportedKernelError(f"no 3D T-complete row for {op.kind!r}")
 
 

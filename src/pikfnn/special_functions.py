@@ -1,42 +1,39 @@
-"""Bessel and Legendre functions implemented from scratch in double precision.
+"""Bessel and Legendre functions in double precision.
 
-Regimes per function (crossovers tuned against a 40-digit reference table,
-see tests/data/special_function_reference.txt):
+The Bessel functions are thin wrappers over scipy.special, gated by the
+40-digit table (tests/data/special_function_reference.txt, regenerated by
+tools/gen_special_reference.py).  Orders 0 and 1 use the order-specific
+ufuncs j0/j1/y0/y1/i0/i1/k0/k1, which are far cheaper than jv/yv/iv/kv;
+higher and half-integer orders use jv/yv/iv/kv.  scipy.special is imported
+on the first Bessel evaluation, so a run without Bessel kernels never loads
+it.
 
-  J_n : ascending series for x <= 9 (alternating-term cancellation is still
-        below 1e-12 there), Miller downward recurrence with the sum-rule
-        normalization for 9 < x < 16 and whenever n > x, Hankel asymptotic
-        expansion plus upward recurrence for x >= 16.
-  Y_n : Neumann series in J (log term plus sums of Miller-computed J_k,
-        all O(1) terms, no cancellation growth) for x < 16, asymptotic
-        expansion beyond; upward recurrence in n (stable, Y dominant).
-  I_n : ascending series (all-positive terms, no cancellation) for x < 40
-        or large order; asymptotic expansion for large x with small order.
-  K_n : ascending series for x <= 2, asymptotic for x >= 30, and a
-        cosh-integral trapezoid rule on the bridge 2 < x < 30 where neither
-        regime reaches 1e-12 in doubles; upward recurrence in n (stable).
-  P_v^m : stable three-term recurrence in the degree v (Condon-Shortley
-        phase included).
+`bessel_block` and `spherical_bessel_block` evaluate whole arrays (the path
+the kernel catalog takes); `bessel_j/y/i/k` and `hankel1` are their scalar
+views and add the order and finiteness checks.  Both keep one error
+contract: Y and K raise SingularityError for arguments <= 0 (Y also below
+Y_SINGULARITY_FLOOR), I raises RangeOverflowError for |x| > 700, and a
+scalar result that overflows raises RangeOverflowError.  The scalar views
+fold negative x by exact parity for J and I (J_n(-x) = (-1)^n J_n(x), I
+likewise).
+
+P_v^m uses the stable three-term recurrence in the degree v (Condon-Shortley
+phase included).
 
 All functions are pure and reentrant; x must be finite, orders are
-non-negative integers.  Negative x is folded by parity for J and I
-(J_n(-x) = (-1)^n J_n(x), I likewise); Y and K reject x <= 0.
+non-negative integers.
 """
 
+import functools
 import math
 
-from .errors import DomainError, RangeOverflowError, SingularityError
+import numpy as np
 
-EULER_GAMMA = 0.57721566490153286061
+from .errors import DomainError, RangeOverflowError, SingularityError
 
 # Y_n treats arguments below this floor as the logarithmic singularity itself.
 Y_SINGULARITY_FLOOR = 1e-300
 
-_J_SERIES_MAX = 9.0
-_JY_ASYMPTOTIC_MIN = 16.0
-_SERIES_ASYMPTOTIC_CROSSOVER_I = 40.0
-_K_SERIES_MAX = 2.0
-_K_ASYMPTOTIC_MIN = 30.0
 _I_OVERFLOW_ARG = 700.0
 
 
@@ -52,304 +49,93 @@ def _check_finite(x, name="x"):
         raise DomainError(f"{name} must be finite, got {x!r}")
 
 
-# ---------------------------------------------------------------------------
-# ascending series
+@functools.cache
+def _ufuncs():
+    """kind -> (order-0, order-1, any-order) ufunc, resolved once."""
+    from scipy import special as sc
 
-def _j_series(n, x):
-    # sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!); safe for x < ~16 at 1e-12 abs
-    half = 0.5 * x
-    term = 1.0
-    for i in range(1, n + 1):
-        term *= half / i
-    total = term
-    x2 = -half * half
-    k = 0
-    while True:
-        k += 1
-        term *= x2 / (k * (n + k))
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-30) and k > 4:
-            return total
+    return {"j": (sc.j0, sc.j1, sc.jv), "y": (sc.y0, sc.y1, sc.yv),
+            "i": (sc.i0, sc.i1, sc.iv), "k": (sc.k0, sc.k1, sc.kv)}
 
 
-def _i_series(n, x):
-    half = 0.5 * abs(x)
-    term = 1.0
-    for i in range(1, n + 1):
-        term *= half / i
-        if term == 0.0:
-            return 0.0
-    total = term
-    x2 = half * half
-    k = 0
-    while True:
-        k += 1
-        term *= x2 / (k * (n + k))
-        total += term
-        if term < 1e-18 * total and k > 4:
-            return total
+def bessel_block(kind, n, z):
+    """J_n, Y_n, I_n or K_n (kind "j", "y", "i" or "k") elementwise on z.
+
+    n is a non-negative integer, or a half-integer for the spherical pieces;
+    it is not checked.  Raises SingularityError when a Y argument is below
+    Y_SINGULARITY_FLOOR or a K argument is <= 0, and RangeOverflowError when
+    an I argument exceeds 700 in magnitude.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.size:
+        if kind == "y" and z.min() < Y_SINGULARITY_FLOOR:
+            raise SingularityError(
+                f"Y_n requires x > {Y_SINGULARITY_FLOOR:g}, got {float(z.min())!r}")
+        if kind == "k" and z.min() <= 0.0:
+            raise SingularityError(f"K_n requires x > 0, got {float(z.min())!r}")
+        if kind == "i" and np.abs(z).max() > _I_OVERFLOW_ARG:
+            raise RangeOverflowError(
+                f"I_{n}(x) overflows the double range for |x| > {_I_OVERFLOW_ARG:g}")
+    order0, order1, any_order = _ufuncs()[kind]
+    if n == 0:
+        return order0(z)
+    if n == 1:
+        return order1(z)
+    return any_order(n, z)
 
 
-def _j_array(nmax, x):
-    # Miller downward recurrence: all of J_0..J_nmax at once, normalized by
-    # J_0 + 2 J_2 + 2 J_4 + ... = 1.  Accurate for any n at moderate x.
-    m = max(nmax, int(x)) + int(math.ceil(math.sqrt(40.0 * max(nmax, int(x), 2)))) + 20
-    if m % 2 == 1:
-        m += 1
-    out = [0.0] * (nmax + 1)
-    fp = 0.0
-    f = 1e-300
-    norm = 0.0
-    for k in range(m, 0, -1):
-        fp, f = f, (2.0 * k / x) * f - fp
-        if k - 1 <= nmax:
-            out[k - 1] = f
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += 2.0 * f
-        if abs(f) > 1e280:
-            f *= 1e-280
-            fp *= 1e-280
-            norm *= 1e-280
-            out = [v * 1e-280 for v in out]
-    norm += f
-    return [v / norm for v in out]
+def spherical_bessel_block(kind, n, z):
+    """Spherical j_n, y_n, i_n or k_n = sqrt(pi / 2z) F_{n+1/2}(z) on z >= 0.
+
+    j_n and i_n take their limits at z = 0 (1 for n = 0, else 0); y_n and
+    k_n raise SingularityError there.  scipy.special.spherical_* are not
+    used: their Python wrappers cost tens of microseconds per call.
+    """
+    z = np.asarray(z, dtype=float)
+    if kind in ("j", "i") and not z.all():
+        out = np.full(z.shape, 1.0 if n == 0 else 0.0)
+        nonzero = z != 0.0
+        out[nonzero] = spherical_bessel_block(kind, n, z[nonzero])
+        return out
+    values = bessel_block(kind, n + 0.5, z)  # raises for y_n, k_n at 0 before 1/z
+    return np.sqrt(0.5 * math.pi / z) * values
 
 
-def _y0_y1_neumann(x):
-    # Neumann series: Y_0 = (2/pi){(ln(x/2)+g) J_0 - 2 sum_k (-1)^k J_2k / k};
-    # Y_1 = -Y_0' obtained by term differentiation (J_2k' = (J_{2k-1}-J_{2k+1})/2).
-    # All terms are O(1): no cancellation growth, unlike the classic log series.
-    kmax = (int(x) + 34) // 2
-    js = _j_array(2 * kmax + 1, x)
-    lg = math.log(0.5 * x) + EULER_GAMMA
-    s0 = 0.0
-    s1 = 0.0
-    for k in range(kmax, 0, -1):  # small terms first
-        sign = -1.0 if k % 2 == 1 else 1.0
-        s0 += sign * js[2 * k] / k
-        s1 += sign * (js[2 * k - 1] - js[2 * k + 1]) / (2.0 * k)
-    y0 = (2.0 / math.pi) * (lg * js[0] - 2.0 * s0)
-    y1 = (2.0 / math.pi) * (lg * js[1] - js[0] / x + 2.0 * s1)
-    return y0, y1
+def _scalar(kind, n, x):
+    value = float(bessel_block(kind, n, x))
+    if not math.isfinite(value):
+        raise RangeOverflowError(f"{kind.upper()}_{n}({x}) overflows the double range")
+    return value
 
-
-def _k0_k1_series(x):
-    # K_0 = -(ln(x/2)+g) I_0 + sum H_k q^k/(k!)^2
-    # K_1 = 1/x + ln(x/2) I_1 - (x/4) sum (H_k + H_{k+1}) q^k/(k!(k+1)!)
-    i0 = _i_series(0, x)
-    i1 = _i_series(1, x)
-    lg = math.log(0.5 * x) + EULER_GAMMA
-
-    q = 0.25 * x * x
-    term = 1.0
-    hk = 0.0
-    s0 = 0.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * k)
-        hk += 1.0 / k
-        s0 += term * hk
-        if term * hk < 1e-18 * (abs(s0) + 1e-30) and k > 4:
-            break
-    k0 = -lg * i0 + s0
-
-    term = 1.0
-    hk = 0.0
-    hk1 = 1.0
-    s1 = hk + hk1  # k = 0 term
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (k + 1))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
-        s1 += term * (hk + hk1)
-        if term * (hk + hk1) < 1e-18 * (abs(s1) + 1e-30) and k > 4:
-            break
-    k1 = 1.0 / x + lg * i1 - 0.25 * x * s1
-    return k0, k1
-
-
-# ---------------------------------------------------------------------------
-# asymptotic expansions (x large)
-
-def _hankel_pq(n, x):
-    # P + iQ truncated at the smallest term; valid to ~e^{-2x} absolute.
-    mu = 4.0 * n * n
-    p = 1.0
-    q = 0.0
-    term = 1.0
-    k = 0
-    sign_cycle = (1.0, 1.0, -1.0, -1.0)  # sign of term k in (Q,P,Q,P,...) slots
-    best = abs(term)
-    while True:
-        k += 1
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x)
-        if abs(term) > best and k > 2:
-            break
-        best = min(best, abs(term))
-        s = sign_cycle[k % 4]
-        if k % 2 == 1:
-            q += s * term
-        else:
-            p += s * term
-        if abs(term) < 1e-18:
-            break
-        if k > 60:
-            break
-    return p, q
-
-
-def _jy_asymptotic(n, x):
-    p, q = _hankel_pq(n, x)
-    chi = x - (0.5 * n + 0.25) * math.pi
-    amp = math.sqrt(2.0 / (math.pi * x))
-    c, s = math.cos(chi), math.sin(chi)
-    return amp * (p * c - q * s), amp * (p * s + q * c)
-
-
-def _i_asymptotic(n, x):
-    mu = 4.0 * n * n
-    total = 1.0
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= -(mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x)
-        if abs(term) > 1.0:
-            break
-        total += term
-        if abs(term) < 1e-18:
-            break
-        if k > 60:
-            break
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
-
-
-def _k_asymptotic(n, x):
-    mu = 4.0 * n * n
-    total = 1.0
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x)
-        total += term
-        if abs(term) < 1e-18:
-            break
-        if k > 60:
-            break
-    return math.sqrt(0.5 * math.pi / x) * math.exp(-x) * total
-
-
-def _k_bridge(n, x):
-    # K_n(x) = int_0^inf exp(-x cosh t) cosh(n t) dt, trapezoid step h.
-    # The integrand is even and analytic; the rule converges like e^{-c/h}.
-    h = 0.05
-    total = 0.5 * math.exp(-x)  # t = 0 value is exp(-x)*cosh(0)
-    j = 0
-    while True:
-        j += 1
-        t = j * h
-        f = math.exp(-x * math.cosh(t)) * math.cosh(n * t)
-        total += f
-        if t > 1.0 and f < total * 1e-19:
-            break
-    return h * total
-
-
-# ---------------------------------------------------------------------------
-# public operations
 
 def bessel_j(n, x):
     """J_n(x) for integer n >= 0 and finite real x (1e-12 abs for |x| <= 50)."""
     _check_order(n)
     _check_finite(x)
-    x = float(x)
-    if x < 0.0:
-        v = bessel_j(n, -x)
-        return -v if n % 2 == 1 else v
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x <= _J_SERIES_MAX and (n <= 1 or x > n):
-        return _j_series(n, x)
-    if x < _JY_ASYMPTOTIC_MIN or n > x:
-        return _j_array(n, x)[n]
-    if n == 0:
-        return _jy_asymptotic(0, x)[0]
-    if n == 1:
-        return _jy_asymptotic(1, x)[0]
-    jm, j = _jy_asymptotic(0, x)[0], _jy_asymptotic(1, x)[0]
-    for k in range(1, n):
-        jm, j = j, (2.0 * k / x) * j - jm
-    return j
+    value = _scalar("j", n, abs(x))
+    return -value if x < 0.0 and n % 2 == 1 else value
 
 
 def bessel_y(n, x):
     """Y_n(x) for integer n >= 0 and x > 0 (1e-12 abs for x in (0, 50])."""
     _check_order(n)
     _check_finite(x)
-    x = float(x)
-    if x <= 0.0 or x < Y_SINGULARITY_FLOOR:
-        raise SingularityError(f"Y_n requires x > {Y_SINGULARITY_FLOOR:g}, got {x!r}")
-    if x < _JY_ASYMPTOTIC_MIN:
-        y0, y1 = _y0_y1_neumann(x)
-    else:
-        y0 = _jy_asymptotic(0, x)[1]
-        y1 = _jy_asymptotic(1, x)[1]
-    if n == 0:
-        return y0
-    if n == 1:
-        return y1
-    ym, y = y0, y1
-    for k in range(1, n):
-        ym, y = y, (2.0 * k / x) * y - ym
-        if not math.isfinite(y):
-            raise RangeOverflowError(f"Y_{n}({x}) overflows the double range")
-    return y
+    return _scalar("y", n, x)
 
 
 def bessel_i(n, x):
     """I_n(x) for integer n >= 0 (1e-12 rel for |x| <= 30)."""
     _check_order(n)
     _check_finite(x)
-    x = float(x)
-    if x < 0.0:
-        v = bessel_i(n, -x)
-        return -v if n % 2 == 1 else v
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x > _I_OVERFLOW_ARG:
-        raise RangeOverflowError(f"I_{n}({x}) overflows the double range")
-    if x < _SERIES_ASYMPTOTIC_CROSSOVER_I or 4.0 * n * n >= 2.0 * x:
-        return _i_series(n, x)
-    return _i_asymptotic(n, x)
+    value = _scalar("i", n, abs(x))
+    return -value if x < 0.0 and n % 2 == 1 else value
 
 
 def bessel_k(n, x):
     """K_n(x) for integer n >= 0 and x > 0 (1e-12 rel for x in (0, 30])."""
     _check_order(n)
     _check_finite(x)
-    x = float(x)
-    if x <= 0.0:
-        raise SingularityError(f"K_n requires x > 0, got {x!r}")
-    if x <= _K_SERIES_MAX:
-        k0, k1 = _k0_k1_series(x)
-    elif x >= _K_ASYMPTOTIC_MIN:
-        k0, k1 = _k_asymptotic(0, x), _k_asymptotic(1, x)
-    else:
-        k0, k1 = _k_bridge(0, x), _k_bridge(1, x)
-    if n == 0:
-        return k0
-    if n == 1:
-        return k1
-    km, k = k0, k1
-    for j in range(1, n):
-        km, k = k, (2.0 * j / x) * k + km
-        if not math.isfinite(k):
-            raise RangeOverflowError(f"K_{n}({x}) overflows the double range")
-    return k
+    return _scalar("k", n, x)
 
 
 def hankel1(n, x):

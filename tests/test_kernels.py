@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pikfnn.errors import DomainError, SingularityError, UnsupportedKernelError
+from pikfnn.errors import (
+    DomainError,
+    RangeOverflowError,
+    SingularityError,
+    UnsupportedKernelError,
+)
 from pikfnn.kernels import (
     KernelFamily,
     SpaceTimePoint,
@@ -512,6 +517,29 @@ def test_singularity_and_unsupported_errors():
         KernelFamily("harmonic", OperatorSpec("helmholtz", 2, k=1.0))
     with pytest.raises(DomainError):
         OperatorSpec("helmholtz", 4, k=1.0)  # 4D only for Laplace
+
+
+def test_bessel_kernel_blocks_keep_the_error_contract():
+    # I_n beyond |x| = 700 overflows, as in bessel_i; scipy alone would
+    # return a finite value up to ~713 and inf beyond
+    far = np.array([[750.0, 0.0], [1.0, 0.0]])
+    for n in (0, 1, 3):
+        op = OperatorSpec("modified-helmholtz-power" if n else "modified-helmholtz", 2,
+                          k=1.0, power_n=n)
+        with pytest.raises(RangeOverflowError):
+            kernel_block(KernelFamily("radial-trefftz", op), far, [[0.0, 0.0]])
+        assert np.isfinite(kernel_block(KernelFamily("radial-trefftz", op), far[1:],
+                                        [[0.0, 0.0]])).all()
+    # Y and K at argument 0: the coincident point, and a Y argument below
+    # the floor that the r = 0 check cannot see
+    same = [[0.5, 0.5]]
+    for fam in (KernelFamily("fundamental-real", OperatorSpec("helmholtz", 2, k=3.0)),
+                fund("helmholtz", 2, k=3.0), fund("modified-helmholtz", 2, k=3.0)):
+        with pytest.raises(SingularityError):
+            kernel_block(fam, [[1.0, 0.0], [0.5, 0.5]], same)
+    tiny = KernelFamily("fundamental-real", OperatorSpec("helmholtz", 2, k=1e-310))
+    with pytest.raises(SingularityError):
+        kernel_block(tiny, [[1.0, 0.0]], [[0.0, 0.0]])
 
 
 def test_time_kernel_requires_times():

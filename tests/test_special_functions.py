@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +10,13 @@ import pytest
 from pikfnn.errors import DomainError, RangeOverflowError, SingularityError
 from pikfnn.special_functions import (
     assoc_legendre,
+    bessel_block,
     bessel_i,
     bessel_j,
     bessel_k,
     bessel_y,
     hankel1,
+    spherical_bessel_block,
 )
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "special_function_reference.txt")
@@ -161,3 +166,112 @@ def test_purity_bit_identical():
         assert bessel_y(n, x) == bessel_y(n, x)
         assert bessel_i(n, x) == bessel_i(n, x)
         assert bessel_k(n, x) == bessel_k(n, x)
+
+
+def test_block_matches_scalar_views():
+    x = np.array([0.3, 2.7, 11.0, 33.0])
+    for kind, fn in (("j", bessel_j), ("y", bessel_y), ("i", bessel_i), ("k", bessel_k)):
+        for n in (0, 1, 2, 5):
+            assert bessel_block(kind, n, x).tolist() == [fn(n, v) for v in x]
+            assert bessel_block(kind, n, np.empty((0, 3))).shape == (0, 3)
+
+
+def test_block_error_contract():
+    with pytest.raises(SingularityError):
+        bessel_block("y", 0, np.array([1.0, 0.0]))
+    with pytest.raises(SingularityError):
+        bessel_block("y", 3, np.array([[1.0], [1e-310]]))  # below the floor
+    with pytest.raises(SingularityError):
+        bessel_block("k", 1, np.array([2.0, -0.5]))
+    with pytest.raises(SingularityError):
+        bessel_block("k", 0, 0.0)
+    with pytest.raises(RangeOverflowError):
+        bessel_block("i", 0, np.array([1.0, 700.5]))
+    with pytest.raises(RangeOverflowError):
+        bessel_block("i", 2, np.array([-701.0]))
+    assert np.isfinite(bessel_block("i", 1, np.array([700.0]))).all()
+
+
+def _spherical_terms(kind, n, z):
+    """Elementary closed forms of j_n, y_n, i_n, k_n (n = 0, 1, 2) as lists
+    of terms, so a tolerance can follow the size of the terms (the closed
+    forms cancel at small z)."""
+    s, c, sh, ch = np.sin(z), np.cos(z), np.sinh(z), np.cosh(z)
+    e = 0.5 * math.pi * np.exp(-z)
+    return {
+        ("j", 0): [s / z],
+        ("j", 1): [s / z ** 2, -c / z],
+        ("j", 2): [3.0 * s / z ** 3, -s / z, -3.0 * c / z ** 2],
+        ("y", 0): [-c / z],
+        ("y", 1): [-c / z ** 2, -s / z],
+        ("y", 2): [-3.0 * c / z ** 3, c / z, -3.0 * s / z ** 2],
+        ("i", 0): [sh / z],
+        ("i", 1): [ch / z, -sh / z ** 2],
+        ("i", 2): [3.0 * sh / z ** 3, sh / z, -3.0 * ch / z ** 2],
+        ("k", 0): [e / z],
+        ("k", 1): [e / z, e / z ** 2],
+        ("k", 2): [e / z, 3.0 * e / z ** 2, 3.0 * e / z ** 3],
+    }[kind, n]
+
+
+@pytest.mark.parametrize("kind", ["j", "y", "i", "k"])
+def test_spherical_pieces_match_closed_forms(kind):
+    z = np.linspace(0.0, 40.0, 801)[1:]
+    for n in (0, 1, 2):
+        terms = _spherical_terms(kind, n, z)
+        expected = sum(terms)
+        scale = sum(np.abs(t) for t in terms)
+        if kind in ("j", "y"):
+            scale = np.maximum(scale, 1.0 / z)  # absolute near the zeros of j_n, y_n
+        got = spherical_bessel_block(kind, n, z)
+        # jv at half-integer order is good to ~3e-14 relative; the table
+        # gate for integer orders is 1e-12 absolute
+        assert np.all(np.abs(got - expected) <= 1e-13 * scale), (kind, n)
+
+
+def test_spherical_pieces_small_argument_series():
+    # j_n, i_n ~ z^n / (2n+1)!! (1 -+ z^2 / (2(2n+3))) near 0, where the
+    # closed forms above lose every digit to cancellation
+    z = np.array([1e-8, 1e-5, 1e-3])
+    for n in (0, 1, 2, 5):
+        lead = z ** n / math.prod(range(1, 2 * n + 2, 2))
+        q = z * z / (2.0 * (2 * n + 3))
+        np.testing.assert_allclose(spherical_bessel_block("j", n, z), lead * (1.0 - q),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(spherical_bessel_block("i", n, z), lead * (1.0 + q),
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_spherical_pieces_at_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, 1, 2, 5):
+            limit = 1.0 if n == 0 else 0.0
+            for kind in ("j", "i"):
+                got = spherical_bessel_block(kind, n, np.array([[0.0, 0.5], [2.0, 0.0]]))
+                assert got[0, 0] == got[1, 1] == limit
+                assert got[0, 1] == spherical_bessel_block(kind, n, np.array([0.5]))[0]
+                assert float(spherical_bessel_block(kind, n, 0.0)) == limit
+    for kind in ("y", "k"):
+        with pytest.raises(SingularityError):
+            spherical_bessel_block(kind, 1, np.array([1.0, 0.0]))
+
+
+def test_scipy_special_loads_on_first_bessel_use():
+    # a Bessel-free run must not pay for importing scipy.special
+    import pikfnn
+
+    code = (
+        "import sys\n"
+        "from pikfnn import KernelFamily, OperatorSpec, bessel_j\n"
+        "from pikfnn.kernels import kernel_block\n"
+        "fam = KernelFamily('fundamental', OperatorSpec('laplace', 2))\n"
+        "kernel_block(fam, [[0.0, 0.0]], [[1.0, 1.0]])\n"
+        "print('scipy.special' in sys.modules)\n"
+        "bessel_j(0, 1.0)\n"
+        "print('scipy.special' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pikfnn.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["False", "True"]
