@@ -21,7 +21,7 @@ import numpy as np
 from . import operators as ops
 from .errors import DomainError, SingularityError, UnsupportedKernelError
 from .operators import OperatorSpec, high_order_coeffs
-from .special_functions import assoc_legendre, bessel_block, spherical_bessel_block
+from .special_functions import assoc_legendre_block, bessel_block, spherical_bessel_block
 
 # kernel classes
 FUNDAMENTAL = "fundamental"
@@ -492,24 +492,22 @@ def _gradient_block(family, dx, dt=None):
 
 
 def _gradient_fd(family, dx, dt):
-    h0 = math.pow(2.2204460492503131e-16, 1.0 / 3.0)
+    # central differences, h = cbrt(eps) * max(1, |dx|) per entry
+    h = math.pow(2.2204460492503131e-16, 1.0 / 3.0) * np.maximum(
+        1.0, np.sqrt(np.einsum("...i,...i->...", dx, dx)))
     out = np.zeros(dx.shape)
-    it = np.ndindex(dx.shape[:-1])
-    for idx in it:
-        d = dx[idx]
-        h = h0 * max(1.0, float(np.linalg.norm(d)))
-        for i in range(d.size):
-            dp = d.copy()
-            dm = d.copy()
-            dp[i] += h
-            dm[i] -= h
-            if family.operator.is_time_dependent:
-                fp = _time_block(family, dp.reshape(1, -1), dt[idx])
-                fm = _time_block(family, dm.reshape(1, -1), dt[idx])
-            else:
-                fp = _steady_block(family, dp.reshape(1, -1))
-                fm = _steady_block(family, dm.reshape(1, -1))
-            out[idx + (i,)] = float(np.real(fp[0] - fm[0])) / (2.0 * h)
+    for i in range(dx.shape[-1]):
+        dp = dx.copy()
+        dm = dx.copy()
+        dp[..., i] += h
+        dm[..., i] -= h
+        if family.operator.is_time_dependent:
+            fp = _time_block(family, dp, dt)
+            fm = _time_block(family, dm, dt)
+        else:
+            fp = _steady_block(family, dp)
+            fm = _steady_block(family, dm)
+        out[..., i] = np.real(fp - fm) / (2.0 * h)
     return out
 
 
@@ -526,11 +524,10 @@ def eval_kernel_laplacian(family, field_point, source_point):
     re = math.sqrt(r2 + sigma * sigma)
     trip = _radial_second_derivs(family, re)
     if trip is None:
-        def fn(pt):
-            d = np.asarray(pt, dtype=float).reshape(1, -1) - s.reshape(1, -1)
-            return float(np.real(_steady_block(family, d)[0]))
-
-        return ops._laplacian(fn, list(x), ops.fd_step(list(x), 1))
+        lap = ops.steady_operator_fd_block(
+            OperatorSpec(ops.LAPLACE, family.operator.dim),
+            lambda P: np.real(_steady_block(family, P - s)), x.reshape(1, -1))
+        return float(lap[0])
     # lap g(R(r)) = g''(R) r^2/R^2 + g'(R) (sigma^2/R^3 + (dim-1)/R)
     _, gp, gpp = trip
     d = family.operator.dim
@@ -728,18 +725,26 @@ def tcomplete_members(family):
 
 def eval_tcomplete_member(family, index, point):
     """T-complete basis member at a point given relative to the expansion
-    origin.  index = (degree v, order m, parity); 2D uses the order m."""
+    origin (a one-row view of tcomplete_member_block)."""
+    x, _ = _as_xt(point)
+    return float(tcomplete_member_block(family, index, x.reshape(1, -1))[0])
+
+
+def tcomplete_member_block(family, index, X):
+    """T-complete member values at the rows of X (n, dim), given relative to
+    the expansion origin.  index = (degree v, order m, parity); 2D uses the
+    order m."""
     v, m, parity = index
     if parity not in ("cos", "sin"):
         raise DomainError(f"parity must be cos|sin, got {parity!r}")
-    x, _ = _as_xt(point)
+    X = np.asarray(X, dtype=float)
     op = family.operator
-    if x.size != op.dim:
-        raise DomainError(f"point must have dim {op.dim}")
+    if X.ndim != 2 or X.shape[1] != op.dim:
+        raise DomainError(f"points must have dim {op.dim}")
     if op.dim == 2:
-        rho = math.hypot(x[0], x[1])
-        theta = math.atan2(x[1], x[0])
-        ang = math.cos(m * theta) if parity == "cos" else math.sin(m * theta)
+        rho = np.hypot(X[:, 0], X[:, 1])
+        theta = np.arctan2(X[:, 1], X[:, 0])
+        ang = np.cos(m * theta) if parity == "cos" else np.sin(m * theta)
         n = op.power_n
         if op.kind in (ops.LAPLACE, ops.POLY_LAPLACE):
             return rho ** (m + 2 * n) * ang
@@ -747,31 +752,29 @@ def eval_tcomplete_member(family, index, point):
             return rho ** (m + 2) * ang
         if op.kind in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER):
             dn = (op.k * rho) ** n
-            return dn * float(bessel_block("j", m + n, op.k * rho)) * ang
+            return dn * bessel_block("j", m + n, op.k * rho) * ang
         if op.kind in (ops.MODIFIED_HELMHOLTZ, ops.MOD_HELMHOLTZ_POWER):
             dn = (op.k * rho) ** n
-            return dn * float(bessel_block("i", m + n, op.k * rho)) * ang
+            return dn * bessel_block("i", m + n, op.k * rho) * ang
         raise UnsupportedKernelError(f"no 2D T-complete row for {op.kind!r}")
     # 3D: rho, polar angle phi from x3, azimuth theta; degree-v radial parts
-    rho = float(np.linalg.norm(x))
-    if rho == 0.0:
-        cosphi = 1.0
-        theta = 0.0
-    else:
-        cosphi = x[2] / rho
-        theta = math.atan2(x[1], x[0])
     if m > v:
         raise DomainError(f"need m <= v, got m={m} v={v}")
-    pvm = assoc_legendre(v, m, min(1.0, max(-1.0, cosphi)))
-    ang = math.cos(m * theta) if parity == "cos" else math.sin(m * theta)
+    rho = np.sqrt(np.einsum("ni,ni->n", X, X))
+    origin = rho == 0.0
+    with np.errstate(invalid="ignore"):
+        cosphi = np.where(origin, 1.0, X[:, 2] / rho)
+    theta = np.where(origin, 0.0, np.arctan2(X[:, 1], X[:, 0]))
+    pvm = assoc_legendre_block(v, m, np.clip(cosphi, -1.0, 1.0))
+    ang = np.cos(m * theta) if parity == "cos" else np.sin(m * theta)
     if op.kind == ops.LAPLACE:
         return rho ** v * pvm * ang
     if op.kind == ops.BIHARMONIC:
         return rho ** (v + 2) * pvm * ang
     if op.kind == ops.HELMHOLTZ:
-        return float(spherical_bessel_block("j", v, op.k * rho)) * pvm * ang
+        return spherical_bessel_block("j", v, op.k * rho) * pvm * ang
     if op.kind == ops.MODIFIED_HELMHOLTZ:
-        return float(spherical_bessel_block("i", v, op.k * rho)) * pvm * ang
+        return spherical_bessel_block("i", v, op.k * rho) * pvm * ang
     raise UnsupportedKernelError(f"no 3D T-complete row for {op.kind!r}")
 
 

@@ -23,10 +23,10 @@ from .kernels import (
     KernelFamily,
     eval_elasticity_kernel,
     elasto_disp_gradient,
-    eval_tcomplete_member,
     kernel_block,
     kernel_gradient_block,
     kernel_operator_block,
+    tcomplete_member_block,
     tcomplete_members,
 )
 from .registry import format_kernel_id, parse_kernel_id
@@ -188,26 +188,25 @@ def _fill_initial_rows(block, family, sources, colloc, rows):
 
 
 def _fill_tcomplete_block(block, family, colloc):
-    members = tcomplete_members(family)
-    for j, index in enumerate(members):
-        for i in range(len(colloc)):
-            kind = colloc.kinds[i]
-            if kind in (geo.DIRICHLET, geo.INITIAL):
-                block[i, j] = eval_tcomplete_member(family, index, colloc.points[i])
-            elif kind == geo.NEUMANN:
-                h = 1e-6 * max(1.0, float(np.linalg.norm(colloc.points[i])))
-                g = np.zeros(colloc.dim)
-                for a in range(colloc.dim):
-                    xp = colloc.points[i].copy()
-                    xm = colloc.points[i].copy()
-                    xp[a] += h
-                    xm[a] -= h
-                    g[a] = (eval_tcomplete_member(family, index, xp)
-                            - eval_tcomplete_member(family, index, xm)) / (2 * h)
-                block[i, j] = float(g @ colloc.normals[i])
-            else:
-                raise ConfigurationError(
-                    "T-complete families support Dirichlet/Neumann/Initial rows only")
+    # value rows take member values, Neumann rows central-difference
+    # gradients (h = 1e-6 * max(1, |x|)) dotted with the normal
+    if not np.all(np.isin(colloc.kinds, (geo.DIRICHLET, geo.INITIAL, geo.NEUMANN))):
+        raise ConfigurationError(
+            "T-complete families support Dirichlet/Neumann/Initial rows only")
+    value_rows = np.nonzero(np.isin(colloc.kinds, (geo.DIRICHLET, geo.INITIAL)))[0]
+    flux_rows = colloc.rows(geo.NEUMANN)
+    P = colloc.points[flux_rows]
+    h = 1e-6 * np.maximum(1.0, np.linalg.norm(P, axis=1))
+    shifts = np.eye(colloc.dim)[:, None, :] * h[None, :, None]  # (axis, row, dim)
+    stencil = np.concatenate([P + shifts, P - shifts]).reshape(-1, colloc.dim)
+    for j, index in enumerate(tcomplete_members(family)):
+        block[value_rows, j] = tcomplete_member_block(family, index,
+                                                      colloc.points[value_rows])
+        if len(flux_rows):
+            up, dn = tcomplete_member_block(family, index, stencil).reshape(
+                2, colloc.dim, len(flux_rows))
+            grad = (up - dn) / (2.0 * h)
+            block[flux_rows, j] = np.einsum("ar,ra->r", grad, colloc.normals[flux_rows])
 
 
 def _fill_elastic_block(block, family, sources, colloc):

@@ -1,12 +1,22 @@
 """Governing-operator descriptions, high-order coefficient recurrences, and
-finite-difference operator application (the independent check used by
-verify-kernels).
+the batched finite-difference oracle used by verify-kernels.
+
+steady_operator_fd_block and time_operator_fd_block apply an operator to the
+*values* of a function by central differences at many sample points at
+once.  Every stencil point of every sample point (each level of a nested
+power, both Richardson steps) is collected, coincident points are merged,
+and the function is evaluated on the whole set with one call; the stencil
+weights then contract those values.  The oracle sees values only, never a
+kernel formula, so it stays an independent check of the kernel catalog.
+apply_steady_operator_fd and apply_time_operator_fd are its one-point views.
 
 OperatorSpec instances are frozen and shareable across threads.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -171,8 +181,6 @@ def structural_fn(selector, exponent):
     'power' with exponent exactly 1 falls back to identity so the
     power==classical reduction is bit-for-bit.
     """
-    import numpy as np
-
     if selector == "identity" or (selector == "power" and exponent == 1.0):
         return (lambda v: v), (lambda v: 1.0)
     if selector == "power":
@@ -185,124 +193,187 @@ def structural_fn(selector, exponent):
     raise DomainError(f"unknown structural selector {selector!r}")
 
 
+
+
 # ---------------------------------------------------------------------------
 # finite-difference operator application (independent of the kernel formulas)
+#
+# Every point a stencil reads lies on the lattice x + o * h (t + o_t * ht for
+# the time axis, stored last in o) with o an integer offset vector, and h a
+# per-point step.  Nested powers and both Richardson steps read the same
+# lattice, so each stencil is written once against a lookup u(o) -> values.
+# It is run first with a recording lookup, which collects the distinct
+# offsets; fn is then evaluated once on every point of every offset, and the
+# same stencil contracts those values.
 
-def _d1(fn, x, i, h):
-    # 5-point first derivative
-    xp = list(x)
-    vals = []
-    for off in (-2, -1, 1, 2):
-        xp[i] = x[i] + off * h
-        vals.append(fn(xp))
-    return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
-
-
-def _d2(fn, x, i, h):
-    # 5-point second derivative
-    xp = list(x)
-    vals = []
-    for off in (-2, -1, 0, 1, 2):
-        xp[i] = x[i] + off * h
-        vals.append(fn(xp))
-    return (-vals[0] + 16.0 * vals[1] - 30.0 * vals[2] + 16.0 * vals[3] - vals[4]) / (12.0 * h * h)
+def _shift(o, axis, k):
+    return o[:axis] + (o[axis] + k,) + o[axis + 1:]
 
 
-def _laplacian(fn, x, h):
-    return sum(_d2(fn, x, i, h) for i in range(len(x)))
+def _fd1(u, o, axis, h):
+    # 5-point first derivative along one lattice axis
+    v = [u(_shift(o, axis, k)) for k in (-2, -1, 1, 2)]
+    return (v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * h)
+
+
+def _fd2(u, o, axis, h):
+    # 5-point second derivative along one lattice axis
+    v = [u(_shift(o, axis, k)) for k in (-2, -1, 0, 1, 2)]
+    return (-v[0] + 16.0 * v[1] - 30.0 * v[2] + 16.0 * v[3] - v[4]) / (12.0 * h * h)
+
+
+def _fd_laplacian(u, o, h, dim):
+    return sum(_fd2(u, o, i, h) for i in range(dim))
+
+
+def _evaluate_stencil(stencil, trace, fn, Z, steps):
+    """Contract stencil(u) over the values of fn at every offset it reads.
+
+    Z holds one lattice origin per row (coordinates, then the time if any)
+    and steps the per-row step of each axis.  trace(u) runs the stencil with
+    scalar stand-ins for the steps and coordinates; fn is then called once
+    on the origins shifted by every recorded offset.
+    """
+    offsets = {}
+
+    def record(o):
+        offsets.setdefault(o, len(offsets))
+        return 0.0
+
+    trace(record)
+    lattice = np.asarray(list(offsets), dtype=float)
+    points = Z[:, None, :] + lattice[None, :, :] * steps[:, None, :]
+    values = np.asarray(fn(points.reshape(-1, Z.shape[1])))
+    values = np.ascontiguousarray(values.reshape(Z.shape[0], len(offsets)).T)
+    return stencil(lambda o: values[offsets[o]])
+
+
+def _per_row(value, n):
+    return np.broadcast_to(np.asarray(value, dtype=float), (n,))
+
+
+def _nesting(op):
+    """How many times an operator applies its base operator."""
+    return 2 if op.kind == BIHARMONIC else op.power_n + 1
 
 
 def fd_step(x, order=1):
     """Default step: 1e-4 * max(1, |x|) for single applications, widened for
-    nested higher-order operators (roundoff grows like eps/h^(2m))."""
-    scale = max(1.0, math.sqrt(sum(v * v for v in x)))
+    nested higher-order operators (roundoff grows like eps/h^(2m)).  x is one
+    point or an (n, dim) array of points (one step per row)."""
+    x = np.asarray(x, dtype=float)
+    scale = np.maximum(1.0, np.sqrt(sum(x[..., i] * x[..., i] for i in range(x.shape[-1]))))
     return {1: 1e-4, 2: 8e-3, 3: 2e-2}.get(order, 3e-2) * scale
 
 
-def apply_steady_operator_fd(op, fn, x, h=None):
-    """Apply a steady operator to fn: R^dim -> R (or C) by central differences.
-
-    Higher-order operators (biharmonic, powers) nest the base application and
-    Richardson-extrapolate the nested result (cancels the leading h^4 term,
-    which otherwise drowns the 1e-4 check tolerance).
-    """
-    x = list(float(v) for v in x)
-    reps = op.power_n + 1
-    if op.kind == BIHARMONIC:
-        reps = 2
+def _steady_stencil(op, u, h, dim):
+    reps = _nesting(op)
     base = op.base()
-    if h is None:
-        h = fd_step(x, order=reps)
+    origin = (0,) * dim
 
-    def apply_once(g, pt, step):
+    def apply_once(g, o, step):
         if base.kind == LAPLACE:
-            return _laplacian(g, pt, step)
+            return _fd_laplacian(g, o, step, dim)
         if base.kind == HELMHOLTZ:
-            return _laplacian(g, pt, step) + base.k ** 2 * g(pt)
+            return _fd_laplacian(g, o, step, dim) + base.k ** 2 * g(o)
         if base.kind == MODIFIED_HELMHOLTZ:
-            return _laplacian(g, pt, step) - base.k ** 2 * g(pt)
+            return _fd_laplacian(g, o, step, dim) - base.k ** 2 * g(o)
         if base.kind == CONVECTION_DIFFUSION:
-            conv = sum(base.velocity[i] * _d1(g, pt, i, step) for i in range(len(pt)))
-            return base.diffusion * _laplacian(g, pt, step) + conv - base.k * g(pt)
+            conv = sum(base.velocity[i] * _fd1(g, o, i, step) for i in range(dim))
+            return base.diffusion * _fd_laplacian(g, o, step, dim) + conv - base.k * g(o)
         raise DomainError(f"no FD rule for steady operator {op.kind!r}")
 
     if reps == 1:
-        return apply_once(fn, x, h)
+        return apply_once(u, origin, h)
 
-    def nested(level, step):
-        if level == 0:
-            return fn
-        inner = nested(level - 1, step)
-        return lambda pt: apply_once(inner, pt, step)
+    def full(step, scale):
+        # the step-`scale * h` lattice is every scale-th point of the h one
+        def nested(level):
+            if level == 0:
+                return lambda o: u(tuple(scale * c for c in o))
+            inner = nested(level - 1)
+            return lambda o: apply_once(inner, o, step)
 
-    def full(step):
-        return apply_once(nested(reps - 1, step), x, step)
+        return apply_once(nested(reps - 1), origin, step)
 
-    return (16.0 * full(h) - full(2.0 * h)) / 15.0
+    return (16.0 * full(h, 1) - full(2.0 * h, 2)) / 15.0
 
 
-def apply_time_operator_fd(op, fn, x, t, h=None, ht=None):
-    """Apply a transient operator to fn(x, t) by central differences.
+def steady_operator_fd_block(op, fn, X, h=None):
+    """Apply a steady operator by central differences at each row of X.
 
-    heat: du/dt - k lap(u);  wave: d2u/dt2 - c1^2 lap(u);
-    structural-diffusion: u_t/G'(t) - D sum_i (1/F') d/dx_i ((1/F') du/dx_i).
+    fn maps an (N, dim) point array to (N,) values (real or complex); it is
+    called once, on the distinct stencil points of every row.  Higher-order
+    operators (biharmonic, powers) nest the base application and
+    Richardson-extrapolate the nested result (cancels the leading h^4 term,
+    which otherwise drowns the 1e-4 check tolerance).  h defaults to
+    fd_step per row; returns one residual per row.
     """
-    x = list(float(v) for v in x)
-    t = float(t)
-    if h is None:
-        h = fd_step(x, order=1)
-    if ht is None:
-        ht = 1e-4 * max(1.0, abs(t))
+    X = np.asarray(X, dtype=float)
+    n, dim = X.shape
+    h = fd_step(X, order=_nesting(op)) if h is None else _per_row(h, n)
+    return _evaluate_stencil(lambda u: _steady_stencil(op, u, h, dim),
+                             lambda u: _steady_stencil(op, u, 1.0, dim),
+                             fn, X, np.repeat(h[:, None], dim, axis=1))
 
-    def fx(pt):
-        return fn(pt, t)
 
-    def ft(tv):
-        return fn(x, tv)
-
+def _time_stencil(op, u, h, ht, dim, x_at, t):
+    # x_at(o, i): coordinate i at lattice offset o; time is lattice axis dim
+    origin = (0,) * (dim + 1)
     if op.kind == HEAT:
-        ut = _d1_scalar(ft, t, ht)
-        return ut - op.k * _laplacian(fx, x, h)
+        return _fd1(u, origin, dim, ht) - op.k * _fd_laplacian(u, origin, h, dim)
     if op.kind == WAVE:
-        utt = _d2_scalar(ft, t, ht)
-        return utt - op.c1 ** 2 * _laplacian(fx, x, h)
+        return _fd2(u, origin, dim, ht) - op.c1 ** 2 * _fd_laplacian(u, origin, h, dim)
     if op.kind == STRUCTURAL_DIFFUSION:
-        gfun, gprime = structural_fn(op.structural_t, op.alpha)
-        ffun, fprime = structural_fn(op.structural_x, op.beta)
-        ut = _d1_scalar(ft, t, ht) / gprime(t)
+        _, gprime = structural_fn(op.structural_t, op.alpha)
+        _, fprime = structural_fn(op.structural_x, op.beta)
+        ut = _fd1(u, origin, dim, ht) / gprime(t)
         total = 0.0
-        for i in range(len(x)):
-            def inner(pt, _i=i):
-                return _d1(fx, list(pt), _i, h) / fprime(pt[_i])
-            total += _d1(inner, x, i, h) / fprime(x[i])
+        for i in range(dim):
+            def inner(o, _i=i):
+                return _fd1(u, o, _i, h) / fprime(x_at(o, _i))
+            total += _fd1(inner, origin, i, h) / fprime(x_at(origin, i))
         return ut - op.diffusion * total
     raise DomainError(f"no FD rule for time operator {op.kind!r}")
 
 
-def _d1_scalar(fn, t, h):
-    return (fn(t - 2 * h) - 8.0 * fn(t - h) + 8.0 * fn(t + h) - fn(t + 2 * h)) / (12.0 * h)
+def time_operator_fd_block(op, fn, X, T, h=None, ht=None):
+    """Apply a transient operator by central differences at each (X, T) row.
+
+    heat: du/dt - k lap(u);  wave: d2u/dt2 - c1^2 lap(u);
+    structural-diffusion: u_t/G'(t) - D sum_i (1/F') d/dx_i ((1/F') du/dx_i).
+    fn maps (N, dim) points and (N,) times to (N,) values and is called once.
+    h defaults to fd_step per row, ht to 1e-4 * max(1, |t|).
+    """
+    X = np.asarray(X, dtype=float)
+    T = np.asarray(T, dtype=float)
+    n, dim = X.shape
+    h = fd_step(X, order=1) if h is None else _per_row(h, n)
+    ht = 1e-4 * np.maximum(1.0, np.abs(T)) if ht is None else _per_row(ht, n)
+
+    def x_at(o, i):
+        return X[:, i] + o[i] * h
+
+    return _evaluate_stencil(
+        lambda u: _time_stencil(op, u, h, ht, dim, x_at, T),
+        lambda u: _time_stencil(op, u, 1.0, 1.0, dim, lambda o, i: 1.0, 1.0),
+        lambda Z: fn(Z[:, :dim], Z[:, dim]), np.column_stack([X, T]),
+        np.column_stack([np.repeat(h[:, None], dim, axis=1), ht]))
 
 
-def _d2_scalar(fn, t, h):
-    return (-fn(t - 2 * h) + 16.0 * fn(t - h) - 30.0 * fn(t) + 16.0 * fn(t + h)
-            - fn(t + 2 * h)) / (12.0 * h * h)
+def apply_steady_operator_fd(op, fn, x, h=None):
+    """steady_operator_fd_block at one point x, for fn: R^dim -> R (or C)
+    taking one point."""
+    def block(P):
+        return np.asarray([fn(p) for p in P.tolist()])
+
+    return steady_operator_fd_block(op, block, [x], h)[0]
+
+
+def apply_time_operator_fd(op, fn, x, t, h=None, ht=None):
+    """time_operator_fd_block at one point (x, t), for fn(x, t) taking one
+    point and one time."""
+    def block(P, T):
+        return np.asarray([fn(p, tv) for p, tv in zip(P.tolist(), T.tolist())])
+
+    return time_operator_fd_block(op, block, [x], [t], h, ht)[0]

@@ -168,11 +168,3 @@ def _example_id(kclass, op_kind, dim):
     head = f"{kclass}:{op_kind}:{dim}d"
     return head + ("?" + "&".join(params) if params else "")
 
-
-def default_verify_families():
-    """(identifier, KernelFamily) pairs exercised by verify-kernels."""
-    pairs = []
-    for ident in list_kernel_ids():
-        fam = parse_kernel_id(ident)
-        pairs.append((ident, fam))
-    return pairs

@@ -22,9 +22,8 @@ from .geometry import SourceSet, gen_sources, load_nodes
 from .kernels import (
     KernelFamily,
     eval_elasticity_kernel,
-    eval_kernel,
-    eval_tcomplete_member,
-    SpaceTimePoint,
+    kernel_block,
+    tcomplete_member_block,
     tcomplete_members,
 )
 from .metrics import build_metrics, write_field_csv
@@ -38,8 +37,8 @@ from .network import (
 )
 from .operators import (
     OperatorSpec,
-    apply_steady_operator_fd,
-    apply_time_operator_fd,
+    steady_operator_fd_block,
+    time_operator_fd_block,
 )
 from .registry import list_kernel_ids, parse_kernel_id
 from .training import (
@@ -177,30 +176,19 @@ def check_exact_solution(setup, n_points=20, seed=5, tol=1e-5):
     if setup.exact is None or setup.operator.kind == ops.ELASTOSTATIC:
         return 0.0
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, setup.test_points.shape[0], size=n_points)
-    worst = 0.0
-    for i in idx:
-        x = setup.test_points[i]
-        if setup.operator.is_time_dependent:
-            t = 0.4 + 0.5 * rng.random()
-
-            def fn(pt, tv):
-                return float(setup.exact(np.asarray(pt, dtype=float), tv))
-
-            res = apply_time_operator_fd(setup.operator, fn, x, t)
-            base = abs(fn(list(x), t))
-            if setup.source_fn is not None:  # nonhomogeneous: L0 u = f
-                res -= setup.source_fn(x, t)
-        else:
-
-            def fn(pt):
-                return float(setup.exact(np.asarray(pt, dtype=float)))
-
-            res = apply_steady_operator_fd(setup.operator, fn, x)
-            base = abs(fn(x))
-            if setup.source_fn is not None:
-                res -= setup.source_fn(x)
-        worst = max(worst, abs(res) / max(base, 1.0))
+    X = setup.test_points[rng.integers(0, setup.test_points.shape[0], size=n_points)]
+    if setup.operator.is_time_dependent:
+        T = 0.4 + 0.5 * rng.random(n_points)
+        res = time_operator_fd_block(setup.operator, setup.exact, X, T)
+        base = setup.exact(X, T)
+        if setup.source_fn is not None:  # nonhomogeneous: L0 u = f
+            res = res - np.array([setup.source_fn(x, t) for x, t in zip(X, T)])
+    else:
+        res = steady_operator_fd_block(setup.operator, setup.exact, X)
+        base = setup.exact(X)
+        if setup.source_fn is not None:
+            res = res - np.array([setup.source_fn(x) for x in X])
+    worst = _worst(res, base)
     if worst > tol:
         raise ConfigurationError(
             f"analytic solution of {setup.name} violates its PDE (residual {worst:.2e})")
@@ -226,23 +214,29 @@ def _tol_for(op):
     return 1e-4 if high_order else 1e-5
 
 
+def _worst(res, values):
+    """Largest residual relative to max(|value|, 1) over the sample points."""
+    return float(np.max(np.abs(res) / np.maximum(np.abs(values), 1.0), initial=0.0))
+
+
+def _unit_direction(rng, dim):
+    d = rng.normal(size=dim)
+    return d / np.linalg.norm(d)
+
+
 def _steady_check(family, n_points, seed):
     op = family.operator
     rng = np.random.default_rng(seed)
-    s = np.zeros(op.dim)
-    worst = 0.0
-    for _ in range(n_points):
-        d = rng.normal(size=op.dim)
-        d /= np.linalg.norm(d)
-        x = s + (0.5 + 1.5 * rng.random()) * d
+    S = np.zeros((1, op.dim))
+    X = np.empty((n_points, op.dim))
+    for p in range(n_points):
+        d = _unit_direction(rng, op.dim)
+        X[p] = (0.5 + 1.5 * rng.random()) * d
 
-        def fn(pt):
-            v = eval_kernel(family, np.asarray(pt, dtype=float), s)
-            return v.real if isinstance(v, complex) else v
+    def fn(P):
+        return kernel_block(family, P, S)[:, 0]
 
-        res = apply_steady_operator_fd(op, fn, x)
-        worst = max(worst, abs(res) / max(abs(fn(x)), 1.0))
-    return worst
+    return _worst(steady_operator_fd_block(op, fn, X), fn(X))
 
 
 def _time_check(family, n_points, seed):
@@ -250,29 +244,25 @@ def _time_check(family, n_points, seed):
     rng = np.random.default_rng(seed)
     positive = op.kind == ops.STRUCTURAL_DIFFUSION
     s = np.full(op.dim, 3.0) if positive else np.zeros(op.dim)
-    worst = 0.0
-    for _ in range(n_points):
-        d = rng.normal(size=op.dim)
-        d /= np.linalg.norm(d)
+    # source time: every stencil point stays causal (inside the light cone
+    # for the wave kernel)
+    tau = 0.1 if positive else (0.0 if op.kind == ops.WAVE else -1.5)
+    X = np.empty((n_points, op.dim))
+    T = np.empty(n_points)
+    for p in range(n_points):
+        d = _unit_direction(rng, op.dim)
         r = 0.5 + 1.5 * rng.random()
-        x = s + r * d
-        t = 0.5 + 1.5 * rng.random()
+        X[p] = s + r * d
+        T[p] = 0.5 + 1.5 * rng.random()
         if positive:
-            t += 1.0
-        tau = -1.5
+            T[p] += 1.0
         if op.kind == ops.WAVE:
-            t = r / op.c1 + 1.5 + rng.random()  # inside the light cone
-            tau = 0.0
-        if positive:
-            tau = 0.1
+            T[p] = r / op.c1 + 1.5 + rng.random()
 
-        def fn(pt, tv):
-            return eval_kernel(family, SpaceTimePoint(tuple(pt), tv),
-                               SpaceTimePoint(tuple(s), tau))
+    def fn(P, Tp):
+        return kernel_block(family, P, s[None, :], Tp, [tau])[:, 0]
 
-        res = apply_time_operator_fd(op, fn, x, t)
-        worst = max(worst, abs(res) / max(abs(fn(list(x), t)), 1.0))
-    return worst
+    return _worst(time_operator_fd_block(op, fn, X, T), fn(X, T))
 
 
 def _tcomplete_check(family, n_points, seed):
@@ -282,16 +272,15 @@ def _tcomplete_check(family, n_points, seed):
     members = tcomplete_members(family)
     per = max(2, n_points // max(len(members), 1))
     for index in members:
-        for _ in range(per):
-            d = rng.normal(size=op.dim)
-            d /= np.linalg.norm(d)
-            x = (0.5 + 1.5 * rng.random()) * d
+        X = np.empty((per, op.dim))
+        for p in range(per):
+            d = _unit_direction(rng, op.dim)
+            X[p] = (0.5 + 1.5 * rng.random()) * d
 
-            def fn(pt):
-                return eval_tcomplete_member(family, index, pt)
+        def fn(P, index=index):
+            return tcomplete_member_block(family, index, P)
 
-            res = apply_steady_operator_fd(op, fn, x)
-            worst = max(worst, abs(res) / max(abs(fn(x)), 1.0))
+        worst = max(worst, _worst(steady_operator_fd_block(op, fn, X), fn(X)))
     return worst
 
 

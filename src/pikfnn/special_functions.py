@@ -18,7 +18,8 @@ fold negative x by exact parity for J and I (J_n(-x) = (-1)^n J_n(x), I
 likewise).
 
 P_v^m uses the stable three-term recurrence in the degree v (Condon-Shortley
-phase included).
+phase included); `assoc_legendre_block` runs it on whole arrays and
+`assoc_legendre` is its checked scalar view.
 
 All functions are pure and reentrant; x must be finite, orders are
 non-negative integers.
@@ -158,13 +159,19 @@ def assoc_legendre(v, m, x):
     x = float(x)
     if abs(x) > 1.0:
         raise DomainError(f"|x| <= 1 required, got {x!r}")
+    return float(assoc_legendre_block(v, m, x))
+
+
+def assoc_legendre_block(v, m, x):
+    """P_v^m elementwise on x (|x| <= 1, 0 <= m <= v; not checked)."""
+    x = np.asarray(x, dtype=float)
     # P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}
-    pmm = 1.0
+    pmm = np.ones_like(x)
     if m > 0:
-        s = math.sqrt(max(0.0, (1.0 - x) * (1.0 + x)))
+        s = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
         fact = 1.0
         for _ in range(m):
-            pmm *= -fact * s
+            pmm = pmm * (-fact * s)
             fact += 2.0
     if v == m:
         return pmm

@@ -1,0 +1,294 @@
+"""Tests for the batched finite-difference oracle: row partitions, the
+one-point views, its independence from the analytic operator code, its
+sensitivity to a perturbed kernel, and the T-complete member blocks it
+drives."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as sc
+
+from pikfnn import kernels, operators, runner
+from pikfnn.kernels import (
+    eval_tcomplete_member,
+    kernel_block,
+    tcomplete_member_block,
+    tcomplete_members,
+)
+from pikfnn.operators import (
+    OperatorSpec,
+    apply_steady_operator_fd,
+    apply_time_operator_fd,
+    steady_operator_fd_block,
+    time_operator_fd_block,
+)
+from pikfnn.registry import list_kernel_ids, parse_kernel_id
+from pikfnn.runner import build_verify_entries, verify_kernels
+from pikfnn.special_functions import assoc_legendre, bessel_i, bessel_j
+
+ORACLE_IDS = [ident for ident in list_kernel_ids()
+              if parse_kernel_id(ident).kind not in (kernels.ELASTO_DISP, kernels.ELASTO_TRAC)]
+
+
+def _case(family, radii, directions, times):
+    """(fn, X, T) as the verify-kernels checks build them; T is None for
+    steady operators.  T-complete cases use the family's last member."""
+    op = family.operator
+    dirs = directions[:, :op.dim] / np.linalg.norm(directions[:, :op.dim], axis=1)[:, None]
+    if family.kind == kernels.T_COMPLETE:
+        index = tcomplete_members(family)[-1]
+        return (lambda P: tcomplete_member_block(family, index, P)), radii[:, None] * dirs, None
+    if not op.is_time_dependent:
+        S = np.zeros((1, op.dim))
+        return (lambda P: kernel_block(family, P, S)[:, 0]), radii[:, None] * dirs, None
+    positive = op.kind == operators.STRUCTURAL_DIFFUSION
+    s = np.full((1, op.dim), 3.0 if positive else 0.0)
+    tau = [0.1 if positive else (0.0 if op.kind == operators.WAVE else -1.5)]
+    T = times + radii / op.c1 + 1.0 if op.kind == operators.WAVE else times + positive
+    return (lambda P, Tp: kernel_block(family, P, s, Tp, tau)[:, 0]), \
+        s + radii[:, None] * dirs, T
+
+
+def _oracle(family, fn, X, T):
+    if T is None:
+        return steady_operator_fd_block(family.operator, fn, X)
+    return time_operator_fd_block(family.operator, fn, X, T)
+
+
+@pytest.mark.parametrize("ident", ORACLE_IDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_block_oracle_rows_partition_freely(ident, data):
+    n = data.draw(st.integers(1, 6), label="n")
+    split = data.draw(st.integers(0, n), label="split")
+    unit = st.floats(0.5, 2.0)
+    radii = np.array(data.draw(st.lists(unit, min_size=n, max_size=n), label="radii"))
+    times = np.array(data.draw(st.lists(unit, min_size=n, max_size=n), label="times"))
+    direction = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda v: math.hypot(v[0], v[1]) > 0.1)
+    directions = np.array(data.draw(st.lists(direction, min_size=n, max_size=n),
+                                    label="directions"))
+    family = parse_kernel_id(ident)
+    fn, X, T = _case(family, radii, directions, times)
+    whole = _oracle(family, fn, X, T)
+    parts = [_oracle(family, fn, X[rows], None if T is None else T[rows])
+             for rows in (slice(None, split), slice(split, None))]
+    assert np.array_equal(np.concatenate(parts), whole)
+    # the one-point views are the 1-row block, bit for bit
+    if T is None:
+        scalar = apply_steady_operator_fd(family.operator,
+                                          lambda pt: fn(np.asarray([pt]))[0], X[0])
+    else:
+        scalar = apply_time_operator_fd(
+            family.operator, lambda pt, tv: fn(np.asarray([pt]), np.asarray([tv]))[0],
+            X[0], T[0])
+    assert scalar == _oracle(family, fn, X[:1], None if T is None else T[:1])[0]
+
+
+def _sq(P):
+    return np.einsum("ni,ni->n", P, P)
+
+
+# (operator, fn, exact result): 5-point differences are exact on polynomials
+# of degree <= 5, so these agree up to the stencil's roundoff, about
+# eps * sum|weights| * |f|: at most 1e-7 relative for the steps fd_step picks.
+CLOSED_FORMS = [
+    (OperatorSpec("helmholtz", 3, k=2.0), _sq, lambda X, T: 6.0 + 4.0 * _sq(X)),
+    (OperatorSpec("convection-diffusion", 2, k=0.5, diffusion=1.5, velocity=(0.3, -0.2)),
+     lambda P: P[:, 0] ** 2 + P[:, 0] * P[:, 1],
+     lambda X, T: 3.0 + 0.3 * (2.0 * X[:, 0] + X[:, 1]) - 0.2 * X[:, 0]
+     - 0.5 * (X[:, 0] ** 2 + X[:, 0] * X[:, 1])),
+    (OperatorSpec("biharmonic", 3), lambda P: _sq(P) ** 2, lambda X, T: 120.0 + 0.0 * T),
+    (OperatorSpec("helmholtz-power", 2, k=1.5, power_n=1), _sq,
+     lambda X, T: 8.0 * 1.5 ** 2 + 1.5 ** 4 * _sq(X)),
+    (OperatorSpec("heat", 2, k=0.5), lambda P, T: T * T + _sq(P), lambda X, T: 2.0 * T - 2.0),
+    (OperatorSpec("wave", 3, c1=2.0), lambda P, T: T ** 3 + _sq(P),
+     lambda X, T: 6.0 * T - 24.0),
+    # F(x) = x^1.5, G(t) = t^0.5: (1/F') d/dx ((1/F') d/dx F^2) = 2, u_t/G' = 1
+    (OperatorSpec("structural-diffusion", 2, diffusion=0.7, alpha=0.5, beta=1.5,
+                  structural_t="power", structural_x="power"),
+     lambda P, T: P[:, 0] ** 3 + np.sqrt(T), lambda X, T: 1.0 - 1.4 + 0.0 * T),
+]
+
+
+@pytest.mark.parametrize("op,fn,exact", CLOSED_FORMS, ids=[c[0].kind for c in CLOSED_FORMS])
+def test_block_oracle_matches_closed_forms(op, fn, exact):
+    X = np.array([[0.3, 0.4, 1.2], [2.0, 1.0, 0.5], [0.7, 1.3, 0.9]])[:, :op.dim]
+    T = np.array([1.0, 2.0, 1.5])
+    if op.is_time_dependent:
+        res = time_operator_fd_block(op, fn, X, T)
+    else:
+        res = steady_operator_fd_block(op, fn, X)
+    expect = exact(X, T)
+    assert np.all(np.abs(res - expect) <= 1e-6 * np.maximum(np.abs(expect), 1.0)), res - expect
+
+
+# The scalar loop the block oracle replaced, for operators applied once.
+# There it does the same arithmetic on the same coordinates, so the block
+# oracle must reproduce it bit for bit.
+
+def _loop_d1(fn, x, i, h):
+    xp = list(x)
+    vals = []
+    for off in (-2, -1, 1, 2):
+        xp[i] = x[i] + off * h
+        vals.append(fn(xp))
+    return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+
+
+def _loop_d2(fn, x, i, h):
+    xp = list(x)
+    vals = []
+    for off in (-2, -1, 0, 1, 2):
+        xp[i] = x[i] + off * h
+        vals.append(fn(xp))
+    return (-vals[0] + 16.0 * vals[1] - 30.0 * vals[2] + 16.0 * vals[3] - vals[4]) / (12.0 * h * h)
+
+
+def _loop_laplacian(fn, x, h):
+    return sum(_loop_d2(fn, x, i, h) for i in range(len(x)))
+
+
+def _loop_oracle(op, fn, x, t):
+    x = [float(v) for v in x]
+    h = 1e-4 * max(1.0, math.sqrt(sum(v * v for v in x)))
+    if t is None:
+        lap = _loop_laplacian(fn, x, h)
+        if op.kind == "laplace":
+            return lap
+        if op.kind == "helmholtz":
+            return lap + op.k ** 2 * fn(x)
+        if op.kind == "modified-helmholtz":
+            return lap - op.k ** 2 * fn(x)
+        conv = sum(op.velocity[i] * _loop_d1(fn, x, i, h) for i in range(len(x)))
+        return op.diffusion * lap + conv - op.k * fn(x)
+    ht = 1e-4 * max(1.0, abs(t))
+    lap = _loop_laplacian(lambda pt: fn(pt, t), x, h)
+    ft = [fn(x, t + k * ht) for k in (-2, -1, 0, 1, 2)]
+    if op.kind == "heat":
+        return (ft[0] - 8.0 * ft[1] + 8.0 * ft[3] - ft[4]) / (12.0 * ht) - op.k * lap
+    utt = (-ft[0] + 16.0 * ft[1] - 30.0 * ft[2] + 16.0 * ft[3] - ft[4]) / (12.0 * ht * ht)
+    return utt - op.c1 ** 2 * lap
+
+
+SINGLE_IDS = [ident for ident in ORACLE_IDS if parse_kernel_id(ident).operator.kind in (
+    "laplace", "helmholtz", "modified-helmholtz", "convection-diffusion", "heat", "wave")]
+
+
+@pytest.mark.parametrize("ident", SINGLE_IDS)
+def test_block_oracle_reproduces_scalar_loop(ident):
+    rng = np.random.default_rng(4)
+    family = parse_kernel_id(ident)
+    fn, X, T = _case(family, rng.uniform(0.5, 2.0, 6), rng.normal(size=(6, 4)),
+                     rng.uniform(0.5, 2.0, 6))
+    block = _oracle(family, fn, X, T)
+    if T is None:
+        loop = [_loop_oracle(family.operator, lambda pt: fn(np.asarray([pt]))[0], x, None)
+                for x in X]
+    else:
+        loop = [_loop_oracle(family.operator,
+                             lambda pt, tv: fn(np.asarray([pt]), np.asarray([tv]))[0], x, t)
+                for x, t in zip(X, T)]
+    assert block.tolist() == loop
+
+
+def test_block_oracle_merges_coincident_points():
+    # 3D biharmonic: both Richardson steps of the nested stencil read 121
+    # distinct lattice points per row, not 2 * 16 * 16 = 512
+    sizes = []
+
+    def fn(P):
+        sizes.append(len(P))
+        return np.ones(len(P))
+
+    steady_operator_fd_block(OperatorSpec("biharmonic", 3), fn, np.ones((4, 3)))
+    assert sizes == [4 * 121]
+
+
+def test_oracle_independent_of_analytic_operators(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the FD oracle used analytic operator code")
+
+    for name in ("kernel_operator_block", "governing_applied_block",
+                 "_radial_second_derivs"):
+        monkeypatch.setattr(kernels, name, forbidden)
+    rows, _ = verify_kernels(n_points=10)
+    assert len(rows) == len(build_verify_entries())
+    assert all(math.isfinite(r.max_residual) for r in rows)
+
+
+# Delta^2 |x|^2 = 0, so the quadratic perturbation cannot show under
+# biharmonic and poly-Laplace operators; every other entry must flag it.
+SENSITIVE = [ident for ident in ORACLE_IDS if parse_kernel_id(ident).operator.kind not in (
+    operators.BIHARMONIC, operators.POLY_LAPLACE)]
+
+
+@pytest.mark.parametrize("ident", SENSITIVE)
+def test_perturbed_kernel_fails_its_entry(ident, monkeypatch):
+    entries = [e for e in build_verify_entries(ident) if e[0] == ident]
+    (row,), _ = verify_kernels(entries=entries, n_points=20)
+    assert row.passed
+
+    block, member = runner.kernel_block, runner.tcomplete_member_block
+    monkeypatch.setattr(runner, "kernel_block",
+                        lambda family, X, *a, **kw: block(family, X, *a, **kw)
+                        + 1e-3 * _sq(np.asarray(X))[:, None])
+    monkeypatch.setattr(runner, "tcomplete_member_block",
+                        lambda family, index, X: member(family, index, X) + 1e-3 * _sq(X))
+    (row,), ok = verify_kernels(entries=entries, n_points=20)
+    assert not ok and not row.passed
+
+
+def _member_reference(family, index, x):
+    """The T-complete member formula at one point, with scalar functions."""
+    v, m, parity = index
+    op = family.operator
+    if op.dim == 2:
+        rho = math.hypot(x[0], x[1])
+        theta = math.atan2(x[1], x[0])
+        ang = math.cos(m * theta) if parity == "cos" else math.sin(m * theta)
+        n = op.power_n
+        if op.kind in ("laplace", "poly-laplace"):
+            return rho ** (m + 2 * n) * ang
+        if op.kind == "biharmonic":
+            return rho ** (m + 2) * ang
+        if op.kind in ("helmholtz", "helmholtz-power"):
+            return (op.k * rho) ** n * bessel_j(m + n, op.k * rho) * ang
+        return (op.k * rho) ** n * bessel_i(m + n, op.k * rho) * ang
+    rho = math.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+    pvm = assoc_legendre(v, m, x[2] / rho)
+    theta = math.atan2(x[1], x[0])
+    ang = math.cos(m * theta) if parity == "cos" else math.sin(m * theta)
+    radial = {"laplace": rho ** v, "biharmonic": rho ** (v + 2),
+              "helmholtz": float(sc.spherical_jn(v, op.k * rho)),
+              "modified-helmholtz": float(sc.spherical_in(v, op.k * rho))}[op.kind]
+    return radial * pvm * ang
+
+
+@pytest.mark.parametrize("ident", [
+    "t-complete:laplace:2d?m=3", "t-complete:helmholtz:2d?k=1.3&m=3",
+    "t-complete:modified-helmholtz-power:2d?k=1.1&n=1&m=2",
+    "t-complete:laplace:3d?m=3", "t-complete:helmholtz:3d?k=1.3&m=2",
+    "t-complete:modified-helmholtz:3d?k=1.1&m=2", "t-complete:biharmonic:3d?m=2",
+])
+def test_tcomplete_member_block_matches_scalar(ident):
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    X = np.random.default_rng(8).uniform(-2.0, 2.0, size=(40, dim))
+    for index in tcomplete_members(family):
+        block = tcomplete_member_block(family, index, X)
+        for x, value in zip(X, block):
+            assert value == eval_tcomplete_member(family, index, x)
+            ref = _member_reference(family, index, x)
+            assert abs(value - ref) <= 1e-13 * max(abs(ref), 1.0), (index, x)
+
+
+def test_tcomplete_member_block_at_origin():
+    family = parse_kernel_id("t-complete:laplace:3d?m=2")
+    origin = np.zeros((1, 3))
+    values = [tcomplete_member_block(family, index, origin)[0]
+              for index in tcomplete_members(family)]
+    assert values[0] == 1.0 and all(v == 0.0 for v in values[1:])

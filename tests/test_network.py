@@ -188,6 +188,28 @@ def test_tcomplete_assembly_width():
     assert np.allclose(mtx.entries[:, 0], 1.0)
 
 
+def test_tcomplete_neumann_rows():
+    # Laplace members rho cos(theta) = x and rho^2 sin(2 theta) = 2xy in 2D,
+    # rho P_1^0(cos phi) = z in 3D: their normal derivatives are closed form
+    for dim, shape, checks in (
+            (2, "circle", {1: lambda p, n: n[:, 0],
+                           4: lambda p, n: 2.0 * (p[:, 1] * n[:, 0] + p[:, 0] * n[:, 1])}),
+            (3, "sphere", {1: lambda p, n: n[:, 2]})):
+        fam = KernelFamily("t-complete", OperatorSpec("laplace", dim), tcomplete_max_order=2)
+        boundary = gen_boundary(shape, 12, r=1.5)
+        pts, nms = nodes_points(boundary), nodes_normals(boundary)
+        colloc = CollocationSet(np.vstack([pts, pts]), ["D"] * 12 + ["N"] * 12,
+                                np.zeros(24), normals=np.vstack([nms, nms]))
+        mtx = assemble([fam], SourceSet(np.zeros((0, dim))), colloc)
+        assert np.allclose(mtx.entries[:12, 0], 1.0)
+        assert np.allclose(mtx.entries[12:, 0], 0.0, atol=1e-9)
+        for col, flux in checks.items():
+            assert np.allclose(mtx.entries[12:, col], flux(pts, nms), rtol=0, atol=1e-8)
+    bad = CollocationSet(pts, ["D"] * 11 + ["R"], np.zeros(12))
+    with pytest.raises(ConfigurationError):
+        assemble([fam], SourceSet(np.zeros((0, 3))), bad)
+
+
 def test_row_weights_scaling():
     entries = np.array([[1.0, 2.0], [3.0, 4.0]])
     mtx = DesignMatrix(entries=entries, row_kinds=np.asarray(["D", "N"]))
