@@ -74,7 +74,6 @@ class KernelFamily:
     c_shape: float = 1.0           # harmonic-kernel shape parameter
     shift: float = 0.0             # enhanced mode: radial arg sqrt(r^2 + shift^2)
     tcomplete_max_order: int = 0
-    component_lk: tuple = None     # default (l, k) for elasticity evaluation
     outgoing_3d: bool = True       # 3D Helmholtz sign convention
     complex_split: bool = False
 
@@ -403,11 +402,8 @@ def eval_kernel(family, field_point, source_point):
     if x.shape != s.shape or x.size != family.operator.dim:
         raise DomainError(f"points must have dim {family.operator.dim}")
     if family.kind in (ELASTO_DISP, ELASTO_TRAC):
-        if family.component_lk is None:
-            raise DomainError("elasticity families need component_lk for eval_kernel; "
-                              "or call eval_elasticity_kernel directly")
-        l, k = family.component_lk
-        return eval_elasticity_kernel(family, l, k, field_point, source_point)
+        raise DomainError("elasticity kernels are 2x2 tensors; call "
+                          "eval_elasticity_kernel with the components (l, k)")
     if family.operator.is_time_dependent:
         if t is None or tau is None:
             raise DomainError("time kernels need t on the field point and tau on the source")
@@ -511,34 +507,11 @@ def _gradient_fd(family, dx, dt):
     return out
 
 
-def eval_kernel_laplacian(family, field_point, source_point):
-    """Laplacian w.r.t. the field point; analytic on the radial subset
-    (including the enhanced shift), FD fallback elsewhere."""
-    x, _ = _as_xt(field_point)
-    s, _ = _as_xt(source_point)
-    dx = x - s
-    r2 = float(dx @ dx)
-    r = math.sqrt(r2)
-    _check_singular(family, np.asarray([r]))
-    sigma = family.shift
-    re = math.sqrt(r2 + sigma * sigma)
-    trip = _radial_second_derivs(family, re)
-    if trip is None:
-        lap = ops.steady_operator_fd_block(
-            OperatorSpec(ops.LAPLACE, family.operator.dim),
-            lambda P: np.real(_steady_block(family, P - s)), x.reshape(1, -1))
-        return float(lap[0])
-    # lap g(R(r)) = g''(R) r^2/R^2 + g'(R) (sigma^2/R^3 + (dim-1)/R)
-    _, gp, gpp = trip
-    d = family.operator.dim
-    return gpp * r2 / re ** 2 + gp * (sigma * sigma / re ** 3 + (d - 1) / re)
-
-
 def _radial_second_derivs(family, re):
     """(g, g', g'') for analytic operator application on radial families.
 
-    re may be a scalar or ndarray; returns matching shapes (None when no
-    analytic form exists for the family).
+    re is an ndarray; returns matching shapes (None when no analytic form
+    exists for the family).
     """
     op = family.operator
     dim = op.dim
@@ -582,32 +555,7 @@ def _radial_second_derivs(family, re):
                    + 2.0 * np.sinh(z)) / (_FOUR_PI * re_arr ** 3)
     else:
         return None
-    if np.ndim(re) == 0:
-        return float(np.asarray(g).reshape(())), float(np.asarray(gp).reshape(())), \
-            float(np.asarray(gpp).reshape(()))
     return g, gp, gpp
-
-
-def apply_operator_to_kernel(family, field_point, source_point, governing=None):
-    """A governing operator applied to the kernel at the field point
-    (Eq.-41-style rows and source-fitting rows).
-
-    Defaults to the family's own operator; uses the analytic Laplacian where
-    available, FD otherwise.
-    """
-    op = governing if governing is not None else family.operator
-    lap = eval_kernel_laplacian(family, field_point, source_point)
-    if op.kind == ops.LAPLACE:
-        return lap
-    val = eval_kernel(family, field_point, source_point)
-    if isinstance(val, complex):
-        val = val.real
-    if op.kind == ops.HELMHOLTZ:
-        return lap + op.k ** 2 * val
-    if op.kind == ops.MODIFIED_HELMHOLTZ:
-        return lap - op.k ** 2 * val
-    raise UnsupportedKernelError(
-        f"interior-residual rows not implemented for operator {op.kind!r}")
 
 
 def _laplace_eigenvalue(op):
@@ -645,7 +593,9 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
 
     Fast paths: exact-satisfaction zeros when the family solves L0 itself;
     eigen-factor scaling between Laplace-family operators; analytic d/dt for
-    heat-by-heat.  Falls back to per-entry analytic/FD application.
+    heat-by-heat; analytic second derivatives on radial families.  Other
+    families take the FD Laplacian of their values (operators'
+    steady_operator_fd_block, step fd_step(x_i) per row) for Laplace-type L0.
     """
     X = np.asarray(X, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -663,21 +613,33 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
     if exact and governing.kind == ops.HEAT and family.operator.kind == ops.HEAT:
         k1, k0 = family.operator.k, governing.k
         return (k1 - k0) / k1 * heat_time_derivative_block(family, X, S, T, TAU)
+    if governing.kind not in (ops.LAPLACE, ops.HELMHOLTZ, ops.MODIFIED_HELMHOLTZ):
+        raise UnsupportedKernelError(
+            f"interior-residual rows not implemented for operator {governing.kind!r}")
     block = _radial_operator_block(family, governing, X, S)
     if block is not None:
         return block
-    out = np.zeros((X.shape[0], S.shape[0]))
-    for i in range(X.shape[0]):
-        for j in range(S.shape[0]):
-            out[i, j] = apply_operator_to_kernel(family, X[i], S[j], governing=governing)
-    return out
+    # one stencil origin per (row, source) pair, pair p = i * m + j
+    n, m = X.shape[0], S.shape[0]
+    sources = np.tile(S, (n, 1))[:, None, :]
+
+    def values(P):
+        dx = P.reshape(n * m, -1, S.shape[1]) - sources
+        return np.real(_steady_block(family, dx)).ravel()
+
+    lap = ops.steady_operator_fd_block(OperatorSpec(ops.LAPLACE, family.operator.dim),
+                                       values, np.repeat(X, m, axis=0)).reshape(n, m)
+    if governing.kind == ops.LAPLACE:
+        return lap
+    vals = kernel_block(family, X, S)
+    if governing.kind == ops.HELMHOLTZ:
+        return lap + governing.k ** 2 * vals
+    return lap - governing.k ** 2 * vals
 
 
 def _radial_operator_block(family, governing, X, S):
     """Vectorized (L0 phi) for radial families with analytic second
     derivatives (including the enhanced shift); None when unavailable."""
-    if governing.kind not in (ops.LAPLACE, ops.HELMHOLTZ, ops.MODIFIED_HELMHOLTZ):
-        return None
     dx = X[:, None, :] - S[None, :, :]
     r2 = np.einsum("...i,...i->...", dx, dx)
     r = np.sqrt(r2)
@@ -781,61 +743,74 @@ def tcomplete_member_block(family, index, X):
 # ---------------------------------------------------------------------------
 # 2D elastostatics (Kelvin plane-strain kernels)
 
-def eval_elasticity_kernel(family, l, k, field_point, source_point, normal=None):
-    """Displacement (Kelvin) or traction kernel component (l, k).
+def _elastic_geometry(X, S):
+    """dx = x - s (n, m, 2), r (n, m) and r_{,l} = dx_l / r; raises at r = 0."""
+    X = np.asarray(X, dtype=float)
+    S = np.asarray(S, dtype=float)
+    dx = X[:, None, :] - S[None, :, :]
+    r = np.sqrt(np.einsum("...i,...i->...", dx, dx))
+    if np.any(r == 0.0):
+        raise SingularityError("elasticity kernel evaluated at r = 0")
+    return dx, r, dx / r[..., None]
 
-    r_{,l} = (x_l - s_l)/r; traction needs the unit outward normal at the
-    field point.
+
+def elastic_block(op, X, S, normals=None):
+    """Kelvin kernels for every (field point X[n], source S[m]) pair.
+
+    Returns U[n, m, l, k], displacement component l at X[n] of a unit point
+    force along k at S[m] (indices 0-based), or the traction kernels
+    T[n, m, l, k] when the unit outward normals (n, 2) at the field points
+    are given.
     """
+    dx, r, rr = _elastic_geometry(X, S)
+    nu, mu = op.nu, op.shear
+    delta = np.eye(2)
+    rlrk = rr[..., :, None] * rr[..., None, :]
+    if normals is None:
+        return (1.0 / (8.0 * math.pi * mu * (1.0 - nu))) * (
+            (3.0 - 4.0 * nu) * np.log(1.0 / r)[..., None, None] * delta + rlrk)
+    n = np.asarray(normals, dtype=float)
+    if np.any(np.abs(np.linalg.norm(n, axis=1) - 1.0) > 1e-10):
+        raise DomainError("normal must have unit length")
+    rn = np.einsum("nmi,ni->nm", dx, n) / r
+    nl = n[:, None, :, None]
+    nk = n[:, None, None, :]
+    return (1.0 / (4.0 * math.pi * (1.0 - nu) * r))[..., None, None] * (
+        ((1.0 - 2.0 * nu) * delta + 2.0 * rlrk) * rn[..., None, None]
+        + (1.0 - 2.0 * nu) * (rr[..., :, None] * nk - rr[..., None, :] * nl))
+
+
+def elastic_gradient_block(op, X, S):
+    """dU_lk/dx_j of the Kelvin displacement kernels, shape (n, m, l, k, j)."""
+    _, r, rr = _elastic_geometry(X, S)
+    nu, mu = op.nu, op.shear
+    delta = np.eye(2)
+    rl = rr[..., :, None, None]
+    rk = rr[..., None, :, None]
+    rj = rr[..., None, None, :]
+    r = r[..., None, None, None]
+    return (1.0 / (8.0 * math.pi * mu * (1.0 - nu))) * (
+        -(3.0 - 4.0 * nu) * delta[:, :, None] * rj / r
+        + (delta[:, None, :] * rk + delta[None, :, :] * rl - 2.0 * rl * rk * rj) / r)
+
+
+def eval_elasticity_kernel(family, l, k, field_point, source_point, normal=None):
+    """Displacement (Kelvin) or traction kernel component (l, k), 1-based; a
+    1x1 view of elastic_block.  Traction needs the unit outward normal at the
+    field point."""
     if family.kind not in (ELASTO_DISP, ELASTO_TRAC):
         raise UnsupportedKernelError("eval_elasticity_kernel needs an elasto family")
     if l not in (1, 2) or k not in (1, 2):
         raise DomainError("component indices l, k must be 1 or 2")
     x, _ = _as_xt(field_point)
     s, _ = _as_xt(source_point)
-    dx = x - s
-    r = float(np.linalg.norm(dx))
-    if r == 0.0:
-        raise SingularityError("elasticity kernel evaluated at r = 0")
-    op = family.operator
-    nu, mu = op.nu, op.shear
-    rl = dx[l - 1] / r
-    rk = dx[k - 1] / r
-    delta = 1.0 if l == k else 0.0
-    if family.kind == ELASTO_DISP:
-        return (1.0 / (8.0 * math.pi * mu * (1.0 - nu))) * (
-            (3.0 - 4.0 * nu) * math.log(1.0 / r) * delta + rl * rk)
-    if normal is None:
-        raise DomainError("traction kernel needs the unit normal at the field point")
-    n = np.asarray(normal, dtype=float)
-    if abs(float(np.linalg.norm(n)) - 1.0) > 1e-10:
-        raise DomainError("normal must have unit length")
-    rn = float(dx @ n) / r
-    nl, nk = n[l - 1], n[k - 1]
-    return (1.0 / (4.0 * math.pi * (1.0 - nu) * r)) * (
-        ((1.0 - 2.0 * nu) * delta + 2.0 * rl * rk) * rn
-        + (1.0 - 2.0 * nu) * (rl * nk - rk * nl))
-
-
-def elasto_disp_gradient(op, l, k, dx):
-    """d/dx_j of the Kelvin displacement component (l, k); dx = x - s."""
-    nu, mu = op.nu, op.shear
-    dx = np.asarray(dx, dtype=float)
-    r = float(np.linalg.norm(dx))
-    if r == 0.0:
-        raise SingularityError("elasticity kernel gradient at r = 0")
-    rl = dx[l - 1] / r
-    rk = dx[k - 1] / r
-    delta = 1.0 if l == k else 0.0
-    pref = 1.0 / (8.0 * math.pi * mu * (1.0 - nu))
-    out = np.zeros(2)
-    for j in (1, 2):
-        rj = dx[j - 1] / r
-        dlj = 1.0 if l == j else 0.0
-        dkj = 1.0 if k == j else 0.0
-        out[j - 1] = pref * (-(3.0 - 4.0 * nu) * delta * rj / r
-                             + (dlj * rk + dkj * rl - 2.0 * rl * rk * rj) / r)
-    return out
+    normals = None
+    if family.kind == ELASTO_TRAC:
+        if normal is None:
+            raise DomainError("traction kernel needs the unit normal at the field point")
+        normals = np.asarray(normal, dtype=float).reshape(1, -1)
+    block = elastic_block(family.operator, x.reshape(1, -1), s.reshape(1, -1), normals)
+    return float(block[0, 0, l - 1, k - 1])
 
 
 # ---------------------------------------------------------------------------

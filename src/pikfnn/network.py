@@ -20,9 +20,8 @@ from . import kernels as kn
 from .errors import ConfigurationError, SingularityError
 from .geometry import CollocationSet, SourceSet
 from .kernels import (
-    KernelFamily,
-    eval_elasticity_kernel,
-    elasto_disp_gradient,
+    elastic_block,
+    elastic_gradient_block,
     kernel_block,
     kernel_gradient_block,
     kernel_operator_block,
@@ -210,34 +209,28 @@ def _fill_tcomplete_block(block, family, colloc):
 
 
 def _fill_elastic_block(block, family, sources, colloc):
-    # columns: (source j, force component k); rows carry their component tag
-    op = family.operator
-    disp_family = family if family.kind == kn.ELASTO_DISP \
-        else KernelFamily(kn.ELASTO_DISP, op)
-    trac_family = family if family.kind == kn.ELASTO_TRAC \
-        else KernelFamily(kn.ELASTO_TRAC, op)
-    for i in range(len(colloc)):
-        l = int(colloc.components[i]) or 1
-        kind = colloc.kinds[i]
-        for j in range(len(sources)):
-            for comp in (1, 2):
-                col = 2 * j + comp - 1
-                if kind == geo.DIRICHLET:
-                    block[i, col] = eval_elasticity_kernel(
-                        disp_family, l, comp, colloc.points[i], sources.points[j])
-                elif kind == geo.NEUMANN:
-                    # the traction of the Kelvin displacement column is the
-                    # NEGATIVE of the printed traction kernel (verified against
-                    # stress differentiation); rows must carry the field's own
-                    # traction or mixed displacement/traction data turn
-                    # inconsistent
-                    block[i, col] = -eval_elasticity_kernel(
-                        trac_family, l, comp, colloc.points[i], sources.points[j],
-                        normal=colloc.normals[i])
-                else:
-                    raise ConfigurationError(
-                        "elastic rows must be Dirichlet (displacement) or "
-                        "Neumann (traction)")
+    # columns: (source j, force component k); each row takes its own
+    # displacement or traction component l from its component tag
+    if not np.all(np.isin(colloc.kinds, (geo.DIRICHLET, geo.NEUMANN))):
+        raise ConfigurationError(
+            "elastic rows must be Dirichlet (displacement) or Neumann (traction)")
+    if not np.all(np.isin(colloc.components, (1, 2))):
+        raise ConfigurationError(
+            "elastic rows need component tag 1 or 2 (the displacement or "
+            "traction component they constrain)")
+    for kind in (geo.DIRICHLET, geo.NEUMANN):
+        rows = colloc.rows(kind)
+        if kind == geo.DIRICHLET:
+            kelvin = elastic_block(family.operator, colloc.points[rows], sources.points)
+        else:
+            # the traction of the Kelvin displacement column is the NEGATIVE
+            # of the printed traction kernel (verified against stress
+            # differentiation); rows must carry the field's own traction or
+            # mixed displacement/traction data turn inconsistent
+            kelvin = -elastic_block(family.operator, colloc.points[rows],
+                                    sources.points, normals=colloc.normals[rows])
+        picked = kelvin[np.arange(len(rows)), :, colloc.components[rows] - 1, :]
+        block[rows] = picked.reshape(len(rows), block.shape[1])
 
 
 def forward(model, points, times=None):
@@ -268,19 +261,12 @@ def forward_displacement(model, points):
     """Displacement components (n, 2) for an elastic point-force model."""
     model.require_weights()
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    fam = model.families[0]
-    disp_family = KernelFamily(kn.ELASTO_DISP, fam.operator)
-    out = np.zeros((points.shape[0], 2))
-    w = model.weights
-    for i, x in enumerate(points):
-        for l in (1, 2):
-            total = 0.0
-            for j, s in enumerate(model.sources.points):
-                for comp in (1, 2):
-                    total += w[2 * j + comp - 1] * eval_elasticity_kernel(
-                        disp_family, l, comp, x, s)
-            out[i, l - 1] = total
-    return out
+    n = points.shape[0]
+    # rows (u_1, u_2) at each point
+    colloc = CollocationSet(np.repeat(points, 2, axis=0), [geo.DIRICHLET] * (2 * n),
+                            np.zeros(2 * n), components=np.tile([1, 2], n))
+    matrix = assemble(model.families, model.sources, colloc)
+    return (matrix.entries @ model.weights).reshape(n, 2)
 
 
 def forward_stress(model, points):
@@ -290,22 +276,15 @@ def forward_stress(model, points):
     op = model.families[0].operator
     nu, mu = op.nu, op.shear
     lam = 2.0 * mu * nu / (1.0 - 2.0 * nu)
-    out = np.zeros((points.shape[0], 3))
-    w = model.weights
-    for i, x in enumerate(points):
-        grad = np.zeros((2, 2))  # grad[l-1, j-1] = d u_l / d x_j
-        for j_src, s in enumerate(model.sources.points):
-            dx = x - s
-            for l in (1, 2):
-                for comp in (1, 2):
-                    grad[l - 1] += w[2 * j_src + comp - 1] * \
-                        elasto_disp_gradient(op, l, comp, dx)
-        eps = 0.5 * (grad + grad.T)
-        tr = eps[0, 0] + eps[1, 1]
-        out[i, 0] = lam * tr + 2.0 * mu * eps[0, 0]
-        out[i, 1] = lam * tr + 2.0 * mu * eps[1, 1]
-        out[i, 2] = 2.0 * mu * eps[0, 1]
-    return out
+    sources = model.sources.points
+    # grad[n, l, j] = d u_l / d x_j
+    grad = np.einsum("nmlkj,mk->nlj", elastic_gradient_block(op, points, sources),
+                     model.weights.reshape(len(sources), 2))
+    eps = 0.5 * (grad + grad.transpose(0, 2, 1))
+    tr = eps[:, 0, 0] + eps[:, 1, 1]
+    return np.column_stack([lam * tr + 2.0 * mu * eps[:, 0, 0],
+                            lam * tr + 2.0 * mu * eps[:, 1, 1],
+                            2.0 * mu * eps[:, 0, 1]])
 
 
 def fit_particular_weights(chain_families, sources, points, f_values,

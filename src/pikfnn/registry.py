@@ -71,7 +71,7 @@ def _parse(identifier):
         kclass, dim = parts[0], _parse_dim(parts[1])
         op = OperatorSpec(ops.ELASTOSTATIC, dim, nu=params.get("nu", 0.0),
                           shear=params.get("mu", 1.0))
-        return KernelFamily(kclass, op, component_lk=None)
+        return KernelFamily(kclass, op)
 
     if len(parts) != 3:
         raise ValueError("expected class:operator:dim")

@@ -213,8 +213,9 @@ def test_oracle_independent_of_analytic_operators(monkeypatch):
         raise AssertionError("the FD oracle used analytic operator code")
 
     for name in ("kernel_operator_block", "governing_applied_block",
-                 "_radial_second_derivs"):
+                 "_radial_second_derivs", "elastic_gradient_block"):
         monkeypatch.setattr(kernels, name, forbidden)
+        monkeypatch.setattr(runner, name, forbidden, raising=False)
     rows, _ = verify_kernels(n_points=10)
     assert len(rows) == len(build_verify_entries())
     assert all(math.isfinite(r.max_residual) for r in rows)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pikfnn import kernels
 from pikfnn.errors import (
     DomainError,
     RangeOverflowError,
@@ -16,6 +17,7 @@ from pikfnn.kernels import (
     eval_kernel,
     eval_kernel_gradient,
     eval_tcomplete_member,
+    governing_applied_block,
     kernel_block,
     tcomplete_members,
 )
@@ -24,7 +26,9 @@ from pikfnn.operators import (
     apply_steady_operator_fd,
     apply_time_operator_fd,
     high_order_coeffs,
+    steady_operator_fd_block,
 )
+from pikfnn.registry import parse_kernel_id
 from pikfnn.special_functions import bessel_k, bessel_y
 
 RNG = np.random.default_rng(20240810)
@@ -556,3 +560,51 @@ def test_assembly_block_matches_scalar():
     for i in range(2):
         for j in range(3):
             assert block[i, j] == eval_kernel(fam, X[i], S[j])
+
+
+# ---------------------------------------------------------------------------
+# governing operator applied to families without analytic second derivatives
+
+FD_APPLIED_CASES = [
+    ("fundamental:convection-diffusion:2d?k=1&d=1&v=0.1,0.1", OperatorSpec("laplace", 2)),
+    ("harmonic:laplace:2d", OperatorSpec("modified-helmholtz", 2, k=1.5)),
+    ("harmonic:laplace:2d", OperatorSpec("helmholtz", 2, k=2.0)),
+]
+
+
+@pytest.mark.parametrize("ident, governing", FD_APPLIED_CASES)
+def test_governing_applied_block_fd_matches_entrywise(ident, governing):
+    # one FD block over all (row, source) pairs equals the entry-by-entry
+    # application (FD Laplacian at step fd_step(x_i), plus +-k^2 * value)
+    family = parse_kernel_id(ident)
+    X = RNG.uniform(-1.0, 1.0, size=(5, 2))
+    S = RNG.uniform(2.0, 3.0, size=(3, 2))
+    block = governing_applied_block(family, governing, X, S)
+    sign = {"laplace": 0.0, "helmholtz": 1.0, "modified-helmholtz": -1.0}[governing.kind]
+    for i in range(len(X)):
+        for j in range(len(S)):
+            lap = steady_operator_fd_block(
+                OperatorSpec("laplace", 2),
+                lambda P, s=S[j]: kernel_block(family, P, s[None])[:, 0], X[i][None])[0]
+            expect = lap
+            if sign:
+                expect = lap + sign * governing.k ** 2 * eval_kernel(family, X[i], S[j])
+            assert block[i, j] == expect
+
+
+def test_governing_applied_block_rejects_other_operators(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel evaluated before the operator check")
+
+    monkeypatch.setattr(kernels, "_steady_block", forbidden)
+    monkeypatch.setattr(kernels, "kernel_block", forbidden)
+    family = parse_kernel_id("harmonic:laplace:2d")
+    with pytest.raises(UnsupportedKernelError):
+        governing_applied_block(family, OperatorSpec("biharmonic", 2),
+                                np.ones((2, 2)), np.full((3, 2), 3.0))
+
+
+def test_eval_kernel_points_elastic_families_to_component_view():
+    fam = KernelFamily("elasto-disp", ELASTIC_OP)
+    with pytest.raises(DomainError, match="eval_elasticity_kernel"):
+        eval_kernel(fam, (1.0, 0.0), (0.0, 0.0))

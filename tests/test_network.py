@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from pikfnn.errors import ConfigurationError, SingularityError
-from pikfnn.geometry import CollocationSet, SourceSet, gen_boundary, nodes_normals, nodes_points
-from pikfnn.kernels import KernelFamily, eval_kernel
+from pikfnn.geometry import (
+    CollocationSet,
+    SourceSet,
+    gen_boundary,
+    load_nodes,
+    nodes_normals,
+    nodes_points,
+    save_nodes,
+)
+from pikfnn.kernels import KernelFamily, eval_elasticity_kernel, eval_kernel
 from pikfnn.network import (
     DesignMatrix,
     PikfnnModel,
@@ -251,6 +259,32 @@ def test_elastic_assembly_and_postprocessing():
               2 * 100.0 * eps[0, 1]]
     sig = forward_stress(model, [x0])[0]
     assert sig == pytest.approx(sig_fd, rel=1e-6)
+
+
+def test_elastic_rows_need_component_tags(tmp_path):
+    # a node file has no component column, so its rows carry tag 0; they
+    # must not silently constrain u_1
+    op = OperatorSpec("elastostatic", 2, nu=0.3, shear=100.0)
+    fam = KernelFamily("elasto-disp", op)
+    sources = SourceSet(np.array([[5.0, 5.0], [-5.0, 4.0]]))
+    path = tmp_path / "plate.txt"
+    save_nodes(str(path), CollocationSet([[0.0, 0.0], [1.0, 0.0]], ["D", "N"], [0.0, 0.0],
+                                         normals=[[np.nan, np.nan], [1.0, 0.0]]))
+    colloc = load_nodes(str(path))
+    with pytest.raises(ConfigurationError, match="component"):
+        assemble([fam], sources, colloc)
+    # forward() evaluates untagged Dirichlet rows; forward_displacement
+    # gives both components
+    model = PikfnnModel([fam], sources, 2, weights=np.array([1.0, -2.0, 0.5, 3.0]))
+    with pytest.raises(ConfigurationError, match="component"):
+        forward(model, [[0.5, 0.5]])
+    disp = forward_displacement(model, [[0.5, 0.5], [-1.0, 2.0]])
+    for x, u in zip([[0.5, 0.5], [-1.0, 2.0]], disp):
+        for l in (1, 2):
+            expect = sum(w * eval_elasticity_kernel(fam, l, k, x, s)
+                         for s, pair in zip(sources.points, model.weights.reshape(-1, 2))
+                         for k, w in zip((1, 2), pair))
+            assert u[l - 1] == pytest.approx(expect, rel=1e-13)
 
 
 def test_complex_split_mode():
