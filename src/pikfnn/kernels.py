@@ -21,7 +21,8 @@ import numpy as np
 from . import operators as ops
 from .errors import DomainError, SingularityError, UnsupportedKernelError
 from .operators import OperatorSpec, high_order_coeffs
-from .special_functions import assoc_legendre_block, bessel_block, spherical_bessel_block
+from .special_functions import (assoc_legendre_block, bessel_block, load_bessel_table,
+                                spherical_bessel_block)
 
 # kernel classes
 FUNDAMENTAL = "fundamental"
@@ -66,7 +67,8 @@ class KernelFamily:
 
     complex_split is the opt-in complex mode: a complex-valued family (the
     Hankel-form Helmholtz fundamental solution) contributes separate
-    real-part and imaginary-part columns, doubling its weight count.
+    real-part and imaginary-part columns, doubling its weight count.  A family
+    whose kernels reach Bessel functions loads their table on construction.
     """
 
     kind: str                      # kernel class
@@ -89,6 +91,8 @@ class KernelFamily:
         if self.complex_split and not self.is_complex:
             raise DomainError("complex_split needs a complex-valued family")
         _require_supported(self)
+        if _reaches_bessel(self):
+            load_bessel_table()
 
     @property
     def is_singular(self):
@@ -138,6 +142,18 @@ def _require_supported(family):
     if family.shift > 0 and not _is_radial(family):
         raise UnsupportedKernelError(
             "the enhanced radial shift applies to radial steady kernels only")
+
+
+def _reaches_bessel(family):
+    """Whether the family's kernels call bessel_block / spherical_bessel_block:
+    2D Helmholtz-type and time-radial-Trefftz kernels, T-complete members, and
+    in 3D the powers' spherical pieces (radial-Trefftz only for n >= 1)."""
+    op = family.operator
+    if op.kind not in (ops.HELMHOLTZ, ops.MODIFIED_HELMHOLTZ, ops.CONVECTION_DIFFUSION,
+                       ops.HELMHOLTZ_POWER, ops.MOD_HELMHOLTZ_POWER, ops.CONV_DIFF_POWER):
+        return family.kind == TIME_RADIAL_TREFFTZ and op.dim == 2
+    return (op.dim == 2 or family.kind == T_COMPLETE or op.power_n > 0
+            or (op.kind in ops.POWER_KINDS and family.kind != RADIAL_TREFFTZ))
 
 
 def _is_radial(family):

@@ -35,11 +35,7 @@ from .network import (
     forward_displacement,
     forward_stress,
 )
-from .operators import (
-    OperatorSpec,
-    steady_operator_fd_block,
-    time_operator_fd_block,
-)
+from .operators import OperatorSpec, steady_operator_fd_block, time_operator_fd_block
 from .registry import list_kernel_ids, parse_kernel_id
 from .training import (
     BOUNDARY_PLUS_INITIAL,
@@ -136,11 +132,11 @@ def _config_hash(setup, seed):
 
 def _write_outputs(result, seed):
     os.makedirs(result.out_dir, exist_ok=True)
-    setup = result.setup
+    setup, rep = result.setup, result.train_report
     write_field_csv(os.path.join(result.out_dir, "field.csv"), result.metrics,
                     dim=setup.test_points.shape[1],
                     has_time=setup.test_times is not None)
-    write_loss_csv(os.path.join(result.out_dir, "loss.csv"), result.train_report)
+    write_loss_csv(os.path.join(result.out_dir, "loss.csv"), rep)
     summary = {
         "name": setup.name,
         "seed": seed,
@@ -155,13 +151,10 @@ def _write_outputs(result, seed):
             "r_squared": result.metrics.r_squared,
             "excluded_from_max_rerr": result.metrics.excluded,
         },
-        "train": {
-            "optimizer": setup.train.optimizer,
-            "final_loss": result.train_report.final_loss,
-            "iters": result.train_report.iters,
-            "stop_reason": result.train_report.stop_reason,
-            "wall_time_s": result.train_report.wall_time,
-        },
+        "train": {"optimizer": setup.train.optimizer, "wall_time_s": rep.wall_time} | {
+            key: getattr(rep, key) for key in ("final_loss", "iters", "stop_reason",
+                                               "cond_estimate", "effective_rank",
+                                               "rejected_steps")},
         "notes": setup.notes,
     }
     summary.update(result.extras)

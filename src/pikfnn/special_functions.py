@@ -4,9 +4,9 @@ The Bessel functions are thin wrappers over scipy.special, gated by the
 40-digit table (tests/data/special_function_reference.txt, regenerated by
 tools/gen_special_reference.py).  Orders 0 and 1 use the order-specific
 ufuncs j0/j1/y0/y1/i0/i1/k0/k1, which are far cheaper than jv/yv/iv/kv;
-higher and half-integer orders use jv/yv/iv/kv.  scipy.special is imported
-on the first Bessel evaluation, so a run without Bessel kernels never loads
-it.
+higher and half-integer orders use jv/yv/iv/kv.  load_bessel_table imports
+scipy.special once, when a kernel family that reaches Bessel functions is
+constructed (or on the first evaluation), so Bessel-free runs never load it.
 
 `bessel_block` and `spherical_bessel_block` evaluate whole arrays (the path
 the kernel catalog takes); `bessel_j/y/i/k` and `hankel1` are their scalar
@@ -51,7 +51,7 @@ def _check_finite(x, name="x"):
 
 
 @functools.cache
-def _ufuncs():
+def load_bessel_table():
     """kind -> (order-0, order-1, any-order) ufunc, resolved once."""
     from scipy import special as sc
 
@@ -77,7 +77,7 @@ def bessel_block(kind, n, z):
         if kind == "i" and np.abs(z).max() > _I_OVERFLOW_ARG:
             raise RangeOverflowError(
                 f"I_{n}(x) overflows the double range for |x| > {_I_OVERFLOW_ARG:g}")
-    order0, order1, any_order = _ufuncs()[kind]
+    order0, order1, any_order = load_bessel_table()[kind]
     if n == 0:
         return order0(z)
     if n == 1:

@@ -109,6 +109,21 @@ def test_outputs_schema(tmp_path):
     assert loss_header == "iter,loss,lambda_or_lr,accepted"
 
 
+def test_summary_reports_solve_diagnostics(tmp_path):
+    import json
+
+    res = run_benchmark("example3", seed=0, out_dir=tmp_path)
+    train = json.loads((tmp_path / "summary.json").read_text())["train"]
+    rep = res.train_report
+    assert train["effective_rank"] == rep.effective_rank <= res.model.width
+    assert train["cond_estimate"] == rep.cond_estimate >= 1.0
+    assert train["rejected_steps"] == rep.rejected_steps
+    # the diagnostics stay out of the CSVs
+    assert (tmp_path / "loss.csv").read_text().splitlines()[0] == \
+        "iter,loss,lambda_or_lr,accepted"
+    assert (tmp_path / "field.csv").read_text().splitlines()[0] == "x1,x2,u_pred,u_ana,rerr"
+
+
 def test_unknown_builtin():
     from pikfnn.errors import ConfigurationError
 

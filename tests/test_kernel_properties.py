@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pikfnn import kernels
+from pikfnn.benchmarks import BUILTINS
 from pikfnn.errors import UnsupportedKernelError
 from pikfnn.geometry import CollocationSet, SourceSet
 from pikfnn.kernels import SpaceTimePoint, eval_kernel, kernel_block
@@ -48,6 +49,54 @@ def test_catalog_has_bessel_families():
     assert len(BESSEL_IDS) >= 20
     assert "time-radial-trefftz:heat:2d?k=1" in BESSEL_IDS
     assert "radial-trefftz:modified-helmholtz-power:3d?k=1&n=1" in BESSEL_IDS
+
+
+def _evaluations_reach_bessel(family):
+    """Whether kernel_block, kernel_gradient_block or kernel_operator_block of
+    the family (and tcomplete_member_block on every member of a T-complete
+    family) evaluates J, Y, I or K."""
+    dim = family.operator.dim
+    X = np.array([[0.3] * dim, [-0.6] * dim])
+    S = np.zeros((1, dim))
+    normals = np.full((2, dim), 1.0 / math.sqrt(dim))
+    T, TAU = _times(family, 2, 1)
+    calls = [lambda: kernel_block(family, X, S, T, TAU),
+             lambda: kernels.kernel_gradient_block(family, X, S, normals, T, TAU),
+             lambda: kernels.kernel_operator_block(family, X, S)]
+    if family.kind == kernels.T_COMPLETE:
+        calls += [lambda index=index: kernels.tcomplete_member_block(family, index, X)
+                  for index in kernels.tcomplete_members(family)]
+    with mock.patch.object(kernels, "bessel_block", wraps=kernels.bessel_block) as plain, \
+            mock.patch.object(kernels, "spherical_bessel_block",
+                              wraps=kernels.spherical_bessel_block) as spherical:
+        for call in calls:
+            try:
+                call()
+            except UnsupportedKernelError:  # no such path for this family
+                pass
+    return plain.called or spherical.called
+
+
+@pytest.mark.parametrize("ident", list_kernel_ids())
+def test_construction_loads_bessel_table_iff_kernels_use_it(ident):
+    # the scipy.special import belongs to problem set-up, not to the first
+    # kernel call, and a family without Bessel kernels must not pay for it
+    with mock.patch.object(kernels, "load_bessel_table",
+                           wraps=kernels.load_bessel_table) as load:
+        family = parse_kernel_id(ident)
+    assert load.called == _evaluations_reach_bessel(family)
+
+
+def test_exponential_kernels_leave_bessel_table_alone():
+    # example4's 3D modified-Helmholtz fundamental solution is exp(-kr)/(4 pi r)
+    with mock.patch.object(kernels, "load_bessel_table") as load:
+        setup = BUILTINS["example4"](seed=0)
+    assert all(ident.startswith("fundamental:modified-helmholtz:3d")
+               for ident in setup.kernel_ids)
+    assert not load.called
+    with mock.patch.object(kernels, "load_bessel_table") as load:
+        BUILTINS["example9"](seed=0)
+    assert load.called
 
 
 coords = arrays(float, st.tuples(st.integers(2, 9), st.just(3)),

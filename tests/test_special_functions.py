@@ -257,10 +257,18 @@ def test_spherical_pieces_at_zero():
             spherical_bessel_block(kind, 1, np.array([1.0, 0.0]))
 
 
-def test_scipy_special_loads_on_first_bessel_use():
-    # a Bessel-free run must not pay for importing scipy.special
+def _fresh_interpreter(code):
+    """stdout of code run in a new interpreter that imports this pikfnn."""
     import pikfnn
 
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pikfnn.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def test_scipy_special_loads_on_first_bessel_use():
+    # a Bessel-free run must not pay for importing scipy.special
     code = (
         "import sys\n"
         "from pikfnn import KernelFamily, OperatorSpec, bessel_j\n"
@@ -270,8 +278,19 @@ def test_scipy_special_loads_on_first_bessel_use():
         "print('scipy.special' in sys.modules)\n"
         "bessel_j(0, 1.0)\n"
         "print('scipy.special' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pikfnn.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.split() == ["False", "True"]
+    assert _fresh_interpreter(code).split() == ["False", "True"]
+
+
+def test_bessel_free_solve_loads_no_scipy(tmp_path):
+    # a stray top-level scipy import anywhere in the package would put about
+    # a quarter second back into every Bessel-free run; a Bessel problem
+    # loads scipy.special while it is built, before any kernel call
+    code = (
+        "import sys\n"
+        "import pikfnn\n"
+        "from pikfnn.benchmarks import BUILTINS\n"
+        f"pikfnn.run_benchmark('example3', out_dir={str(tmp_path)!r})\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "BUILTINS['example9'](seed=0)\n"
+        "print('scipy.special' in sys.modules)\n")
+    assert _fresh_interpreter(code).splitlines() == ["[]", "True"]

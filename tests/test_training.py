@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pikfnn.errors import ConfigurationError, DivergenceError
+from pikfnn.errors import ConditioningError, ConfigurationError, DivergenceError
 from pikfnn.geometry import SourceSet
 from pikfnn.kernels import KernelFamily
 from pikfnn.network import DesignMatrix, PikfnnModel
 from pikfnn.operators import OperatorSpec
 from pikfnn.training import (
     TrainConfig,
+    _Damping,
     grad_loss,
     init_weights,
     loss,
@@ -248,6 +253,75 @@ def test_lm_loss_goal():
     report = train_lm(model, dmatrix(entries), targets, cfg)
     assert report.stop_reason == "loss_goal"
     assert report.final_loss <= 1e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       log_lam=st.floats(-8.0, 2.0), marquardt=st.booleans())
+def test_eigen_step_equals_damped_solve(seed, m, log_lam, marquardt):
+    # one eigendecomposition serves every lambda: the step must be the
+    # solution of (A + lambda D) delta = -g that a factorization would give
+    rng = np.random.default_rng(seed)
+    J = rng.normal(size=(3 * m + 5, m)) * rng.uniform(0.5, 2.0, size=m)
+    A = J.T @ J
+    g = rng.normal(size=m)
+    lam = 10.0 ** log_lam
+    d = np.diag(A)
+    D = np.diag(np.maximum(d, 1e-14 * d.max())) if marquardt else np.eye(m)
+    expected = np.linalg.solve(A + lam * D, -g)
+    got = _Damping(A, marquardt).step(g, lam)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("trainer", [train_adam, train_lm])
+@pytest.mark.parametrize("where", ["entry", "target"])
+def test_non_finite_row_raises_conditioning_error(trainer, where):
+    # named up front, not as a non-finite loss at iteration 1
+    rng = np.random.default_rng(31)
+    model, mtx, targets = random_instance(rng, n=12, m=6)
+    if where == "entry":
+        mtx.entries[7, 2] = np.nan
+        mtx.entries[9, 0] = np.inf
+    else:
+        targets[7] = np.inf
+    cfg = TrainConfig(optimizer="lm" if trainer is train_lm else "adam", max_iters=5)
+    with pytest.raises(ConditioningError, match="design row 7 "):
+        trainer(model, mtx, targets, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_lm_overflowing_normal_matrix_raises_conditioning_error():
+    model = toy_model(1)
+    with pytest.raises(ConditioningError, match="overflows"):
+        train_lm(model, dmatrix([[1e200]]), [1.0], TrainConfig(max_iters=5))
+
+
+@pytest.mark.parametrize("marquardt", [False, True])
+def test_lm_reports_spectrum_diagnostics(marquardt):
+    rng = np.random.default_rng(37)
+    entries = rng.normal(size=(30, 8)) * rng.uniform(0.5, 2.0, size=8)
+    targets = rng.normal(size=30)
+    cfg = TrainConfig(tol=1e-12, max_iters=100, seed=1, lm_marquardt_scaling=marquardt)
+    report = train_lm(toy_model(8), dmatrix(entries), targets, cfg)
+    J = entries / math.sqrt(30)  # one group of 30 rows
+    if marquardt:
+        J = J / np.sqrt(np.diag(J.T @ J))
+    assert report.effective_rank == 8
+    assert report.cond_estimate == pytest.approx(np.linalg.cond(J), rel=1e-8)
+    assert report.rejected_steps == sum(1 for row in report.log_rows if row[3] == 0)
+    # a repeated column: one eigenvalue is roundoff, the condition unresolved
+    dup = np.column_stack([entries, entries[:, 0]])
+    report = train_lm(toy_model(9), dmatrix(dup), targets, cfg)
+    assert report.effective_rank == 8
+    assert report.cond_estimate >= 1e7
+    assert report.rejected_steps == sum(1 for row in report.log_rows if row[3] == 0)
+
+
+def test_adam_reports_no_spectrum():
+    rng = np.random.default_rng(41)
+    model, mtx, targets = random_instance(rng, n=10, m=4)
+    report = train_adam(model, mtx, targets, TrainConfig(optimizer="adam", max_iters=20))
+    assert (report.cond_estimate, report.effective_rank, report.rejected_steps) == (None, None, 0)
 
 
 def test_loss_csv_roundtrip(tmp_path):
