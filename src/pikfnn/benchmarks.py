@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
+from . import network
 from .annihilators import SourceTerm, build_annihilator_chain
 from .geometry import (
     CollocationSet,
@@ -153,15 +154,23 @@ def example3(seed=0, train=None, n_boundary=400):
 # ---------------------------------------------------------------------------
 # Example 4 analog: nonhomogeneous modified Helmholtz on the unit sphere
 #
-# The annihilator family's weights are fitted first so its governing-operator
-# image reproduces the source term on the boundary (uniqueness of the chain
-# operator extends that into the domain); the main family then trains on
-# source-corrected boundary data.  Boundary data alone cannot pin the split
-# between the two families otherwise.
+# The annihilator families' weights are fitted first (here and in example5)
+# so their governing-operator image reproduces the source term on the data
+# rows (uniqueness of the chain operator extends that into the domain); the
+# main family then trains on source-corrected data.  Data alone cannot pin
+# the split between the families otherwise.
+
+def _fit_particular(chain_fams, sources, colloc, source_values, governing):
+    """Pre-fit the chain: (source-corrected colloc, [(family, weights)], fit rms)."""
+    q, fit_rms = network.fit_particular_weights(chain_fams, sources, colloc.points,
+                                                source_values, governing, colloc.times)
+    particular = network.PikfnnModel(chain_fams, sources, governing.dim, weights=q)
+    corrected = colloc.values - network.forward(particular, colloc.points, colloc.times)
+    return (CollocationSet(colloc.points, colloc.kinds, corrected, colloc.normals, colloc.times),
+            list(zip(chain_fams, np.split(q, len(chain_fams)))), fit_rms)
+
 
 def example4(seed=0, train=None, n_boundary=400):
-    from .network import PikfnnModel, fit_particular_weights, forward
-
     def exact(x):
         return np.exp(x[..., 0] + x[..., 1] + x[..., 2])
 
@@ -176,10 +185,9 @@ def example4(seed=0, train=None, n_boundary=400):
     pts = nodes_points(boundary)
     sources = gen_sources(None, "scaled_sphere", n=n_boundary, r=3.0)
 
-    q, fit_rms = fit_particular_weights(chain_fams, sources, pts, source(pts), base)
-    particular = PikfnnModel(chain_fams, sources, 3, weights=q)
-    targets = exact(pts) - forward(particular, pts)
-    colloc = CollocationSet(pts, ["D"] * len(pts), targets)
+    colloc, pretrained, fit_rms = _fit_particular(
+        chain_fams, sources, CollocationSet(pts, ["D"] * len(pts), exact(pts)),
+        source(pts), base)
 
     test = interior_ball(1.0, 12)
     return ProblemSetup(
@@ -191,8 +199,7 @@ def example4(seed=0, train=None, n_boundary=400):
                      loss_goal=1e-5, seed=seed),
         test_points=test, test_values=exact(test), exact=exact,
         source_fn=lambda x: 2.0 * float(np.exp(x[0] + x[1] + x[2])),
-        pretrained=[(fam, q[i * n_boundary:(i + 1) * n_boundary])
-                    for i, fam in enumerate(chain_fams)],
+        pretrained=pretrained,
         notes={"geometry": "unit sphere stand-in for the rabbit model",
                "annihilator": [format_kernel_id(f) for f in chain_fams],
                "source_fit_rms": fit_rms})
@@ -202,8 +209,6 @@ def example4(seed=0, train=None, n_boundary=400):
 # Example 5 scaled: long-term transient heat conduction on a torus
 
 def example5(seed=0, train=None, n_boundary=200, n_interior=80):
-    from .network import PikfnnModel, fit_particular_weights, forward
-
     kappa = 0.001
 
     def spatial(x):
@@ -232,21 +237,14 @@ def example5(seed=0, train=None, n_boundary=200, n_interior=80):
     sources = gen_sources(colloc, "same_nodes_with_delay", dt=200.0)
 
     # annihilator family reproduces the thermal loading on the data rows
-    q, fit_rms = fit_particular_weights(chain_fams, sources, colloc.points,
-                                        source(colloc.points, colloc.times),
-                                        base, times=colloc.times)
-    particular = PikfnnModel(chain_fams, sources, 3, weights=q)
-    corrected = colloc.values - forward(particular, colloc.points,
-                                        times=colloc.times)
-    colloc = CollocationSet(colloc.points, colloc.kinds, corrected,
-                            normals=colloc.normals, times=colloc.times)
+    colloc, pretrained, fit_rms = _fit_particular(
+        chain_fams, sources, colloc, source(colloc.points, colloc.times), base)
 
     test_nodes = gen_boundary("torus", 150, r_major=2.0, r_minor=0.5, seed=seed + 7)
     surf = nodes_points(test_nodes)
     vol = interior_torus(2.0, 0.5, 100, seed=seed + 8)
     test = np.vstack([surf, vol])
     times = np.full(test.shape[0], 100.0)
-    n_src = len(sources)
     return ProblemSetup(
         name="example5", operator=base,
         families=[KernelFamily("time-fundamental", base)], colloc=colloc,
@@ -257,8 +255,7 @@ def example5(seed=0, train=None, n_boundary=200, n_interior=80):
         test_points=test, test_values=exact(test, 100.0), test_times=times,
         rerr_floor=0.05, exact=exact,
         source_fn=lambda x, t: -0.002 * float(exact(np.asarray(x), t)),
-        pretrained=[(fam, q[i * n_src:(i + 1) * n_src])
-                    for i, fam in enumerate(chain_fams)],
+        pretrained=pretrained,
         notes={"torus": {"r_major": 2.0, "r_minor": 0.5}, "delay_dt": 200.0,
                "instants": list(instants),
                "annihilator_diffusivity": chain[0].k,

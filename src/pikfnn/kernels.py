@@ -338,32 +338,27 @@ def _time_block(family, dx, dt):
         active = op.c1 * dt > r
         if dim == 3 and np.any(active & (r == 0.0)):
             raise SingularityError("3D wave kernel evaluated at r = 0")
-        out = np.zeros(np.broadcast_shapes(r.shape, dt.shape))
         if dim == 2:
             with np.errstate(invalid="ignore"):
                 vals = 1.0 / (_TWO_PI * op.c1 * np.sqrt((op.c1 * dt) ** 2 - r2))
         else:
             with np.errstate(divide="ignore"):
-                vals = np.broadcast_to(1.0 / (_FOUR_PI * np.sqrt(r2)), out.shape)
-        out[active] = np.broadcast_to(vals, out.shape)[active]
-        return out
+                vals = 1.0 / (_FOUR_PI * np.sqrt(r2))
+        return np.where(active, vals, 0.0)
     if kind == TIME_FUNDAMENTAL and op.kind == ops.STRUCTURAL_DIFFUSION:
         raise UnsupportedKernelError("structural kernel needs explicit times; "
                                      "use structural_kernel_block")
     if kind == TIME_RADIAL_TREFFTZ and op.kind in (ops.HEAT, ops.WAVE):
         r = np.sqrt(r2)
-        shape = np.broadcast_shapes(r.shape, dt.shape)
-        out = np.zeros(shape)
-        active = np.broadcast_to(dt > 0.0, shape)
-        dta = np.broadcast_to(dt, shape)[active]
-        ra = np.broadcast_to(r, shape)[active]
-        radial = bessel_block("j", 0, ra) if dim == 2 else np.sinc(ra / math.pi)
+        active = dt > 0.0
+        dta = np.where(active, dt, 0.0)
+        radial = bessel_block("j", 0, r) if dim == 2 else np.sinc(r / math.pi)
         if op.kind == ops.HEAT:
-            out[active] = np.exp(-op.k * dta) * radial
+            vals = np.exp(-op.k * dta) * radial
         else:
             # second term carries 1/c1 so the pair spans the cos/sin time modes
-            out[active] = (np.cos(op.c1 * dta) + np.sin(op.c1 * dta) / op.c1) * radial
-        return out
+            vals = (np.cos(op.c1 * dta) + np.sin(op.c1 * dta) / op.c1) * radial
+        return np.where(active, vals, 0.0)
     raise UnsupportedKernelError(
         f"no time formula for class={kind!r} operator={op.kind!r} dim={dim}")
 
@@ -375,16 +370,12 @@ def _heat_like(q, dtg, kdiff, dim):
     kernel (q = |F(x)-F(s)|^2, dtg = G(t)-G(tau)) so the alpha = beta = 1
     reduction is bit-for-bit.
     """
-    out = np.zeros(np.broadcast_shapes(np.shape(q), np.shape(dtg)))
     active = dtg > 0.0
-    if not np.any(active):
-        return out
-    q_a = np.broadcast_to(q, out.shape)[active]
-    dt_a = np.broadcast_to(dtg, out.shape)[active]
-    denom = 4.0 * kdiff * dt_a
-    vals = np.exp(-q_a / denom) / (math.pi * denom) ** (0.5 * dim)
-    out[active] = vals
-    return out
+    # the whole block runs, inactive entries on dtg = 1 (finite, no warnings)
+    denom = 4.0 * kdiff * np.where(active, dtg, 1.0)
+    vals = np.exp(-q / denom)
+    vals /= (math.pi * denom) ** (0.5 * dim)
+    return np.where(active, vals, 0.0)
 
 
 def structural_kernel_block(family, x, t, s, tau):
@@ -597,11 +588,9 @@ def heat_time_derivative_block(family, X, S, T, TAU):
     q = np.einsum("...i,...i->...", dx, dx)
     dt = np.asarray(T, dtype=float)[:, None] - np.asarray(TAU, dtype=float)[None, :]
     G = _heat_like(q, dt, op.k, op.dim)
-    out = np.zeros_like(G)
     active = dt > 0.0
-    out[active] = G[active] * (q[active] / (4.0 * op.k * dt[active] ** 2)
-                               - 0.5 * op.dim / dt[active])
-    return out
+    dt = np.where(active, dt, 1.0)
+    return np.where(active, G * (q / (4.0 * op.k * dt ** 2) - 0.5 * op.dim / dt), 0.0)
 
 
 def governing_applied_block(family, governing, X, S, T=None, TAU=None):

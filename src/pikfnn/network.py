@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import kernels as kn
-from .errors import ConfigurationError, SingularityError
+from .errors import ConditioningError, ConfigurationError, SingularityError
 from .geometry import CollocationSet, SourceSet
 from .kernels import (
     elastic_block,
@@ -291,19 +291,31 @@ def fit_particular_weights(chain_families, sources, points, f_values,
                            governing, times=None):
     """Least-squares weights q with (L0 sum_j q_j phi^{chain})(x_i) = f(x_i).
 
-    Boundary-only data plus uniqueness of the chain operators pins the
-    particular solution: the annihilator families reproduce the source term,
-    and the main family then only has to fit source-corrected boundary data.
-    Returns (q, fit_residual_rms).
+    B is numerically rank-deficient (cond ~1e17 on example5), so q minimizes
+    |B q - f|^2 + a^2 |D q|^2: D the column norms of B (1 if zero), a =
+    max(m, n) eps (lstsq's default cut-off on unit columns), solved by one
+    Householder QR of [[B D^-1, f], [a I, 0]] (Bjorck 1996).  Not the normal
+    equations: B^T B loses the singular values below sqrt(eps) sigma_max,
+    and the example5 smoke problem then misses its gate.  Returns (q, fit
+    rms); raises ConditioningError naming the first non-finite row of B or f.
     """
-    blocks = [kn.governing_applied_block(f, governing, points, sources.points,
-                                         times, sources.times)
-              for f in chain_families]
-    B = np.hstack(blocks)
+    B = np.hstack([kn.governing_applied_block(f, governing, points, sources.points,
+                                              times, sources.times)
+                   for f in chain_families])
     f_values = np.asarray(f_values, dtype=float)
-    q, *_ = np.linalg.lstsq(B, f_values, rcond=None)
-    rms = float(np.sqrt(np.mean((B @ q - f_values) ** 2)))
-    return q, rms
+    bad = np.flatnonzero(~(np.isfinite(B).all(axis=1) & np.isfinite(f_values)))
+    if bad.size:
+        raise ConditioningError(f"pre-fit row {bad[0]} has a non-finite entry or source value")
+    m, n = B.shape
+    D = np.linalg.norm(B, axis=0)
+    D[D == 0.0] = 1.0
+    M = np.zeros((m + n, n + 1))
+    M[:m, :n] = B / D
+    M[:m, n] = f_values
+    np.fill_diagonal(M[m:], max(m, n) * np.finfo(float).eps)
+    R = np.linalg.qr(M, mode="r")
+    q = np.linalg.solve(R[:n, :n], R[:n, n]) / D
+    return q, float(np.sqrt(np.mean((B @ q - f_values) ** 2)))
 
 
 def apply_row_weights(matrix, targets, weight_by_kind):

@@ -1,8 +1,10 @@
-"""Property tests for the Bessel-backed and Kelvin kernel blocks: the rows
-of a block can be partitioned freely, and the blocks agree with the scalar
-formulas (the scalar entry points are 1x1 views of the block path)."""
+"""Property tests for the Bessel-backed, Kelvin and time kernel blocks: the
+rows of a block can be partitioned freely, the blocks agree with the scalar
+formulas (the scalar entry points are 1x1 views of the block path), and the
+unmasked time kernels equal their masked gather/scatter form bit for bit."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from pikfnn.errors import UnsupportedKernelError
 from pikfnn.geometry import CollocationSet, SourceSet
 from pikfnn.kernels import SpaceTimePoint, eval_kernel, kernel_block
 from pikfnn.network import assemble
-from pikfnn.operators import OperatorSpec
+from pikfnn.operators import OperatorSpec, structural_fn
 from pikfnn.registry import list_kernel_ids, parse_kernel_id
 
 
@@ -237,3 +239,142 @@ def test_elastic_rows_partition_freely(ident, X, S, theta, kinds, comps, split):
               assemble([family], sources, rows(slice(split, None))).entries]
     assert whole.shape == (n, 2 * len(S))
     assert np.array_equal(np.concatenate(halves), whole)
+
+
+# ---------------------------------------------------------------------------
+# time kernels: np.where form against the masked gather/scatter form it replaced
+
+def _masked_heat_like(q, dtg, kdiff, dim):
+    out = np.zeros(np.broadcast_shapes(np.shape(q), np.shape(dtg)))
+    active = dtg > 0.0
+    if not np.any(active):
+        return out
+    q_a = np.broadcast_to(q, out.shape)[active]
+    dt_a = np.broadcast_to(dtg, out.shape)[active]
+    denom = 4.0 * kdiff * dt_a
+    vals = np.exp(-q_a / denom) / (math.pi * denom) ** (0.5 * dim)
+    out[active] = vals
+    return out
+
+
+def _masked_heat_time_derivative(op, X, S, T, TAU):
+    dx = X[:, None, :] - S[None, :, :]
+    q = np.einsum("...i,...i->...", dx, dx)
+    dt = T[:, None] - TAU[None, :]
+    G = _masked_heat_like(q, dt, op.k, op.dim)
+    out = np.zeros_like(G)
+    active = dt > 0.0
+    out[active] = G[active] * (q[active] / (4.0 * op.k * dt[active] ** 2)
+                               - 0.5 * op.dim / dt[active])
+    return out
+
+
+def _masked_structural(op, x, t, s, tau):
+    gfun, _ = structural_fn(op.structural_t, op.alpha)
+    ffun, _ = structural_fn(op.structural_x, op.beta)
+    diff = ffun(x) - ffun(s)
+    q = np.einsum("...i,...i->...", diff, diff)
+    dtg = np.broadcast_to(gfun(t) - gfun(tau), q.shape)
+    return _masked_heat_like(q, dtg, op.diffusion, op.dim)
+
+
+def _masked_wave_and_trefftz(family, X, S, T, TAU):
+    op, dim = family.operator, family.operator.dim
+    dx = X[:, None, :] - S[None, :, :]
+    r2 = np.einsum("...i,...i->...", dx, dx)
+    r, dt = np.sqrt(r2), T[:, None] - TAU[None, :]
+    out = np.zeros(r.shape)
+    if family.kind == kernels.TIME_FUNDAMENTAL:  # wave
+        active = op.c1 * dt > r
+        with np.errstate(invalid="ignore"):
+            vals = (1.0 / (2.0 * math.pi * op.c1 * np.sqrt((op.c1 * dt) ** 2 - r2))
+                    if dim == 2 else np.broadcast_to(1.0 / (4.0 * math.pi * r), r.shape))
+        out[active] = vals[active]
+        return out
+    active = dt > 0.0
+    dta, ra = dt[active], r[active]
+    radial = kernels.bessel_block("j", 0, ra) if dim == 2 else np.sinc(ra / math.pi)
+    out[active] = (np.exp(-op.k * dta) if op.kind == "heat" else
+                   np.cos(op.c1 * dta) + np.sin(op.c1 * dta) / op.c1) * radial
+    return out
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+def _space_time_block(seed, sign, dim, n=7, m=5):
+    """Points in [0.5, 2.5]^dim and positive times whose differences
+    T - TAU are of one sign pattern; the mixed and non-positive patterns
+    include exact zeros (t = tau)."""
+    rng = np.random.default_rng(seed)
+    X = 0.5 + 2.0 * rng.random((n, dim))
+    S = 0.5 + 2.0 * rng.random((m, dim))
+    TAU = 1.0 + rng.random(m)
+    T = {"mixed": 1.0 + rng.random(n),
+         "nonpositive": 1.0 - rng.random(n),
+         "positive": 2.0 + rng.random(n)}[sign]
+    if sign != "positive":
+        T[0] = TAU.min()
+    return X, S, T, TAU
+
+
+blocks = dict(seed=st.integers(0, 2 ** 32 - 1),
+              sign=st.sampled_from(["mixed", "nonpositive", "positive"]),
+              dim=st.sampled_from([2, 3]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**blocks)
+def test_heat_blocks_match_masked_form_bitwise(seed, sign, dim):
+    X, S, T, TAU = _space_time_block(seed, sign, dim)
+    op = OperatorSpec("heat", dim, k=0.37)
+    family = kernels.KernelFamily("time-fundamental", op)
+    dx = X[:, None, :] - S[None, :, :]
+    dt = T[:, None] - TAU[None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = kernel_block(family, X, S, T, TAU)
+        rate = kernels.heat_time_derivative_block(family, X, S, T, TAU)
+    reference = _masked_heat_like(np.einsum("...i,...i->...", dx, dx), dt, op.k, dim)
+    assert _bitwise_equal(values, reference)
+    assert _bitwise_equal(rate, _masked_heat_time_derivative(op, X, S, T, TAU))
+    if sign == "nonpositive":
+        assert not values.any() and not rate.any()
+
+
+@pytest.mark.parametrize("ident", ["time-fundamental:wave:2d?c1=1.3",
+                                   "time-fundamental:wave:3d?c1=1.3",
+                                   "time-radial-trefftz:heat:2d?k=0.7",
+                                   "time-radial-trefftz:heat:3d?k=0.7",
+                                   "time-radial-trefftz:wave:2d?c1=1.3",
+                                   "time-radial-trefftz:wave:3d?c1=1.3"])
+@settings(max_examples=20, deadline=None)
+@given(seed=blocks["seed"], sign=blocks["sign"])
+def test_wave_and_trefftz_blocks_match_masked_form_bitwise(ident, seed, sign):
+    family = parse_kernel_id(ident)
+    X, S, T, TAU = _space_time_block(seed, sign, family.operator.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = kernel_block(family, X, S, T, TAU)
+    assert _bitwise_equal(values, _masked_wave_and_trefftz(family, X, S, T, TAU))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=blocks["seed"], sign=blocks["sign"],
+       maps=st.sampled_from([("power", "power"), ("identity", "exp"), ("power", "log")]))
+def test_structural_block_matches_masked_form_bitwise(seed, sign, maps):
+    X, S, T, TAU = _space_time_block(seed, sign, 2)
+    op = OperatorSpec("structural-diffusion", 2, diffusion=0.8, alpha=0.7,
+                      beta=1.3, structural_t=maps[0], structural_x=maps[1])
+    family = kernels.KernelFamily("time-fundamental", op)
+    # broadcast (not materialized) inputs, as well as the kernel_block route
+    x, t, s, tau = X[:, None, :], T[:, None], S[None, :, :], TAU[None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        broadcast = kernels.structural_kernel_block(family, x, t, s, tau)
+        values = kernel_block(family, X, S, T, TAU)
+    reference = _masked_structural(op, x, t, s, tau)
+    assert _bitwise_equal(broadcast, reference)
+    assert _bitwise_equal(values, reference)

@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pikfnn.errors import ConfigurationError, SingularityError
+from pikfnn import kernels
+from pikfnn.errors import ConditioningError, ConfigurationError, SingularityError
 from pikfnn.geometry import (
     CollocationSet,
     SourceSet,
@@ -20,6 +24,7 @@ from pikfnn.network import (
     apply_row_weights,
     assemble,
     family_width,
+    fit_particular_weights,
     forward,
     forward_displacement,
     forward_stress,
@@ -358,3 +363,99 @@ def test_weight_length_validation():
     model = PikfnnModel([laplace_family()], sources, 2, weights=np.zeros(5))
     with pytest.raises(ConfigurationError):
         forward(model, [[0.0, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# annihilator pre-fit: the regularized solve, driven with chosen blocks
+
+EPS = np.finfo(float).eps
+
+
+def _prefit(f, *blocks):
+    """fit_particular_weights with one chain family per given block B_i."""
+    it = iter(blocks)
+    with mock.patch.object(kernels, "governing_applied_block", lambda *args: next(it)):
+        return fit_particular_weights([None] * len(blocks), SourceSet([[0.0, 0.0]]),
+                                      None, f, None)
+
+
+def _matrix(seed, m, n, log_cond):
+    """m x n matrix of rank min(m, n), condition number 10**log_cond, and an
+    overall scale of 1e-3..1e3."""
+    rng = np.random.default_rng(seed)
+    k = min(m, n)
+    U, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    s = np.logspace(0.0, -log_cond, k)
+    return (U * s) @ V.T * 10.0 ** rng.uniform(-3.0, 3.0), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), extra=st.integers(0, 8),
+       log_cond=st.floats(0.0, 6.0))
+def test_prefit_matches_lstsq_on_full_column_rank(seed, n, extra, log_cond):
+    # f in the range of B, as the pre-fit's source term is.  lstsq's own
+    # forward error is about cond * eps, so above cond ~ 1e5 the bound
+    # follows it rather than a flat 1e-10
+    B, rng = _matrix(seed, n + extra, n, log_cond)
+    f = B @ rng.standard_normal(n)
+    q, rms = _prefit(f, B)
+    ref, *_ = np.linalg.lstsq(B, f, rcond=None)
+    tol = max(1e-10, 4.0 * 10.0 ** log_cond * EPS)
+    assert np.linalg.norm(q - ref) <= tol * np.linalg.norm(ref)
+    assert rms == pytest.approx(np.sqrt(np.mean((B @ q - f) ** 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 12), extra=st.integers(1, 8),
+       log_cond=st.floats(0.0, 3.0))
+def test_prefit_residual_on_wide_matrices(seed, m, extra, log_cond):
+    # more neurons than rows: every f is reproducible, the weights are the
+    # D-scaled minimum-norm ones.  Above cond ~ 1e4 the residual itself is
+    # rounding, eps cond |f|, for either solver
+    B, rng = _matrix(seed, m, m + extra, log_cond)
+    f = rng.standard_normal(m)
+    q, _ = _prefit(f, B)
+    ref, *_ = np.linalg.lstsq(B, f, rcond=None)
+    assert np.all(np.isfinite(q))
+    assert np.linalg.norm(B @ q - f) <= np.linalg.norm(B @ ref - f) + 1e-12 * np.linalg.norm(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), extra=st.integers(0, 8),
+       log_cond=st.floats(0.0, 6.0))
+def test_prefit_with_a_duplicated_column(seed, n, extra, log_cond):
+    # exactly dependent neurons, f in the range of B as the source term is
+    B, rng = _matrix(seed, n + extra + 1, n, log_cond)
+    B = np.column_stack([B, B[:, rng.integers(n)]])
+    f = B @ rng.standard_normal(n + 1)
+    q, _ = _prefit(f, B)
+    ref, *_ = np.linalg.lstsq(B, f, rcond=None)
+    assert np.all(np.isfinite(q))
+    assert np.linalg.norm(B @ q - f) <= np.linalg.norm(B @ ref - f) + 1e-12 * np.linalg.norm(f)
+    assert np.linalg.norm(q) <= 2.0 * np.linalg.norm(ref)
+
+
+def test_prefit_gives_zero_weights_to_an_all_zero_block():
+    # a chain family that already solves L0 contributes an all-zero block
+    B, rng = _matrix(3, 9, 4, 2.0)
+    f = rng.standard_normal(9)
+    q, _ = _prefit(f, B, np.zeros((9, 3)))
+    assert np.all(np.isfinite(q)) and np.all(q[4:] == 0.0)
+    assert np.allclose(q[:4], np.linalg.lstsq(B, f, rcond=None)[0], rtol=1e-10)
+    q, rms = _prefit(f, np.zeros((9, 3)))
+    assert np.all(q == 0.0) and rms == pytest.approx(np.sqrt(np.mean(f ** 2)))
+
+
+@pytest.mark.parametrize("where", ["block", "source"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prefit_names_first_non_finite_row(where, bad):
+    B, rng = _matrix(4, 8, 3, 1.0)
+    f = rng.standard_normal(8)
+    if where == "block":
+        B[5, 2] = bad
+        B[6, 0] = bad
+    else:
+        f[5] = bad
+    with pytest.raises(ConditioningError, match="row 5 "):
+        _prefit(f, B)
