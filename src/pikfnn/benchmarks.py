@@ -161,13 +161,15 @@ def example3(seed=0, train=None, n_boundary=400):
 # the split between the families otherwise.
 
 def _fit_particular(chain_fams, sources, colloc, source_values, governing):
-    """Pre-fit the chain: (source-corrected colloc, [(family, weights)], fit rms)."""
-    q, fit_rms = network.fit_particular_weights(chain_fams, sources, colloc.points,
-                                                source_values, governing, colloc.times)
+    """Pre-fit the chain: (source-corrected colloc, [(family, weights)], notes
+    with the fit rms and amplification)."""
+    q, fit_rms, amplification = network.fit_particular_weights(
+        chain_fams, sources, colloc.points, source_values, governing, colloc.times)
     particular = network.PikfnnModel(chain_fams, sources, governing.dim, weights=q)
     corrected = colloc.values - network.forward(particular, colloc.points, colloc.times)
     return (CollocationSet(colloc.points, colloc.kinds, corrected, colloc.normals, colloc.times),
-            list(zip(chain_fams, np.split(q, len(chain_fams)))), fit_rms)
+            list(zip(chain_fams, np.split(q, len(chain_fams)))),
+            {"source_fit_rms": fit_rms, "source_fit_amplification": amplification})
 
 
 def example4(seed=0, train=None, n_boundary=400):
@@ -185,7 +187,7 @@ def example4(seed=0, train=None, n_boundary=400):
     pts = nodes_points(boundary)
     sources = gen_sources(None, "scaled_sphere", n=n_boundary, r=3.0)
 
-    colloc, pretrained, fit_rms = _fit_particular(
+    colloc, pretrained, fit_notes = _fit_particular(
         chain_fams, sources, CollocationSet(pts, ["D"] * len(pts), exact(pts)),
         source(pts), base)
 
@@ -202,7 +204,7 @@ def example4(seed=0, train=None, n_boundary=400):
         pretrained=pretrained,
         notes={"geometry": "unit sphere stand-in for the rabbit model",
                "annihilator": [format_kernel_id(f) for f in chain_fams],
-               "source_fit_rms": fit_rms})
+               **fit_notes})
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +239,7 @@ def example5(seed=0, train=None, n_boundary=200, n_interior=80):
     sources = gen_sources(colloc, "same_nodes_with_delay", dt=200.0)
 
     # annihilator family reproduces the thermal loading on the data rows
-    colloc, pretrained, fit_rms = _fit_particular(
+    colloc, pretrained, fit_notes = _fit_particular(
         chain_fams, sources, colloc, source(colloc.points, colloc.times), base)
 
     test_nodes = gen_boundary("torus", 150, r_major=2.0, r_minor=0.5, seed=seed + 7)
@@ -259,7 +261,7 @@ def example5(seed=0, train=None, n_boundary=200, n_interior=80):
         notes={"torus": {"r_major": 2.0, "r_minor": 0.5}, "delay_dt": 200.0,
                "instants": list(instants),
                "annihilator_diffusivity": chain[0].k,
-               "source_fit_rms": fit_rms,
+               **fit_notes,
                "rerr_floor": "points with |u_ana| < 5% of max excluded (logged)"})
 
 

@@ -56,7 +56,7 @@ class CollocationSet:
         self.values = np.asarray(values, dtype=float)
         if self.kinds.shape != (n,) or self.values.shape != (n,):
             raise DomainError("kinds/values must match the point count")
-        bad = [k for k in np.unique(self.kinds) if k not in KINDS]
+        bad = sorted(set(self.kinds.tolist()) - set(KINDS))
         if bad:
             raise DomainError(f"unknown row kinds {bad}; valid: {KINDS}")
         if normals is None:
@@ -69,10 +69,12 @@ class CollocationSet:
             raise DomainError("times must match the point count")
         self.components = np.zeros(n, dtype=int) if components is None \
             else np.asarray(components, dtype=int)
-        for i in np.nonzero(self.kinds == NEUMANN)[0]:
-            nm = self.normals[i]
-            if not np.all(np.isfinite(nm)) or abs(np.linalg.norm(nm) - 1.0) > 1e-10:
-                raise DomainError(f"Neumann row {i} needs a unit normal")
+        rows = np.flatnonzero(self.kinds == NEUMANN)
+        nm = self.normals[rows]
+        length = np.sqrt((nm * nm).sum(axis=1))
+        unit = np.isfinite(nm).all(axis=1) & (np.abs(length - 1.0) <= 1e-10)
+        if not unit.all():
+            raise DomainError(f"Neumann row {rows[np.argmin(unit)]} needs a unit normal")
 
     def __len__(self):
         return self.points.shape[0]
@@ -115,12 +117,14 @@ def validate_source_separation(sources, colloc, min_rel=1e-10):
     """
     if sources.enhanced or sources.times is not None:
         return
-    scale = max(1.0, float(np.max(np.abs(colloc.points))) if len(colloc) else 1.0)
-    d2 = np.min(
-        np.einsum("nmi,nmi->nm",
-                  colloc.points[:, None, :] - sources.points[None, :, :],
-                  colloc.points[:, None, :] - sources.points[None, :, :]))
-    if math.sqrt(max(d2, 0.0)) <= min_rel * scale:
+    P, S = colloc.points, sources.points
+    scale = max(1.0, float(np.max(np.abs(P))) if len(colloc) else 1.0)
+    d2 = np.zeros((P.shape[0], S.shape[0]))   # squared distances, one coordinate at a time
+    diff = np.empty_like(d2)
+    for i in range(P.shape[1]):
+        np.subtract.outer(P[:, i], S[:, i], out=diff)
+        d2 += np.square(diff, out=diff)
+    if math.sqrt(float(np.min(d2))) <= min_rel * scale:
         raise DomainError("source points coincide with collocation points "
                           "(enhanced mode required for coincident centers)")
 

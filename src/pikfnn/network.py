@@ -139,7 +139,7 @@ def _fill_family_block(block, family, sources, colloc, governing):
     S = sources.points
     TAU = sources.times
     m = S.shape[0]
-    for kind in np.unique(colloc.kinds):
+    for kind in sorted(set(colloc.kinds.tolist())):
         rows = colloc.rows(kind)
         P = colloc.points[rows]
         T = colloc.times[rows] if colloc.times is not None else None
@@ -297,7 +297,10 @@ def fit_particular_weights(chain_families, sources, points, f_values,
     Householder QR of [[B D^-1, f], [a I, 0]] (Bjorck 1996).  Not the normal
     equations: B^T B loses the singular values below sqrt(eps) sigma_max,
     and the example5 smoke problem then misses its gate.  Returns (q, fit
-    rms); raises ConditioningError naming the first non-finite row of B or f.
+    rms, amplification max_j |q_j| |B_j| / |f|); an amplification >> 1 means
+    the fit cancels huge column terms (dependent columns with f outside the
+    range of B), which the fit rms does not show.  Raises ConditioningError
+    naming the first non-finite row of B or f.
     """
     B = np.hstack([kn.governing_applied_block(f, governing, points, sources.points,
                                               times, sources.times)
@@ -315,7 +318,8 @@ def fit_particular_weights(chain_families, sources, points, f_values,
     np.fill_diagonal(M[m:], max(m, n) * np.finfo(float).eps)
     R = np.linalg.qr(M, mode="r")
     q = np.linalg.solve(R[:n, :n], R[:n, n]) / D
-    return q, float(np.sqrt(np.mean((B @ q - f_values) ** 2)))
+    amplification = np.max(np.abs(q) * D) / max(np.linalg.norm(f_values), np.finfo(float).tiny)
+    return q, float(np.sqrt(np.mean((B @ q - f_values) ** 2))), float(amplification)
 
 
 def apply_row_weights(matrix, targets, weight_by_kind):

@@ -8,6 +8,7 @@ never in the CSVs).
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -213,7 +214,7 @@ def _worst(res, values):
 
 def _unit_direction(rng, dim):
     d = rng.normal(size=dim)
-    return d / np.linalg.norm(d)
+    return d / math.sqrt(d @ d)
 
 
 def _steady_check(family, n_points, seed):
@@ -287,8 +288,7 @@ def _elastic_check(family, n_points, seed):
     comps, X = [], []
     for _ in range(max(10, n_points // 5)):
         comps.append(int(rng.integers(1, 3)))
-        d = rng.normal(size=2)
-        d /= np.linalg.norm(d)
+        d = _unit_direction(rng, 2)
         X.append((0.5 + 1.5 * rng.random()) * d)
     X = np.asarray(X)
     n = len(X)

@@ -4,10 +4,11 @@ boundary/initial-data least-squares loss.
 The loss is a sum of per-row-kind group means (one group for boundary-only
 problems, boundary+initial for transient ones, boundary+interior for the
 enhanced mode).  The residual is linear in the weights, so both trainers
-share one scaled least-squares problem: the group-scaled design matrix J,
-targets y, A = J^T J and b = J^T y, built once.  LM takes one symmetric
-eigendecomposition D^{-1/2} A D^{-1/2} = V diag(s) V^T (D the damping
-diagonal, eigenvalues clamped at 0), so each trial step of
+share one scaled least-squares problem: the group-scaled design matrix J and
+targets y, built once.  Adam works on the residual r = J p - y alone (loss
+r.r, gradient 2 J^T r).  LM also forms A = J^T J and b = J^T y and takes one
+symmetric eigendecomposition D^{-1/2} A D^{-1/2} = V diag(s) V^T (D the
+damping diagonal, eigenvalues clamped at 0), so each trial step of
 (A + lambda D) delta = -J^T r is two mat-vecs and no factorization can fail.
 
 Both trainers update model.weights in place, are deterministic for a fixed
@@ -184,36 +185,61 @@ def init_weights(n, config):
 
 
 def train_adam(model, matrix, targets, config):
-    """Standard Adam with bias correction on the group-mean loss."""
+    """Standard Adam with bias correction on the group-mean loss.
+
+    Runs on the residual r = J p - y alone: the loss is r.r and the gradient
+    2 J^T r.  The moments are kept as m / (2 (1 - beta1)) and
+    v / (4 (1 - beta2)), so each update is m' = beta m' + (h, h*h) with
+    h = J^T r, and the (1 - beta) factors, the gradient's 2 and both bias
+    corrections fold into the step size and eps of each iteration (Kingma &
+    Ba 2015, section 2); the step is the textbook one up to rounding.
+    """
     prob = _ScaledProblem(matrix, targets, config.loss_mode)
-    p = init_weights(prob.J.shape[1], config)
+    rows, n = prob.J.shape
+    JyT = np.empty((n + 1, rows))   # [J, -y]^T: r = [p; 1] @ JyT = J p - y
+    JyT[:n] = prob.J.T
+    JyT[n] = -prob.y
+    JT = JyT[:n]
+    pe = np.ones(n + 1)
+    p = pe[:n]
+    p[:] = init_weights(n, config)
+    lr, b1, b2, eps, goal = config.lr, config.beta1, config.beta2, config.eps, config.loss_goal
     t0 = time.perf_counter()
-    cur = prob.loss_of(p)
-    history = [cur]
-    log = [(0, cur, config.lr, 1)]
-    done = config.loss_goal is not None and cur <= config.loss_goal
+    r = pe @ JyT
+    history = [float(r @ r)]
+    done = goal is not None and history[0] <= goal
     stop = "loss_goal" if done else "max_iters"
-    m = v = np.zeros_like(p)
+    beta = np.repeat([[b1], [b2]], n, axis=1)
+    mv = np.zeros((2, n))     # scaled first and second moments
+    hh = np.empty((2, n))     # h = J^T r and h * h
+    m, v = mv
+    h, hsq = hh
+    step = np.empty(n)
     it = 0
     for it in range(1, 1 if done else config.max_iters + 1):
-        g = 2.0 * (prob.A @ p - prob.b)
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        mhat = m / (1.0 - config.beta1 ** it)
-        vhat = v / (1.0 - config.beta2 ** it)
-        p = p - config.lr * mhat / (np.sqrt(vhat) + config.eps)
-        cur = prob.loss_of(p)
+        c = math.sqrt((1.0 - b2) / (1.0 - b2 ** it))
+        np.dot(JT, r, out=h)
+        np.square(h, out=hsq)
+        mv *= beta
+        mv += hh
+        np.sqrt(v, out=step)
+        step += eps / (2.0 * c)
+        np.divide(m, step, out=step)
+        step *= lr * (1.0 - b1) / ((1.0 - b1 ** it) * c)
+        p -= step
+        np.dot(pe, JyT, out=r)
+        cur = float(r.dot(r))
         if not math.isfinite(cur):
             raise DivergenceError(f"non-finite loss at iteration {it}", iteration=it)
         history.append(cur)
-        log.append((it, cur, config.lr, 1))
-        if config.loss_goal is not None and cur <= config.loss_goal:
+        if goal is not None and cur <= goal:
             stop = "loss_goal"
             break
-        if it >= 100 and abs(history[-1] - history[-101]) < config.tol:
+        if it >= 100 and abs(cur - history[-101]) < config.tol:
             stop = "tol_loss"
             break
-    model.weights = p
+    model.weights = p.copy()
+    log = [(i, value, lr, 1) for i, value in enumerate(history)]
     return TrainReport(history, history[-1], it, stop, time.perf_counter() - t0, log)
 
 

@@ -138,6 +138,26 @@ def test_source_separation_guard():
     validate_source_separation(enhanced, colloc)  # no raise
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_source_separation_threshold(dim):
+    # one source sits delta from collocation row 3; the guard trips at
+    # delta <= 1e-10 * max(1, max |x|), whichever coordinate carries delta
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-2.0, 2.0, size=(7, dim))
+    colloc = CollocationSet(pts, ["D"] * 7, np.zeros(7))
+    scale = float(np.max(np.abs(pts)))
+    for axis in range(dim):
+        for factor, raises in ((0.5, True), (2.0, False)):
+            src = rng.uniform(5.0, 6.0, size=(5, dim))
+            src[2] = pts[3]
+            src[2, axis] += factor * 1e-10 * scale
+            if raises:
+                with pytest.raises(DomainError, match="coincide"):
+                    validate_source_separation(SourceSet(src), colloc)
+            else:
+                validate_source_separation(SourceSet(src), colloc)
+
+
 # ---------------------------------------------------------------------------
 # space-time grids
 
@@ -258,6 +278,21 @@ def test_node_validation():
         CollocationSet([[0, 0]], ["N"], [0.0])  # Neumann without a normal
     with pytest.raises(DomainError):
         CollocationSet([[0, 0]], ["X"], [0.0])
+
+
+def test_collocation_names_first_bad_neumann_row_and_unknown_kinds():
+    pts = np.zeros((6, 2))
+    normals = np.full((6, 2), np.nan)
+    normals[[1, 3, 5]] = [[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]]
+    kinds = ["D", "N", "D", "N", "I", "N"]
+    CollocationSet(pts, kinds, np.zeros(6), normals=normals)  # D/I rows need no normal
+    for bad_normal in ([np.nan, 0.0], [1.0, 1e-4]):
+        bad = normals.copy()
+        bad[3] = bad[5] = bad_normal
+        with pytest.raises(DomainError, match=r"Neumann row 3 needs a unit normal"):
+            CollocationSet(pts, kinds, np.zeros(6), normals=bad)
+    with pytest.raises(DomainError, match=r"unknown row kinds \['Q', 'X'\]"):
+        CollocationSet(pts, ["X", "D", "Q", "X", "D", "D"], np.zeros(6))
 
 
 def test_interior_torus_inside():

@@ -399,7 +399,7 @@ def test_prefit_matches_lstsq_on_full_column_rank(seed, n, extra, log_cond):
     # follows it rather than a flat 1e-10
     B, rng = _matrix(seed, n + extra, n, log_cond)
     f = B @ rng.standard_normal(n)
-    q, rms = _prefit(f, B)
+    q, rms, _ = _prefit(f, B)
     ref, *_ = np.linalg.lstsq(B, f, rcond=None)
     tol = max(1e-10, 4.0 * 10.0 ** log_cond * EPS)
     assert np.linalg.norm(q - ref) <= tol * np.linalg.norm(ref)
@@ -415,7 +415,7 @@ def test_prefit_residual_on_wide_matrices(seed, m, extra, log_cond):
     # rounding, eps cond |f|, for either solver
     B, rng = _matrix(seed, m, m + extra, log_cond)
     f = rng.standard_normal(m)
-    q, _ = _prefit(f, B)
+    q, _, _ = _prefit(f, B)
     ref, *_ = np.linalg.lstsq(B, f, rcond=None)
     assert np.all(np.isfinite(q))
     assert np.linalg.norm(B @ q - f) <= np.linalg.norm(B @ ref - f) + 1e-12 * np.linalg.norm(f)
@@ -429,21 +429,39 @@ def test_prefit_with_a_duplicated_column(seed, n, extra, log_cond):
     B, rng = _matrix(seed, n + extra + 1, n, log_cond)
     B = np.column_stack([B, B[:, rng.integers(n)]])
     f = B @ rng.standard_normal(n + 1)
-    q, _ = _prefit(f, B)
+    q, _, _ = _prefit(f, B)
     ref, *_ = np.linalg.lstsq(B, f, rcond=None)
     assert np.all(np.isfinite(q))
     assert np.linalg.norm(B @ q - f) <= np.linalg.norm(B @ ref - f) + 1e-12 * np.linalg.norm(f)
     assert np.linalg.norm(q) <= 2.0 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_prefit_amplification_reports_cancelling_weights(seed):
+    # a repeated column with f outside the range of B: the Tikhonov term is
+    # at rounding level, so the weights blow up while the fit rms stays
+    # near lstsq's; the amplification max_j |q_j| |B_j| / |f| shows it
+    B, rng = _matrix(seed, 12, 6, 2.0)
+    B = np.column_stack([B, B[:, 2]])
+    f = rng.standard_normal(12)
+    q, rms, amplification = _prefit(f, B)
+    assert amplification == pytest.approx(
+        np.max(np.abs(q) * np.linalg.norm(B, axis=0)) / np.linalg.norm(f))
+    assert amplification > 1e6
+    ref, *_ = np.linalg.lstsq(B, f, rcond=None)
+    assert rms <= 1.1 * np.sqrt(np.mean((B @ ref - f) ** 2))
+    # the same B with f in its range: no cancellation
+    assert _prefit(B @ rng.standard_normal(7), B)[2] < 1e2
+
+
 def test_prefit_gives_zero_weights_to_an_all_zero_block():
     # a chain family that already solves L0 contributes an all-zero block
     B, rng = _matrix(3, 9, 4, 2.0)
     f = rng.standard_normal(9)
-    q, _ = _prefit(f, B, np.zeros((9, 3)))
+    q, _, _ = _prefit(f, B, np.zeros((9, 3)))
     assert np.all(np.isfinite(q)) and np.all(q[4:] == 0.0)
     assert np.allclose(q[:4], np.linalg.lstsq(B, f, rcond=None)[0], rtol=1e-10)
-    q, rms = _prefit(f, np.zeros((9, 3)))
+    q, rms, _ = _prefit(f, np.zeros((9, 3)))
     assert np.all(q == 0.0) and rms == pytest.approx(np.sqrt(np.mean(f ** 2)))
 
 

@@ -139,6 +139,31 @@ def test_init_weights():
 # ---------------------------------------------------------------------------
 # Adam
 
+def textbook_adam(entries, targets, config, steps):
+    """Adam as Kingma & Ba write it, on the one-group boundary loss: the
+    reference for train_adam.  Returns (loss history, weights, iteration of
+    the first non-finite loss or None)."""
+    scale = 1.0 / math.sqrt(entries.shape[0])
+    J, y = entries * scale, np.asarray(targets, dtype=float) * scale
+    b1, b2 = config.beta1, config.beta2
+    p = np.random.default_rng(config.seed).uniform(-1.0, 1.0, size=J.shape[1])
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    history = [float((J @ p - y) @ (J @ p - y))]
+    for t in range(1, steps + 1):
+        g = 2.0 * J.T @ (J @ p - y)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        mhat = m / (1.0 - b1 ** t)
+        vhat = v / (1.0 - b2 ** t)
+        p = p - config.lr * mhat / (np.sqrt(vhat) + config.eps)
+        r = J @ p - y
+        history.append(float(r @ r))
+        if not math.isfinite(history[-1]):
+            return history, p, t
+    return history, p, None
+
+
 def test_adam_first_step_sign():
     # constant gradient ~ 2: first update = -lr * sign(g) up to eps
     model = toy_model(1)
@@ -180,6 +205,62 @@ def test_adam_divergence_raises():
     with pytest.raises(DivergenceError) as err:
         train_adam(model, mtx, [1.0], cfg)
     assert err.value.iteration is not None
+    with np.errstate(all="ignore"):
+        _, _, first_bad = textbook_adam(mtx.entries, [1.0], cfg, cfg.max_iters)
+    assert err.value.iteration == first_bad == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), extra=st.integers(2, 24),
+       log_lr=st.floats(-3.0, -1.0))
+def test_adam_matches_textbook_adam(seed, n, extra, log_lr):
+    # more rows than weights keeps the optimal loss away from 0, so the
+    # relative comparison is about rounding, not about a vanishing loss;
+    # tol this small stops only on a loss repeated exactly 100 steps apart
+    rng = np.random.default_rng(seed)
+    model, mtx, targets = random_instance(rng, n=n + extra, m=n)
+    cfg = TrainConfig(optimizer="adam", lr=10.0 ** log_lr, max_iters=300, tol=1e-300,
+                      seed=seed)
+    report = train_adam(model, mtx, targets, cfg)
+    assert report.iters >= 200 and report.stop_reason in ("max_iters", "tol_loss")
+    ref, p, _ = textbook_adam(mtx.entries, targets, cfg, report.iters)
+    assert len(report.loss_history) == report.iters + 1
+    np.testing.assert_allclose(report.loss_history, ref, rtol=1e-9, atol=0.0)
+    assert np.max(np.abs(model.weights - p)) <= 1e-10 * np.max(np.abs(p))
+
+
+def test_adam_without_loss_goal_runs_to_max_iters():
+    rng = np.random.default_rng(17)
+    model, mtx, targets = random_instance(rng, n=12, m=5)
+    cfg = TrainConfig(optimizer="adam", lr=1e-2, max_iters=150, tol=1e-300, seed=2)
+    assert cfg.loss_goal is None
+    report = train_adam(model, mtx, targets, cfg)
+    assert (report.iters, report.stop_reason) == (150, "max_iters")
+    assert report.log_rows == [(i, value, cfg.lr, 1)
+                               for i, value in enumerate(report.loss_history)]
+    assert report.final_loss == report.loss_history[-1]
+    # the weights are the model's own array, not a view of a training buffer
+    assert model.weights.shape == (5,) and model.weights.base is None
+    assert model.weights.flags.owndata
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_adam_tol_loss_stop_matches_textbook(seed):
+    # tol sits between the textbook run's first |loss_t - loss_{t-100}| that
+    # drops below it and every earlier one, by a factor far above rounding
+    rng = np.random.default_rng(seed)
+    model, mtx, targets = random_instance(rng, n=14, m=6)
+    probe = TrainConfig(optimizer="adam", lr=1e-2, max_iters=3000, tol=1e-300, seed=seed)
+    ref, _, _ = textbook_adam(mtx.entries, targets, probe, 3000)
+    ref = np.asarray(ref)
+    window = np.abs(ref[100:] - ref[:-100])
+    stop_at = 100 + int(np.argmax(window < 1e-3 * window[0]))
+    assert window[stop_at - 100] < 1e-3 * window[0] <= np.min(window[:stop_at - 100])
+    tol = math.sqrt(window[stop_at - 100] * np.min(window[:stop_at - 100]))
+    cfg = TrainConfig(optimizer="adam", lr=1e-2, max_iters=3000, tol=tol, seed=seed)
+    report = train_adam(model, mtx, targets, cfg)
+    assert (report.iters, report.stop_reason) == (stop_at, "tol_loss")
+    np.testing.assert_allclose(report.loss_history, ref[:stop_at + 1], rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
