@@ -117,16 +117,29 @@ def validate_source_separation(sources, colloc, min_rel=1e-10):
     """
     if sources.enhanced or sources.times is not None:
         return
-    P, S = colloc.points, sources.points
+    P = colloc.points
     scale = max(1.0, float(np.max(np.abs(P))) if len(colloc) else 1.0)
-    d2 = np.zeros((P.shape[0], S.shape[0]))   # squared distances, one coordinate at a time
-    diff = np.empty_like(d2)
-    for i in range(P.shape[1]):
-        np.subtract.outer(P[:, i], S[:, i], out=diff)
-        d2 += np.square(diff, out=diff)
-    if math.sqrt(float(np.min(d2))) <= min_rel * scale:
+    if math.sqrt(float(np.min(pairwise_sq_dist(P, sources.points)))) <= min_rel * scale:
         raise DomainError("source points coincide with collocation points "
                           "(enhanced mode required for coincident centers)")
+
+
+def pairwise_sq_dist(X, S):
+    """|x_i - s_j|^2 for X (n, dim) and S (m, dim), as an (n, m) array.
+
+    Squared coordinate differences are added one coordinate at a time, in
+    index order, so no (n, m, dim) difference tensor is built and every entry
+    is the same sum whatever rows or columns the block holds.
+    """
+    X = np.asarray(X, dtype=float)
+    S = np.asarray(S, dtype=float)
+    d2 = np.subtract.outer(X[:, 0], S[:, 0])
+    np.square(d2, out=d2)
+    diff = np.empty_like(d2)
+    for i in range(1, X.shape[1]):
+        np.subtract.outer(X[:, i], S[:, i], out=diff)
+        d2 += np.square(diff, out=diff)
+    return d2
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import operators as ops
 from .errors import DomainError, SingularityError, UnsupportedKernelError
+from .geometry import pairwise_sq_dist
 from .operators import OperatorSpec, high_order_coeffs
 from .special_functions import (assoc_legendre_block, bessel_block, load_bessel_table,
                                 spherical_bessel_block)
@@ -324,15 +325,15 @@ def _harmonic_sum(c, dx, dim):
 # ---------------------------------------------------------------------------
 # time-dependent kernels; theta(0) = 0 so dt <= 0 contributes nothing
 
-def _time_block(family, dx, dt):
+def _time_block(family, r2, dt):
+    """Kernel values for squared distances r2 and time lags dt (broadcast)."""
     op = family.operator
     dim = op.dim
-    r2 = np.einsum("...i,...i->...", dx, dx)
     dt = np.asarray(dt, dtype=float)
     kind = family.kind
 
     if kind == TIME_FUNDAMENTAL and op.kind == ops.HEAT:
-        return _heat_like(r2, np.broadcast_to(dt, r2.shape), op.k, dim)
+        return _heat_like(r2, dt, op.k, dim)
     if kind == TIME_FUNDAMENTAL and op.kind == ops.WAVE:
         r = np.sqrt(r2)
         active = op.c1 * dt > r
@@ -371,27 +372,32 @@ def _heat_like(q, dtg, kdiff, dim):
     reduction is bit-for-bit.
     """
     active = dtg > 0.0
-    # the whole block runs, inactive entries on dtg = 1 (finite, no warnings)
-    denom = 4.0 * kdiff * np.where(active, dtg, 1.0)
-    vals = np.exp(-q / denom)
-    vals /= (math.pi * denom) ** (0.5 * dim)
-    return np.where(active, vals, 0.0)
+    # the whole block runs, inactive entries on dtg = 1 (finite, no warnings),
+    # in one output and one denominator buffer
+    denom = np.where(active, dtg, 1.0)
+    denom *= 4.0 * kdiff
+    vals = np.divide(q, denom)
+    np.negative(vals, out=vals)
+    np.exp(vals, out=vals)
+    denom *= math.pi
+    denom **= 0.5 * dim
+    vals /= denom
+    np.copyto(vals, 0.0, where=~active)
+    return vals
 
 
-def structural_kernel_block(family, x, t, s, tau):
-    """Eq.-(12)-type kernel on explicit space-time arguments.
+def structural_kernel_block(family, X, T, S, TAU):
+    """Eq.-(12)-type kernel block: rows = field points X (n, dim) at times T
+    (n,), columns = sources S (m, dim) at times TAU (m,).
 
-    x: (..., dim); t: (...); s: (..., dim); tau: (...).  Applies the
-    structural maps componentwise in space and to both times.
+    The structural maps act componentwise, once on each point set and each
+    time vector; q = |F(x) - F(s)|^2 is then a pairwise squared distance.
     """
     op = family.operator
     gfun, _ = ops.structural_fn(op.structural_t, op.alpha)
     ffun, _ = ops.structural_fn(op.structural_x, op.beta)
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    diff = ffun(x) - ffun(s)
-    q = np.einsum("...i,...i->...", diff, diff)
-    dtg = gfun(np.asarray(t, dtype=float)) - gfun(np.asarray(tau, dtype=float))
+    q = pairwise_sq_dist(ffun(np.asarray(X, dtype=float)), ffun(np.asarray(S, dtype=float)))
+    dtg = np.subtract.outer(gfun(np.asarray(T, dtype=float)), gfun(np.asarray(TAU, dtype=float)))
     return _heat_like(q, dtg, op.diffusion, op.dim)
 
 
@@ -414,11 +420,7 @@ def eval_kernel(family, field_point, source_point):
     if family.operator.is_time_dependent:
         if t is None or tau is None:
             raise DomainError("time kernels need t on the field point and tau on the source")
-        if family.operator.kind == ops.STRUCTURAL_DIFFUSION:
-            return float(structural_kernel_block(
-                family, x.reshape(1, -1), np.asarray([t]),
-                s.reshape(1, -1), np.asarray([tau]))[0])
-        return float(_time_block(family, (x - s).reshape(1, -1), np.asarray([t - tau]))[0])
+        return float(kernel_block(family, x.reshape(1, -1), s.reshape(1, -1), [t], [tau])[0, 0])
     val = _steady_block(family, (x - s).reshape(1, -1))[0]
     if np.iscomplexobj(val):
         return complex(val)
@@ -505,8 +507,8 @@ def _gradient_fd(family, dx, dt):
         dp[..., i] += h
         dm[..., i] -= h
         if family.operator.is_time_dependent:
-            fp = _time_block(family, dp, dt)
-            fm = _time_block(family, dm, dt)
+            fp = _time_block(family, np.einsum("...i,...i->...", dp, dp), dt)
+            fm = _time_block(family, np.einsum("...i,...i->...", dm, dm), dt)
         else:
             fp = _steady_block(family, dp)
             fm = _steady_block(family, dm)
@@ -582,15 +584,21 @@ def heat_time_derivative_block(family, X, S, T, TAU):
     if op.kind != ops.HEAT or family.kind != TIME_FUNDAMENTAL:
         raise UnsupportedKernelError("analytic time derivative covers the heat "
                                      "fundamental kernel only")
-    X = np.asarray(X, dtype=float)
-    S = np.asarray(S, dtype=float)
-    dx = X[:, None, :] - S[None, :, :]
-    q = np.einsum("...i,...i->...", dx, dx)
-    dt = np.asarray(T, dtype=float)[:, None] - np.asarray(TAU, dtype=float)[None, :]
-    G = _heat_like(q, dt, op.k, op.dim)
-    active = dt > 0.0
-    dt = np.where(active, dt, 1.0)
-    return np.where(active, G * (q / (4.0 * op.k * dt ** 2) - 0.5 * op.dim / dt), 0.0)
+    q = pairwise_sq_dist(X, S)
+    dt = np.subtract.outer(np.asarray(T, dtype=float), np.asarray(TAU, dtype=float))
+    out = _heat_like(q, dt, op.k, op.dim)
+    inactive = ~(dt > 0.0)
+    # G (q / (4 k dt^2) - d / (2 dt)), inactive entries on dt = 1, in place:
+    # q becomes the first term and dt the second
+    np.copyto(dt, 1.0, where=inactive)
+    den = np.square(dt)
+    den *= 4.0 * op.k
+    q /= den
+    np.divide(0.5 * op.dim, dt, out=dt)
+    q -= dt
+    out *= q
+    np.copyto(out, 0.0, where=inactive)
+    return out
 
 
 def governing_applied_block(family, governing, X, S, T=None, TAU=None):
@@ -829,17 +837,11 @@ def kernel_block(family, X, S, T=None, TAU=None, real=True):
     if family.operator.is_time_dependent:
         if T is None or TAU is None:
             raise DomainError("time kernels need T (rows) and TAU (columns)")
-        T = np.asarray(T, dtype=float)[:, None]
-        TAU = np.asarray(TAU, dtype=float)[None, :]
         if family.operator.kind == ops.STRUCTURAL_DIFFUSION:
-            nx = X[:, None, :]
-            ns = S[None, :, :]
-            return structural_kernel_block(
-                family, np.broadcast_to(nx, (X.shape[0], S.shape[0], X.shape[1])),
-                np.broadcast_to(T, (X.shape[0], S.shape[0])),
-                np.broadcast_to(ns, (X.shape[0], S.shape[0], X.shape[1])),
-                np.broadcast_to(TAU, (X.shape[0], S.shape[0])))
-        return _time_block(family, X[:, None, :] - S[None, :, :], T - TAU)
+            return structural_kernel_block(family, X, T, S, TAU)
+        r2 = pairwise_sq_dist(X, S)
+        return _time_block(family, r2, np.subtract.outer(np.asarray(T, dtype=float),
+                                                         np.asarray(TAU, dtype=float)))
     vals = _steady_block(family, X[:, None, :] - S[None, :, :])
     if real and np.iscomplexobj(vals):
         vals = vals.real

@@ -293,33 +293,47 @@ def fit_particular_weights(chain_families, sources, points, f_values,
 
     B is numerically rank-deficient (cond ~1e17 on example5), so q minimizes
     |B q - f|^2 + a^2 |D q|^2: D the column norms of B (1 if zero), a =
-    max(m, n) eps (lstsq's default cut-off on unit columns), solved by one
-    Householder QR of [[B D^-1, f], [a I, 0]] (Bjorck 1996).  Not the normal
-    equations: B^T B loses the singular values below sqrt(eps) sigma_max,
-    and the example5 smoke problem then misses its gate.  Returns (q, fit
-    rms, amplification max_j |q_j| |B_j| / |f|); an amplification >> 1 means
-    the fit cancels huge column terms (dependent columns with f outside the
-    range of B), which the fit rms does not show.  Raises ConditioningError
-    naming the first non-finite row of B or f.
+    max(m, n, 16) eps (lstsq's default cut-off on unit columns; at least
+    16 eps, so that on small blocks too it dominates the QR's rounding in an
+    exactly dependent direction, about sqrt(m) eps), solved by one
+    Householder QR of [[B D^-1, f], [a I, 0]] (Bjorck 1996).  Each chain block
+    is written into that matrix and scaled there.  Not the normal equations:
+    B^T B loses the singular values below sqrt(eps) sigma_max, and the
+    example5 smoke problem then misses its gate.  Returns (q, fit rms,
+    amplification max_j |q_j| D_j / |f|); an amplification >> 1 means the fit
+    cancels huge column terms (dependent columns with f outside the range of
+    B), which the fit rms does not show.  Raises ConditioningError naming the
+    first non-finite row of B or f.
     """
-    B = np.hstack([kn.governing_applied_block(f, governing, points, sources.points,
-                                              times, sources.times)
-                   for f in chain_families])
-    f_values = np.asarray(f_values, dtype=float)
-    bad = np.flatnonzero(~(np.isfinite(B).all(axis=1) & np.isfinite(f_values)))
+    blocks = [kn.governing_applied_block(fam, governing, points, sources.points,
+                                         times, sources.times) for fam in chain_families]
+    m, n = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
+    M = np.zeros((m + n, n + 1))
+    np.concatenate(blocks, axis=1, out=M[:m, :n])
+    del blocks  # freed before the QR copies M
+    M[:m, n] = f_values
+    bad = np.flatnonzero(~np.isfinite(M[:m]).all(axis=1))
     if bad.size:
         raise ConditioningError(f"pre-fit row {bad[0]} has a non-finite entry or source value")
-    m, n = B.shape
-    D = np.linalg.norm(B, axis=0)
+    B, f = M[:m, :n], M[:m, n]
+    D = np.sqrt(np.einsum("ij,ij->j", B, B))
     D[D == 0.0] = 1.0
-    M = np.zeros((m + n, n + 1))
-    M[:m, :n] = B / D
-    M[:m, n] = f_values
-    np.fill_diagonal(M[m:], max(m, n) * np.finfo(float).eps)
+    B /= D
+    np.fill_diagonal(M[m:], max(m, n, 16) * np.finfo(float).eps)
     R = np.linalg.qr(M, mode="r")
-    q = np.linalg.solve(R[:n, :n], R[:n, n]) / D
-    amplification = np.max(np.abs(q) * D) / max(np.linalg.norm(f_values), np.finfo(float).tiny)
-    return q, float(np.sqrt(np.mean((B @ q - f_values) ** 2))), float(amplification)
+    y = _solve_upper(R[:n, :n], R[:n, n])
+    q = y / D
+    amplification = np.max(np.abs(q) * D) / max(np.linalg.norm(f), np.finfo(float).tiny)
+    return q, float(np.sqrt(np.mean((B @ y - f) ** 2))), float(amplification)
+
+
+def _solve_upper(R, c):
+    """y with R y = c for upper-triangular R, by back-substitution (numpy has
+    no triangular solver, and an LU of R would redo the QR's work)."""
+    y = np.empty(len(c))
+    for i in range(len(c) - 1, -1, -1):
+        y[i] = (c[i] - R[i, i + 1:] @ y[i + 1:]) / R[i, i]
+    return y
 
 
 def apply_row_weights(matrix, targets, weight_by_kind):

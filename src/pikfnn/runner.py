@@ -154,8 +154,8 @@ def _write_outputs(result, seed):
         },
         "train": {"optimizer": setup.train.optimizer, "wall_time_s": rep.wall_time} | {
             key: getattr(rep, key) for key in ("final_loss", "iters", "stop_reason",
-                                               "cond_estimate", "effective_rank",
-                                               "rejected_steps")},
+                                               "cond_estimate", "cond_is_lower_bound",
+                                               "effective_rank", "rejected_steps")},
         "notes": setup.notes,
     }
     summary.update(result.extras)

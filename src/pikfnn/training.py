@@ -71,7 +71,9 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """cond_estimate, effective_rank: of J D^{-1/2}, LM only (see _Damping)."""
+    """cond_estimate, effective_rank: of J D^{-1/2}, LM only (see _Damping).
+    cond_is_lower_bound: the spectrum does not resolve the condition number,
+    and cond_estimate is the resolution floor 1/sqrt(n eps)."""
 
     loss_history: list
     final_loss: float
@@ -82,6 +84,7 @@ class TrainReport:
     cond_estimate: float = None
     effective_rank: int = None
     rejected_steps: int = 0
+    cond_is_lower_bound: bool = None
 
 
 def _groups(matrix, mode):
@@ -150,7 +153,8 @@ class _Damping:
     -D^{-1/2} V diag(1/(s + lam)) V^T D^{-1/2} g.  s holds the squared
     singular values of J D^{-1/2}: those at or below n eps s_max are roundoff,
     so they bound the effective rank, and the condition number
-    sqrt(s_max / s_min) resolves only up to 1/sqrt(n eps).
+    sqrt(s_max / s_min) resolves only up to 1/sqrt(n eps): below full rank
+    the estimate is that floor, a lower bound.
     """
 
     def __init__(self, A, marquardt):
@@ -169,6 +173,7 @@ class _Damping:
         self.effective_rank = int(np.count_nonzero(self.s > tol))
         self.cond_estimate = (math.sqrt(self.s[-1] / max(self.s[0], tol))
                               if self.effective_rank else math.inf)
+        self.cond_is_lower_bound = self.effective_rank < len(s)
 
     def step(self, g, lam):
         return -self.root * (self.V @ ((self.V.T @ (self.root * g)) / (self.s + lam)))
@@ -292,7 +297,7 @@ def train_lm(model, matrix, targets, config):
     model.weights = p
     return TrainReport(history, history[-1], it, stop, time.perf_counter() - t0, log,
                        damping.cond_estimate, damping.effective_rank,
-                       sum(1 for row in log if row[3] == 0))
+                       sum(1 for row in log if row[3] == 0), damping.cond_is_lower_bound)
 
 
 def write_loss_csv(path, report):

@@ -123,6 +123,8 @@ def test_summary_reports_solve_diagnostics(tmp_path):
     rep = res.train_report
     assert train["effective_rank"] == rep.effective_rank <= res.model.width
     assert train["cond_estimate"] == rep.cond_estimate >= 1.0
+    assert train["cond_is_lower_bound"] is rep.cond_is_lower_bound is (
+        rep.effective_rank < res.model.width)
     assert train["rejected_steps"] == rep.rejected_steps
     # the diagnostics stay out of the CSVs
     assert (tmp_path / "loss.csv").read_text().splitlines()[0] == \

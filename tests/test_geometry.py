@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pikfnn.errors import DomainError, NodeFileError
 from pikfnn.geometry import (
@@ -15,6 +17,7 @@ from pikfnn.geometry import (
     load_nodes,
     nodes_normals,
     nodes_points,
+    pairwise_sq_dist,
     save_nodes,
     validate_source_separation,
 )
@@ -160,6 +163,28 @@ def test_source_separation_threshold(dim):
 
 # ---------------------------------------------------------------------------
 # space-time grids
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), m=st.integers(1, 9),
+       dim=st.integers(1, 4))
+def test_pairwise_sq_dist_splits_transposes_and_sums_in_order(seed, n, m, dim):
+    # coordinates of very different sizes, so the order of the sum shows
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-4.0, 4.0, size=dim)
+    X = rng.standard_normal((n, dim)) * scales
+    S = rng.standard_normal((m, dim)) * scales
+    d2 = pairwise_sq_dist(X, S)
+    ordered = (X[:, None, 0] - S[None, :, 0]) ** 2
+    for i in range(1, dim):
+        ordered = ordered + (X[:, None, i] - S[None, :, i]) ** 2
+    assert d2.shape == (n, m) and np.array_equal(d2, ordered)
+    i, j = rng.integers(0, n + 1), rng.integers(0, m + 1)
+    assert np.array_equal(np.concatenate([pairwise_sq_dist(X[:i], S),
+                                          pairwise_sq_dist(X[i:], S)]), d2)
+    assert np.array_equal(np.concatenate([pairwise_sq_dist(X, S[:j]),
+                                          pairwise_sq_dist(X, S[j:])], axis=1), d2)
+    assert np.array_equal(pairwise_sq_dist(S, X), d2.T)
+
 
 def test_spacetime_grid_counts_paper_numbers():
     boundary = gen_boundary("circle", 998, r=1.0)

@@ -4,6 +4,7 @@ formulas (the scalar entry points are 1x1 views of the block path), and the
 unmasked time kernels equal their masked gather/scatter form bit for bit."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -242,7 +243,17 @@ def test_elastic_rows_partition_freely(ident, X, S, theta, kinds, comps, split):
 
 
 # ---------------------------------------------------------------------------
-# time kernels: np.where form against the masked gather/scatter form it replaced
+# time kernels: np.where form against the masked gather/scatter form it replaced,
+# on squared distances summed coordinate by coordinate in index order (the
+# order geometry.pairwise_sq_dist uses)
+
+def _ordered_sq_dist(x, s):
+    d = x - s
+    q = d[..., 0] * d[..., 0]
+    for i in range(1, d.shape[-1]):
+        q = q + d[..., i] * d[..., i]
+    return q
+
 
 def _masked_heat_like(q, dtg, kdiff, dim):
     out = np.zeros(np.broadcast_shapes(np.shape(q), np.shape(dtg)))
@@ -258,8 +269,7 @@ def _masked_heat_like(q, dtg, kdiff, dim):
 
 
 def _masked_heat_time_derivative(op, X, S, T, TAU):
-    dx = X[:, None, :] - S[None, :, :]
-    q = np.einsum("...i,...i->...", dx, dx)
+    q = _ordered_sq_dist(X[:, None, :], S[None, :, :])
     dt = T[:, None] - TAU[None, :]
     G = _masked_heat_like(q, dt, op.k, op.dim)
     out = np.zeros_like(G)
@@ -272,16 +282,14 @@ def _masked_heat_time_derivative(op, X, S, T, TAU):
 def _masked_structural(op, x, t, s, tau):
     gfun, _ = structural_fn(op.structural_t, op.alpha)
     ffun, _ = structural_fn(op.structural_x, op.beta)
-    diff = ffun(x) - ffun(s)
-    q = np.einsum("...i,...i->...", diff, diff)
+    q = _ordered_sq_dist(ffun(x), ffun(s))
     dtg = np.broadcast_to(gfun(t) - gfun(tau), q.shape)
     return _masked_heat_like(q, dtg, op.diffusion, op.dim)
 
 
 def _masked_wave_and_trefftz(family, X, S, T, TAU):
     op, dim = family.operator, family.operator.dim
-    dx = X[:, None, :] - S[None, :, :]
-    r2 = np.einsum("...i,...i->...", dx, dx)
+    r2 = _ordered_sq_dist(X[:, None, :], S[None, :, :])
     r, dt = np.sqrt(r2), T[:, None] - TAU[None, :]
     out = np.zeros(r.shape)
     if family.kind == kernels.TIME_FUNDAMENTAL:  # wave
@@ -331,13 +339,12 @@ def test_heat_blocks_match_masked_form_bitwise(seed, sign, dim):
     X, S, T, TAU = _space_time_block(seed, sign, dim)
     op = OperatorSpec("heat", dim, k=0.37)
     family = kernels.KernelFamily("time-fundamental", op)
-    dx = X[:, None, :] - S[None, :, :]
     dt = T[:, None] - TAU[None, :]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = kernel_block(family, X, S, T, TAU)
         rate = kernels.heat_time_derivative_block(family, X, S, T, TAU)
-    reference = _masked_heat_like(np.einsum("...i,...i->...", dx, dx), dt, op.k, dim)
+    reference = _masked_heat_like(_ordered_sq_dist(X[:, None, :], S[None, :, :]), dt, op.k, dim)
     assert _bitwise_equal(values, reference)
     assert _bitwise_equal(rate, _masked_heat_time_derivative(op, X, S, T, TAU))
     if sign == "nonpositive":
@@ -369,12 +376,33 @@ def test_structural_block_matches_masked_form_bitwise(seed, sign, maps):
     op = OperatorSpec("structural-diffusion", 2, diffusion=0.8, alpha=0.7,
                       beta=1.3, structural_t=maps[0], structural_x=maps[1])
     family = kernels.KernelFamily("time-fundamental", op)
-    # broadcast (not materialized) inputs, as well as the kernel_block route
+    # the maps act on the point sets; the reference applies them to every pair
     x, t, s, tau = X[:, None, :], T[:, None], S[None, :, :], TAU[None, :]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        broadcast = kernels.structural_kernel_block(family, x, t, s, tau)
+        block = kernels.structural_kernel_block(family, X, T, S, TAU)
         values = kernel_block(family, X, S, T, TAU)
     reference = _masked_structural(op, x, t, s, tau)
-    assert _bitwise_equal(broadcast, reference)
+    assert _bitwise_equal(block, reference)
     assert _bitwise_equal(values, reference)
+
+
+def _peak_bytes(fn):
+    """Peak of the memory fn allocates through Python and numpy, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("block", ["values", "time-derivative"])
+def test_heat_blocks_allocate_at_most_five_block_sizes(block):
+    # a (300, 400) 3D heat block builds no (n, m, dim) tensor and no chain of
+    # full-size temporaries: its peak stays within 5 blocks of float64
+    X, S, T, TAU = _space_time_block(7, "mixed", 3, n=300, m=400)
+    family = kernels.KernelFamily("time-fundamental", OperatorSpec("heat", 3, k=0.37))
+    fn = kernel_block if block == "values" else kernels.heat_time_derivative_block
+    assert _peak_bytes(lambda: fn(family, X, S, T, TAU)) <= 5 * 300 * 400 * 8

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pikfnn import kernels
@@ -21,6 +22,7 @@ from pikfnn.kernels import KernelFamily, eval_elasticity_kernel, eval_kernel
 from pikfnn.network import (
     DesignMatrix,
     PikfnnModel,
+    _solve_upper,
     apply_row_weights,
     assemble,
     family_width,
@@ -424,6 +426,7 @@ def test_prefit_residual_on_wide_matrices(seed, m, extra, log_cond):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), extra=st.integers(0, 8),
        log_cond=st.floats(0.0, 6.0))
+@example(seed=444176, n=1, extra=1, log_cond=0.0)  # 3 x 2: 13 times lstsq's weights at a = 3 eps
 def test_prefit_with_a_duplicated_column(seed, n, extra, log_cond):
     # exactly dependent neurons, f in the range of B as the source term is
     B, rng = _matrix(seed, n + extra + 1, n, log_cond)
@@ -477,3 +480,33 @@ def test_prefit_names_first_non_finite_row(where, bad):
         f[5] = bad
     with pytest.raises(ConditioningError, match="row 5 "):
         _prefit(f, B)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+def test_back_substitution_matches_solve(n):
+    # R a view with a wider row stride, as in the pre-fit
+    rng = np.random.default_rng(n)
+    R = np.linalg.qr(rng.standard_normal((n + 5, n + 1)), mode="r")
+    c = rng.standard_normal(n)
+    y = _solve_upper(R[:n, :n], c)
+    reference = np.linalg.solve(R[:n, :n], c)
+    assert np.linalg.norm(y - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_prefit_allocates_at_most_three_stacked_matrices():
+    # 300 rows x 400 sources of a 3D heat chain: the blocks are written into
+    # the stacked (700, 401) matrix, not copied and scaled around it
+    rng = np.random.default_rng(11)
+    X, S = rng.uniform(0.0, 2.0, (300, 3)), rng.uniform(0.0, 2.0, (400, 3))
+    T, TAU = 1.0 + rng.random(300), rng.random(400) - 1.0
+    chain = [KernelFamily("time-fundamental", OperatorSpec("heat", 3, k=0.3))]
+    governing = OperatorSpec("heat", 3, k=0.2)
+    f = rng.standard_normal(300)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit_particular_weights(chain, SourceSet(S, times=TAU), X, f, governing, T)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (300 + 400) * 401 * 8

@@ -398,11 +398,28 @@ def test_lm_reports_spectrum_diagnostics(marquardt):
     assert report.rejected_steps == sum(1 for row in report.log_rows if row[3] == 0)
 
 
+def test_lm_flags_an_unresolved_condition_number():
+    rng = np.random.default_rng(43)
+    entries = rng.normal(size=(30, 8))
+    targets = rng.normal(size=30)
+    cfg = TrainConfig(tol=1e-12, max_iters=100, seed=1)
+    report = train_lm(toy_model(8), dmatrix(entries), targets, cfg)
+    assert report.effective_rank == 8 and report.cond_is_lower_bound is False
+    assert report.cond_estimate == pytest.approx(np.linalg.cond(entries), rel=1e-6)
+    # a repeated column: the estimate is the resolution floor 1/sqrt(n eps)
+    dup = np.column_stack([entries, entries[:, 0]])
+    report = train_lm(toy_model(9), dmatrix(dup), targets, cfg)
+    assert report.effective_rank == 8 and report.cond_is_lower_bound is True
+    assert report.cond_estimate == pytest.approx(1.0 / math.sqrt(9 * np.finfo(float).eps),
+                                                 rel=1e-12)
+
+
 def test_adam_reports_no_spectrum():
     rng = np.random.default_rng(41)
     model, mtx, targets = random_instance(rng, n=10, m=4)
     report = train_adam(model, mtx, targets, TrainConfig(optimizer="adam", max_iters=20))
     assert (report.cond_estimate, report.effective_rank, report.rejected_steps) == (None, None, 0)
+    assert report.cond_is_lower_bound is None
 
 
 def test_loss_csv_roundtrip(tmp_path):
