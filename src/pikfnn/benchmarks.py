@@ -52,7 +52,7 @@ class ProblemSetup:
     test_times: np.ndarray = None
     rerr_floor: float = 0.0
     exact: callable = None           # u(x) or u(x, t): residual self-checks
-    source_fn: callable = None       # f(x) or f(x, t) for nonhomogeneous checks
+    source_fn: callable = None       # f(x) or f(x, t), vectorized like exact
     row_weights: dict = None
     post: str = None                 # extra post-processing tag ("stress")
     pretrained: list = None          # [(family, weights)]: source-fitted chain
@@ -200,7 +200,7 @@ def example4(seed=0, train=None, n_boundary=400):
                      loss_mode=BOUNDARY_ONLY, tol=1e-12, max_iters=300,
                      loss_goal=1e-5, seed=seed),
         test_points=test, test_values=exact(test), exact=exact,
-        source_fn=lambda x: 2.0 * float(np.exp(x[0] + x[1] + x[2])),
+        source_fn=source,
         pretrained=pretrained,
         notes={"geometry": "unit sphere stand-in for the rabbit model",
                "annihilator": [format_kernel_id(f) for f in chain_fams],
@@ -256,7 +256,7 @@ def example5(seed=0, train=None, n_boundary=200, n_interior=80):
                      seed=seed),
         test_points=test, test_values=exact(test, 100.0), test_times=times,
         rerr_floor=0.05, exact=exact,
-        source_fn=lambda x, t: -0.002 * float(exact(np.asarray(x), t)),
+        source_fn=source,
         pretrained=pretrained,
         notes={"torus": {"r_major": 2.0, "r_minor": 0.5}, "delay_dt": 200.0,
                "instants": list(instants),
@@ -404,7 +404,7 @@ def example9(seed=0, train=None, shift=1.0):
         train=_train(train, optimizer="lm", lm_marquardt_scaling=True, loss_mode=BOUNDARY_PLUS_INTERIOR,
                      tol=1e-10, max_iters=300, seed=seed),
         test_points=test, test_values=exact(test), rerr_floor=0.05, exact=exact,
-        source_fn=lambda x: float(x[0]),
+        source_fn=source_term,
         notes={"shift": shift, "n_boundary": len(bpts), "n_interior": len(interior),
                "rerr_floor": "points with |u_ana| < 5% of max excluded (logged)"})
 

@@ -4,8 +4,13 @@ where available.
 
 Every evaluation is pure; KernelFamily instances are frozen and shareable.
 Array-valued helpers (suffix `_block`) broadcast over field/source point
-sets and back the design-matrix assembly; the scalar entry points implement
-the per-point contracts.
+sets and back the design-matrix assembly, in the family's dtype (complex for
+the Hankel form); the scalar entry points implement the per-point contracts.
+
+Each closed form is written once: _radial_profile holds g, g', g'' of the
+analytic radial subset for its values, gradients and operator rows, and
+_power_piece the A_n z^n Bessel piece of the power kernels.  The FD oracle
+reads kernel values only, never the analytic rows it checks.
 
 Sign conventions: the heat-type exponent is negative (boundedness as
 r -> inf); Heaviside uses theta(0) = 0; the 3D Helmholtz fundamental
@@ -192,32 +197,23 @@ def _steady_block(family, dx):
     r = np.sqrt(r2)
     _check_singular(family, r)
     re = _radial_arg(family, r)
+    profile = _radial_profile(family, re, 0)
+    if profile is not None:
+        return profile[0]
     kind = family.kind
 
     if kind == FUNDAMENTAL:
-        if op.kind == ops.LAPLACE and op.power_n == 0:
-            if dim == 2:
-                return -np.log(re) / _TWO_PI
-            if dim == 3:
-                return 1.0 / (_FOUR_PI * re)
-            return 1.0 / (4.0 * math.pi ** 2 * re * re)
         if op.kind == ops.HELMHOLTZ and op.power_n == 0:
             if dim == 2:
                 z = op.k * re
                 return 0.25j * (bessel_block("j", 0, z) + 1j * bessel_block("y", 0, z))
             sign = 1.0 if family.outgoing_3d else -1.0
             return np.exp(sign * 1j * op.k * re) / (_FOUR_PI * re)
-        if op.kind == ops.MODIFIED_HELMHOLTZ and op.power_n == 0:
-            if dim == 2:
-                return bessel_block("k", 0, op.k * re) / _TWO_PI
-            return np.exp(-op.k * re) / (_FOUR_PI * re)
         if op.kind == ops.CONVECTION_DIFFUSION and op.power_n == 0:
-            drift = np.exp(-np.einsum("...i,i->...", dx, np.asarray(op.velocity))
-                           / (2.0 * op.diffusion))
             mu = op.mu_cd
             if dim == 2:
-                return bessel_block("k", 0, mu * re) / _TWO_PI * drift
-            return np.exp(-mu * re) / (_FOUR_PI * re) * drift
+                return bessel_block("k", 0, mu * re) / _TWO_PI * _drift(op, dx)
+            return np.exp(-mu * re) / (_FOUR_PI * re) * _drift(op, dx)
         if op.kind == ops.BIHARMONIC:
             if dim == 2:
                 return (re * re * np.log(re) - re * re) / (8.0 * math.pi)
@@ -229,43 +225,14 @@ def _steady_block(family, dx):
                 return re ** (2 * n) / _TWO_PI * (co.C[n] * np.log(re) - co.B[n])
             return re ** (2 * n - 1) / (_FOUR_PI * math.factorial(2 * n))
         if op.kind == ops.HELMHOLTZ_POWER:
-            co = high_order_coeffs(op)
-            n = op.power_n
-            z = op.k * re
-            if dim == 2:
-                jn = bessel_block("j", n, z)
-                yn = bessel_block("y", n, z)
-                return co.A[n] * z ** n * 1j * (jn + 1j * yn)
-            hj = spherical_bessel_block("j", n, z)
-            hy = spherical_bessel_block("y", n, z)
-            return co.A[n] * z ** n * math.sqrt(2.0 / math.pi) * 1j * (hj + 1j * hy)
+            return _power_piece(op, "h", op.k * re)
         if op.kind == ops.MOD_HELMHOLTZ_POWER:
-            co = high_order_coeffs(op)
-            n = op.power_n
-            z = op.k * re
-            if dim == 2:
-                return co.A[n] * z ** n * bessel_block("k", n, z)
-            return co.A[n] * z ** n * math.sqrt(2.0 / math.pi) * spherical_bessel_block(
-                "k", n, z)
+            return _power_piece(op, "k", op.k * re)
         if op.kind == ops.CONV_DIFF_POWER:
-            co = high_order_coeffs(op)
-            n = op.power_n
-            mu = op.mu_cd
-            z = mu * re
-            drift = np.exp(-np.einsum("...i,i->...", dx, np.asarray(op.velocity))
-                           / (2.0 * op.diffusion))
-            return co.A[n] * z ** n * bessel_block("k", n, z) * drift
+            return _power_piece(op, "k", op.mu_cd * re) * _drift(op, dx)
 
-    if kind == FUNDAMENTAL_REAL:
-        if op.kind == ops.HELMHOLTZ and op.power_n == 0:
-            if dim == 2:
-                return bessel_block("y", 0, op.k * re) / _TWO_PI
-            return np.cos(op.k * re) / (_FOUR_PI * re)
-        if op.kind == ops.HELMHOLTZ_POWER and dim == 2:
-            co = high_order_coeffs(op)
-            n = op.power_n
-            z = op.k * re
-            return co.A[n] * z ** n * bessel_block("y", n, z)
+    if kind == FUNDAMENTAL_REAL and op.kind == ops.HELMHOLTZ_POWER and dim == 2:
+        return _power_piece(op, "y", op.k * re)
 
     if kind == HARMONIC:
         n = op.power_n if op.kind == ops.POLY_LAPLACE else (
@@ -274,41 +241,126 @@ def _steady_block(family, dx):
         return factor * _harmonic_sum(family.c_shape, dx, dim)
 
     if kind == RADIAL_TREFFTZ:
-        n = op.power_n
-        co = high_order_coeffs(op) if n else None
+        # n = 0 Helmholtz-type kinds are radial profiles
         if op.kind in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER):
-            z = op.k * re
-            if dim == 2:
-                if n == 0:
-                    return bessel_block("j", 0, z) / _TWO_PI
-                return co.A[n] * z ** n * bessel_block("j", n, z)
-            if n == 0:
-                return np.sinc(z / math.pi) * op.k / _FOUR_PI  # sin(kr)/(4 pi r)
-            return co.A[n] * z ** n * math.sqrt(2.0 / math.pi) * spherical_bessel_block(
-                "j", n, z)
+            return _power_piece(op, "j", op.k * re)
         if op.kind in (ops.MODIFIED_HELMHOLTZ, ops.MOD_HELMHOLTZ_POWER):
-            z = op.k * re
-            if dim == 2:
-                if n == 0:
-                    return bessel_block("i", 0, z) / _TWO_PI
-                return co.A[n] * z ** n * bessel_block("i", n, z)
-            if n == 0:
-                return np.sinh(z) / (_FOUR_PI * re)
-            return co.A[n] * z ** n * math.sqrt(2.0 / math.pi) * spherical_bessel_block(
-                "i", n, z)
+            return _power_piece(op, "i", op.k * re)
         if op.kind in (ops.CONVECTION_DIFFUSION, ops.CONV_DIFF_POWER):
-            mu = op.mu_cd
-            z = mu * re
-            drift = np.exp(-np.einsum("...i,i->...", dx, np.asarray(op.velocity))
-                           / (2.0 * op.diffusion))
+            z = op.mu_cd * re
             if dim == 2:
-                if n == 0:
-                    return bessel_block("i", 0, z) / _TWO_PI * drift
-                return co.A[n] * z ** n * bessel_block("i", n, z) * drift
-            return np.sinh(z) / (_FOUR_PI * re) * drift
+                if op.power_n == 0:
+                    return bessel_block("i", 0, z) / _TWO_PI * _drift(op, dx)
+                return _power_piece(op, "i", z) * _drift(op, dx)
+            return np.sinh(z) / (_FOUR_PI * re) * _drift(op, dx)
 
     raise UnsupportedKernelError(
         f"no steady formula for class={kind!r} operator={op.kind!r} dim={dim}")
+
+
+# the analytic radial subset: (class, operator) pairs whose kernel is a
+# profile g(R) of the radial argument alone, with closed-form g' and g''.
+# Each maps to the Bessel function F of its 2D kernel F_0(kR) / 2 pi.
+_PROFILE_BESSEL = {(FUNDAMENTAL, ops.LAPLACE): None,
+                   (FUNDAMENTAL, ops.MODIFIED_HELMHOLTZ): "k",
+                   (FUNDAMENTAL_REAL, ops.HELMHOLTZ): "y",
+                   (RADIAL_TREFFTZ, ops.HELMHOLTZ): "j",
+                   (RADIAL_TREFFTZ, ops.MODIFIED_HELMHOLTZ): "i"}
+
+
+def _radial_profile(family, re, order):
+    """[g, g', g''][:order + 1] at the radial arguments re (an ndarray) for
+    the analytic radial subset; None for every other family.
+
+    Each Bessel function is evaluated once, and only the orders asked are
+    computed.  A radial-Trefftz power kind at n = 0 takes the values of its
+    base kind; its gradient and operator rows stay on the FD path.
+    """
+    op = family.operator
+    kind = op.kind
+    if family.kind == RADIAL_TREFFTZ and order == 0 and kind in ops.POWER_KINDS:
+        kind = op.base().kind
+    if op.power_n or (family.kind, kind) not in _PROFILE_BESSEL:
+        return None
+    dim = op.dim
+    k = op.k
+    if kind == ops.LAPLACE:
+        if dim == 2:
+            terms = (lambda: -np.log(re) / _TWO_PI,
+                     lambda: -1.0 / (_TWO_PI * re),
+                     lambda: 1.0 / (_TWO_PI * re ** 2))
+        elif dim == 3:
+            terms = (lambda: 1.0 / (_FOUR_PI * re),
+                     lambda: -1.0 / (_FOUR_PI * re * re),
+                     lambda: 2.0 / (_FOUR_PI * re ** 3))
+        else:
+            terms = (lambda: 1.0 / (4.0 * math.pi ** 2 * re * re),
+                     lambda: -2.0 / (4.0 * math.pi ** 2 * re ** 3),
+                     lambda: 6.0 / (4.0 * math.pi ** 2 * re ** 4))
+        return [term() for term in terms[:order + 1]]
+    z = k * re
+    if dim == 2:
+        bessel = _PROFILE_BESSEL[family.kind, kind]
+        f0 = bessel_block(bessel, 0, z)
+        f1 = bessel_block(bessel, 1, z) if order else None
+        if bessel == "k":
+            terms = (lambda: -k * f1 / _TWO_PI,
+                     lambda: k * k * (f0 + f1 / z) / _TWO_PI)
+        elif bessel == "i":
+            terms = (lambda: k * f1 / _TWO_PI,
+                     lambda: k * k * (f0 - f1 / z) / _TWO_PI)
+        else:  # J0 and Y0: F0' = -F1, F0'' = -F0 + F1/z
+            terms = (lambda: -k * f1 / _TWO_PI,
+                     lambda: -k * k * (f0 - f1 / z) / _TWO_PI)
+        return [f0 / _TWO_PI] + [term() for term in terms[:order]]
+    if family.kind == FUNDAMENTAL_REAL:
+        cos = np.cos(z)
+        sin = np.sin(z) if order else None
+        terms = (lambda: cos / (_FOUR_PI * re),
+                 lambda: -(k * sin * re + cos) / (_FOUR_PI * re * re),
+                 lambda: (-k * k * cos * re ** 2 + 2.0 * k * sin * re
+                          + 2.0 * cos) / (_FOUR_PI * re ** 3))
+    elif family.kind == FUNDAMENTAL:  # modified Helmholtz
+        e = np.exp(-z)
+        terms = (lambda: e / (_FOUR_PI * re),
+                 lambda: -e * (z + 1.0) / (_FOUR_PI * re * re),
+                 lambda: e * (z * z + 2.0 * z + 2.0) / (_FOUR_PI * re ** 3))
+    elif kind == ops.HELMHOLTZ:  # radial-Trefftz
+        sin = np.sin(z) if order else None
+        cos = np.cos(z) if order else None
+        terms = (lambda: np.sinc(z / math.pi) * k / _FOUR_PI,  # sin(kR)/(4 pi R)
+                 lambda: (k * cos * re - sin) / (_FOUR_PI * re * re),
+                 lambda: (-k * k * sin * re ** 2 - 2.0 * k * cos * re
+                          + 2.0 * sin) / (_FOUR_PI * re ** 3))
+    else:  # radial-Trefftz modified Helmholtz
+        sinh = np.sinh(z)
+        cosh = np.cosh(z) if order else None
+        terms = (lambda: sinh / (_FOUR_PI * re),
+                 lambda: (k * cosh * re - sinh) / (_FOUR_PI * re * re),
+                 lambda: (k * k * sinh * re ** 2 - 2.0 * k * cosh * re
+                          + 2.0 * sinh) / (_FOUR_PI * re ** 3))
+    return [term() for term in terms[:order + 1]]
+
+
+def _power_piece(op, kind, z):
+    """A_n z^n F_n(z) in 2D and A_n z^n sqrt(2/pi) f_n(z) in 3D, n = op.power_n,
+    F the Bessel function of the given kind and f its spherical form; kind
+    "h" takes the Hankel form i (J_n + i Y_n) (spherical in 3D)."""
+    n = op.power_n
+    piece = high_order_coeffs(op).A[n] * z ** n
+    bessel = bessel_block
+    if op.dim == 3:
+        piece = piece * math.sqrt(2.0 / math.pi)
+        bessel = spherical_bessel_block
+    if kind == "h":
+        return piece * 1j * (bessel("j", n, z) + 1j * bessel("y", n, z))
+    return piece * bessel(kind, n, z)
+
+
+def _drift(op, dx):
+    """Convection-diffusion drift factor exp(-v . dx / 2D)."""
+    return np.exp(-np.einsum("...i,i->...", dx, np.asarray(op.velocity))
+                  / (2.0 * op.diffusion))
 
 
 def _harmonic_sum(c, dx, dim):
@@ -430,8 +482,8 @@ def eval_kernel(family, field_point, source_point):
 def eval_kernel_gradient(family, field_point, source_point):
     """Gradient of the kernel w.r.t. the field point.
 
-    Analytic for radial fundamental Laplace/Helmholtz(real)/modified
-    Helmholtz; central differences (h = cbrt(eps) * max(1, |x|)) otherwise.
+    Analytic for the radial subset of _radial_profile; central differences
+    (h = cbrt(eps) * max(1, |x|)) otherwise.
     """
     x, t = _as_xt(field_point)
     s, tau = _as_xt(source_point)
@@ -440,59 +492,16 @@ def eval_kernel_gradient(family, field_point, source_point):
     return np.asarray(g[0, 0])
 
 
-def _radial_derivs(family, re):
-    """(g(R), g'(R)) for the analytic-gradient radial subset, else None."""
-    op = family.operator
-    dim = op.dim
-    if family.kind == FUNDAMENTAL and op.kind == ops.LAPLACE and op.power_n == 0:
-        if dim == 2:
-            return -np.log(re) / _TWO_PI, -1.0 / (_TWO_PI * re)
-        if dim == 3:
-            return 1.0 / (_FOUR_PI * re), -1.0 / (_FOUR_PI * re * re)
-        return (1.0 / (4.0 * math.pi ** 2 * re * re),
-                -2.0 / (4.0 * math.pi ** 2 * re ** 3))
-    if family.kind == FUNDAMENTAL_REAL and op.kind == ops.HELMHOLTZ and op.power_n == 0:
-        z = op.k * re
-        if dim == 2:
-            return (bessel_block("y", 0, z) / _TWO_PI,
-                    -op.k * bessel_block("y", 1, z) / _TWO_PI)
-        return (np.cos(z) / (_FOUR_PI * re),
-                -(op.k * np.sin(z) * re + np.cos(z)) / (_FOUR_PI * re * re))
-    if family.kind == FUNDAMENTAL and op.kind == ops.MODIFIED_HELMHOLTZ and op.power_n == 0:
-        z = op.k * re
-        if dim == 2:
-            return (bessel_block("k", 0, z) / _TWO_PI,
-                    -op.k * bessel_block("k", 1, z) / _TWO_PI)
-        e = np.exp(-z)
-        return e / (_FOUR_PI * re), -e * (z + 1.0) / (_FOUR_PI * re * re)
-    if family.kind == RADIAL_TREFFTZ and op.kind == ops.HELMHOLTZ and op.power_n == 0:
-        z = op.k * re
-        if dim == 2:
-            return (bessel_block("j", 0, z) / _TWO_PI,
-                    -op.k * bessel_block("j", 1, z) / _TWO_PI)
-        return (np.sinc(z / math.pi) * op.k / _FOUR_PI,
-                (op.k * np.cos(z) * re - np.sin(z)) / (_FOUR_PI * re * re))
-    if family.kind == RADIAL_TREFFTZ and op.kind == ops.MODIFIED_HELMHOLTZ and op.power_n == 0:
-        z = op.k * re
-        if dim == 2:
-            return (bessel_block("i", 0, z) / _TWO_PI,
-                    op.k * bessel_block("i", 1, z) / _TWO_PI)
-        return (np.sinh(z) / (_FOUR_PI * re),
-                (op.k * np.cosh(z) * re - np.sinh(z)) / (_FOUR_PI * re * re))
-    return None
-
-
 def _gradient_block(family, dx, dt=None):
     """Gradients for dx of shape (n, m, dim); returns (n, m, dim)."""
     r2 = np.einsum("...i,...i->...", dx, dx)
     r = np.sqrt(r2)
     _check_singular(family, r)
     re = _radial_arg(family, r)
-    derivs = None if family.operator.is_time_dependent else _radial_derivs(family, re)
-    if derivs is not None:
-        _, gp = derivs
+    profile = _radial_profile(family, re, 1)
+    if profile is not None:
         # d/dx g(R(r)) = g'(R) * (r/R) * unit(dx) = g'(R)/R * dx
-        return (gp / re)[..., None] * dx
+        return (profile[1] / re)[..., None] * dx
     return _gradient_fd(family, dx, dt)
 
 
@@ -500,7 +509,7 @@ def _gradient_fd(family, dx, dt):
     # central differences, h = cbrt(eps) * max(1, |dx|) per entry
     h = math.pow(2.2204460492503131e-16, 1.0 / 3.0) * np.maximum(
         1.0, np.sqrt(np.einsum("...i,...i->...", dx, dx)))
-    out = np.zeros(dx.shape)
+    out = np.empty(dx.shape, complex if family.is_complex else float)
     for i in range(dx.shape[-1]):
         dp = dx.copy()
         dm = dx.copy()
@@ -512,59 +521,8 @@ def _gradient_fd(family, dx, dt):
         else:
             fp = _steady_block(family, dp)
             fm = _steady_block(family, dm)
-        out[..., i] = np.real(fp - fm) / (2.0 * h)
+        out[..., i] = ops._by_parts(lambda d: d / (2.0 * h), fp - fm)
     return out
-
-
-def _radial_second_derivs(family, re):
-    """(g, g', g'') for analytic operator application on radial families.
-
-    re is an ndarray; returns matching shapes (None when no analytic form
-    exists for the family).
-    """
-    op = family.operator
-    dim = op.dim
-    re_arr = np.asarray(re, dtype=float)
-    base = _radial_derivs(family, re_arr)
-    if base is None:
-        return None
-    g, gp = base
-    k = op.k
-    if family.kind == FUNDAMENTAL and op.kind == ops.LAPLACE and op.power_n == 0:
-        gpp = {2: 1.0 / (_TWO_PI * re_arr ** 2), 3: 2.0 / (_FOUR_PI * re_arr ** 3),
-               4: 6.0 / (4.0 * math.pi ** 2 * re_arr ** 4)}[dim]
-    elif family.kind == FUNDAMENTAL_REAL and op.kind == ops.HELMHOLTZ:
-        z = k * re_arr
-        if dim == 2:
-            # Y0''(z) = -Y0 + Y1/z
-            gpp = -k * k * (bessel_block("y", 0, z) - bessel_block("y", 1, z) / z) / _TWO_PI
-        else:
-            gpp = (-k * k * np.cos(z) * re_arr ** 2 + 2.0 * k * np.sin(z) * re_arr
-                   + 2.0 * np.cos(z)) / (_FOUR_PI * re_arr ** 3)
-    elif family.kind == FUNDAMENTAL and op.kind == ops.MODIFIED_HELMHOLTZ:
-        z = k * re_arr
-        if dim == 2:
-            gpp = k * k * (bessel_block("k", 0, z) + bessel_block("k", 1, z) / z) / _TWO_PI
-        else:
-            e = np.exp(-z)
-            gpp = e * (z * z + 2.0 * z + 2.0) / (_FOUR_PI * re_arr ** 3)
-    elif family.kind == RADIAL_TREFFTZ and op.kind == ops.HELMHOLTZ:
-        z = k * re_arr
-        if dim == 2:
-            gpp = -k * k * (bessel_block("j", 0, z) - bessel_block("j", 1, z) / z) / _TWO_PI
-        else:
-            gpp = (-k * k * np.sin(z) * re_arr ** 2 - 2.0 * k * np.cos(z) * re_arr
-                   + 2.0 * np.sin(z)) / (_FOUR_PI * re_arr ** 3)
-    elif family.kind == RADIAL_TREFFTZ and op.kind == ops.MODIFIED_HELMHOLTZ:
-        z = k * re_arr
-        if dim == 2:
-            gpp = k * k * (bessel_block("i", 0, z) - bessel_block("i", 1, z) / z) / _TWO_PI
-        else:
-            gpp = (k * k * np.sinh(z) * re_arr ** 2 - 2.0 * k * np.cosh(z) * re_arr
-                   + 2.0 * np.sinh(z)) / (_FOUR_PI * re_arr ** 3)
-    else:
-        return None
-    return g, gp, gpp
 
 
 def _laplace_eigenvalue(op):
@@ -609,6 +567,7 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
     heat-by-heat; analytic second derivatives on radial families.  Other
     families take the FD Laplacian of their values (operators'
     steady_operator_fd_block, step fd_step(x_i) per row) for Laplace-type L0.
+    The block has the family's dtype.
     """
     X = np.asarray(X, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -617,7 +576,7 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
         FUNDAMENTAL, FUNDAMENTAL_REAL, RADIAL_TREFFTZ, HARMONIC,
         TIME_FUNDAMENTAL, TIME_RADIAL_TREFFTZ)
     if same and exact:
-        return np.zeros((X.shape[0], S.shape[0]))
+        return np.zeros((X.shape[0], S.shape[0]), complex if family.is_complex else float)
     if exact and not governing.is_time_dependent and not family.operator.is_time_dependent:
         s_fam = _laplace_eigenvalue(family.operator)
         s_gov = _laplace_eigenvalue(governing)
@@ -629,48 +588,45 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
     if governing.kind not in (ops.LAPLACE, ops.HELMHOLTZ, ops.MODIFIED_HELMHOLTZ):
         raise UnsupportedKernelError(
             f"interior-residual rows not implemented for operator {governing.kind!r}")
-    block = _radial_operator_block(family, governing, X, S)
-    if block is not None:
-        return block
+    radial = _radial_operator_block(family, X, S)
+    lap, vals = radial if radial is not None else (_fd_laplacian(family, X, S), None)
+    if governing.kind == ops.LAPLACE:
+        return lap
+    if vals is None:
+        vals = kernel_block(family, X, S)
+    if governing.kind == ops.HELMHOLTZ:
+        return lap + governing.k ** 2 * vals
+    return lap - governing.k ** 2 * vals
+
+
+def _fd_laplacian(family, X, S):
     # one stencil origin per (row, source) pair, pair p = i * m + j
     n, m = X.shape[0], S.shape[0]
     sources = np.tile(S, (n, 1))[:, None, :]
 
     def values(P):
         dx = P.reshape(n * m, -1, S.shape[1]) - sources
-        return np.real(_steady_block(family, dx)).ravel()
+        return _steady_block(family, dx).ravel()
 
-    lap = ops.steady_operator_fd_block(OperatorSpec(ops.LAPLACE, family.operator.dim),
-                                       values, np.repeat(X, m, axis=0)).reshape(n, m)
-    if governing.kind == ops.LAPLACE:
-        return lap
-    vals = kernel_block(family, X, S)
-    if governing.kind == ops.HELMHOLTZ:
-        return lap + governing.k ** 2 * vals
-    return lap - governing.k ** 2 * vals
+    return ops.steady_operator_fd_block(OperatorSpec(ops.LAPLACE, family.operator.dim),
+                                        values, np.repeat(X, m, axis=0)).reshape(n, m)
 
 
-def _radial_operator_block(family, governing, X, S):
-    """Vectorized (L0 phi) for radial families with analytic second
-    derivatives (including the enhanced shift); None when unavailable."""
+def _radial_operator_block(family, X, S):
+    """(Laplacian, values) of the kernel block from the radial profile
+    (including the enhanced shift); None outside the analytic subset."""
     dx = X[:, None, :] - S[None, :, :]
     r2 = np.einsum("...i,...i->...", dx, dx)
-    r = np.sqrt(r2)
     sigma = family.shift
     re = np.sqrt(r2 + sigma * sigma)
-    if sigma == 0.0 and np.any(r == 0.0):
+    if sigma == 0.0 and np.any(r2 == 0.0):
         raise SingularityError("operator application at r = 0")
-    trip = _radial_second_derivs(family, re)
-    if trip is None:
+    profile = _radial_profile(family, re, 2)
+    if profile is None:
         return None
-    g, gp, gpp = trip
+    g, gp, gpp = profile
     d = family.operator.dim
-    lap = gpp * r2 / re ** 2 + gp * (sigma * sigma / re ** 3 + (d - 1) / re)
-    if governing.kind == ops.LAPLACE:
-        return lap
-    if governing.kind == ops.HELMHOLTZ:
-        return lap + governing.k ** 2 * g
-    return lap - governing.k ** 2 * g
+    return gpp * r2 / re ** 2 + gp * (sigma * sigma / re ** 3 + (d - 1) / re), g
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +785,10 @@ def eval_elasticity_kernel(family, l, k, field_point, source_point, normal=None)
 # ---------------------------------------------------------------------------
 # vectorized assembly helpers
 
-def kernel_block(family, X, S, T=None, TAU=None, real=True):
+def kernel_block(family, X, S, T=None, TAU=None):
     """Dense value block: rows = field points X (n, dim), cols = sources S
-    (m, dim).  Time kernels take per-row times T and per-column times TAU."""
+    (m, dim), in the family's dtype.  Time kernels take per-row times T and
+    per-column times TAU."""
     X = np.asarray(X, dtype=float)
     S = np.asarray(S, dtype=float)
     if family.operator.is_time_dependent:
@@ -842,10 +799,7 @@ def kernel_block(family, X, S, T=None, TAU=None, real=True):
         r2 = pairwise_sq_dist(X, S)
         return _time_block(family, r2, np.subtract.outer(np.asarray(T, dtype=float),
                                                          np.asarray(TAU, dtype=float)))
-    vals = _steady_block(family, X[:, None, :] - S[None, :, :])
-    if real and np.iscomplexobj(vals):
-        vals = vals.real
-    return vals
+    return _steady_block(family, X[:, None, :] - S[None, :, :])
 
 
 def kernel_gradient_block(family, X, S, normals, T=None, TAU=None):
@@ -857,10 +811,6 @@ def kernel_gradient_block(family, X, S, normals, T=None, TAU=None):
     if family.operator.is_time_dependent:
         dts = np.asarray(T, dtype=float)[:, None] - np.asarray(TAU, dtype=float)[None, :]
     grads = _gradient_block(family, dxs, dts)
-    return np.einsum("nmi,ni->nm", grads, np.asarray(normals, dtype=float))
+    normals = np.asarray(normals, dtype=float)
+    return ops._by_parts(lambda g: np.einsum("nmi,ni->nm", g, normals), grads)
 
-
-def kernel_operator_block(family, X, S, governing=None):
-    """L0 applied to the kernel, per (row, column) pair (Eq.-41 rows)."""
-    governing = governing if governing is not None else family.operator
-    return governing_applied_block(family, governing, X, S)

@@ -22,9 +22,9 @@ from .geometry import CollocationSet, SourceSet
 from .kernels import (
     elastic_block,
     elastic_gradient_block,
+    governing_applied_block,
     kernel_block,
     kernel_gradient_block,
-    kernel_operator_block,
     tcomplete_member_block,
     tcomplete_members,
 )
@@ -147,22 +147,24 @@ def _fill_family_block(block, family, sources, colloc, governing):
             if kind == geo.INITIAL and np.any(colloc.components[rows] == 1):
                 _fill_initial_rows(block, family, sources, colloc, rows)
                 continue
-            vals = kernel_block(family, P, S, T, TAU, real=not family.complex_split)
+            vals = kernel_block(family, P, S, T, TAU)
             _place(block, rows, m, vals, family)
         elif kind == geo.NEUMANN:
             vals = kernel_gradient_block(family, P, S, colloc.normals[rows], T, TAU)
             _place(block, rows, m, vals, family)
         elif kind == geo.INTERIOR_RESIDUAL:
-            vals = kernel_operator_block(family, P, S, governing)
+            vals = governing_applied_block(family, governing, P, S)
             _place(block, rows, m, vals, family)
 
 
 def _place(block, rows, m, vals, family):
+    # where assembly turns a complex block real: split families keep both
+    # parts as separate columns, the others their real part
     if family.complex_split:
-        block[rows, :m] = np.real(vals)
-        block[rows, m:] = np.imag(vals)
+        block[rows, :m] = vals.real
+        block[rows, m:] = vals.imag
     else:
-        block[rows, :] = vals
+        block[rows, :] = np.real(vals)
 
 
 def _fill_initial_rows(block, family, sources, colloc, rows):
@@ -175,8 +177,7 @@ def _fill_initial_rows(block, family, sources, colloc, rows):
     vel_rows = rows[colloc.components[rows] == 1]
     if len(value_rows):
         vals = kernel_block(family, colloc.points[value_rows], S,
-                            colloc.times[value_rows], TAU,
-                            real=not family.complex_split)
+                            colloc.times[value_rows], TAU)
         _place(block, value_rows, m, vals, family)
     if len(vel_rows):
         T = colloc.times[vel_rows]
@@ -305,8 +306,9 @@ def fit_particular_weights(chain_families, sources, points, f_values,
     B), which the fit rms does not show.  Raises ConditioningError naming the
     first non-finite row of B or f.
     """
-    blocks = [kn.governing_applied_block(fam, governing, points, sources.points,
-                                         times, sources.times) for fam in chain_families]
+    blocks = [np.real(kn.governing_applied_block(fam, governing, points, sources.points,
+                                                 times, sources.times))
+              for fam in chain_families]
     m, n = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
     M = np.zeros((m + n, n + 1))
     np.concatenate(blocks, axis=1, out=M[:m, :n])

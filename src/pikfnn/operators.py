@@ -245,7 +245,19 @@ def _evaluate_stencil(stencil, trace, fn, Z, steps):
     points = Z[:, None, :] + lattice[None, :, :] * steps[:, None, :]
     values = np.asarray(fn(points.reshape(-1, Z.shape[1])))
     values = np.ascontiguousarray(values.reshape(Z.shape[0], len(offsets)).T)
-    return stencil(lambda o: values[offsets[o]])
+    return _by_parts(lambda v: stencil(lambda o: v[offsets[o]]), values)
+
+
+def _by_parts(fn, values):
+    """fn(values) for a real-linear fn; on complex values fn runs on a
+    contiguous copy of each part in turn, so the real part reads as for real
+    values alone (numpy divides a complex array by a real one through the
+    reciprocal, and einsum sums complex or strided operands in another order)."""
+    if not np.iscomplexobj(values):
+        return fn(values)
+    out = fn(np.ascontiguousarray(values.real)).astype(complex)
+    out.imag = fn(np.ascontiguousarray(values.imag))
+    return out
 
 
 def _per_row(value, n):

@@ -55,7 +55,7 @@ def test_catalog_has_bessel_families():
 
 
 def _evaluations_reach_bessel(family):
-    """Whether kernel_block, kernel_gradient_block or kernel_operator_block of
+    """Whether kernel_block, kernel_gradient_block or governing_applied_block of
     the family (and tcomplete_member_block on every member of a T-complete
     family) evaluates J, Y, I or K."""
     dim = family.operator.dim
@@ -65,7 +65,7 @@ def _evaluations_reach_bessel(family):
     T, TAU = _times(family, 2, 1)
     calls = [lambda: kernel_block(family, X, S, T, TAU),
              lambda: kernels.kernel_gradient_block(family, X, S, normals, T, TAU),
-             lambda: kernels.kernel_operator_block(family, X, S)]
+             lambda: kernels.governing_applied_block(family, family.operator, X, S)]
     if family.kind == kernels.T_COMPLETE:
         calls += [lambda index=index: kernels.tcomplete_member_block(family, index, X)
                   for index in kernels.tcomplete_members(family)]
@@ -118,13 +118,13 @@ def test_rows_partition_freely(ident, X, S, split):
     n, m = len(X), len(S)
     split = min(split, n)
     T, TAU = _times(family, n, m)
-    whole = kernel_block(family, X, S, T, TAU, real=False)
+    whole = kernel_block(family, X, S, T, TAU)
     if T is None:
-        halves = [kernel_block(family, X[:split], S, real=False),
-                  kernel_block(family, X[split:], S, real=False)]
+        halves = [kernel_block(family, X[:split], S),
+                  kernel_block(family, X[split:], S)]
     else:
-        halves = [kernel_block(family, X[:split], S, T[:split], TAU, real=False),
-                  kernel_block(family, X[split:], S, T[split:], TAU, real=False)]
+        halves = [kernel_block(family, X[:split], S, T[:split], TAU),
+                  kernel_block(family, X[split:], S, T[split:], TAU)]
     assert np.array_equal(np.concatenate(halves), whole)
     for i in range(n):
         for j in range(m):

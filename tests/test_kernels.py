@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pikfnn import kernels
+from pikfnn import kernels, operators
 from pikfnn.errors import (
     DomainError,
     RangeOverflowError,
@@ -590,6 +590,80 @@ def test_governing_applied_block_fd_matches_entrywise(ident, governing):
             if sign:
                 expect = lap + sign * governing.k ** 2 * eval_kernel(family, X[i], S[j])
             assert block[i, j] == expect
+
+
+# the analytic radial subset: every (class, operator, dim) pair whose gradient
+# and operator rows come from the closed-form radial profile
+PROFILE_IDS = ["fundamental:laplace:2d", "fundamental:laplace:3d", "fundamental:laplace:4d",
+               "fundamental:modified-helmholtz:2d?k=1", "fundamental:modified-helmholtz:3d?k=1",
+               "fundamental-real:helmholtz:2d?k=1", "fundamental-real:helmholtz:3d?k=1",
+               "radial-trefftz:helmholtz:2d?k=1", "radial-trefftz:helmholtz:3d?k=1",
+               "radial-trefftz:modified-helmholtz:2d?k=1",
+               "radial-trefftz:modified-helmholtz:3d?k=1"]
+
+
+def _shifted_case(ident):
+    family = parse_kernel_id(ident + ("&" if "?" in ident else "?") + "shift=0.6")
+    dim = family.operator.dim
+    rng = np.random.default_rng(3)
+    return family, rng.uniform(-1.0, 1.0, size=(5, dim)), rng.uniform(-1.0, 1.0, size=(3, dim))
+
+
+@pytest.mark.parametrize("ident", PROFILE_IDS)
+def test_profile_operator_rows_match_fd(ident, monkeypatch):
+    family, X, S = _shifted_case(ident)
+    dim = family.operator.dim
+    governing = [OperatorSpec("laplace", dim)]
+    if dim < 4:
+        governing += [OperatorSpec("helmholtz", dim, k=0.8),
+                      OperatorSpec("modified-helmholtz", dim, k=0.9)]
+    for gov in governing:
+        fd = np.column_stack([steady_operator_fd_block(
+            gov, lambda P, s=s: kernel_block(family, P, s[None])[:, 0], X, h=2e-3) for s in S])
+        with monkeypatch.context() as patch:  # the analytic rows, not the FD fallback
+            patch.setattr(operators, "steady_operator_fd_block", None)
+            block = governing_applied_block(family, gov, X, S)
+        assert np.abs(block - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("ident", PROFILE_IDS)
+def test_profile_gradient_rows_match_fd(ident, monkeypatch):
+    family, X, S = _shifted_case(ident)
+    dim = family.operator.dim
+    normals = np.random.default_rng(4).normal(size=X.shape)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    h = 1e-5
+    fd = sum(normals[:, [i]] * (kernel_block(family, X + h * e, S)
+                                - kernel_block(family, X - h * e, S)) / (2.0 * h)
+             for i, e in enumerate(np.eye(dim)))
+    monkeypatch.setattr(kernels, "_gradient_fd", None)
+    block = kernels.kernel_gradient_block(family, X, S, normals)
+    assert np.abs(block - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+N0_PAIRS = [(f"radial-trefftz:{kind}-power:{dim}d?{params}&n=0",
+             f"radial-trefftz:{kind}:{dim}d?{params}")
+            for kind, params, dims in (("helmholtz", "k=1", (2, 3)),
+                                       ("modified-helmholtz", "k=1", (2, 3)),
+                                       ("convection-diffusion", "k=1&d=1&v=0.1,0.1", (2,)))
+            for dim in dims]
+
+
+@pytest.mark.parametrize("power, base", N0_PAIRS)
+def test_radial_trefftz_power_kinds_at_n0_evaluate_as_base_kind(power, base):
+    power, base = parse_kernel_id(power), parse_kernel_id(base)
+    dim = base.operator.dim
+    X = RNG.uniform(-1.0, 1.0, size=(5, dim))
+    S = RNG.uniform(2.0, 3.0, size=(3, dim))
+    assert np.array_equal(kernel_block(power, X, S), kernel_block(base, X, S))
+    if base.operator.kind == "convection-diffusion":
+        # not radial: gradient and operator rows of both take the FD path
+        normals = np.full((5, dim), 1.0 / math.sqrt(dim))
+        assert np.array_equal(kernels.kernel_gradient_block(power, X, S, normals),
+                              kernels.kernel_gradient_block(base, X, S, normals))
+        laplace = OperatorSpec("laplace", dim)
+        assert np.array_equal(governing_applied_block(power, laplace, X, S),
+                              governing_applied_block(base, laplace, X, S))
 
 
 def test_governing_applied_block_rejects_other_operators(monkeypatch):

@@ -18,7 +18,7 @@ from pikfnn.geometry import (
     nodes_points,
     save_nodes,
 )
-from pikfnn.kernels import KernelFamily, eval_elasticity_kernel, eval_kernel
+from pikfnn.kernels import KernelFamily, eval_elasticity_kernel, eval_kernel, kernel_block
 from pikfnn.network import (
     DesignMatrix,
     PikfnnModel,
@@ -34,7 +34,8 @@ from pikfnn.network import (
     residual,
     save_model,
 )
-from pikfnn.operators import OperatorSpec, apply_steady_operator_fd
+from pikfnn.operators import OperatorSpec, apply_steady_operator_fd, steady_operator_fd_block
+from pikfnn.registry import parse_kernel_id
 
 
 def laplace_family(dim=2):
@@ -320,6 +321,37 @@ def test_complex_split_mode():
 
     res = apply_steady_operator_fd(op, u, x)
     assert abs(res) <= 1e-5 * max(abs(u(x)), 1.0)
+
+
+@pytest.mark.parametrize("ident", ["fundamental:helmholtz:2d?k=3&split=1",
+                                   "fundamental:helmholtz:3d?k=3&split=1",
+                                   "fundamental:helmholtz:2d?k=3&shift=0.6&split=1"])
+def test_complex_split_neumann_and_residual_rows_keep_both_parts(ident):
+    # Neumann and interior-residual rows of a split family carry the normal
+    # derivative and the Laplacian of both parts of the kernel, as central
+    # differences of each part give them
+    fam = parse_kernel_id(ident)
+    dim = fam.operator.dim
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1.0, 1.0, size=(4, dim))
+    S = rng.uniform(2.0, 3.0, size=(3, dim))
+    normals = rng.normal(size=(4, dim))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    laplace = OperatorSpec("laplace", dim)
+    colloc = CollocationSet(np.vstack([X, X]), ["N"] * 4 + ["R"] * 4, np.zeros(8),
+                            normals=np.vstack([normals, np.full((4, dim), np.nan)]))
+    entries = assemble([fam], SourceSet(S), colloc, governing=laplace).entries
+    m, h = len(S), 1e-5
+    for part, cols in ((np.real, slice(None, m)), (np.imag, slice(m, None))):
+        flux = sum(normals[:, [i]] * (part(kernel_block(fam, X + h * e, S))
+                                      - part(kernel_block(fam, X - h * e, S))) / (2.0 * h)
+                   for i, e in enumerate(np.eye(dim)))
+        lap = np.column_stack([steady_operator_fd_block(
+            laplace, lambda P, s=s: part(kernel_block(fam, P, s[None]))[:, 0], X, h=2e-3)
+            for s in S])
+        for rows, expect in ((slice(None, 4), flux), (slice(4, None), lap)):
+            assert np.abs(expect).max() > 1e-2
+            assert np.abs(entries[rows, cols] - expect).max() <= 1e-6 * np.abs(expect).max()
 
 
 def test_initial_velocity_rows():
