@@ -268,20 +268,31 @@ _PROFILE_BESSEL = {(FUNDAMENTAL, ops.LAPLACE): None,
                    (RADIAL_TREFFTZ, ops.MODIFIED_HELMHOLTZ): "i"}
 
 
-def _radial_profile(family, re, order):
-    """[g, g', g''][:order + 1] at the radial arguments re (an ndarray) for
-    the analytic radial subset; None for every other family.
-
-    Each Bessel function is evaluated once, and only the orders asked are
-    computed.  A radial-Trefftz power kind at n = 0 takes the values of its
-    base kind; its gradient and operator rows stay on the FD path.
-    """
+def _profile_kind(family, order):
+    """The operator kind whose radial profile gives the family's derivatives
+    up to `order`; None outside the analytic subset.  A radial-Trefftz power
+    kind at n = 0 takes the values of its base kind; its gradient and
+    operator rows stay on the FD path."""
     op = family.operator
     kind = op.kind
     if family.kind == RADIAL_TREFFTZ and order == 0 and kind in ops.POWER_KINDS:
         kind = op.base().kind
     if op.power_n or (family.kind, kind) not in _PROFILE_BESSEL:
         return None
+    return kind
+
+
+def _radial_profile(family, re, order):
+    """[g, g', g''][:order + 1] at the radial arguments re (an ndarray) for
+    the analytic radial subset; None for every other family.
+
+    Each Bessel function is evaluated once, and only the orders asked are
+    computed.
+    """
+    kind = _profile_kind(family, order)
+    if kind is None:
+        return None
+    op = family.operator
     dim = op.dim
     k = op.k
     if kind == ops.LAPLACE:
@@ -614,17 +625,17 @@ def _fd_laplacian(family, X, S):
 
 def _radial_operator_block(family, X, S):
     """(Laplacian, values) of the kernel block from the radial profile
-    (including the enhanced shift); None outside the analytic subset."""
+    (including the enhanced shift), the values as kernel_block's; None
+    outside the analytic subset."""
+    if _profile_kind(family, 2) is None:
+        return None
     dx = X[:, None, :] - S[None, :, :]
     r2 = np.einsum("...i,...i->...", dx, dx)
     sigma = family.shift
-    re = np.sqrt(r2 + sigma * sigma)
     if sigma == 0.0 and np.any(r2 == 0.0):
         raise SingularityError("operator application at r = 0")
-    profile = _radial_profile(family, re, 2)
-    if profile is None:
-        return None
-    g, gp, gpp = profile
+    re = _radial_arg(family, np.sqrt(r2))
+    g, gp, gpp = _radial_profile(family, re, 2)
     d = family.operator.dim
     return gpp * r2 / re ** 2 + gp * (sigma * sigma / re ** 3 + (d - 1) / re), g
 

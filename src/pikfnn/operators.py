@@ -6,14 +6,17 @@ steady_operator_fd_block and time_operator_fd_block apply an operator to the
 once.  Every stencil point of every sample point (each level of a nested
 power, both Richardson steps) is collected, coincident points are merged,
 and the function is evaluated on the whole set with one call; the stencil
-weights then contract those values.  The oracle sees values only, never a
+weights then contract those values, applying each inner level of a nested
+power once per lattice point.  The oracle sees values only, never a
 kernel formula, so it stays an independent check of the kernel catalog.
 apply_steady_operator_fd and apply_time_operator_fd are its one-point views.
 
 OperatorSpec instances are frozen and shareable across threads.
 """
 
+import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,9 +205,9 @@ def structural_fn(selector, exponent):
 # the time axis, stored last in o) with o an integer offset vector, and h a
 # per-point step.  Nested powers and both Richardson steps read the same
 # lattice, so each stencil is written once against a lookup u(o) -> values.
-# It is run first with a recording lookup, which collects the distinct
-# offsets; fn is then evaluated once on every point of every offset, and the
-# same stencil contracts those values.
+# The distinct offsets depend on the operator alone: _lattice records them
+# once per operator; fn is then evaluated once on every point of every
+# offset, and the same stencil contracts those values.
 
 def _shift(o, axis, k):
     return o[:axis] + (o[axis] + k,) + o[axis + 1:]
@@ -226,26 +229,37 @@ def _fd_laplacian(u, o, h, dim):
     return sum(_fd2(u, o, i, h) for i in range(dim))
 
 
-def _evaluate_stencil(stencil, trace, fn, Z, steps):
+def _evaluate_stencil(stencil, offsets, fn, Z, steps):
     """Contract stencil(u) over the values of fn at every offset it reads.
 
     Z holds one lattice origin per row (coordinates, then the time if any)
-    and steps the per-row step of each axis.  trace(u) runs the stencil with
-    scalar stand-ins for the steps and coordinates; fn is then called once
-    on the origins shifted by every recorded offset.
+    and steps the per-row step of each axis.  offsets maps each offset the
+    stencil reads to its index (see _lattice); fn is called once on the
+    origins shifted by every offset.
     """
+    lattice = np.asarray(list(offsets), dtype=float)
+    points = Z[:, None, :] + lattice[None, :, :] * steps[:, None, :]
+    values = np.asarray(fn(points.reshape(-1, Z.shape[1])))
+    values = np.ascontiguousarray(values.reshape(Z.shape[0], len(offsets)).T)
+    return _by_parts(lambda v: stencil(lambda o: v[offsets[o]]), values)
+
+
+@functools.cache
+def _lattice(op, dim):
+    """The offsets op's stencil reads in dim dimensions, each mapped to its
+    index in first-read order: the stencil run once with a recording lookup
+    and scalar stand-ins for the steps and coordinates."""
     offsets = {}
 
     def record(o):
         offsets.setdefault(o, len(offsets))
         return 0.0
 
-    trace(record)
-    lattice = np.asarray(list(offsets), dtype=float)
-    points = Z[:, None, :] + lattice[None, :, :] * steps[:, None, :]
-    values = np.asarray(fn(points.reshape(-1, Z.shape[1])))
-    values = np.ascontiguousarray(values.reshape(Z.shape[0], len(offsets)).T)
-    return _by_parts(lambda v: stencil(lambda o: v[offsets[o]]), values)
+    if op.is_time_dependent:
+        _time_stencil(op, record, 1.0, 1.0, dim, lambda o, i: 1.0, 1.0)
+    else:
+        _steady_stencil(op, record, 1.0, dim)
+    return types.MappingProxyType(offsets)
 
 
 def _by_parts(fn, values):
@@ -299,12 +313,13 @@ def _steady_stencil(op, u, h, dim):
         return apply_once(u, origin, h)
 
     def full(step, scale):
-        # the step-`scale * h` lattice is every scale-th point of the h one
+        # the step-`scale * h` lattice is every scale-th point of the h one;
+        # each level is applied once per offset the level above reads
         def nested(level):
             if level == 0:
-                return lambda o: u(tuple(scale * c for c in o))
+                return u if scale == 1 else lambda o: u(tuple(scale * c for c in o))
             inner = nested(level - 1)
-            return lambda o: apply_once(inner, o, step)
+            return functools.cache(lambda o: apply_once(inner, o, step))
 
         return apply_once(nested(reps - 1), origin, step)
 
@@ -324,8 +339,7 @@ def steady_operator_fd_block(op, fn, X, h=None):
     X = np.asarray(X, dtype=float)
     n, dim = X.shape
     h = fd_step(X, order=_nesting(op)) if h is None else _per_row(h, n)
-    return _evaluate_stencil(lambda u: _steady_stencil(op, u, h, dim),
-                             lambda u: _steady_stencil(op, u, 1.0, dim),
+    return _evaluate_stencil(lambda u: _steady_stencil(op, u, h, dim), _lattice(op, dim),
                              fn, X, np.repeat(h[:, None], dim, axis=1))
 
 
@@ -367,8 +381,7 @@ def time_operator_fd_block(op, fn, X, T, h=None, ht=None):
         return X[:, i] + o[i] * h
 
     return _evaluate_stencil(
-        lambda u: _time_stencil(op, u, h, ht, dim, x_at, T),
-        lambda u: _time_stencil(op, u, 1.0, 1.0, dim, lambda o, i: 1.0, 1.0),
+        lambda u: _time_stencil(op, u, h, ht, dim, x_at, T), _lattice(op, dim),
         lambda Z: fn(Z[:, :dim], Z[:, dim]), np.column_stack([X, T]),
         np.column_stack([np.repeat(h[:, None], dim, axis=1), ht]))
 

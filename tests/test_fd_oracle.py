@@ -208,6 +208,96 @@ def test_block_oracle_merges_coincident_points():
     assert sizes == [4 * 121]
 
 
+def test_nested_levels_apply_once_per_lattice_point(monkeypatch):
+    # 3D biharmonic: per Richardson step, the outer Laplacian reads 13
+    # distinct offsets (the origin once, +-1 and +-2 along each axis), and
+    # the inner Laplacian is applied once at each of them
+    op = OperatorSpec("biharmonic", 3)
+    X = np.ones((4, 3))
+    steady_operator_fd_block(op, lambda P: np.ones(len(P)), X)  # trace the lattice
+    applied = []
+    laplacian = operators._fd_laplacian
+
+    def counted(u, o, h, dim):
+        applied.append(o)
+        return laplacian(u, o, h, dim)
+
+    monkeypatch.setattr(operators, "_fd_laplacian", counted)
+    steady_operator_fd_block(op, lambda P: np.ones(len(P)), X)
+    assert len(applied) == 2 * (1 + 13)
+    for step in (applied[:14], applied[14:]):
+        assert step[0] == (0, 0, 0) and len(set(step[1:])) == 13
+
+
+LATTICE_CASES = [
+    (OperatorSpec("helmholtz", 2, k=1.0), lambda P: np.cos(P[:, 0]) * np.exp(P[:, 1])),
+    (OperatorSpec("helmholtz", 2, k=2.5), lambda P: np.cos(P[:, 0]) * np.exp(P[:, 1])),
+    (OperatorSpec("biharmonic", 3), lambda P: np.exp(-_sq(P))),
+    (OperatorSpec("poly-laplace", 2, power_n=2), lambda P: np.sin(P[:, 0] + 2.0 * P[:, 1])),
+    (OperatorSpec("wave", 2, c1=1.5), lambda P, T: np.sin(P[:, 0] - 1.5 * T) + _sq(P) * T),
+]
+
+
+def test_lattice_cache_cold_and_warm_agree():
+    X = np.array([[0.3, 0.4, 1.2], [2.0, 1.0, 0.5], [0.7, 1.3, 0.9]])
+    T = np.array([1.0, 2.0, 1.5])
+
+    def run(op, fn):
+        if op.is_time_dependent:
+            return time_operator_fd_block(op, fn, X[:, :op.dim], T)
+        return steady_operator_fd_block(op, fn, X[:, :op.dim])
+
+    operators._lattice.cache_clear()
+    cold = [run(op, fn) for op, fn in LATTICE_CASES]
+    warm = [run(op, fn) for op, fn in LATTICE_CASES]
+    assert operators._lattice.cache_info().misses == len(LATTICE_CASES)
+    assert operators._lattice.cache_info().hits == len(LATTICE_CASES)
+    for a, b in zip(cold, warm):
+        assert a.tolist() == b.tolist()
+
+
+def _tcomplete_loop(family, n_points, seed):
+    """The T-complete check as one oracle call per member, on the draws
+    verify-kernels makes."""
+    op = family.operator
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    members = tcomplete_members(family)
+    per = max(2, n_points // len(members))
+    for index in members:
+        X = np.empty((per, op.dim))
+        for p in range(per):
+            d = runner._unit_direction(rng, op.dim)
+            X[p] = (0.5 + 1.5 * rng.random()) * d
+
+        def fn(P, index=index):
+            return tcomplete_member_block(family, index, P)
+
+        worst = max(worst, runner._worst(steady_operator_fd_block(op, fn, X), fn(X)))
+    return worst
+
+
+TCOMPLETE_IDS = [ident for ident in ORACLE_IDS
+                 if parse_kernel_id(ident).kind == kernels.T_COMPLETE]
+
+
+@pytest.mark.parametrize("ident", TCOMPLETE_IDS)
+def test_tcomplete_check_is_one_oracle_call(ident, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return steady_operator_fd_block(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "steady_operator_fd_block", counted)
+    entries = [e for e in build_verify_entries(ident) if e[0] == ident]
+    for seed in (0, 12345):
+        calls.clear()
+        (row,), _ = verify_kernels(entries=entries, n_points=100, seed=seed)
+        assert len(calls) == 1
+        assert row.max_residual == _tcomplete_loop(parse_kernel_id(ident), 100, seed)
+
+
 def test_oracle_independent_of_analytic_operators(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the FD oracle used analytic operator code")

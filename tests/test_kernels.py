@@ -592,6 +592,19 @@ def test_governing_applied_block_fd_matches_entrywise(ident, governing):
             assert block[i, j] == expect
 
 
+def test_governing_applied_block_at_a_source_point():
+    # smooth families take the FD path at r = 0; only the analytic path raises
+    helmholtz = OperatorSpec("helmholtz", 2, k=2.0)
+    X = RNG.uniform(-1.0, 1.0, size=(4, 2))
+    S = np.vstack([X[:1], RNG.uniform(2.0, 3.0, size=(2, 2))])
+    for ident in ("harmonic:laplace:2d",
+                  "radial-trefftz:convection-diffusion:2d?k=1&d=1&v=0.1,0.1"):
+        block = governing_applied_block(parse_kernel_id(ident), helmholtz, X, S)
+        assert np.all(np.isfinite(block))
+    with pytest.raises(SingularityError):
+        governing_applied_block(parse_kernel_id("fundamental:laplace:2d"), helmholtz, X, S)
+
+
 # the analytic radial subset: every (class, operator, dim) pair whose gradient
 # and operator rows come from the closed-form radial profile
 PROFILE_IDS = ["fundamental:laplace:2d", "fundamental:laplace:3d", "fundamental:laplace:4d",
@@ -624,6 +637,18 @@ def test_profile_operator_rows_match_fd(ident, monkeypatch):
             patch.setattr(operators, "steady_operator_fd_block", None)
             block = governing_applied_block(family, gov, X, S)
         assert np.abs(block - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("ident", PROFILE_IDS)
+def test_profile_operator_values_are_kernel_block(ident):
+    # the g in a residual row's +-k^2 g is the value row's g, shifted or not
+    dim = parse_kernel_id(ident).operator.dim
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.0, 1.0, size=(200, dim))
+    S = rng.uniform(-1.0, 1.0, size=(50, dim))
+    for family in (parse_kernel_id(ident), _shifted_case(ident)[0]):
+        _, values = kernels._radial_operator_block(family, X, S)
+        assert np.array_equal(values, kernel_block(family, X, S))
 
 
 @pytest.mark.parametrize("ident", PROFILE_IDS)
