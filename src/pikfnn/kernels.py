@@ -1,16 +1,18 @@
 """Closed-form kernel functions that satisfy their governing operator away
-from the source point, with gradients and analytic operator application
-where available.
+from the source point, with closed-form gradients and operator application.
 
 Every evaluation is pure; KernelFamily instances are frozen and shareable.
 Array-valued helpers (suffix `_block`) broadcast over field/source point
 sets and back the design-matrix assembly, in the family's dtype (complex for
 the Hankel form); the scalar entry points implement the per-point contracts.
 
-Each closed form is written once: _radial_profile holds g, g', g'' of the
-analytic radial subset for its values, gradients and operator rows, and
-_power_piece the A_n z^n Bessel piece of the power kernels.  The FD oracle
-reads kernel values only, never the analytic rows it checks.
+Each closed form is written once, and values, gradients and operator rows
+all derive from it: a steady kernel is a radial profile [g, g', g''] of
+_radial_profile (times the convection-diffusion drift factor), or a harmonic
+sum (_harmonic_terms), and _steady_terms builds all three row kinds from
+that; the time kernels' gradients derive from their values' radial forms.
+No row here is a finite difference, and the FD oracle in operators reads
+kernel values only, never the rows it checks.
 
 Sign conventions: the heat-type exponent is negative (boundedness as
 r -> inf); Heaviside uses theta(0) = 0; the 3D Helmholtz fundamental
@@ -163,9 +165,7 @@ def _reaches_bessel(family):
 
 
 def _is_radial(family):
-    if family.kind not in (FUNDAMENTAL, FUNDAMENTAL_REAL, RADIAL_TREFFTZ):
-        return False
-    return family.operator.kind not in (ops.CONVECTION_DIFFUSION, ops.CONV_DIFF_POWER)
+    return family.kind in _BESSEL and not _drifts(family.operator)
 
 
 def _as_xt(point):
@@ -175,126 +175,80 @@ def _as_xt(point):
 
 
 # ---------------------------------------------------------------------------
-# steady kernels
+# steady kernels: a radial part g(R) of the radial argument R, times the
+# drift factor for convection-diffusion, or a harmonic sum
 
-def _radial_arg(family, r):
-    if family.shift > 0.0:
-        return np.sqrt(r * r + family.shift * family.shift)
-    return r
-
-
-def _check_singular(family, r):
-    if family.is_singular and np.any(r == 0.0):
-        raise SingularityError(
-            f"kernel {family.kind}:{family.operator.kind} evaluated at r = 0")
+def _drifts(op):
+    return op.kind in (ops.CONVECTION_DIFFUSION, ops.CONV_DIFF_POWER)
 
 
-def _steady_block(family, dx):
-    """Kernel values for difference vectors dx of shape (..., dim)."""
+def _steady_terms(family, dx, order):
+    """[K, grad K, lap K][:order + 1] of the steady kernel K at the difference
+    vectors dx (..., dim); with order 2 a radial part's grad K slot is None.
+
+    K is a harmonic sum, or a radial part g(R), R = sqrt(r^2 + shift^2),
+    times the drift factor w = e^{-u . dx} of convection-diffusion (u =
+    v / 2D; else w = 1): grad K = w (g'/R dx - g u) and
+    lap K = w (lap g - 2 g'/R dx . u + g |u|^2), lap g = g'' r^2/R^2 +
+    g' (shift^2/R^3 + (d-1)/R).  At R = 0 a kernel that is finite there is
+    smooth and even: g'/R dx -> 0, and lap g is _origin_laplacian's.
+    """
     op = family.operator
-    dim = op.dim
     r2 = np.einsum("...i,...i->...", dx, dx)
+    if family.kind == HARMONIC:
+        return _harmonic_terms(family, dx, r2, order)
     r = np.sqrt(r2)
-    _check_singular(family, r)
-    re = _radial_arg(family, r)
-    profile = _radial_profile(family, re, 0)
-    if profile is not None:
-        return profile[0]
-    kind = family.kind
-
-    if kind == FUNDAMENTAL:
-        if op.kind == ops.HELMHOLTZ and op.power_n == 0:
-            if dim == 2:
-                z = op.k * re
-                return 0.25j * (bessel_block("j", 0, z) + 1j * bessel_block("y", 0, z))
-            sign = 1.0 if family.outgoing_3d else -1.0
-            return np.exp(sign * 1j * op.k * re) / (_FOUR_PI * re)
-        if op.kind == ops.CONVECTION_DIFFUSION and op.power_n == 0:
-            mu = op.mu_cd
-            if dim == 2:
-                return bessel_block("k", 0, mu * re) / _TWO_PI * _drift(op, dx)
-            return np.exp(-mu * re) / (_FOUR_PI * re) * _drift(op, dx)
-        if op.kind == ops.BIHARMONIC:
-            if dim == 2:
-                return (re * re * np.log(re) - re * re) / (8.0 * math.pi)
-            return re / (8.0 * math.pi)
-        if op.kind == ops.POLY_LAPLACE:
-            co = high_order_coeffs(op)
-            n = op.power_n
-            if dim == 2:
-                return re ** (2 * n) / _TWO_PI * (co.C[n] * np.log(re) - co.B[n])
-            return re ** (2 * n - 1) / (_FOUR_PI * math.factorial(2 * n))
-        if op.kind == ops.HELMHOLTZ_POWER:
-            return _power_piece(op, "h", op.k * re)
-        if op.kind == ops.MOD_HELMHOLTZ_POWER:
-            return _power_piece(op, "k", op.k * re)
-        if op.kind == ops.CONV_DIFF_POWER:
-            return _power_piece(op, "k", op.mu_cd * re) * _drift(op, dx)
-
-    if kind == FUNDAMENTAL_REAL and op.kind == ops.HELMHOLTZ_POWER and dim == 2:
-        return _power_piece(op, "y", op.k * re)
-
-    if kind == HARMONIC:
-        n = op.power_n if op.kind == ops.POLY_LAPLACE else (
-            1 if op.kind == ops.BIHARMONIC else 0)
-        factor = r2 ** n if n else 1.0
-        return factor * _harmonic_sum(family.c_shape, dx, dim)
-
-    if kind == RADIAL_TREFFTZ:
-        # n = 0 Helmholtz-type kinds are radial profiles
-        if op.kind in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER):
-            return _power_piece(op, "j", op.k * re)
-        if op.kind in (ops.MODIFIED_HELMHOLTZ, ops.MOD_HELMHOLTZ_POWER):
-            return _power_piece(op, "i", op.k * re)
-        if op.kind in (ops.CONVECTION_DIFFUSION, ops.CONV_DIFF_POWER):
-            z = op.mu_cd * re
-            if dim == 2:
-                if op.power_n == 0:
-                    return bessel_block("i", 0, z) / _TWO_PI * _drift(op, dx)
-                return _power_piece(op, "i", z) * _drift(op, dx)
-            return np.sinh(z) / (_FOUR_PI * re) * _drift(op, dx)
-
-    raise UnsupportedKernelError(
-        f"no steady formula for class={kind!r} operator={op.kind!r} dim={dim}")
+    if family.is_singular and np.any(r == 0.0):
+        raise SingularityError(f"kernel {family.kind}:{op.kind} evaluated at r = 0")
+    sigma = family.shift
+    re = np.sqrt(r * r + sigma * sigma) if sigma > 0.0 else r
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at R = 0, replaced below
+        g = _radial_profile(family, re, order)
+        if order:  # d/dx g(R(r)) = g'(R) * (r/R) * unit(dx) = g'(R)/R * dx
+            slope = np.where(re == 0.0, 0.0, g[1] / re)
+        if order == 2:
+            lap = g[2] * r2 / re ** 2 + g[1] * (sigma * sigma / re ** 3 + (op.dim - 1) / re)
+    if order == 2 and np.any(re == 0.0):
+        lap = np.where(re == 0.0, _origin_laplacian(family, g[0]), lap)
+    terms = [g[0]]
+    if order == 1:
+        terms.append(slope[..., None] * dx)
+    elif order == 2:
+        terms += [None, lap]
+    if _drifts(op):
+        v = np.asarray(op.velocity)
+        w = np.exp(-np.einsum("...i,i->...", dx, v) / (2.0 * op.diffusion))
+        u = v / (2.0 * op.diffusion)
+        if order == 1:
+            terms[1] = (terms[1] - g[0][..., None] * u) * w[..., None]
+        if order == 2:
+            terms[2] = (lap - 2.0 * slope * (dx @ u) + g[0] * (u @ u)) * w
+        terms[0] = g[0] * w
+    return terms
 
 
-# the analytic radial subset: (class, operator) pairs whose kernel is a
-# profile g(R) of the radial argument alone, with closed-form g' and g''.
-# Each maps to the Bessel function F of its 2D kernel F_0(kR) / 2 pi.
-_PROFILE_BESSEL = {(FUNDAMENTAL, ops.LAPLACE): None,
-                   (FUNDAMENTAL, ops.MODIFIED_HELMHOLTZ): "k",
-                   (FUNDAMENTAL_REAL, ops.HELMHOLTZ): "y",
-                   (RADIAL_TREFFTZ, ops.HELMHOLTZ): "j",
-                   (RADIAL_TREFFTZ, ops.MODIFIED_HELMHOLTZ): "i"}
-
-
-def _profile_kind(family, order):
-    """The operator kind whose radial profile gives the family's derivatives
-    up to `order`; None outside the analytic subset.  A radial-Trefftz power
-    kind at n = 0 takes the values of its base kind; its gradient and
-    operator rows stay on the FD path."""
-    op = family.operator
-    kind = op.kind
-    if family.kind == RADIAL_TREFFTZ and order == 0 and kind in ops.POWER_KINDS:
-        kind = op.base().kind
-    if op.power_n or (family.kind, kind) not in _PROFILE_BESSEL:
-        return None
-    return kind
+# the Bessel function F of each class's Helmholtz and modified-Helmholtz
+# radial parts: F_0(kR) / 2 pi in 2D (i/4 H_0 for "h", the Hankel form
+# J + iY), and A_n z^n F_n(z) for the power kinds
+_BESSEL = {FUNDAMENTAL: ("h", "k"), FUNDAMENTAL_REAL: ("y", None),
+           RADIAL_TREFFTZ: ("j", "i")}
 
 
 def _radial_profile(family, re, order):
-    """[g, g', g''][:order + 1] at the radial arguments re (an ndarray) for
-    the analytic radial subset; None for every other family.
+    """[g, g', g''][:order + 1] of the family's radial part at the radial
+    arguments re (an ndarray).  The radial part is the kernel itself, or for
+    convection-diffusion the factor of the drift e^{-v . dx / 2D}, the
+    modified-Helmholtz part at k = mu.  A radial-Trefftz power kind at n = 0 is its base kind.
 
     Each Bessel function is evaluated once, and only the orders asked are
     computed.
     """
-    kind = _profile_kind(family, order)
-    if kind is None:
-        return None
     op = family.operator
     dim = op.dim
-    k = op.k
+    if family.kind not in _BESSEL:
+        raise UnsupportedKernelError(
+            f"no steady formula for class={family.kind!r} operator={op.kind!r} dim={dim}")
+    kind = op.base().kind if family.kind == RADIAL_TREFFTZ and not op.power_n else op.kind
     if kind == ops.LAPLACE:
         if dim == 2:
             terms = (lambda: -np.log(re) / _TWO_PI,
@@ -309,21 +263,38 @@ def _radial_profile(family, re, order):
                      lambda: -2.0 / (4.0 * math.pi ** 2 * re ** 3),
                      lambda: 6.0 / (4.0 * math.pi ** 2 * re ** 4))
         return [term() for term in terms[:order + 1]]
+    if kind in (ops.BIHARMONIC, ops.POLY_LAPLACE):  # biharmonic: poly-Laplace n = 1
+        n = 1 if kind == ops.BIHARMONIC else op.power_n
+        if dim == 2:  # R^2n (C_n log R - B_n) / 2 pi, C_1 = B_1 = 1/4
+            co = high_order_coeffs(op)
+            c, b = (0.25, 0.25) if kind == ops.BIHARMONIC else (co.C[n], co.B[n])
+            terms = (lambda: (re * re * np.log(re) - re * re) / (8.0 * math.pi)
+                     if kind == ops.BIHARMONIC else re ** (2 * n) / _TWO_PI * (c * np.log(re) - b),
+                     lambda: re ** (2 * n - 1) * (2 * n * (c * np.log(re) - b) + c) / _TWO_PI,
+                     lambda: re ** (2 * n - 2) * (2 * n * (2 * n - 1) * (c * np.log(re) - b)
+                                                  + (4 * n - 1) * c) / _TWO_PI)
+        else:  # R^(2n-1) / (4 pi (2n)!)
+            f = _FOUR_PI * math.factorial(2 * n)
+            terms = (lambda: re ** (2 * n - 1) / f,
+                     lambda: (2 * n - 1) * re ** (2 * n - 2) / f,
+                     lambda: (2 * n - 1) * (2 * n - 2) * re ** (2 * n - 3) / f)
+        return [term() for term in terms[:order + 1]]
+    k = op.mu_cd if _drifts(op) else op.k
+    bessel = _BESSEL[family.kind][kind not in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER)]
+    if kind in ops.POWER_KINDS:
+        return _power_profile(op, bessel, k, re, order)
     z = k * re
     if dim == 2:
-        bessel = _PROFILE_BESSEL[family.kind, kind]
-        f0 = bessel_block(bessel, 0, z)
-        f1 = bessel_block(bessel, 1, z) if order else None
+        f0 = _bessel(bessel, 0, z)
+        f1 = _bessel(bessel, 1, z) if order else None
         if bessel == "k":
-            terms = (lambda: -k * f1 / _TWO_PI,
-                     lambda: k * k * (f0 + f1 / z) / _TWO_PI)
+            terms = (lambda: -k * f1, lambda: k * k * (f0 + f1 / z))
         elif bessel == "i":
-            terms = (lambda: k * f1 / _TWO_PI,
-                     lambda: k * k * (f0 - f1 / z) / _TWO_PI)
-        else:  # J0 and Y0: F0' = -F1, F0'' = -F0 + F1/z
-            terms = (lambda: -k * f1 / _TWO_PI,
-                     lambda: -k * k * (f0 - f1 / z) / _TWO_PI)
-        return [f0 / _TWO_PI] + [term() for term in terms[:order]]
+            terms = (lambda: k * f1, lambda: k * k * (f0 - f1 / z))
+        else:  # J0, Y0 and H0: F0' = -F1, F0'' = -F0 + F1/z
+            terms = (lambda: -k * f1, lambda: -k * k * (f0 - f1 / z))
+        scale = (lambda f: 0.25j * f) if bessel == "h" else (lambda f: f / _TWO_PI)
+        return [scale(f0)] + [scale(term()) for term in terms[:order]]
     if family.kind == FUNDAMENTAL_REAL:
         cos = np.cos(z)
         sin = np.sin(z) if order else None
@@ -331,47 +302,72 @@ def _radial_profile(family, re, order):
                  lambda: -(k * sin * re + cos) / (_FOUR_PI * re * re),
                  lambda: (-k * k * cos * re ** 2 + 2.0 * k * sin * re
                           + 2.0 * cos) / (_FOUR_PI * re ** 3))
-    elif family.kind == FUNDAMENTAL:  # modified Helmholtz
+    elif bessel in ("k", "h"):  # e^{-z} / 4 pi R: z = kR, or -+ikR for e^{+-ikR}
+        if bessel == "h":
+            z = -((1.0 if family.outgoing_3d else -1.0) * 1j * k * re)
         e = np.exp(-z)
         terms = (lambda: e / (_FOUR_PI * re),
                  lambda: -e * (z + 1.0) / (_FOUR_PI * re * re),
                  lambda: e * (z * z + 2.0 * z + 2.0) / (_FOUR_PI * re ** 3))
-    elif kind == ops.HELMHOLTZ:  # radial-Trefftz
+    elif bessel == "j":  # radial-Trefftz Helmholtz
         sin = np.sin(z) if order else None
         cos = np.cos(z) if order else None
         terms = (lambda: np.sinc(z / math.pi) * k / _FOUR_PI,  # sin(kR)/(4 pi R)
                  lambda: (k * cos * re - sin) / (_FOUR_PI * re * re),
                  lambda: (-k * k * sin * re ** 2 - 2.0 * k * cos * re
                           + 2.0 * sin) / (_FOUR_PI * re ** 3))
-    else:  # radial-Trefftz modified Helmholtz
+    else:  # radial-Trefftz modified Helmholtz, k / 4 pi at R = 0
         sinh = np.sinh(z)
         cosh = np.cosh(z) if order else None
-        terms = (lambda: sinh / (_FOUR_PI * re),
+        terms = (lambda: np.divide(sinh, _FOUR_PI * re, where=re != 0.0,
+                                   out=np.full(re.shape, k / _FOUR_PI)),
                  lambda: (k * cosh * re - sinh) / (_FOUR_PI * re * re),
                  lambda: (k * k * sinh * re ** 2 - 2.0 * k * cosh * re
                           + 2.0 * sinh) / (_FOUR_PI * re ** 3))
     return [term() for term in terms[:order + 1]]
 
 
-def _power_piece(op, kind, z):
-    """A_n z^n F_n(z) in 2D and A_n z^n sqrt(2/pi) f_n(z) in 3D, n = op.power_n,
-    F the Bessel function of the given kind and f its spherical form; kind
-    "h" takes the Hankel form i (J_n + i Y_n) (spherical in 3D)."""
+def _power_profile(op, bessel, k, re, order):
+    """[g, g', g''][:order + 1] of the power piece g(R) = _power_piece(kR).
+
+    With u = z^a F_v (a = v = n in 2D; a = n - 1/2, v = n + 1/2 in 3D):
+    u' = s z^a F_{v-1} + (a - v) z^{a-1} F_v, s = -1 for K and +1 otherwise
+    (DLMF 10.6, 10.29), and Bessel's equation gives
+    z^2 u'' = (2a - 1) z u' - (a^2 - v^2) u - e z^2 u, e = -1 for I and K.
+    """
+    n, dim = op.power_n, op.dim
+    z = k * re
+    g = _power_piece(op, bessel, z)
+    if not order:
+        return [g]
+    gp = (-1.0 if bessel == "k" else 1.0) * k * _power_piece(op, bessel, z, n - 1)
+    if dim == 3:
+        gp = gp - g / re
+    if order == 1:
+        return [g, gp]
+    e = -1.0 if bessel in ("i", "k") else 1.0
+    gpp = ((2 * n + 1 - dim) * gp + 2 * n * (dim - 2) * g / re) / re - e * k * k * g
+    return [g, gp, gpp]
+
+
+def _bessel(kind, v, z, spherical=False):
+    """F_v(z) of the given kind (f_v if spherical); "h" takes J_v + i Y_v."""
+    block = spherical_bessel_block if spherical else bessel_block
+    if kind == "h":
+        return block("j", v, z) + 1j * block("y", v, z)
+    return block(kind, v, z)
+
+
+def _power_piece(op, kind, z, order=None):
+    """A_n z^n F_v(z) in 2D and A_n z^n sqrt(2/pi) f_v(z) in 3D, n = op.power_n,
+    v = n unless an order is given, F the Bessel function of the given kind
+    and f its spherical form; kind "h" takes the Hankel form i (J_v + i Y_v)."""
     n = op.power_n
     piece = high_order_coeffs(op).A[n] * z ** n
-    bessel = bessel_block
     if op.dim == 3:
         piece = piece * math.sqrt(2.0 / math.pi)
-        bessel = spherical_bessel_block
-    if kind == "h":
-        return piece * 1j * (bessel("j", n, z) + 1j * bessel("y", n, z))
-    return piece * bessel(kind, n, z)
-
-
-def _drift(op, dx):
-    """Convection-diffusion drift factor exp(-v . dx / 2D)."""
-    return np.exp(-np.einsum("...i,i->...", dx, np.asarray(op.velocity))
-                  / (2.0 * op.diffusion))
+    f = _bessel(kind, n if order is None else order, z, op.dim == 3)
+    return piece * 1j * f if kind == "h" else piece * f
 
 
 def _harmonic_sum(c, dx, dim):
@@ -385,11 +381,36 @@ def _harmonic_sum(c, dx, dim):
             + pair(dx[..., 2], dx[..., 0]))
 
 
+def _harmonic_terms(family, dx, r2, order):
+    """[K, grad K, lap K][:order + 1] of the harmonic kernel K = r^2n H: H the
+    harmonic sum (lap H = 0), n = 1 for biharmonic, the power for
+    poly-Laplace, else 0.  A pair term of H is Re F(a + ib), F(z) =
+    e^{-c z^2}, so its d/da is Re F' and its d/db is -Im F'."""
+    op = family.operator
+    c = family.c_shape
+    n = op.power_n if op.kind == ops.POLY_LAPLACE else (1 if op.kind == ops.BIHARMONIC else 0)
+    h = _harmonic_sum(c, dx, op.dim)
+    terms = [(r2 ** n if n else 1.0) * h]
+    if order:
+        grad_h = np.zeros(dx.shape)
+        for i, j in ((0, 1),) if op.dim == 2 else ((0, 1), (1, 2), (2, 0)):
+            z = dx[..., i] + 1j * dx[..., j]
+            f = -2.0 * c * z * np.exp(-c * z * z)
+            grad_h[..., i] += f.real
+            grad_h[..., j] -= f.imag
+        q = 2 * n * r2 ** (n - 1) if n else 0.0  # grad r^2n = q dx, lap r^2n = (2n + d - 2) q
+        terms.append((q * h)[..., None] * dx + (r2 ** n)[..., None] * grad_h)
+        terms.append(q * ((2 * n + op.dim - 2) * h + 2.0 * np.einsum("...i,...i->...", dx, grad_h)))
+    return terms[:order + 1]
+
+
 # ---------------------------------------------------------------------------
 # time-dependent kernels; theta(0) = 0 so dt <= 0 contributes nothing
 
-def _time_block(family, r2, dt):
-    """Kernel values for squared distances r2 and time lags dt (broadcast)."""
+def _time_block(family, r2, dt, radial_slope=False):
+    """Kernel values for squared distances r2 and time lags dt (broadcast);
+    radial_slope puts (d radial / dr) / r in place of a time-radial-Trefftz
+    kernel's radial factor."""
     op = family.operator
     dim = op.dim
     dt = np.asarray(dt, dtype=float)
@@ -416,7 +437,11 @@ def _time_block(family, r2, dt):
         r = np.sqrt(r2)
         active = dt > 0.0
         dta = np.where(active, dt, 0.0)
-        radial = bessel_block("j", 0, r) if dim == 2 else np.sinc(r / math.pi)
+        if radial_slope:  # of J_0(r) and sin(r) / r
+            radial = (-bessel_block("j", 1, r) / r if dim == 2
+                      else (r * np.cos(r) - np.sin(r)) / r ** 3)
+        else:
+            radial = bessel_block("j", 0, r) if dim == 2 else np.sinc(r / math.pi)
         if op.kind == ops.HEAT:
             vals = np.exp(-op.k * dta) * radial
         else:
@@ -425,6 +450,19 @@ def _time_block(family, r2, dt):
         return np.where(active, vals, 0.0)
     raise UnsupportedKernelError(
         f"no time formula for class={kind!r} operator={op.kind!r} dim={dim}")
+
+
+def _time_slope(family, r2, dt):
+    """(dG/dr) / r of a time kernel G, so that grad_x G = slope * dx."""
+    if family.kind == TIME_RADIAL_TREFFTZ:
+        return _time_block(family, r2, dt, radial_slope=True)
+    op = family.operator
+    vals = _time_block(family, r2, dt)
+    if op.kind == ops.HEAT:  # grad G = -dx / (2 k dt) G
+        return vals / (-2.0 * op.k * np.where(dt > 0.0, dt, 1.0))
+    if op.dim == 2:  # G = 1 / (2 pi c1 sqrt((c1 dt)^2 - r^2)) inside the cone
+        return vals / np.where(vals != 0.0, (op.c1 * dt) ** 2 - r2, 1.0)
+    return -vals / r2  # G = 1 / (4 pi r)
 
 
 def _heat_like(q, dtg, kdiff, dim):
@@ -484,18 +522,15 @@ def eval_kernel(family, field_point, source_point):
         if t is None or tau is None:
             raise DomainError("time kernels need t on the field point and tau on the source")
         return float(kernel_block(family, x.reshape(1, -1), s.reshape(1, -1), [t], [tau])[0, 0])
-    val = _steady_block(family, (x - s).reshape(1, -1))[0]
+    val = _steady_terms(family, (x - s).reshape(1, -1), 0)[0][0]
     if np.iscomplexobj(val):
         return complex(val)
     return float(val)
 
 
 def eval_kernel_gradient(family, field_point, source_point):
-    """Gradient of the kernel w.r.t. the field point.
-
-    Analytic for the radial subset of _radial_profile; central differences
-    (h = cbrt(eps) * max(1, |x|)) otherwise.
-    """
+    """Gradient of the kernel w.r.t. the field point, in closed form (a 1x1
+    view of _gradient_block)."""
     x, t = _as_xt(field_point)
     s, tau = _as_xt(source_point)
     g = _gradient_block(family, x.reshape(1, 1, -1) - s.reshape(1, 1, -1),
@@ -504,36 +539,19 @@ def eval_kernel_gradient(family, field_point, source_point):
 
 
 def _gradient_block(family, dx, dt=None):
-    """Gradients for dx of shape (n, m, dim); returns (n, m, dim)."""
+    """Gradients for dx of shape (n, m, dim); returns (n, m, dim).  A time
+    kernel is a radial function of r: grad = (d/dr)/r dx, -> 0 at r = 0."""
+    op = family.operator
+    if op.kind == ops.STRUCTURAL_DIFFUSION:
+        raise UnsupportedKernelError(
+            "Neumann rows need the kernel gradient, which the structural-diffusion "
+            "family (time-fundamental:structural-diffusion) does not provide")
+    if not op.is_time_dependent:
+        return _steady_terms(family, dx, 1)[1]
     r2 = np.einsum("...i,...i->...", dx, dx)
-    r = np.sqrt(r2)
-    _check_singular(family, r)
-    re = _radial_arg(family, r)
-    profile = _radial_profile(family, re, 1)
-    if profile is not None:
-        # d/dx g(R(r)) = g'(R) * (r/R) * unit(dx) = g'(R)/R * dx
-        return (profile[1] / re)[..., None] * dx
-    return _gradient_fd(family, dx, dt)
-
-
-def _gradient_fd(family, dx, dt):
-    # central differences, h = cbrt(eps) * max(1, |dx|) per entry
-    h = math.pow(2.2204460492503131e-16, 1.0 / 3.0) * np.maximum(
-        1.0, np.sqrt(np.einsum("...i,...i->...", dx, dx)))
-    out = np.empty(dx.shape, complex if family.is_complex else float)
-    for i in range(dx.shape[-1]):
-        dp = dx.copy()
-        dm = dx.copy()
-        dp[..., i] += h
-        dm[..., i] -= h
-        if family.operator.is_time_dependent:
-            fp = _time_block(family, np.einsum("...i,...i->...", dp, dp), dt)
-            fm = _time_block(family, np.einsum("...i,...i->...", dm, dm), dt)
-        else:
-            fp = _steady_block(family, dp)
-            fm = _steady_block(family, dm)
-        out[..., i] = ops._by_parts(lambda d: d / (2.0 * h), fp - fm)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at r = 0
+        slope = _time_slope(family, r2, np.asarray(dt, dtype=float))
+    return np.where(r2 == 0.0, 0.0, slope)[..., None] * dx
 
 
 def _laplace_eigenvalue(op):
@@ -575,10 +593,9 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
 
     Fast paths: exact-satisfaction zeros when the family solves L0 itself;
     eigen-factor scaling between Laplace-family operators; analytic d/dt for
-    heat-by-heat; analytic second derivatives on radial families.  Other
-    families take the FD Laplacian of their values (operators'
-    steady_operator_fd_block, step fd_step(x_i) per row) for Laplace-type L0.
-    The block has the family's dtype.
+    heat-by-heat.  Otherwise L0 is Laplace-type and the block is the
+    closed-form Laplacian of the family's kernel (_steady_terms) plus or
+    minus k^2 times its values.  The block has the family's dtype.
     """
     X = np.asarray(X, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -599,45 +616,24 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
     if governing.kind not in (ops.LAPLACE, ops.HELMHOLTZ, ops.MODIFIED_HELMHOLTZ):
         raise UnsupportedKernelError(
             f"interior-residual rows not implemented for operator {governing.kind!r}")
-    radial = _radial_operator_block(family, X, S)
-    lap, vals = radial if radial is not None else (_fd_laplacian(family, X, S), None)
+    vals, _, lap = _steady_terms(family, X[:, None, :] - S[None, :, :], 2)
     if governing.kind == ops.LAPLACE:
         return lap
-    if vals is None:
-        vals = kernel_block(family, X, S)
     if governing.kind == ops.HELMHOLTZ:
         return lap + governing.k ** 2 * vals
     return lap - governing.k ** 2 * vals
 
 
-def _fd_laplacian(family, X, S):
-    # one stencil origin per (row, source) pair, pair p = i * m + j
-    n, m = X.shape[0], S.shape[0]
-    sources = np.tile(S, (n, 1))[:, None, :]
-
-    def values(P):
-        dx = P.reshape(n * m, -1, S.shape[1]) - sources
-        return _steady_block(family, dx).ravel()
-
-    return ops.steady_operator_fd_block(OperatorSpec(ops.LAPLACE, family.operator.dim),
-                                        values, np.repeat(X, m, axis=0)).reshape(n, m)
-
-
-def _radial_operator_block(family, X, S):
-    """(Laplacian, values) of the kernel block from the radial profile
-    (including the enhanced shift), the values as kernel_block's; None
-    outside the analytic subset."""
-    if _profile_kind(family, 2) is None:
-        return None
-    dx = X[:, None, :] - S[None, :, :]
-    r2 = np.einsum("...i,...i->...", dx, dx)
-    sigma = family.shift
-    if sigma == 0.0 and np.any(r2 == 0.0):
-        raise SingularityError("operator application at r = 0")
-    re = _radial_arg(family, np.sqrt(r2))
-    g, gp, gpp = _radial_profile(family, re, 2)
-    d = family.operator.dim
-    return gpp * r2 / re ** 2 + gp * (sigma * sigma / re ** 3 + (d - 1) / re), g
+def _origin_laplacian(family, g):
+    """lap g at R = 0 of a radial-Trefftz part: -e k^2 g at n = 0 (e = -1 for
+    the modified kinds); a power piece goes as A_n z^2n / 2^n n! (3D: sqrt(2/pi)
+    A_n z^2n / (2n+1)!!), which at n = 1 gives 2 k^2 A_1 = 1 (sqrt(2/pi) in
+    3D) and above n = 1 gives 0."""
+    op = family.operator
+    if op.power_n:
+        return float(op.power_n == 1) * (1.0 if op.dim == 2 else math.sqrt(2.0 / math.pi))
+    k = op.mu_cd if _drifts(op) else op.k
+    return (-k * k if op.kind in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER) else k * k) * g
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +806,7 @@ def kernel_block(family, X, S, T=None, TAU=None):
         r2 = pairwise_sq_dist(X, S)
         return _time_block(family, r2, np.subtract.outer(np.asarray(T, dtype=float),
                                                          np.asarray(TAU, dtype=float)))
-    return _steady_block(family, X[:, None, :] - S[None, :, :])
+    return _steady_terms(family, X[:, None, :] - S[None, :, :], 0)[0]
 
 
 def kernel_gradient_block(family, X, S, normals, T=None, TAU=None):

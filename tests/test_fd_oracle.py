@@ -1,6 +1,6 @@
 """Tests for the batched finite-difference oracle: row partitions, the
-one-point views, its independence from the analytic operator code, its
-sensitivity to a perturbed kernel, and the T-complete member blocks it
+one-point views, its independence from the analytic operator code (and
+theirs from it), its sensitivity to a perturbed kernel, and the T-complete member blocks it
 drives."""
 
 import math
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import special as sc
 
 from pikfnn import kernels, operators, runner
+from pikfnn.geometry import CollocationSet, SourceSet
 from pikfnn.kernels import (
     eval_tcomplete_member,
     kernel_block,
@@ -25,6 +26,7 @@ from pikfnn.operators import (
     steady_operator_fd_block,
     time_operator_fd_block,
 )
+from pikfnn.network import assemble
 from pikfnn.registry import list_kernel_ids, parse_kernel_id
 from pikfnn.runner import build_verify_entries, verify_kernels
 from pikfnn.special_functions import assoc_legendre, bessel_i, bessel_j
@@ -302,13 +304,45 @@ def test_oracle_independent_of_analytic_operators(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the FD oracle used analytic operator code")
 
-    for name in ("governing_applied_block", "_radial_operator_block",
-                 "elastic_gradient_block"):
+    for name in ("governing_applied_block", "kernel_gradient_block", "_gradient_block",
+                 "_origin_laplacian", "elastic_gradient_block"):
         monkeypatch.setattr(kernels, name, forbidden)
         monkeypatch.setattr(runner, name, forbidden, raising=False)
     rows, _ = verify_kernels(n_points=10)
     assert len(rows) == len(build_verify_entries())
     assert all(math.isfinite(r.max_residual) for r in rows)
+
+
+STEADY_IDS = [ident for ident in ORACLE_IDS
+              if not parse_kernel_id(ident).operator.is_time_dependent
+              and parse_kernel_id(ident).kind != kernels.T_COMPLETE]
+
+
+@pytest.mark.parametrize("ident", STEADY_IDS)
+def test_analytic_rows_independent_of_oracle(ident, monkeypatch):
+    # the other direction: value, Neumann and interior-residual rows of every
+    # steady family assemble with the FD oracle unreachable
+    def forbidden(*args, **kwargs):
+        raise AssertionError("analytic rows used the FD oracle")
+
+    for name in ("steady_operator_fd_block", "time_operator_fd_block",
+                 "apply_steady_operator_fd", "apply_time_operator_fd"):
+        monkeypatch.setattr(operators, name, forbidden)
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-1.0, 1.0, size=(9, dim))
+    normals = rng.normal(size=X.shape)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    colloc = CollocationSet(X, ["D", "N", "R"] * 3, np.zeros(9), normals=normals)
+    sources = SourceSet(rng.uniform(2.0, 3.0, size=(4, dim)))
+    governing = [OperatorSpec("laplace", dim)]
+    if dim < 4:
+        governing += [OperatorSpec("helmholtz", dim, k=0.8),
+                      OperatorSpec("modified-helmholtz", dim, k=0.9)]
+    for gov in governing:
+        mtx = assemble([family], sources, colloc, gov)
+        assert np.all(np.isfinite(mtx.entries))
 
 
 # Delta^2 |x|^2 = 0, so the quadratic perturbation cannot show under

@@ -28,7 +28,7 @@ from pikfnn.operators import (
     high_order_coeffs,
     steady_operator_fd_block,
 )
-from pikfnn.registry import parse_kernel_id
+from pikfnn.registry import list_kernel_ids, parse_kernel_id
 from pikfnn.special_functions import bessel_k, bessel_y
 
 RNG = np.random.default_rng(20240810)
@@ -563,37 +563,169 @@ def test_assembly_block_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# governing operator applied to families without analytic second derivatives
+# closed-form gradient and operator rows, every steady catalog family
 
-FD_APPLIED_CASES = [
-    ("fundamental:convection-diffusion:2d?k=1&d=1&v=0.1,0.1", OperatorSpec("laplace", 2)),
-    ("harmonic:laplace:2d", OperatorSpec("modified-helmholtz", 2, k=1.5)),
-    ("harmonic:laplace:2d", OperatorSpec("helmholtz", 2, k=2.0)),
-]
+def _steady_cases():
+    """Every steady catalog id but T-complete and elastic ones, with the
+    n = 0 and n = 2 variants of each power id and the shift=0.6 variant of
+    each radial one."""
+    out = []
+    for ident in list_kernel_ids():
+        family = parse_kernel_id(ident)
+        if family.operator.is_time_dependent or family.kind in (
+                kernels.T_COMPLETE, kernels.ELASTO_DISP, kernels.ELASTO_TRAC):
+            continue
+        ids = [ident]
+        if "n=1" in ident:
+            ids += [ident.replace("n=1", "n=0"), ident.replace("n=1", "n=2")]
+        if kernels._is_radial(family):
+            ids += [i + ("&" if "?" in i else "?") + "shift=0.6" for i in list(ids)]
+        out += ids
+    return out
 
 
-@pytest.mark.parametrize("ident, governing", FD_APPLIED_CASES)
-def test_governing_applied_block_fd_matches_entrywise(ident, governing):
-    # one FD block over all (row, source) pairs equals the entry-by-entry
-    # application (FD Laplacian at step fd_step(x_i), plus +-k^2 * value)
+STEADY_CASES = _steady_cases()
+
+
+def _case(ident, seed=3):
+    # shifted kernels are smooth, so their sources may sit among the points
     family = parse_kernel_id(ident)
-    X = RNG.uniform(-1.0, 1.0, size=(5, 2))
-    S = RNG.uniform(2.0, 3.0, size=(3, 2))
-    block = governing_applied_block(family, governing, X, S)
-    sign = {"laplace": 0.0, "helmholtz": 1.0, "modified-helmholtz": -1.0}[governing.kind]
-    for i in range(len(X)):
-        for j in range(len(S)):
-            lap = steady_operator_fd_block(
-                OperatorSpec("laplace", 2),
-                lambda P, s=S[j]: kernel_block(family, P, s[None])[:, 0], X[i][None])[0]
-            expect = lap
-            if sign:
-                expect = lap + sign * governing.k ** 2 * eval_kernel(family, X[i], S[j])
-            assert block[i, j] == expect
+    dim = family.operator.dim
+    rng = np.random.default_rng(seed)
+    low = -1.0 if family.shift else 2.0
+    return family, rng.uniform(-1.0, 1.0, size=(5, dim)), rng.uniform(low, low + 1.0, size=(3, dim))
+
+
+def _governing(dim):
+    if dim == 4:
+        return [OperatorSpec("laplace", dim)]
+    return [OperatorSpec("laplace", dim), OperatorSpec("helmholtz", dim, k=0.8),
+            OperatorSpec("modified-helmholtz", dim, k=0.9)]
+
+
+def _fd_operator_rows(family, gov, X, S, h=5e-3):
+    # Richardson-extrapolated over steps h and 2h, as the oracle does for
+    # nested operators: a plain step small enough for the h^4 error leaves
+    # rows that cancel (conv-diff under modified Helmholtz) roundoff-bound
+    def rows(step):
+        return np.column_stack([steady_operator_fd_block(
+            gov, lambda P, s=s: kernel_block(family, P, s[None])[:, 0], X, h=step) for s in S])
+
+    return (16.0 * rows(h) - rows(2.0 * h)) / 15.0
+
+
+def _fd_normal_gradient(family, X, S, normals, T=None, TAU=None, h=1e-5):
+    return sum(normals[:, [i]] * (kernel_block(family, X + h * e, S, T, TAU)
+                                  - kernel_block(family, X - h * e, S, T, TAU)) / (2.0 * h)
+               for i, e in enumerate(np.eye(X.shape[1])))
+
+
+def _assert_rows_match(block, fd, values):
+    # 1e-7 relative to the FD rows; rows that vanish identically (the FD
+    # reading is rounding noise, below 1e-6 of the values) vanish to 1e-12
+    scale = np.abs(fd).max()
+    if scale < 1e-6 * np.abs(values).max():
+        assert np.abs(block).max() <= 1e-12 * np.abs(values).max()
+    else:
+        assert np.abs(block - fd).max() <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("ident", STEADY_CASES)
+def test_profile_operator_rows_match_fd(ident, monkeypatch):
+    family, X, S = _case(ident)
+    values = kernel_block(family, X, S)
+    for gov in _governing(family.operator.dim):
+        fd = _fd_operator_rows(family, gov, X, S)
+        with monkeypatch.context() as patch:  # closed forms only, no FD oracle
+            patch.setattr(operators, "steady_operator_fd_block", None)
+            block = governing_applied_block(family, gov, X, S)
+        _assert_rows_match(block, fd, values)
+
+
+@pytest.mark.parametrize("ident", STEADY_CASES)
+def test_profile_operator_values_are_kernel_block(ident):
+    # the g in a residual row's +-k^2 g is the value row's g, shifted or not
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.0, 1.0, size=(200, dim))
+    S = rng.uniform(-1.0, 1.0, size=(50, dim))
+    values, _, _ = kernels._steady_terms(family, X[:, None, :] - S[None, :, :], 2)
+    assert np.array_equal(values, kernel_block(family, X, S))
+
+
+@pytest.mark.parametrize("ident", STEADY_CASES)
+def test_profile_gradient_rows_match_fd(ident, monkeypatch):
+    family, X, S = _case(ident)
+    normals = np.random.default_rng(4).normal(size=X.shape)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    fd = _fd_normal_gradient(family, X, S, normals)
+    monkeypatch.setattr(operators, "steady_operator_fd_block", None)
+    block = kernels.kernel_gradient_block(family, X, S, normals)
+    assert np.abs(block - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+SMOOTH_CASES = [ident for ident in STEADY_CASES if not parse_kernel_id(ident).is_singular]
+
+
+@pytest.mark.parametrize("ident", SMOOTH_CASES)
+def test_rows_at_a_source_point_take_the_limit(ident):
+    # X == S: grad g -> 0 (plus g grad w for a drift factor w) and the
+    # Laplacian's R -> 0 limit, against central differences around the source
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-1.0, 1.0, size=(4, dim))
+    normals = rng.normal(size=X.shape)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    values = kernel_block(family, X, X)
+    assert np.all(np.isfinite(values))
+    block = kernels.kernel_gradient_block(family, X, X, normals)
+    _assert_rows_match(block, _fd_normal_gradient(family, X, X, normals), values)
+    for gov in _governing(dim):
+        _assert_rows_match(governing_applied_block(family, gov, X, X),
+                           _fd_operator_rows(family, gov, X, X), values)
+
+
+TIME_IDS = [ident for ident in list_kernel_ids()
+            if parse_kernel_id(ident).operator.kind in ("heat", "wave")]
+
+
+@pytest.mark.parametrize("ident", TIME_IDS)
+def test_time_gradient_rows_match_fd(ident):
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-1.0, 1.0, size=(6, dim))
+    S = rng.uniform(-1.0, 1.0, size=(4, dim))
+    normals = rng.normal(size=X.shape)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    T = rng.uniform(5.0, 6.0, size=6)  # inside the wave cone: c1 dt > r
+    TAU = np.array([0.0, 0.5, 1.0, 7.0])  # the last column is inactive
+    block = kernels.kernel_gradient_block(family, X, S, normals, T, TAU)
+    fd = _fd_normal_gradient(family, X, S, normals, T, TAU)
+    assert np.all(block[:, -1] == 0.0)
+    assert np.abs(block - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+def test_structural_diffusion_neumann_rows_are_unsupported(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel evaluated before the Neumann-row check")
+
+    for name in ("_time_block", "structural_kernel_block", "kernel_block", "_heat_like"):
+        monkeypatch.setattr(kernels, name, forbidden)
+    family = parse_kernel_id("time-fundamental:structural-diffusion:2d")
+    X = np.full((2, 2), 0.5)
+    with pytest.raises(UnsupportedKernelError, match="Neumann.*structural-diffusion"):
+        kernels.kernel_gradient_block(family, X, X + 1.0, np.array([[1.0, 0.0]] * 2),
+                                      [1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(UnsupportedKernelError, match="Neumann.*structural-diffusion"):
+        eval_kernel_gradient(family, SpaceTimePoint((0.5, 0.5), 1.0),
+                             SpaceTimePoint((1.5, 1.5), 0.0))
 
 
 def test_governing_applied_block_at_a_source_point():
-    # smooth families take the FD path at r = 0; only the analytic path raises
+    # smooth families take their R -> 0 limits at r = 0; singular ones raise
     helmholtz = OperatorSpec("helmholtz", 2, k=2.0)
     X = RNG.uniform(-1.0, 1.0, size=(4, 2))
     S = np.vstack([X[:1], RNG.uniform(2.0, 3.0, size=(2, 2))])
@@ -605,65 +737,13 @@ def test_governing_applied_block_at_a_source_point():
         governing_applied_block(parse_kernel_id("fundamental:laplace:2d"), helmholtz, X, S)
 
 
-# the analytic radial subset: every (class, operator, dim) pair whose gradient
-# and operator rows come from the closed-form radial profile
-PROFILE_IDS = ["fundamental:laplace:2d", "fundamental:laplace:3d", "fundamental:laplace:4d",
-               "fundamental:modified-helmholtz:2d?k=1", "fundamental:modified-helmholtz:3d?k=1",
-               "fundamental-real:helmholtz:2d?k=1", "fundamental-real:helmholtz:3d?k=1",
-               "radial-trefftz:helmholtz:2d?k=1", "radial-trefftz:helmholtz:3d?k=1",
-               "radial-trefftz:modified-helmholtz:2d?k=1",
-               "radial-trefftz:modified-helmholtz:3d?k=1"]
-
-
-def _shifted_case(ident):
-    family = parse_kernel_id(ident + ("&" if "?" in ident else "?") + "shift=0.6")
-    dim = family.operator.dim
-    rng = np.random.default_rng(3)
-    return family, rng.uniform(-1.0, 1.0, size=(5, dim)), rng.uniform(-1.0, 1.0, size=(3, dim))
-
-
-@pytest.mark.parametrize("ident", PROFILE_IDS)
-def test_profile_operator_rows_match_fd(ident, monkeypatch):
-    family, X, S = _shifted_case(ident)
-    dim = family.operator.dim
-    governing = [OperatorSpec("laplace", dim)]
-    if dim < 4:
-        governing += [OperatorSpec("helmholtz", dim, k=0.8),
-                      OperatorSpec("modified-helmholtz", dim, k=0.9)]
-    for gov in governing:
-        fd = np.column_stack([steady_operator_fd_block(
-            gov, lambda P, s=s: kernel_block(family, P, s[None])[:, 0], X, h=2e-3) for s in S])
-        with monkeypatch.context() as patch:  # the analytic rows, not the FD fallback
-            patch.setattr(operators, "steady_operator_fd_block", None)
-            block = governing_applied_block(family, gov, X, S)
-        assert np.abs(block - fd).max() <= 1e-7 * np.abs(fd).max()
-
-
-@pytest.mark.parametrize("ident", PROFILE_IDS)
-def test_profile_operator_values_are_kernel_block(ident):
-    # the g in a residual row's +-k^2 g is the value row's g, shifted or not
-    dim = parse_kernel_id(ident).operator.dim
-    rng = np.random.default_rng(5)
-    X = rng.uniform(-1.0, 1.0, size=(200, dim))
-    S = rng.uniform(-1.0, 1.0, size=(50, dim))
-    for family in (parse_kernel_id(ident), _shifted_case(ident)[0]):
-        _, values = kernels._radial_operator_block(family, X, S)
-        assert np.array_equal(values, kernel_block(family, X, S))
-
-
-@pytest.mark.parametrize("ident", PROFILE_IDS)
-def test_profile_gradient_rows_match_fd(ident, monkeypatch):
-    family, X, S = _shifted_case(ident)
-    dim = family.operator.dim
-    normals = np.random.default_rng(4).normal(size=X.shape)
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-    h = 1e-5
-    fd = sum(normals[:, [i]] * (kernel_block(family, X + h * e, S)
-                                - kernel_block(family, X - h * e, S)) / (2.0 * h)
-             for i, e in enumerate(np.eye(dim)))
-    monkeypatch.setattr(kernels, "_gradient_fd", None)
-    block = kernels.kernel_gradient_block(family, X, S, normals)
-    assert np.abs(block - fd).max() <= 1e-7 * np.abs(fd).max()
+def test_harmonic_rows_under_helmholtz_are_exact_at_the_source():
+    # harmonic:laplace:2d has lap = 0 and value 1 at its source, so its
+    # Helmholtz (k = 2) residual row reads exactly k^2 = 4 there
+    family = parse_kernel_id("harmonic:laplace:2d")
+    X = np.array([[0.3, -0.2]])
+    block = governing_applied_block(family, OperatorSpec("helmholtz", 2, k=2.0), X, X)
+    assert block[0, 0] == 4.0
 
 
 N0_PAIRS = [(f"radial-trefftz:{kind}-power:{dim}d?{params}&n=0",
@@ -681,11 +761,12 @@ def test_radial_trefftz_power_kinds_at_n0_evaluate_as_base_kind(power, base):
     X = RNG.uniform(-1.0, 1.0, size=(5, dim))
     S = RNG.uniform(2.0, 3.0, size=(3, dim))
     assert np.array_equal(kernel_block(power, X, S), kernel_block(base, X, S))
+    # both take their gradient rows from the base kind's radial profile
+    normals = np.full((5, dim), 1.0 / math.sqrt(dim))
+    assert np.array_equal(kernels.kernel_gradient_block(power, X, S, normals),
+                          kernels.kernel_gradient_block(base, X, S, normals))
     if base.operator.kind == "convection-diffusion":
-        # not radial: gradient and operator rows of both take the FD path
-        normals = np.full((5, dim), 1.0 / math.sqrt(dim))
-        assert np.array_equal(kernels.kernel_gradient_block(power, X, S, normals),
-                              kernels.kernel_gradient_block(base, X, S, normals))
+        # not radial, so no eigenvalue shortcut: both Laplacians are the profile's
         laplace = OperatorSpec("laplace", dim)
         assert np.array_equal(governing_applied_block(power, laplace, X, S),
                               governing_applied_block(base, laplace, X, S))
@@ -695,7 +776,7 @@ def test_governing_applied_block_rejects_other_operators(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("kernel evaluated before the operator check")
 
-    monkeypatch.setattr(kernels, "_steady_block", forbidden)
+    monkeypatch.setattr(kernels, "_steady_terms", forbidden)
     monkeypatch.setattr(kernels, "kernel_block", forbidden)
     family = parse_kernel_id("harmonic:laplace:2d")
     with pytest.raises(UnsupportedKernelError):
