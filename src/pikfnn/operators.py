@@ -4,7 +4,7 @@ the batched finite-difference oracle used by verify-kernels.
 steady_operator_fd_block and time_operator_fd_block apply an operator to the
 *values* of a function by central differences at many sample points at
 once.  Every stencil point of every sample point (each level of a nested
-power, both Richardson steps) is collected, coincident points are merged,
+power, every Richardson step) is collected, coincident points are merged,
 and the function is evaluated on the whole set with one call; the stencil
 weights then contract those values, applying each inner level of a nested
 power once per lattice point.  The oracle sees values only, never a
@@ -203,7 +203,7 @@ def structural_fn(selector, exponent):
 #
 # Every point a stencil reads lies on the lattice x + o * h (t + o_t * ht for
 # the time axis, stored last in o) with o an integer offset vector, and h a
-# per-point step.  Nested powers and both Richardson steps read the same
+# per-point step.  Nested powers and all three Richardson steps read the same
 # lattice, so each stencil is written once against a lookup u(o) -> values.
 # The distinct offsets depend on the operator alone: _lattice records them
 # once per operator; fn is then evaluated once on every point of every
@@ -323,7 +323,11 @@ def _steady_stencil(op, u, h, dim):
 
         return apply_once(nested(reps - 1), origin, step)
 
-    return (16.0 * full(h, 1) - full(2.0 * h, 2)) / 15.0
+    # Richardson over the steps h, 2h and 4h: r1 and r2 cancel the h^4 term,
+    # and their combination the h^6 term
+    f1, f2, f4 = full(h, 1), full(2.0 * h, 2), full(4.0 * h, 4)
+    r1, r2 = (16.0 * f1 - f2) / 15.0, (16.0 * f2 - f4) / 15.0
+    return (64.0 * r1 - r2) / 63.0
 
 
 def steady_operator_fd_block(op, fn, X, h=None):
@@ -332,9 +336,9 @@ def steady_operator_fd_block(op, fn, X, h=None):
     fn maps an (N, dim) point array to (N,) values (real or complex); it is
     called once, on the distinct stencil points of every row.  Higher-order
     operators (biharmonic, powers) nest the base application and
-    Richardson-extrapolate the nested result (cancels the leading h^4 term,
-    which otherwise drowns the 1e-4 check tolerance).  h defaults to
-    fd_step per row; returns one residual per row.
+    Richardson-extrapolate the nested result over the steps h, 2h and 4h
+    (cancels the h^4 and h^6 terms, which otherwise drown the 1e-4 check
+    tolerance).  h defaults to fd_step per row; returns one residual per row.
     """
     X = np.asarray(X, dtype=float)
     n, dim = X.shape

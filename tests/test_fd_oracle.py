@@ -198,8 +198,8 @@ def test_block_oracle_reproduces_scalar_loop(ident):
 
 
 def test_block_oracle_merges_coincident_points():
-    # 3D biharmonic: both Richardson steps of the nested stencil read 121
-    # distinct lattice points per row, not 2 * 16 * 16 = 512
+    # 3D biharmonic: the three Richardson steps of the nested stencil read
+    # 169 distinct lattice points per row, not 3 * 16 * 16 = 768
     sizes = []
 
     def fn(P):
@@ -207,7 +207,7 @@ def test_block_oracle_merges_coincident_points():
         return np.ones(len(P))
 
     steady_operator_fd_block(OperatorSpec("biharmonic", 3), fn, np.ones((4, 3)))
-    assert sizes == [4 * 121]
+    assert sizes == [4 * 169]
 
 
 def test_nested_levels_apply_once_per_lattice_point(monkeypatch):
@@ -226,8 +226,8 @@ def test_nested_levels_apply_once_per_lattice_point(monkeypatch):
 
     monkeypatch.setattr(operators, "_fd_laplacian", counted)
     steady_operator_fd_block(op, lambda P: np.ones(len(P)), X)
-    assert len(applied) == 2 * (1 + 13)
-    for step in (applied[:14], applied[14:]):
+    assert len(applied) == 3 * (1 + 13)
+    for step in (applied[:14], applied[14:28], applied[28:]):
         assert step[0] == (0, 0, 0) and len(set(step[1:])) == 13
 
 

@@ -604,7 +604,7 @@ def _governing(dim):
 
 
 def _fd_operator_rows(family, gov, X, S, h=5e-3):
-    # Richardson-extrapolated over steps h and 2h, as the oracle does for
+    # Richardson-extrapolated over steps h and 2h, the oracle's first two for
     # nested operators: a plain step small enough for the h^4 error leaves
     # rows that cancel (conv-diff under modified Helmholtz) roundoff-bound
     def rows(step):
