@@ -314,10 +314,12 @@ def _steady_stencil(op, u, h, dim):
 
     def full(step, scale):
         # the step-`scale * h` lattice is every scale-th point of the h one;
-        # each level is applied once per offset the level above reads
+        # each level is applied once, and each offset read once, per offset
+        # the level above reads
         def nested(level):
             if level == 0:
-                return u if scale == 1 else lambda o: u(tuple(scale * c for c in o))
+                return u if scale == 1 else functools.cache(
+                    lambda o: u(tuple(scale * c for c in o)))
             inner = nested(level - 1)
             return functools.cache(lambda o: apply_once(inner, o, step))
 

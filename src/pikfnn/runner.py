@@ -8,7 +8,6 @@ never in the CSVs).
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -212,19 +211,19 @@ def _worst(res, values):
     return float(np.max(np.abs(res) / np.maximum(np.abs(values), 1.0), initial=0.0))
 
 
-def _unit_direction(rng, dim):
-    d = rng.normal(size=dim)
-    return d / math.sqrt(d @ d)
+def _sample_shell(rng, n, dim):
+    """(directions, radii) of n sample points: unit directions (n, dim) from
+    one normal draw, then radii (n,) uniform in [0.5, 2] from one uniform
+    draw."""
+    d = rng.normal(size=(n, dim))
+    return d / np.linalg.norm(d, axis=1)[:, None], 0.5 + 1.5 * rng.random(n)
 
 
 def _steady_check(family, n_points, seed):
     op = family.operator
-    rng = np.random.default_rng(seed)
     S = np.zeros((1, op.dim))
-    X = np.empty((n_points, op.dim))
-    for p in range(n_points):
-        d = _unit_direction(rng, op.dim)
-        X[p] = (0.5 + 1.5 * rng.random()) * d
+    d, r = _sample_shell(np.random.default_rng(seed), n_points, op.dim)
+    X = r[:, None] * d
 
     def fn(P):
         return np.real(kernel_block(family, P, S)[:, 0])
@@ -240,17 +239,12 @@ def _time_check(family, n_points, seed):
     # source time: every stencil point stays causal (inside the light cone
     # for the wave kernel)
     tau = 0.1 if positive else (0.0 if op.kind == ops.WAVE else -1.5)
-    X = np.empty((n_points, op.dim))
-    T = np.empty(n_points)
-    for p in range(n_points):
-        d = _unit_direction(rng, op.dim)
-        r = 0.5 + 1.5 * rng.random()
-        X[p] = s + r * d
-        T[p] = 0.5 + 1.5 * rng.random()
-        if positive:
-            T[p] += 1.0
-        if op.kind == ops.WAVE:
-            T[p] = r / op.c1 + 1.5 + rng.random()
+    d, r = _sample_shell(rng, n_points, op.dim)
+    X = s + r[:, None] * d
+    if op.kind == ops.WAVE:
+        T = r / op.c1 + 1.5 + rng.random(n_points)
+    else:
+        T = 0.5 + 1.5 * rng.random(n_points) + (1.0 if positive else 0.0)
 
     def fn(P, Tp):
         return kernel_block(family, P, s[None, :], Tp, [tau])[:, 0]
@@ -262,13 +256,10 @@ def _tcomplete_check(family, n_points, seed):
     # every member gets `per` points, drawn member after member; one oracle
     # call covers them all, and fn hands each member its own rows' points
     op = family.operator
-    rng = np.random.default_rng(seed)
     members = tcomplete_members(family)
     per = max(2, n_points // len(members))
-    X = np.empty((len(members) * per, op.dim))
-    for p in range(len(X)):
-        d = _unit_direction(rng, op.dim)
-        X[p] = (0.5 + 1.5 * rng.random()) * d
+    d, r = _sample_shell(np.random.default_rng(seed), len(members) * per, op.dim)
+    X = r[:, None] * d
 
     def fn(P):
         return np.concatenate([tcomplete_member_block(family, index, block) for index, block
@@ -285,19 +276,16 @@ def _elastic_check(family, n_points, seed):
     lam = 2 * op.shear * op.nu / (1 - 2 * op.nu)
     rng = np.random.default_rng(seed)
     h = 3e-4
-    comps, X = [], []
-    for _ in range(max(10, n_points // 5)):
-        comps.append(int(rng.integers(1, 3)))
-        d = _unit_direction(rng, 2)
-        X.append((0.5 + 1.5 * rng.random()) * d)
-    X = np.asarray(X)
-    n = len(X)
+    n = max(10, n_points // 5)
+    d, r = _sample_shell(rng, n, 2)
+    X = r[:, None] * d
+    comps = rng.integers(1, 3, size=n)
     steps = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])  # +-e_1, +-e_2
     outer = X[:, None, :] + steps[None, :, :]
     stencil = outer[:, :, None, :] + steps[None, None, :, :]
     kelvin = elastic_block(op, stencil.reshape(-1, 2), np.zeros((1, 2)))
     # u[p, o, i, l]: displacement l of force component comps[p] at stencil[p, o, i]
-    u = kelvin.reshape(n, 4, 4, 2, 2)[np.arange(n), :, :, :, np.asarray(comps) - 1]
+    u = kelvin.reshape(n, 4, 4, 2, 2)[np.arange(n), :, :, :, comps - 1]
     grad = ((u[:, :, 0::2] - u[:, :, 1::2]) / (2 * h)).swapaxes(-1, -2)  # d u_l / d x_j
     eps = 0.5 * (grad + grad.swapaxes(-1, -2))
     sigma = lam * np.trace(eps, axis1=-2, axis2=-1)[..., None, None] * np.eye(2) \

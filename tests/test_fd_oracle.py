@@ -262,16 +262,11 @@ def _tcomplete_loop(family, n_points, seed):
     """The T-complete check as one oracle call per member, on the draws
     verify-kernels makes."""
     op = family.operator
-    rng = np.random.default_rng(seed)
     worst = 0.0
     members = tcomplete_members(family)
     per = max(2, n_points // len(members))
-    for index in members:
-        X = np.empty((per, op.dim))
-        for p in range(per):
-            d = runner._unit_direction(rng, op.dim)
-            X[p] = (0.5 + 1.5 * rng.random()) * d
-
+    d, r = runner._sample_shell(np.random.default_rng(seed), len(members) * per, op.dim)
+    for index, X in zip(members, np.split(r[:, None] * d, len(members))):
         def fn(P, index=index):
             return tcomplete_member_block(family, index, P)
 
@@ -298,6 +293,52 @@ def test_tcomplete_check_is_one_oracle_call(ident, monkeypatch):
         (row,), _ = verify_kernels(entries=entries, n_points=100, seed=seed)
         assert len(calls) == 1
         assert row.max_residual == _tcomplete_loop(parse_kernel_id(ident), 100, seed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 300), dim=st.integers(2, 4), seed=st.integers(0, 2 ** 63))
+def test_sample_shell_draws_unit_directions_and_shell_radii(n, dim, seed):
+    d, r = runner._sample_shell(np.random.default_rng(seed), n, dim)
+    assert d.shape == (n, dim) and r.shape == (n,)
+    assert np.all((r >= 0.5) & (r <= 2.0))
+    assert np.all(np.abs(np.linalg.norm(d, axis=1) - 1.0) <= 1e-15)
+    again = runner._sample_shell(np.random.default_rng(seed), n, dim)
+    assert np.array_equal(d, again[0]) and np.array_equal(r, again[1])
+
+
+NESTED_ENTRIES = [entry for entry in build_verify_entries()
+                  if parse_kernel_id(entry[0]).operator.kind
+                  in (operators.BIHARMONIC,) + operators.POWER_KINDS]
+
+
+def test_nested_entries_pass_at_seeds_0_to_7():
+    # biharmonic, poly-Laplace and the other power kinds: the operators the
+    # three-step Richardson oracle applies, at their unchanged tolerance
+    assert len(NESTED_ENTRIES) == 24
+    assert all(tol == 1e-4 for _, _, tol in NESTED_ENTRIES)
+    for seed in range(8):
+        rows, ok = verify_kernels(entries=NESTED_ENTRIES, seed=seed)
+        assert ok, [(r.name, r.max_residual) for r in rows if not r.passed]
+
+
+@pytest.mark.parametrize("ident,x", [
+    ("harmonic:biharmonic:3d", [1.9339819874033743, 0.21882839044811073, -0.4196054265413999]),
+    ("harmonic:biharmonic:2d", [0.4070067804098922, -1.9151508201169378]),
+    ("harmonic:biharmonic:2d", [-0.41058725129470774, 1.9278683001420396]),
+])
+def test_nested_oracle_resolves_wide_step_points(ident, x):
+    # points near |x| = 2, where fd_step doubles h: with the steps h and 2h
+    # alone the h^6 term left residuals of 1.1e-4 to 1.6e-4 here (tol 1e-4);
+    # lap^2 of r^2 H is exactly 0 for a harmonic H
+    family = parse_kernel_id(ident)
+    S = np.zeros((1, family.operator.dim))
+
+    def fn(P):
+        return kernel_block(family, P, S)[:, 0]
+
+    X = np.array([x])
+    res = steady_operator_fd_block(family.operator, fn, X) / np.maximum(np.abs(fn(X)), 1.0)
+    assert abs(res[0]) <= 1e-5
 
 
 def test_oracle_independent_of_analytic_operators(monkeypatch):
