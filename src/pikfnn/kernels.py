@@ -153,15 +153,21 @@ def _require_supported(family):
 
 
 def _reaches_bessel(family):
-    """Whether the family's kernels call bessel_block / spherical_bessel_block:
-    2D Helmholtz-type and time-radial-Trefftz kernels, T-complete members, and
-    in 3D the powers' spherical pieces (radial-Trefftz only for n >= 1)."""
+    """Whether the family's kernels reach the scipy Bessel functions: 2D
+    Helmholtz-type and time-radial-Trefftz kernels, and in 3D the spherical
+    pieces of orders other than 0 and 1 (those are elementary): T-complete
+    members of degree >= 2, power pieces at n >= 2, and at n = 0 the order -1
+    of a non-Trefftz power kind's gradient."""
     op = family.operator
     if op.kind not in (ops.HELMHOLTZ, ops.MODIFIED_HELMHOLTZ, ops.CONVECTION_DIFFUSION,
                        ops.HELMHOLTZ_POWER, ops.MOD_HELMHOLTZ_POWER, ops.CONV_DIFF_POWER):
         return family.kind == TIME_RADIAL_TREFFTZ and op.dim == 2
-    return (op.dim == 2 or family.kind == T_COMPLETE or op.power_n > 0
-            or (op.kind in ops.POWER_KINDS and family.kind != RADIAL_TREFFTZ))
+    if op.dim == 2:
+        return True
+    if family.kind == T_COMPLETE:
+        return family.tcomplete_max_order >= 2
+    n = op.power_n
+    return n >= 2 or (n == 0 and op.kind in ops.POWER_KINDS and family.kind != RADIAL_TREFFTZ)
 
 
 def _is_radial(family):
@@ -310,20 +316,19 @@ def _radial_profile(family, re, order):
                  lambda: -e * (z + 1.0) / (_FOUR_PI * re * re),
                  lambda: e * (z * z + 2.0 * z + 2.0) / (_FOUR_PI * re ** 3))
     elif bessel == "j":  # radial-Trefftz Helmholtz
-        sin = np.sin(z) if order else None
-        cos = np.cos(z) if order else None
+        # g' = -k^2 j_1(kR) / 4 pi and g'' = -k^3 (j_0 - 2 j_1 / z) / 4 pi keep
+        # full precision near the source, where sin and cos forms cancel
+        j1 = spherical_bessel_block("j", 1, z) if order else None
         terms = (lambda: np.sinc(z / math.pi) * k / _FOUR_PI,  # sin(kR)/(4 pi R)
-                 lambda: (k * cos * re - sin) / (_FOUR_PI * re * re),
-                 lambda: (-k * k * sin * re ** 2 - 2.0 * k * cos * re
-                          + 2.0 * sin) / (_FOUR_PI * re ** 3))
+                 lambda: -k * k * j1 / _FOUR_PI,
+                 lambda: -k ** 3 * (spherical_bessel_block("j", 0, z) - 2.0 * j1 / z) / _FOUR_PI)
     else:  # radial-Trefftz modified Helmholtz, k / 4 pi at R = 0
-        sinh = np.sinh(z)
-        cosh = np.cosh(z) if order else None
-        terms = (lambda: np.divide(sinh, _FOUR_PI * re, where=re != 0.0,
+        # g' = k^2 i_1(kR) / 4 pi and g'' = k^3 (i_0 - 2 i_1 / z) / 4 pi
+        i1 = spherical_bessel_block("i", 1, z) if order else None
+        terms = (lambda: np.divide(np.sinh(z), _FOUR_PI * re, where=re != 0.0,
                                    out=np.full(re.shape, k / _FOUR_PI)),
-                 lambda: (k * cosh * re - sinh) / (_FOUR_PI * re * re),
-                 lambda: (k * k * sinh * re ** 2 - 2.0 * k * cosh * re
-                          + 2.0 * sinh) / (_FOUR_PI * re ** 3))
+                 lambda: k * k * i1 / _FOUR_PI,
+                 lambda: k ** 3 * (spherical_bessel_block("i", 0, z) - 2.0 * i1 / z) / _FOUR_PI)
     return [term() for term in terms[:order + 1]]
 
 
@@ -437,9 +442,9 @@ def _time_block(family, r2, dt, radial_slope=False):
         r = np.sqrt(r2)
         active = dt > 0.0
         dta = np.where(active, dt, 0.0)
-        if radial_slope:  # of J_0(r) and sin(r) / r
-            radial = (-bessel_block("j", 1, r) / r if dim == 2
-                      else (r * np.cos(r) - np.sin(r)) / r ** 3)
+        if radial_slope:  # of J_0(r) and j_0(r) = sin(r) / r
+            radial = -(bessel_block("j", 1, r) if dim == 2
+                       else spherical_bessel_block("j", 1, r)) / r
         else:
             radial = bessel_block("j", 0, r) if dim == 2 else np.sinc(r / math.pi)
         if op.kind == ops.HEAT:

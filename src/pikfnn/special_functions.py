@@ -4,9 +4,11 @@ The Bessel functions are thin wrappers over scipy.special, gated by the
 40-digit table (tests/data/special_function_reference.txt, regenerated by
 tools/gen_special_reference.py).  Orders 0 and 1 use the order-specific
 ufuncs j0/j1/y0/y1/i0/i1/k0/k1, which are far cheaper than jv/yv/iv/kv;
-higher and half-integer orders use jv/yv/iv/kv.  load_bessel_table imports
-scipy.special once, when a kernel family that reaches Bessel functions is
-constructed (or on the first evaluation), so Bessel-free runs never load it.
+higher and half-integer orders use jv/yv/iv/kv.  The spherical pieces of
+orders 0 and 1 are elementary (with a power series near 0) and never reach
+scipy.  load_bessel_table imports scipy.special once, when a kernel family
+that reaches Bessel functions is constructed (or on the first evaluation),
+so Bessel-free runs never load it.
 
 `bessel_block` and `spherical_bessel_block` evaluate whole arrays (the path
 the kernel catalog takes); `bessel_j/y/i/k` and `hankel1` are their scalar
@@ -59,15 +61,7 @@ def load_bessel_table():
             "i": (sc.i0, sc.i1, sc.iv), "k": (sc.k0, sc.k1, sc.kv)}
 
 
-def bessel_block(kind, n, z):
-    """J_n, Y_n, I_n or K_n (kind "j", "y", "i" or "k") elementwise on z.
-
-    n is a non-negative integer, or a half-integer for the spherical pieces;
-    it is not checked.  Raises SingularityError when a Y argument is below
-    Y_SINGULARITY_FLOOR or a K argument is <= 0, and RangeOverflowError when
-    an I argument exceeds 700 in magnitude.
-    """
-    z = np.asarray(z, dtype=float)
+def _check_arguments(kind, n, z):
     if z.size:
         if kind == "y" and z.min() < Y_SINGULARITY_FLOOR:
             raise SingularityError(
@@ -77,6 +71,18 @@ def bessel_block(kind, n, z):
         if kind == "i" and np.abs(z).max() > _I_OVERFLOW_ARG:
             raise RangeOverflowError(
                 f"I_{n}(x) overflows the double range for |x| > {_I_OVERFLOW_ARG:g}")
+
+
+def bessel_block(kind, n, z):
+    """J_n, Y_n, I_n or K_n (kind "j", "y", "i" or "k") elementwise on z.
+
+    n is a non-negative integer, or a half-integer for the spherical pieces;
+    it is not checked.  Raises SingularityError when a Y argument is below
+    Y_SINGULARITY_FLOOR or a K argument is <= 0, and RangeOverflowError when
+    an I argument exceeds 700 in magnitude.
+    """
+    z = np.asarray(z, dtype=float)
+    _check_arguments(kind, n, z)
     order0, order1, any_order = load_bessel_table()[kind]
     if n == 0:
         return order0(z)
@@ -85,14 +91,62 @@ def bessel_block(kind, n, z):
     return any_order(n, z)
 
 
+# Below this argument j_n and i_n (n = 0, 1) take their power series: the
+# closed forms of j_1 and i_1 lose about eps / z^2 of relative precision to
+# cancellation.  At the threshold the series' 10th term is below 1e-17.
+_SPHERICAL_SERIES_BELOW = 1.0
+_SPHERICAL_SERIES_TERMS = 10
+
+
+def _spherical_series(kind, n, z):
+    # j_n, i_n = z^n / (2n+1)!! sum_k (-+z^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1))
+    q = (-0.5 if kind == "j" else 0.5) * z * z
+    total = np.ones(z.shape)
+    for k in range(_SPHERICAL_SERIES_TERMS, 0, -1):
+        total = 1.0 + total * q / (k * (2 * n + 2 * k + 1))
+    return total * z / 3.0 if n else total
+
+
+def _spherical_closed(kind, n, z):
+    # DLMF 10.49.3, 10.49.5, 10.49.8, 10.49.12 at n = 0 and 1
+    if kind == "j":
+        s = np.sin(z) / z
+        return s if n == 0 else (s - np.cos(z)) / z
+    if kind == "y":
+        c = np.cos(z) / z
+        return -c if n == 0 else -(c + np.sin(z)) / z
+    if kind == "i":
+        s = np.sinh(z) / z
+        return s if n == 0 else (np.cosh(z) - s) / z
+    e = 0.5 * math.pi * np.exp(-z) / z
+    return e if n == 0 else e * (1.0 + 1.0 / z)
+
+
 def spherical_bessel_block(kind, n, z):
     """Spherical j_n, y_n, i_n or k_n = sqrt(pi / 2z) F_{n+1/2}(z) on z >= 0.
 
     j_n and i_n take their limits at z = 0 (1 for n = 0, else 0); y_n and
-    k_n raise SingularityError there.  scipy.special.spherical_* are not
-    used: their Python wrappers cost tens of microseconds per call.
+    k_n raise SingularityError there, and i_n RangeOverflowError above 700.
+    Orders 0 and 1 are pure numpy: the elementary closed forms, and for j_n
+    and i_n below _SPHERICAL_SERIES_BELOW their power series, chosen per
+    element.  Higher orders go through bessel_block at order n + 1/2;
+    scipy.special.spherical_* are not used: their Python wrappers cost tens
+    of microseconds per call.
     """
     z = np.asarray(z, dtype=float)
+    if n in (0, 1):
+        _check_arguments(kind, n, z)
+        if kind in ("y", "k"):
+            return _spherical_closed(kind, n, z)
+        small = z < _SPHERICAL_SERIES_BELOW
+        if small.all():
+            return _spherical_series(kind, n, z)
+        if not small.any():
+            return _spherical_closed(kind, n, z)
+        out = np.empty(z.shape)
+        out[small] = _spherical_series(kind, n, z[small])
+        out[~small] = _spherical_closed(kind, n, z[~small])
+        return out
     if kind in ("j", "i") and not z.all():
         out = np.full(z.shape, 1.0 if n == 0 else 0.0)
         nonzero = z != 0.0

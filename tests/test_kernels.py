@@ -708,6 +708,43 @@ def test_time_gradient_rows_match_fd(ident):
     assert np.abs(block - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
+NEAR_SOURCE_CASES = [
+    # (id, radial part f(R, mp) in mpmath, time factor at dt = 1, Delta f / f)
+    ("radial-trefftz:helmholtz:3d?k=1.3",
+     lambda R, mp: mp.sin(1.3 * R) / (4 * mp.pi * R), 1.0, -1.3 ** 2),
+    ("radial-trefftz:modified-helmholtz:3d?k=1.3",
+     lambda R, mp: mp.sinh(1.3 * R) / (4 * mp.pi * R), 1.0, 1.3 ** 2),
+    ("time-radial-trefftz:heat:3d?k=0.7", lambda R, mp: mp.sin(R) / R, math.exp(-0.7), None),
+    ("time-radial-trefftz:wave:3d?c1=1.5",
+     lambda R, mp: mp.sin(R) / R, math.cos(1.5) + math.sin(1.5) / 1.5, None),
+]
+
+
+@pytest.mark.parametrize("ident,radial,factor,eigen", NEAR_SOURCE_CASES,
+                         ids=[case[0] for case in NEAR_SOURCE_CASES])
+def test_smooth_3d_rows_near_the_source_match_mpmath(ident, radial, factor, eigen):
+    # Neumann rows (normal along dx) read f'(R) (dx . n) / R; the sin/cos and
+    # sinh/cosh quotients cancelled there (8e-5 relative at R = 1e-6), j_1 and
+    # i_1 do not.  Operator rows read Delta f = g'' + 2 g' / R likewise.
+    mp = pytest.importorskip("mpmath")
+    family = parse_kernel_id(ident)
+    normal = np.array([[1.0, 2.0, 2.0]]) / 3.0
+    S = np.zeros((1, 3))
+    times = (np.ones(1), np.zeros(1)) if family.operator.is_time_dependent else ()
+    with mp.workdps(40):
+        for r in (1e-2, 1e-4, 1e-6):
+            X = r * normal
+            R = mp.sqrt(sum(mp.mpf(c) ** 2 for c in X[0]))
+            along = sum(mp.mpf(c) * mp.mpf(v) for c, v in zip(X[0], normal[0])) / R
+            expected = float(mp.diff(lambda t: radial(t, mp), R) * along * factor)
+            got = kernels.kernel_gradient_block(family, X, S, normal, *times)[0, 0]
+            assert abs(got - expected) <= 1e-12 * abs(expected), (r, got, expected)
+            if eigen is not None:
+                lap = kernels._steady_terms(family, X - S, 2)[2][0]
+                expected = float(eigen * radial(R, mp))
+                assert abs(lap - expected) <= 1e-12 * abs(expected), (r, lap, expected)
+
+
 def test_structural_diffusion_neumann_rows_are_unsupported(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("kernel evaluated before the Neumann-row check")

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pikfnn import special_functions
 from pikfnn.errors import DomainError, RangeOverflowError, SingularityError
 from pikfnn.special_functions import (
     assoc_legendre,
@@ -20,6 +21,8 @@ from pikfnn.special_functions import (
 )
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "special_function_reference.txt")
+SPHERICAL_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
+                                 "spherical_bessel_reference.txt")
 
 FNS = {
     "bessel_j": bessel_j,
@@ -29,9 +32,9 @@ FNS = {
 }
 
 
-def load_reference():
+def load_reference(path=FIXTURE):
     rows = []
-    with open(FIXTURE) as fh:
+    with open(path) as fh:
         for line in fh:
             name, n, x, value = line.split()
             rows.append((name, int(n), float(x), float(value)))
@@ -227,6 +230,26 @@ def test_spherical_pieces_match_closed_forms(kind):
         # jv at half-integer order is good to ~3e-14 relative; the table
         # gate for integer orders is 1e-12 absolute
         assert np.all(np.abs(got - expected) <= 1e-13 * scale), (kind, n)
+
+
+@pytest.mark.parametrize("kind", ["j", "y", "i", "k"])
+def test_spherical_pieces_match_reference_table(kind):
+    # frozen 40-digit table at n = 0 and 1, on both sides of the threshold
+    # below which j_n and i_n take their power series: relative, or for j_n
+    # and y_n beyond x = 1 against their 1/x envelope (they have zeros there)
+    for n in (0, 1):
+        rows = [(x, value) for name, order, x, value in load_reference(SPHERICAL_FIXTURE)
+                if name == f"spherical_{kind}" and order == n]
+        x = np.array([x for x, _ in rows])
+        expected = np.array([value for _, value in rows])
+        assert x.min() < special_functions._SPHERICAL_SERIES_BELOW < x.max()
+        got = spherical_bessel_block(kind, n, x)
+        scale = np.abs(expected)
+        if kind in ("j", "y"):
+            scale = np.where(x < 1.0, scale, np.maximum(scale, 1.0 / x))
+        assert np.all(np.abs(got - expected) <= 1e-14 * scale), (kind, n)
+        # the branch is chosen per element: one-point views read the same bits
+        assert got.tolist() == [float(spherical_bessel_block(kind, n, v)) for v in x]
 
 
 def test_spherical_pieces_small_argument_series():

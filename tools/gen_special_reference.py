@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Generate tests/data/special_function_reference.txt with mpmath (40 digits).
+"""Generate tests/data/special_function_reference.txt and
+tests/data/spherical_bessel_reference.txt with mpmath (40 digits).
 
-Run once; the fixture is committed so the test suite never needs mpmath.
+Run once; the fixtures are committed so the test suite never needs mpmath.
 Rows: `fn_name n x value`, whitespace-delimited, 17 significant digits.
 Legendre rows encode the order in the name (assoc_legendre_m<m>) and carry
 the degree v in the n column.
 
-Points are restricted to |value| <= 100 so the 1e-12 absolute comparison is
-meaningful in doubles (values like Y_5(0.05) ~ 1e8 cannot be represented to
-1e-12 absolute by any double-precision routine).
+Points of the first table are restricted to |value| <= 100 so the 1e-12
+absolute comparison is meaningful in doubles (values like Y_5(0.05) ~ 1e8
+cannot be represented to 1e-12 absolute by any double-precision routine).
+The second table holds the spherical j_n, y_n, i_n and k_n (the
+sqrt(pi / 2x) F_{n+1/2}(x) of special_functions) at n = 0 and 1, compared
+relatively, at arguments on both sides of the series threshold x = 1.
 """
 
 import mpmath as mp
@@ -28,6 +32,12 @@ I_ORDERS = (0, 1, 2, 4, 7, 12)
 K_ORDERS = (0, 1, 2, 4, 7)
 P_DEGREES = (0, 1, 2, 3, 5, 8, 12, 16, 20)
 P_ARGS = (-1.0, -0.83, -0.44, -0.11, 0.0, 0.27, 0.52, 0.78, 0.95, 1.0)
+
+SPH_OUT = "tests/data/spherical_bessel_reference.txt"
+SPH_ARGS = (1e-8, 1e-5, 1e-3, 0.01, 0.07, 0.2, 0.45, 0.7, 0.9, 0.99, 0.999999, 1.0,
+            1.000001, 1.01, 1.2, 1.6, 2.3, 3.1, 4.5, 6.2, 8.8, 12.5, 17.0, 23.9,
+            30.0, 41.3, 50.0)
+SPH_FNS = {"j": mp.besselj, "y": mp.bessely, "i": mp.besseli, "k": mp.besselk}
 
 
 def fmt(v):
@@ -96,6 +106,21 @@ def main():
             per_fn[base] = per_fn.get(base, 0) + 1
             fh.write(f"{name} {n} {x!r} {fmt(val)}\n")
     print({k: v for k, v in per_fn.items()})
+    spherical()
+
+
+def spherical():
+    count = 0
+    with open(SPH_OUT, "w") as fh:
+        for kind, fn in SPH_FNS.items():
+            for n in (0, 1):
+                for x in SPH_ARGS:
+                    if kind == "i" and x > 30.0:
+                        continue
+                    val = mp.sqrt(mp.pi / (2 * mp.mpf(x))) * fn(n + mp.mpf(1) / 2, x)
+                    fh.write(f"spherical_{kind} {n} {x!r} {fmt(val)}\n")
+                    count += 1
+    print({"spherical": count})
 
 
 if __name__ == "__main__":
