@@ -138,11 +138,7 @@ def spherical_bessel_block(kind, n, z):
         _check_arguments(kind, n, z)
         if kind in ("y", "k"):
             return _spherical_closed(kind, n, z)
-        small = z < _SPHERICAL_SERIES_BELOW
-        if small.all():
-            return _spherical_series(kind, n, z)
-        if not small.any():
-            return _spherical_closed(kind, n, z)
+        small = np.abs(z) < _SPHERICAL_SERIES_BELOW
         out = np.empty(z.shape)
         out[small] = _spherical_series(kind, n, z[small])
         out[~small] = _spherical_closed(kind, n, z[~small])
