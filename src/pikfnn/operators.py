@@ -204,10 +204,12 @@ def structural_fn(selector, exponent):
 # Every point a stencil reads lies on the lattice x + o * h (t + o_t * ht for
 # the time axis, stored last in o) with o an integer offset vector, and h a
 # per-point step.  Nested powers and all three Richardson steps read the same
-# lattice, so each stencil is written once against a lookup u(o) -> values.
-# The distinct offsets depend on the operator alone: _lattice records them
-# once per operator; fn is then evaluated once on every point of every
-# offset, and the same stencil contracts those values.
+# lattice.  The distinct offsets depend on the operator alone: _lattice
+# records them once per operator; fn is then evaluated once on every point of
+# every offset, and the stencil contracts those values.  A stencil is written
+# once against a lookup g(o) -> values; a nested level of a steady operator
+# is one application of that stencil at all the sites the level above reads,
+# through a lookup that returns one row per site.
 
 def _shift(o, axis, k):
     return o[:axis] + (o[axis] + k,) + o[axis + 1:]
@@ -229,37 +231,43 @@ def _fd_laplacian(u, o, h, dim):
     return sum(_fd2(u, o, i, h) for i in range(dim))
 
 
-def _evaluate_stencil(stencil, offsets, fn, Z, steps):
-    """Contract stencil(u) over the values of fn at every offset it reads.
+def _evaluate_stencil(stencil, lattice, fn, Z, steps):
+    """Contract stencil(v) over the values v of fn at every offset it reads.
 
     Z holds one lattice origin per row (coordinates, then the time if any)
-    and steps the per-row step of each axis.  offsets maps each offset the
-    stencil reads to its index (see _lattice); fn is called once on the
-    origins shifted by every offset.
+    and steps the per-row step of each axis.  lattice holds one offset the
+    stencil reads per row (see _lattice); fn is called once on the origins
+    shifted by every offset, and row i of v holds the values at offset i.
     """
-    lattice = np.asarray(list(offsets), dtype=float)
     points = Z[:, None, :] + lattice[None, :, :] * steps[:, None, :]
     values = np.asarray(fn(points.reshape(-1, Z.shape[1])))
-    values = np.ascontiguousarray(values.reshape(Z.shape[0], len(offsets)).T)
-    return _by_parts(lambda v: stencil(lambda o: v[offsets[o]]), values)
+    values = np.ascontiguousarray(values.reshape(Z.shape[0], len(lattice)).T)
+    return _by_parts(stencil, values)
 
 
-@functools.cache
-def _lattice(op, dim):
-    """The offsets op's stencil reads in dim dimensions, each mapped to its
-    index in first-read order: the stencil run once with a recording lookup
-    and scalar stand-ins for the steps and coordinates."""
-    offsets = {}
-
+def _recorder(offsets):
+    """A lookup that registers each offset it reads in offsets, in
+    first-read order, and reads 0."""
     def record(o):
         offsets.setdefault(o, len(offsets))
         return 0.0
 
-    if op.is_time_dependent:
-        _time_stencil(op, record, 1.0, 1.0, dim, lambda o, i: 1.0, 1.0)
-    else:
-        _steady_stencil(op, record, 1.0, dim)
-    return types.MappingProxyType(offsets)
+    return record
+
+
+@functools.cache
+def _lattice(op, dim):
+    """(lattice, reads) of op's stencil in dim dimensions: the lattice holds
+    the offsets it reads, one per row in first-read order, as floats.  For a
+    time operator, whose stencil is run once with a recording lookup and
+    scalar stand-ins for the steps and coordinates, reads maps each offset to
+    its row; for a steady one it is _steady_gathers' (moves, gathers)."""
+    if not op.is_time_dependent:
+        lattice, moves, gathers = _steady_gathers(op, dim)
+        return lattice.astype(float), (moves, gathers)
+    offsets = {}
+    _time_stencil(op, _recorder(offsets), 1.0, 1.0, dim, lambda o, i: 1.0, 1.0)
+    return np.array(list(offsets), dtype=float), types.MappingProxyType(offsets)
 
 
 def _by_parts(fn, values):
@@ -292,42 +300,85 @@ def fd_step(x, order=1):
     return {1: 1e-4, 2: 8e-3, 3: 2e-2}.get(order, 3e-2) * scale
 
 
-def _steady_stencil(op, u, h, dim):
-    reps = _nesting(op)
+def _apply_base(base, g, h, dim):
+    """One application of a steady base operator at the origin of the
+    lookup g."""
+    o = (0,) * dim
+    if base.kind == LAPLACE:
+        return _fd_laplacian(g, o, h, dim)
+    if base.kind == HELMHOLTZ:
+        return _fd_laplacian(g, o, h, dim) + base.k ** 2 * g(o)
+    if base.kind == MODIFIED_HELMHOLTZ:
+        return _fd_laplacian(g, o, h, dim) - base.k ** 2 * g(o)
+    if base.kind == CONVECTION_DIFFUSION:
+        conv = sum(base.velocity[i] * _fd1(g, o, i, h) for i in range(dim))
+        return base.diffusion * _fd_laplacian(g, o, h, dim) + conv - base.k * g(o)
+    raise DomainError(f"no FD rule for steady operator {base.kind!r}")
+
+
+def _steady_gathers(op, dim):
+    """(lattice, moves, gathers): how the nested stencil of op reads the
+    lattice.
+
+    The top level is one base application at the origin; each level below
+    is applied at every distinct site the level above reads, in first-read
+    order, and level 1 reads the lattice values.  One application at a site
+    reads the site shifted by each move (moves maps each move to its index).
+    Per Richardson step (h alone for a single application; h, 2h and 4h
+    otherwise, every scale-th point of the h lattice) the gathers hold, from
+    level 1 up, the (moves, sites) rows each level reads of the level below.
+    The lattice rows come in the order a depth-first walk of the nested
+    stencil reads them.
+    """
+    moves = {}
+    _apply_base(op.base(), _recorder(moves), 1.0, dim)
+    shifts = np.array(list(moves))
+    sites = [np.zeros((1, dim), dtype=int)]  # level by level, the top one last
+    for _ in range(_nesting(op) - 1):
+        sites.insert(0, _first_rows((sites[0][:, None] + shifts).reshape(-1, dim)))
+    scales = (1,) if len(sites) == 1 else (1, 2, 4)
+    lattice = _first_rows(np.concatenate(
+        [scale * (sites[0][:, None] + shifts) for scale in scales]).reshape(-1, dim))
+    gathers = tuple(
+        (_rows_of(lattice, scale * (shifts[:, None] + sites[0])),)
+        + tuple(_rows_of(below, shifts[:, None] + at) for below, at in zip(sites, sites[1:]))
+        for scale in scales)
+    return lattice, types.MappingProxyType(moves), gathers
+
+
+def _first_rows(a):
+    """The distinct rows of a, in the order they first occur."""
+    _, first = np.unique(a, axis=0, return_index=True)
+    return a[np.sort(first)]
+
+
+def _rows_of(table, queries):
+    """The row of table (distinct integer rows) that equals each query row."""
+    # a row is a number in base `radix` with balanced digits |o_i| <= radix // 2
+    radix = 1 + 2 * int(np.abs(table).max(initial=0))
+    key = radix ** np.arange(table.shape[1])
+    order = np.argsort(table @ key)
+    return order[np.searchsorted(table @ key, queries @ key, sorter=order)]
+
+
+def _steady_stencil(op, values, h, dim, moves, gathers):
+    """op applied by central differences to the lattice values (one row per
+    offset of _lattice, one column per sample point) with per-column step h."""
     base = op.base()
-    origin = (0,) * dim
 
-    def apply_once(g, o, step):
-        if base.kind == LAPLACE:
-            return _fd_laplacian(g, o, step, dim)
-        if base.kind == HELMHOLTZ:
-            return _fd_laplacian(g, o, step, dim) + base.k ** 2 * g(o)
-        if base.kind == MODIFIED_HELMHOLTZ:
-            return _fd_laplacian(g, o, step, dim) - base.k ** 2 * g(o)
-        if base.kind == CONVECTION_DIFFUSION:
-            conv = sum(base.velocity[i] * _fd1(g, o, i, step) for i in range(dim))
-            return base.diffusion * _fd_laplacian(g, o, step, dim) + conv - base.k * g(o)
-        raise DomainError(f"no FD rule for steady operator {op.kind!r}")
+    def full(levels, step):
+        # each level is one application at all its sites, a table with one
+        # row per site; the top level has the origin alone
+        table = values
+        for rows in levels:
+            table = _apply_base(base, lambda o, t=table, rows=rows: t[rows[moves[o]]], step, dim)
+        return table[0]
 
-    if reps == 1:
-        return apply_once(u, origin, h)
-
-    def full(step, scale):
-        # the step-`scale * h` lattice is every scale-th point of the h one;
-        # each level is applied once, and each offset read once, per offset
-        # the level above reads
-        def nested(level):
-            if level == 0:
-                return u if scale == 1 else functools.cache(
-                    lambda o: u(tuple(scale * c for c in o)))
-            inner = nested(level - 1)
-            return functools.cache(lambda o: apply_once(inner, o, step))
-
-        return apply_once(nested(reps - 1), origin, step)
-
+    if len(gathers) == 1:
+        return full(gathers[0], h)
     # Richardson over the steps h, 2h and 4h: r1 and r2 cancel the h^4 term,
     # and their combination the h^6 term
-    f1, f2, f4 = full(h, 1), full(2.0 * h, 2), full(4.0 * h, 4)
+    f1, f2, f4 = full(gathers[0], h), full(gathers[1], 2.0 * h), full(gathers[2], 4.0 * h)
     r1, r2 = (16.0 * f1 - f2) / 15.0, (16.0 * f2 - f4) / 15.0
     return (64.0 * r1 - r2) / 63.0
 
@@ -345,7 +396,8 @@ def steady_operator_fd_block(op, fn, X, h=None):
     X = np.asarray(X, dtype=float)
     n, dim = X.shape
     h = fd_step(X, order=_nesting(op)) if h is None else _per_row(h, n)
-    return _evaluate_stencil(lambda u: _steady_stencil(op, u, h, dim), _lattice(op, dim),
+    lattice, (moves, gathers) = _lattice(op, dim)
+    return _evaluate_stencil(lambda v: _steady_stencil(op, v, h, dim, moves, gathers), lattice,
                              fn, X, np.repeat(h[:, None], dim, axis=1))
 
 
@@ -386,8 +438,9 @@ def time_operator_fd_block(op, fn, X, T, h=None, ht=None):
     def x_at(o, i):
         return X[:, i] + o[i] * h
 
+    lattice, offsets = _lattice(op, dim)
     return _evaluate_stencil(
-        lambda u: _time_stencil(op, u, h, ht, dim, x_at, T), _lattice(op, dim),
+        lambda v: _time_stencil(op, lambda o: v[offsets[o]], h, ht, dim, x_at, T), lattice,
         lambda Z: fn(Z[:, :dim], Z[:, dim]), np.column_stack([X, T]),
         np.column_stack([np.repeat(h[:, None], dim, axis=1), ht]))
 

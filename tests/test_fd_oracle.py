@@ -211,24 +211,28 @@ def test_block_oracle_merges_coincident_points():
 
 
 def test_nested_levels_apply_once_per_lattice_point(monkeypatch):
-    # 3D biharmonic: per Richardson step, the outer Laplacian reads 13
-    # distinct offsets (the origin once, +-1 and +-2 along each axis), and
-    # the inner Laplacian is applied once at each of them
+    # 3D biharmonic: per Richardson step, the inner Laplacian is one batched
+    # application at the 13 distinct sites the outer one reads (the origin
+    # once, +-1 and +-2 along each axis), and the outer one is applied at
+    # the origin: 3 * (1 + 13) site applications
     op = OperatorSpec("biharmonic", 3)
     X = np.ones((4, 3))
     steady_operator_fd_block(op, lambda P: np.ones(len(P)), X)  # trace the lattice
+    _, (moves, gathers) = operators._lattice(op, 3)
+    for inner, outer in gathers:
+        assert len(moves) == 13 and sorted(outer.ravel()) == list(range(13))
     applied = []
     laplacian = operators._fd_laplacian
 
     def counted(u, o, h, dim):
-        applied.append(o)
-        return laplacian(u, o, h, dim)
+        out = laplacian(u, o, h, dim)
+        applied.append(out.shape)
+        return out
 
     monkeypatch.setattr(operators, "_fd_laplacian", counted)
     steady_operator_fd_block(op, lambda P: np.ones(len(P)), X)
-    assert len(applied) == 3 * (1 + 13)
-    for step in (applied[:14], applied[14:28], applied[28:]):
-        assert step[0] == (0, 0, 0) and len(set(step[1:])) == 13
+    assert applied == [(13, 4), (1, 4)] * 3
+    assert sum(rows for rows, _ in applied) == 3 * (1 + 13)
 
 
 LATTICE_CASES = [
