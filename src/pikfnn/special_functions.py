@@ -93,7 +93,7 @@ def bessel_block(kind, n, z):
 
 # Below this argument j_n and i_n (n = 0, 1) take their power series: the
 # closed forms of j_1 and i_1 lose about eps / z^2 of relative precision to
-# cancellation.  At the threshold the series' 10th term is below 1e-17.
+# cancellation.  At the threshold the first term left out is below 1e-22.
 _SPHERICAL_SERIES_BELOW = 1.0
 _SPHERICAL_SERIES_TERMS = 10
 
