@@ -10,7 +10,8 @@ Each closed form is written once, and values, gradients and operator rows
 all derive from it: a steady kernel is a radial profile [g, g', g''] of
 _radial_profile (times the convection-diffusion drift factor), or a harmonic
 sum (_harmonic_terms), and _steady_terms builds all three row kinds from
-that; the time kernels' gradients derive from their values' radial forms.
+that; a time kernel is one form G(q, dt) (_time_form), whose value, spatial
+slope and time derivative serve value, Neumann and initial-velocity rows.
 No row here is a finite difference, and the FD oracle in operators reads
 kernel values only, never the rows it checks.
 
@@ -155,9 +156,8 @@ def _require_supported(family):
 def _reaches_bessel(family):
     """Whether the family's kernels reach the scipy Bessel functions: 2D
     Helmholtz-type and time-radial-Trefftz kernels, and in 3D the spherical
-    pieces of orders other than 0 and 1 (those are elementary): T-complete
-    members of degree >= 2, power pieces at n >= 2, and at n = 0 the order -1
-    of a non-Trefftz power kind's gradient."""
+    pieces of orders above 1 (orders -1, 0 and 1 are elementary): T-complete
+    members of degree >= 2 and power pieces at n >= 2."""
     op = family.operator
     if op.kind not in (ops.HELMHOLTZ, ops.MODIFIED_HELMHOLTZ, ops.CONVECTION_DIFFUSION,
                        ops.HELMHOLTZ_POWER, ops.MOD_HELMHOLTZ_POWER, ops.CONV_DIFF_POWER):
@@ -166,8 +166,7 @@ def _reaches_bessel(family):
         return True
     if family.kind == T_COMPLETE:
         return family.tcomplete_max_order >= 2
-    n = op.power_n
-    return n >= 2 or (n == 0 and op.kind in ops.POWER_KINDS and family.kind != RADIAL_TREFFTZ)
+    return op.power_n >= 2
 
 
 def _is_radial(family):
@@ -410,72 +409,79 @@ def _harmonic_terms(family, dx, r2, order):
 
 
 # ---------------------------------------------------------------------------
-# time-dependent kernels; theta(0) = 0 so dt <= 0 contributes nothing
+# time-dependent kernels: each is one closed form G(q, dt), and its value,
+# spatial slope and time derivative all come from it; theta(0) = 0, so
+# dt <= 0 contributes nothing
 
-def _time_block(family, r2, dt, radial_slope=False):
-    """Kernel values for squared distances r2 and time lags dt (broadcast);
-    radial_slope puts (d radial / dr) / r in place of a time-radial-Trefftz
-    kernel's radial factor."""
+VALUE, SLOPE, RATE = "value", "slope", "rate"
+
+
+def _time_pairs(family, X, S, T, TAU):
+    """(q, dt) for every (row, column) pair: q = r^2 and dt = t - tau, or for
+    the structural kernel q = |F(x) - F(s)|^2 and dt = g(t) - g(tau), the maps
+    applied componentwise once to each point set and time vector."""
+    if T is None or TAU is None:
+        raise DomainError("time kernels need T (rows) and TAU (columns)")
+    X, S, T, TAU = (np.asarray(a, dtype=float) for a in (X, S, T, TAU))
+    op = family.operator
+    if op.kind == ops.STRUCTURAL_DIFFUSION:
+        gfun, _ = ops.structural_fn(op.structural_t, op.alpha)
+        ffun, _ = ops.structural_fn(op.structural_x, op.beta)
+        X, S, T, TAU = ffun(X), ffun(S), gfun(T), gfun(TAU)
+    return pairwise_sq_dist(X, S), np.subtract.outer(T, TAU)
+
+
+def _time_form(family, q, dt, part):
+    """One part of the time kernel G(q, dt) (broadcast): part VALUE is G,
+    SLOPE is (dG/dr) / r with q = r^2 (so grad_x G = slope dx), RATE is
+    dG/d(dt).  The heat-type RATE overwrites q and dt."""
     op = family.operator
     dim = op.dim
-    dt = np.asarray(dt, dtype=float)
-    kind = family.kind
-
-    if kind == TIME_FUNDAMENTAL and op.kind == ops.HEAT:
-        return _heat_like(r2, dt, op.k, dim)
-    if kind == TIME_FUNDAMENTAL and op.kind == ops.WAVE:
-        r = np.sqrt(r2)
+    if family.kind == TIME_FUNDAMENTAL and op.kind != ops.WAVE:
+        return _heat_like(q, dt, op.k if op.kind == ops.HEAT else op.diffusion, dim, part)
+    r = np.sqrt(q)
+    if family.kind == TIME_FUNDAMENTAL:  # wave, inside the cone c1 dt > r
         active = op.c1 * dt > r
-        if dim == 3 and np.any(active & (r == 0.0)):
-            raise SingularityError("3D wave kernel evaluated at r = 0")
-        if dim == 2:
-            with np.errstate(invalid="ignore"):
-                vals = 1.0 / (_TWO_PI * op.c1 * np.sqrt((op.c1 * dt) ** 2 - r2))
-        else:
+        if dim == 3:  # 1 / (4 pi r); the front is a delta in t, which no row resolves
+            if np.any(active & (r == 0.0)):
+                raise SingularityError("3D wave kernel evaluated at r = 0")
+            if part == RATE:
+                return np.zeros(active.shape)
             with np.errstate(divide="ignore"):
-                vals = 1.0 / (_FOUR_PI * np.sqrt(r2))
-        return np.where(active, vals, 0.0)
-    if kind == TIME_FUNDAMENTAL and op.kind == ops.STRUCTURAL_DIFFUSION:
-        raise UnsupportedKernelError("structural kernel needs explicit times; "
-                                     "use structural_kernel_block")
-    if kind == TIME_RADIAL_TREFFTZ and op.kind in (ops.HEAT, ops.WAVE):
-        r = np.sqrt(r2)
-        active = dt > 0.0
-        dta = np.where(active, dt, 0.0)
-        if radial_slope:  # of J_0(r) and j_0(r) = sin(r) / r
-            radial = -(bessel_block("j", 1, r) if dim == 2
-                       else spherical_bessel_block("j", 1, r)) / r
-        else:
-            radial = bessel_block("j", 0, r) if dim == 2 else np.sinc(r / math.pi)
-        if op.kind == ops.HEAT:
-            vals = np.exp(-op.k * dta) * radial
-        else:
-            # second term carries 1/c1 so the pair spans the cos/sin time modes
-            vals = (np.cos(op.c1 * dta) + np.sin(op.c1 * dta) / op.c1) * radial
-        return np.where(active, vals, 0.0)
-    raise UnsupportedKernelError(
-        f"no time formula for class={kind!r} operator={op.kind!r} dim={dim}")
+                vals = np.where(active, 1.0 / (_FOUR_PI * np.sqrt(q)), 0.0)
+            return -vals / q if part == SLOPE else vals
+        # 1 / (2 pi c1 sqrt((c1 dt)^2 - r^2)): slope G / ((c1 dt)^2 - r^2), rate -c1^2 dt slope
+        with np.errstate(invalid="ignore"):
+            vals = np.where(active, 1.0 / (_TWO_PI * op.c1 * np.sqrt((op.c1 * dt) ** 2 - q)), 0.0)
+        if part == VALUE:
+            return vals
+        slope = vals / np.where(vals != 0.0, (op.c1 * dt) ** 2 - q, 1.0)
+        return slope if part == SLOPE else -op.c1 ** 2 * dt * slope
+    # time-radial-Trefftz: a time mode times R(r) = J_0(r) in 2D, j_0(r) in 3D
+    active = dt > 0.0
+    dta = np.where(active, dt, 0.0)
+    if part == SLOPE:  # (dR/dr) / r
+        radial = -(bessel_block("j", 1, r) if dim == 2 else spherical_bessel_block("j", 1, r)) / r
+    else:
+        radial = bessel_block("j", 0, r) if dim == 2 else np.sinc(r / math.pi)
+    if op.kind == ops.HEAT:
+        mode = np.exp(-op.k * dta)
+        if part == RATE:
+            mode *= -op.k
+    elif part == RATE:
+        mode = np.cos(op.c1 * dta) - op.c1 * np.sin(op.c1 * dta)
+    else:  # the second term carries 1/c1 so the pair spans the cos/sin time modes
+        mode = np.cos(op.c1 * dta) + np.sin(op.c1 * dta) / op.c1
+    return np.where(active, mode * radial, 0.0)
 
 
-def _time_slope(family, r2, dt):
-    """(dG/dr) / r of a time kernel G, so that grad_x G = slope * dx."""
-    if family.kind == TIME_RADIAL_TREFFTZ:
-        return _time_block(family, r2, dt, radial_slope=True)
-    op = family.operator
-    vals = _time_block(family, r2, dt)
-    if op.kind == ops.HEAT:  # grad G = -dx / (2 k dt) G
-        return vals / (-2.0 * op.k * np.where(dt > 0.0, dt, 1.0))
-    if op.dim == 2:  # G = 1 / (2 pi c1 sqrt((c1 dt)^2 - r^2)) inside the cone
-        return vals / np.where(vals != 0.0, (op.c1 * dt) ** 2 - r2, 1.0)
-    return -vals / r2  # G = 1 / (4 pi r)
-
-
-def _heat_like(q, dtg, kdiff, dim):
-    """theta(dtg) exp(-q / (4 kdiff dtg)) / (4 pi kdiff dtg)^{dim/2}.
+def _heat_like(q, dtg, kdiff, dim, part=VALUE):
+    """G = theta(dtg) exp(-q / (4 kdiff dtg)) / (4 pi kdiff dtg)^{dim/2}, its
+    slope G / (-2 kdiff dtg) or its rate G (q / (4 kdiff dtg^2) - dim / (2 dtg)).
 
     Shared by the heat kernel (q = r^2, dtg = t - tau) and the structural
     kernel (q = |F(x)-F(s)|^2, dtg = G(t)-G(tau)) so the alpha = beta = 1
-    reduction is bit-for-bit.
+    reduction is bit-for-bit.  The rate overwrites q and dtg.
     """
     active = dtg > 0.0
     # the whole block runs, inactive entries on dtg = 1 (finite, no warnings),
@@ -489,22 +495,19 @@ def _heat_like(q, dtg, kdiff, dim):
     denom **= 0.5 * dim
     vals /= denom
     np.copyto(vals, 0.0, where=~active)
+    if part == SLOPE:
+        return vals / (-2.0 * kdiff * np.where(active, dtg, 1.0))
+    if part == RATE:  # in place: q becomes the first term, dtg the second
+        inactive = ~active
+        np.copyto(dtg, 1.0, where=inactive)
+        np.square(dtg, out=denom)
+        denom *= 4.0 * kdiff
+        q /= denom
+        np.divide(0.5 * dim, dtg, out=dtg)
+        q -= dtg
+        vals *= q
+        np.copyto(vals, 0.0, where=inactive)
     return vals
-
-
-def structural_kernel_block(family, X, T, S, TAU):
-    """Eq.-(12)-type kernel block: rows = field points X (n, dim) at times T
-    (n,), columns = sources S (m, dim) at times TAU (m,).
-
-    The structural maps act componentwise, once on each point set and each
-    time vector; q = |F(x) - F(s)|^2 is then a pairwise squared distance.
-    """
-    op = family.operator
-    gfun, _ = ops.structural_fn(op.structural_t, op.alpha)
-    ffun, _ = ops.structural_fn(op.structural_x, op.beta)
-    q = pairwise_sq_dist(ffun(np.asarray(X, dtype=float)), ffun(np.asarray(S, dtype=float)))
-    dtg = np.subtract.outer(gfun(np.asarray(T, dtype=float)), gfun(np.asarray(TAU, dtype=float)))
-    return _heat_like(q, dtg, op.diffusion, op.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +558,7 @@ def _gradient_block(family, dx, dt=None):
         return _steady_terms(family, dx, 1)[1]
     r2 = np.einsum("...i,...i->...", dx, dx)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at r = 0
-        slope = _time_slope(family, r2, np.asarray(dt, dtype=float))
+        slope = _time_form(family, r2, np.asarray(dt, dtype=float), SLOPE)
     return np.where(r2 == 0.0, 0.0, slope)[..., None] * dx
 
 
@@ -570,27 +573,21 @@ def _laplace_eigenvalue(op):
     return None
 
 
-def heat_time_derivative_block(family, X, S, T, TAU):
-    """d/dt of the heat kernel, vectorized (analytic: G * (q/(4 k dt^2) - d/(2 dt)))."""
+def kernel_time_derivative_block(family, X, S, T, TAU):
+    """d/dt of the kernel for each (row, column) pair: rows = field points X
+    (n, dim) at times T (n,), columns = sources S (m, dim) at times TAU (m,).
+    A steady kernel does not depend on t, so its block is zero; the
+    structural kernel's rate dG/d(dt) takes the factor g'(t)."""
     op = family.operator
-    if op.kind != ops.HEAT or family.kind != TIME_FUNDAMENTAL:
-        raise UnsupportedKernelError("analytic time derivative covers the heat "
-                                     "fundamental kernel only")
-    q = pairwise_sq_dist(X, S)
-    dt = np.subtract.outer(np.asarray(T, dtype=float), np.asarray(TAU, dtype=float))
-    out = _heat_like(q, dt, op.k, op.dim)
-    inactive = ~(dt > 0.0)
-    # G (q / (4 k dt^2) - d / (2 dt)), inactive entries on dt = 1, in place:
-    # q becomes the first term and dt the second
-    np.copyto(dt, 1.0, where=inactive)
-    den = np.square(dt)
-    den *= 4.0 * op.k
-    q /= den
-    np.divide(0.5 * op.dim, dt, out=dt)
-    q -= dt
-    out *= q
-    np.copyto(out, 0.0, where=inactive)
-    return out
+    if not op.is_time_dependent:
+        return np.zeros((len(X), len(S)), complex if family.is_complex else float)
+    rate = _time_form(family, *_time_pairs(family, X, S, T, TAU), RATE)
+    if op.kind == ops.STRUCTURAL_DIFFUSION:  # g' may be infinite where G = 0 (t = 0)
+        _, gprime = ops.structural_fn(op.structural_t, op.alpha)
+        with np.errstate(divide="ignore"):
+            gp = np.reshape(gprime(np.asarray(T, dtype=float)), (-1, 1))
+        np.multiply(rate, gp, out=rate, where=rate != 0.0)
+    return rate
 
 
 def governing_applied_block(family, governing, X, S, T=None, TAU=None):
@@ -617,7 +614,7 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
             return (s_fam - s_gov) * kernel_block(family, X, S)
     if exact and governing.kind == ops.HEAT and family.operator.kind == ops.HEAT:
         k1, k0 = family.operator.k, governing.k
-        return (k1 - k0) / k1 * heat_time_derivative_block(family, X, S, T, TAU)
+        return (k1 - k0) / k1 * kernel_time_derivative_block(family, X, S, T, TAU)
     if governing.kind not in (ops.LAPLACE, ops.HELMHOLTZ, ops.MODIFIED_HELMHOLTZ):
         raise UnsupportedKernelError(
             f"interior-residual rows not implemented for operator {governing.kind!r}")
@@ -804,13 +801,7 @@ def kernel_block(family, X, S, T=None, TAU=None):
     X = np.asarray(X, dtype=float)
     S = np.asarray(S, dtype=float)
     if family.operator.is_time_dependent:
-        if T is None or TAU is None:
-            raise DomainError("time kernels need T (rows) and TAU (columns)")
-        if family.operator.kind == ops.STRUCTURAL_DIFFUSION:
-            return structural_kernel_block(family, X, T, S, TAU)
-        r2 = pairwise_sq_dist(X, S)
-        return _time_block(family, r2, np.subtract.outer(np.asarray(T, dtype=float),
-                                                         np.asarray(TAU, dtype=float)))
+        return _time_form(family, *_time_pairs(family, X, S, T, TAU), VALUE)
     return _steady_terms(family, X[:, None, :] - S[None, :, :], 0)[0]
 
 

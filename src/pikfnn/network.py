@@ -25,6 +25,7 @@ from .kernels import (
     governing_applied_block,
     kernel_block,
     kernel_gradient_block,
+    kernel_time_derivative_block,
     tcomplete_member_block,
     tcomplete_members,
 )
@@ -93,9 +94,10 @@ def assemble(families, sources, colloc, governing=None, check_finite=True):
     """Design matrix: rows = collocation rows, columns = hidden neurons.
 
     Dirichlet rows take kernel values, Neumann rows normal-dot-gradients,
-    Initial rows kernel values at the row time, interior-residual rows the
-    governing operator applied to the kernel (defaults to the first family's
-    operator, the phi^{L0} convention).
+    Initial rows kernel values at the row time (component 0) or their time
+    derivative (component 1), interior-residual rows the governing operator
+    applied to the kernel (defaults to the first family's operator, the
+    phi^{L0} convention).
     """
     if not families:
         raise ConfigurationError("need at least one kernel family")
@@ -129,32 +131,39 @@ def assemble(families, sources, colloc, governing=None, check_finite=True):
                         col_slices=tuple(col_slices))
 
 
+_INITIAL_RATE = "dt"  # the row group of initial rows tagged component 1
+
+
 def _fill_family_block(block, family, sources, colloc, governing):
     if family.kind in (kn.ELASTO_DISP, kn.ELASTO_TRAC):
         _fill_elastic_block(block, family, sources, colloc)
         return
+    # initial operator I = [1, d/dt]: component 0 rows take kernel values,
+    # component 1 rows (second-order-in-time problems) its time derivative
+    initial = colloc.kinds == geo.INITIAL
+    if not np.all(np.isin(colloc.components[initial], (0, 1))):
+        raise ConfigurationError(
+            "initial rows need component tag 0 (value) or 1 (time derivative)")
+    groups = np.where(initial & (colloc.components == 1), _INITIAL_RATE, colloc.kinds)
     if family.kind == kn.T_COMPLETE:
-        _fill_tcomplete_block(block, family, colloc)
+        _fill_tcomplete_block(block, family, colloc, groups)
         return
     S = sources.points
     TAU = sources.times
     m = S.shape[0]
-    for kind in sorted(set(colloc.kinds.tolist())):
-        rows = colloc.rows(kind)
+    for group in sorted(set(groups.tolist())):
+        rows = np.flatnonzero(groups == group)
         P = colloc.points[rows]
         T = colloc.times[rows] if colloc.times is not None else None
-        if kind in (geo.DIRICHLET, geo.INITIAL):
-            if kind == geo.INITIAL and np.any(colloc.components[rows] == 1):
-                _fill_initial_rows(block, family, sources, colloc, rows)
-                continue
+        if group in (geo.DIRICHLET, geo.INITIAL):
             vals = kernel_block(family, P, S, T, TAU)
-            _place(block, rows, m, vals, family)
-        elif kind == geo.NEUMANN:
+        elif group == _INITIAL_RATE:
+            vals = kernel_time_derivative_block(family, P, S, T, TAU)
+        elif group == geo.NEUMANN:
             vals = kernel_gradient_block(family, P, S, colloc.normals[rows], T, TAU)
-            _place(block, rows, m, vals, family)
-        elif kind == geo.INTERIOR_RESIDUAL:
+        else:
             vals = governing_applied_block(family, governing, P, S)
-            _place(block, rows, m, vals, family)
+        _place(block, rows, m, vals, family)
 
 
 def _place(block, rows, m, vals, family):
@@ -167,33 +176,14 @@ def _place(block, rows, m, vals, family):
         block[rows, :] = np.real(vals)
 
 
-def _fill_initial_rows(block, family, sources, colloc, rows):
-    # initial operator I = [1, d/dt]: component 0 rows take kernel values,
-    # component 1 rows the FD time derivative (second-order-in-time problems)
-    S = sources.points
-    TAU = sources.times
-    m = S.shape[0]
-    value_rows = rows[colloc.components[rows] == 0]
-    vel_rows = rows[colloc.components[rows] == 1]
-    if len(value_rows):
-        vals = kernel_block(family, colloc.points[value_rows], S,
-                            colloc.times[value_rows], TAU)
-        _place(block, value_rows, m, vals, family)
-    if len(vel_rows):
-        T = colloc.times[vel_rows]
-        h = 1e-6 * np.maximum(1.0, np.abs(T))
-        up = kernel_block(family, colloc.points[vel_rows], S, T + h, TAU)
-        dn = kernel_block(family, colloc.points[vel_rows], S, T - h, TAU)
-        _place(block, vel_rows, m, (up - dn) / (2.0 * h[:, None]), family)
-
-
-def _fill_tcomplete_block(block, family, colloc):
+def _fill_tcomplete_block(block, family, colloc, groups):
     # value rows take member values, Neumann rows central-difference
-    # gradients (h = 1e-6 * max(1, |x|)) dotted with the normal
+    # gradients (h = 1e-6 * max(1, |x|)) dotted with the normal; the members
+    # do not depend on t, so initial rows tagged component 1 stay zero
     if not np.all(np.isin(colloc.kinds, (geo.DIRICHLET, geo.INITIAL, geo.NEUMANN))):
         raise ConfigurationError(
             "T-complete families support Dirichlet/Neumann/Initial rows only")
-    value_rows = np.nonzero(np.isin(colloc.kinds, (geo.DIRICHLET, geo.INITIAL)))[0]
+    value_rows = np.flatnonzero(np.isin(groups, (geo.DIRICHLET, geo.INITIAL)))
     flux_rows = colloc.rows(geo.NEUMANN)
     P = colloc.points[flux_rows]
     h = 1e-6 * np.maximum(1.0, np.linalg.norm(P, axis=1))

@@ -7,6 +7,7 @@ never in the CSVs).
 """
 
 import hashlib
+import inspect
 import json
 import os
 from dataclasses import dataclass, field
@@ -62,10 +63,7 @@ def run_benchmark(problem, seed=0, out_dir=None, train=None, quiet=True, **param
     """Execute one problem (builtin name, ProblemConfig, or ProblemSetup)
     end to end."""
     if isinstance(problem, str):
-        if problem not in BUILTINS:
-            raise ConfigurationError(
-                f"unknown builtin {problem!r}; available: {sorted(BUILTINS)}")
-        setup = BUILTINS[problem](seed=seed, train=train, **params)
+        setup = _builtin_setup(problem, seed, train, params)
     elif isinstance(problem, ProblemConfig):
         setup = setup_from_config(problem)
     else:
@@ -363,11 +361,7 @@ def load_problem_config(path):
         raise ConfigurationError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    known = set(ProblemConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigurationError(f"unknown config fields {sorted(unknown)}; "
-                                 f"valid: {sorted(known)}")
+    _require_known("config fields", doc, ProblemConfig.__dataclass_fields__)
     cfg = ProblemConfig(**doc)
     base = os.path.dirname(os.path.abspath(path))
     for section in (cfg.geometry, cfg.sources, cfg.test):
@@ -378,17 +372,31 @@ def load_problem_config(path):
     return cfg
 
 
+def _require_known(what, keys, valid):
+    unknown = sorted(set(keys) - set(valid))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} {unknown}; valid: {sorted(valid)}")
+
+
+def _builtin_setup(name, seed, train, params):
+    """The built-in's ProblemSetup; an unknown name, train field or
+    parameter raises ConfigurationError naming the valid ones."""
+    if name not in BUILTINS:
+        raise ConfigurationError(f"unknown builtin {name!r}; available: {sorted(BUILTINS)}")
+    _require_known("train fields", train or {}, TrainConfig.__dataclass_fields__)
+    _require_known(f"params of {name}", params,
+                   set(inspect.signature(BUILTINS[name]).parameters) - {"seed", "train"})
+    return BUILTINS[name](seed=seed, train=train, **params)
+
+
 def setup_from_config(cfg):
     """ProblemSetup from a config (builtin reference or fully custom)."""
     if cfg.builtin:
-        if cfg.builtin not in BUILTINS:
-            raise ConfigurationError(
-                f"unknown builtin {cfg.builtin!r}; available: {sorted(BUILTINS)}")
-        return BUILTINS[cfg.builtin](seed=cfg.seed, train=cfg.train or None,
-                                     **cfg.params)
+        return _builtin_setup(cfg.builtin, cfg.seed, cfg.train or None, cfg.params)
 
     if not cfg.kernels:
         raise ConfigurationError("custom config needs a kernels list")
+    _require_known("train fields", cfg.train, TrainConfig.__dataclass_fields__)
     families = [parse_kernel_id(ident) for ident in cfg.kernels]
     if cfg.operator:
         op = OperatorSpec(**cfg.operator)
@@ -430,7 +438,7 @@ def setup_from_config(cfg):
             train["loss_mode"] = BOUNDARY_ONLY
     return ProblemSetup(
         name=cfg.name, operator=op, families=families, colloc=colloc,
-        sources=sources, train=TrainConfig(seed=cfg.seed, **train),
+        sources=sources, train=TrainConfig(**{"seed": cfg.seed, **train}),
         test_points=test_set.points, test_values=test_set.values,
         test_times=test_set.times, rerr_floor=cfg.rerr_floor,
         notes={"config": "custom"})

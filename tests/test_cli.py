@@ -148,3 +148,33 @@ def test_kernel_dim_mismatch_before_compute(tmp_path):
         "test": {"node_file": "b.txt"},
     }))
     assert main(["run", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("config, key, valid", [
+    ({"builtin": "example3", "train": {"optimiser": "lm"}}, "optimiser", "optimizer"),
+    ({"builtin": "example3", "params": {"n_boundry": 40}}, "n_boundry", "n_boundary"),
+])
+def test_builtin_config_with_unknown_key_exits_2(tmp_path, capsys, config, key, valid):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and valid in err
+
+
+def test_custom_config_with_unknown_train_key_exits_2(tmp_path, capsys):
+    boundary = gen_boundary("circle", 10, r=1.0)
+    colloc = CollocationSet(nodes_points(boundary), ["D"] * 10, np.zeros(10))
+    save_nodes(tmp_path / "b.txt", colloc)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "name": "x",
+        "kernels": ["fundamental:laplace:2d"],
+        "geometry": {"node_file": "b.txt"},
+        "sources": {"placement": "scaled_circle", "n": 10, "r": 3.0},
+        "test": {"node_file": "b.txt"},
+        "train": {"optimiser": "lm"},
+    }))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "optimiser" in err and "optimizer" in err

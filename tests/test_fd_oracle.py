@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
-from pikfnn import kernels, operators, runner
+from pikfnn import kernels, network, operators, runner
 from pikfnn.geometry import CollocationSet, SourceSet
 from pikfnn.kernels import (
     eval_tcomplete_member,
@@ -350,7 +350,7 @@ def test_oracle_independent_of_analytic_operators(monkeypatch):
         raise AssertionError("the FD oracle used analytic operator code")
 
     for name in ("governing_applied_block", "kernel_gradient_block", "_gradient_block",
-                 "_origin_laplacian", "elastic_gradient_block"):
+                 "_origin_laplacian", "elastic_gradient_block", "kernel_time_derivative_block"):
         monkeypatch.setattr(kernels, name, forbidden)
         monkeypatch.setattr(runner, name, forbidden, raising=False)
     rows, _ = verify_kernels(n_points=10)
@@ -388,6 +388,40 @@ def test_analytic_rows_independent_of_oracle(ident, monkeypatch):
     for gov in governing:
         mtx = assemble([family], sources, colloc, gov)
         assert np.all(np.isfinite(mtx.entries))
+
+
+TIME_IDS = [ident for ident in ORACLE_IDS if parse_kernel_id(ident).operator.is_time_dependent]
+
+
+@pytest.mark.parametrize("ident", TIME_IDS)
+def test_initial_rate_rows_independent_of_oracle(ident, monkeypatch):
+    # initial rows tagged 1 take the closed-form time derivative: no FD
+    # oracle, and no kernel values beyond those of the rows tagged 0
+    def forbidden(*args, **kwargs):
+        raise AssertionError("analytic rows used the FD oracle")
+
+    for name in ("steady_operator_fd_block", "time_operator_fd_block",
+                 "apply_steady_operator_fd", "apply_time_operator_fd"):
+        monkeypatch.setattr(operators, name, forbidden)
+    value_rows = []
+
+    def values(family, X, *args):
+        value_rows.append(len(X))
+        return kernel_block(family, X, *args)
+
+    monkeypatch.setattr(network, "kernel_block", values)
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.0, 1.0, size=(6, dim))
+    T = rng.uniform(5.0, 6.0, size=6)
+    sources = SourceSet(rng.uniform(2.0, 3.0, size=(4, dim)), times=rng.uniform(0.0, 1.0, 4))
+    colloc = CollocationSet(X, ["I"] * 6, np.zeros(6), times=T, components=[0, 1] * 3)
+    mtx = assemble([family], sources, colloc)
+    assert value_rows == [3]
+    assert np.all(np.isfinite(mtx.entries))
+    assert np.array_equal(mtx.entries[1::2], kernels.kernel_time_derivative_block(
+        family, X[1::2], sources.points, T[1::2], sources.times))
 
 
 # Delta^2 |x|^2 = 0, so the quadratic perturbation cannot show under

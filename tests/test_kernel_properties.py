@@ -80,7 +80,8 @@ def _evaluations_reach_bessel(family):
     return table.called
 
 
-@pytest.mark.parametrize("ident", list_kernel_ids())
+@pytest.mark.parametrize("ident", list_kernel_ids() + [
+    "fundamental:helmholtz-power:3d?k=1&n=0", "fundamental:modified-helmholtz-power:3d?k=1&n=0"])
 def test_construction_loads_bessel_table_iff_kernels_use_it(ident):
     # the scipy.special import belongs to problem set-up, not to the first
     # kernel call, and a family without Bessel kernels must not pay for it
@@ -343,7 +344,7 @@ def test_heat_blocks_match_masked_form_bitwise(seed, sign, dim):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = kernel_block(family, X, S, T, TAU)
-        rate = kernels.heat_time_derivative_block(family, X, S, T, TAU)
+        rate = kernels.kernel_time_derivative_block(family, X, S, T, TAU)
     reference = _masked_heat_like(_ordered_sq_dist(X[:, None, :], S[None, :, :]), dt, op.k, dim)
     assert _bitwise_equal(values, reference)
     assert _bitwise_equal(rate, _masked_heat_time_derivative(op, X, S, T, TAU))
@@ -380,7 +381,8 @@ def test_structural_block_matches_masked_form_bitwise(seed, sign, maps):
     x, t, s, tau = X[:, None, :], T[:, None], S[None, :, :], TAU[None, :]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        block = kernels.structural_kernel_block(family, X, T, S, TAU)
+        block = kernels._time_form(family, *kernels._time_pairs(family, X, S, T, TAU),
+                                   kernels.VALUE)
         values = kernel_block(family, X, S, T, TAU)
     reference = _masked_structural(op, x, t, s, tau)
     assert _bitwise_equal(block, reference)
@@ -404,5 +406,5 @@ def test_heat_blocks_allocate_at_most_five_block_sizes(block):
     # full-size temporaries: its peak stays within 5 blocks of float64
     X, S, T, TAU = _space_time_block(7, "mixed", 3, n=300, m=400)
     family = kernels.KernelFamily("time-fundamental", OperatorSpec("heat", 3, k=0.37))
-    fn = kernel_block if block == "values" else kernels.heat_time_derivative_block
+    fn = kernel_block if block == "values" else kernels.kernel_time_derivative_block
     assert _peak_bytes(lambda: fn(family, X, S, T, TAU)) <= 5 * 300 * 400 * 8

@@ -745,11 +745,84 @@ def test_smooth_3d_rows_near_the_source_match_mpmath(ident, radial, factor, eige
                 assert abs(lap - expected) <= 1e-12 * abs(expected), (r, lap, expected)
 
 
+TIME_IDS = [ident for ident in list_kernel_ids()
+            if parse_kernel_id(ident).operator.is_time_dependent] + [
+    "time-fundamental:structural-diffusion:2d?d=0.8&alpha=0.7&beta=1.3&st=power&sx=power",
+    "time-fundamental:structural-diffusion:2d?st=log&sx=exp"]
+
+
+@pytest.mark.parametrize("ident", TIME_IDS)
+def test_time_derivative_block_matches_fd_of_values(ident):
+    # a 5-point central difference of kernel_block in t (h = 1e-3), with
+    # every pair at least 2.5 inside the wave cone; the last column starts
+    # after every row time, so it is inactive
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    rng = np.random.default_rng(11)
+    X = rng.uniform(0.1, 0.6, size=(6, dim))
+    S = rng.uniform(1.6, 2.1, size=(4, dim))
+    T = rng.uniform(6.5, 7.0, size=6)
+    TAU = np.array([0.1, 0.3, 0.5, 8.0])
+    rate = kernels.kernel_time_derivative_block(family, X, S, T, TAU)
+
+    def shifted(k):
+        return kernel_block(family, X, S, T + k * 1e-3, TAU)
+
+    fd = (shifted(-2) - 8.0 * shifted(-1) + 8.0 * shifted(1) - shifted(2)) / 12e-3
+    assert np.all(rate[:, -1] == 0.0)
+    assert np.abs(rate - fd).max() <= 1e-9 * np.abs(shifted(0)).max()
+
+
+def test_structural_time_derivative_is_zero_before_the_source_time():
+    # g'(t) = 0.7 t^-0.3 is infinite at t = 0, where G vanishes near every
+    # source with tau > 0: the rate there is 0, not 0 * inf
+    family = parse_kernel_id("time-fundamental:structural-diffusion:2d?alpha=0.7&st=power")
+    X, S = np.array([[0.2, 0.3], [0.4, 0.1]]), np.array([[1.5, 1.0]])
+    with np.errstate(all="raise"):
+        rate = kernels.kernel_time_derivative_block(family, X, S, [0.0, 1.0], [0.5])
+    assert rate[0, 0] == 0.0 and rate[1, 0] > 0.0
+
+
+def _mp_time_kernel(family, r, dt, mp):
+    op = family.operator
+    if family.kind == kernels.TIME_FUNDAMENTAL and op.kind == "heat":
+        return mp.exp(-r ** 2 / (4 * op.k * dt)) / (4 * mp.pi * op.k * dt) ** (mp.mpf(op.dim) / 2)
+    if family.kind == kernels.TIME_FUNDAMENTAL:  # 2D wave
+        return 1 / (2 * mp.pi * op.c1 * mp.sqrt((op.c1 * dt) ** 2 - r ** 2))
+    radial = mp.besselj(0, r) if op.dim == 2 else mp.sin(r) / r
+    if op.kind == "heat":
+        return mp.exp(-op.k * dt) * radial
+    return (mp.cos(op.c1 * dt) + mp.sin(op.c1 * dt) / op.c1) * radial
+
+
+@pytest.mark.parametrize("ident", ["time-fundamental:heat:2d?k=0.7",
+                                   "time-fundamental:heat:3d?k=0.7",
+                                   "time-fundamental:wave:2d?c1=1.3",
+                                   "time-radial-trefftz:heat:2d?k=0.7",
+                                   "time-radial-trefftz:heat:3d?k=0.7",
+                                   "time-radial-trefftz:wave:2d?c1=1.3",
+                                   "time-radial-trefftz:wave:3d?c1=1.3"])
+def test_time_derivative_block_matches_mpmath(ident):
+    mp = pytest.importorskip("mpmath")
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    X = np.array([[0.3, -0.4, 0.2], [1.1, 0.2, -0.3]])[:, :dim]
+    S = np.array([[1.5, 0.5, 0.1]])[:, :dim]
+    T, TAU = np.array([2.0, 3.7]), np.array([0.25])
+    got = kernels.kernel_time_derivative_block(family, X, S, T, TAU)
+    with mp.workdps(40):
+        for i in range(len(X)):
+            r = mp.sqrt(sum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(X[i], S[0])))
+            dt = mp.mpf(T[i]) - mp.mpf(TAU[0])
+            expected = float(mp.diff(lambda t: _mp_time_kernel(family, r, t, mp), dt))
+            assert abs(got[i, 0] - expected) <= 1e-12 * abs(expected), (i, got[i, 0], expected)
+
+
 def test_structural_diffusion_neumann_rows_are_unsupported(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("kernel evaluated before the Neumann-row check")
 
-    for name in ("_time_block", "structural_kernel_block", "kernel_block", "_heat_like"):
+    for name in ("_time_form", "_time_pairs", "kernel_block", "_heat_like"):
         monkeypatch.setattr(kernels, name, forbidden)
     family = parse_kernel_id("time-fundamental:structural-diffusion:2d")
     X = np.full((2, 2), 0.5)

@@ -376,6 +376,31 @@ def test_initial_velocity_rows():
     assert mtx.entries[1, 0] == pytest.approx(deriv, rel=1e-6)
 
 
+@pytest.mark.parametrize("ident", ["time-radial-trefftz:wave:2d?c1=1.3",
+                                   "fundamental:laplace:2d", "t-complete:laplace:2d?m=2"])
+def test_initial_rows_reject_other_component_tags(ident):
+    # I = [1, d/dt]: a tag other than 0 or 1 names no row of the operator
+    colloc = CollocationSet(np.array([[0.4, 0.1], [0.2, -0.3]]), ["I", "I"], np.zeros(2),
+                            times=np.zeros(2), components=[0, 2])
+    sources = SourceSet(np.array([[1.5, 0.0]]), times=np.array([-2.0]))
+    with pytest.raises(ConfigurationError, match="component tag 0 .* or 1"):
+        assemble([parse_kernel_id(ident)], sources, colloc)
+
+
+@pytest.mark.parametrize("ident", ["fundamental:laplace:2d", "t-complete:laplace:2d?m=2"])
+def test_time_independent_families_have_zero_initial_rate_rows(ident):
+    # a kernel that does not depend on t has d/dt = 0: component-1 initial
+    # rows are zero, component-0 rows take the values of Dirichlet rows
+    pts = np.array([[0.4, 0.1], [0.4, 0.1]])
+    sources = SourceSet(np.array([[1.5, 0.0]]), times=np.array([-2.0]))
+    family = parse_kernel_id(ident)
+    initial = assemble([family], sources, CollocationSet(pts, ["I", "I"], np.zeros(2),
+                                                         times=np.zeros(2), components=[0, 1]))
+    dirichlet = assemble([family], sources, CollocationSet(pts[:1], ["D"], np.zeros(1)))
+    assert np.array_equal(initial.entries[0], dirichlet.entries[0])
+    assert dirichlet.entries[0].any() and not initial.entries[1].any()
+
+
 def test_model_serialization_roundtrip(tmp_path):
     n = 8
     sources = SourceSet(nodes_points(gen_boundary("circle", n, r=3.0)))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,6 +251,31 @@ def test_spherical_pieces_match_reference_table(kind):
         assert np.all(np.abs(got - expected) <= 1e-14 * scale), (kind, n)
         # the branch is chosen per element: one-point views read the same bits
         assert got.tolist() == [float(spherical_bessel_block(kind, n, v)) for v in x]
+
+
+@pytest.mark.parametrize("kind", ["j", "y", "k"])
+def test_order_minus_one_spherical_pieces_match_reference_table(kind):
+    # j_-1 = cos x / x, y_-1 = sin x / x and k_-1 = k_0 are elementary and
+    # never load scipy; relative, or for j and y beyond x = 1 against their
+    # 1/x envelope, as for orders 0 and 1
+    rows = [(x, value) for name, order, x, value in load_reference(SPHERICAL_FIXTURE)
+            if name == f"spherical_{kind}" and order == -1]
+    x = np.array([x for x, _ in rows])
+    expected = np.array([value for _, value in rows])
+    assert x.min() < special_functions._SPHERICAL_SERIES_BELOW < x.max()
+    with mock.patch.object(special_functions, "load_bessel_table",
+                           side_effect=AssertionError("order -1 loaded scipy")):
+        got = spherical_bessel_block(kind, -1, x)
+        at_zero = kind == "y" and float(spherical_bessel_block(kind, -1, 0.0))
+    scale = np.abs(expected)
+    if kind in ("j", "y"):
+        scale = np.where(x < 1.0, scale, np.maximum(scale, 1.0 / x))
+    assert np.all(np.abs(got - expected) <= 1e-14 * scale), kind
+    if kind == "y":
+        assert at_zero == 1.0  # sin x / x -> 1
+    else:  # cos x / x and k_0 are singular at 0
+        with pytest.raises(SingularityError):
+            spherical_bessel_block(kind, -1, np.array([1.0, 0.0]))
 
 
 def test_spherical_pieces_small_argument_series():
