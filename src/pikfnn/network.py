@@ -6,8 +6,11 @@ the trained linear weight vector.  Column ordering is family-major, then
 source index (then force component for elasticity, member index for
 T-complete families), so weight vectors are portable across runs.
 
-Assembly and forward evaluation are pure given their inputs; rows/points may
-be partitioned freely because every entry is computed independently.
+Assembly and forward evaluation are pure given their inputs.  Assembly
+evaluates each row group over row blocks (geometry.row_blocks), so no kernel
+temporary spans all rows; rows/points may be partitioned freely, because
+every entry is computed independently, in an order that does not depend on
+the block it falls in.
 """
 
 import json
@@ -123,10 +126,12 @@ def assemble(families, sources, colloc, governing=None, check_finite=True):
         _fill_family_block(entries[:, sl], fam, sources, colloc, governing)
         start += width
 
-    if check_finite and not np.all(np.isfinite(entries)):
-        bad = np.argwhere(~np.isfinite(entries))[0]
-        raise SingularityError(
-            f"non-finite design-matrix entry at row {bad[0]}, column {bad[1]}")
+    if check_finite:  # block by block, in row order: the first bad entry is named
+        for rows in geo.row_blocks(np.arange(n), entries.shape[1]):
+            bad = np.argwhere(~np.isfinite(entries[rows]))
+            if len(bad):
+                raise SingularityError(f"non-finite design-matrix entry at row "
+                                       f"{rows[bad[0, 0]]}, column {bad[0, 1]}")
     return DesignMatrix(entries=entries, row_kinds=colloc.kinds.copy(),
                         col_slices=tuple(col_slices))
 
@@ -135,93 +140,108 @@ _INITIAL_RATE = "dt"  # the row group of initial rows tagged component 1
 
 
 def _fill_family_block(block, family, sources, colloc, governing):
+    # each row group is evaluated over row blocks (geometry.row_blocks), and
+    # each block is written in place, so no kernel temporary spans all rows
+    groups = _row_groups(family, colloc)
     if family.kind in (kn.ELASTO_DISP, kn.ELASTO_TRAC):
-        _fill_elastic_block(block, family, sources, colloc)
-        return
-    # initial operator I = [1, d/dt]: component 0 rows take kernel values,
-    # component 1 rows (second-order-in-time problems) its time derivative
+        rows_block = _elastic_rows
+    elif family.kind == kn.T_COMPLETE:
+        rows_block = _tcomplete_rows
+    else:
+        rows_block = _kernel_rows
+    m = len(sources)
+    for group in sorted(set(groups.tolist())):
+        for rows in geo.row_blocks(np.flatnonzero(groups == group), block.shape[1]):
+            vals = rows_block(family, group, rows, sources, colloc, governing)
+            # where assembly turns a complex block real: split families keep
+            # both parts as separate columns, the others their real part
+            if family.complex_split:
+                block[rows, :m] = vals.real
+                block[rows, m:] = vals.imag
+            else:
+                block[rows] = np.real(vals)
+
+
+def _row_groups(family, colloc):
+    """Each row's group: its kind, or _INITIAL_RATE for initial rows tagged
+    component 1 (the initial operator I = [1, d/dt]: component 0 rows take
+    kernel values, component 1 rows, for second-order-in-time problems, its
+    time derivative).  Raises ConfigurationError on rows the family cannot
+    take."""
+    if family.kind in (kn.ELASTO_DISP, kn.ELASTO_TRAC):
+        if not np.all(np.isin(colloc.kinds, (geo.DIRICHLET, geo.NEUMANN))):
+            raise ConfigurationError(
+                "elastic rows must be Dirichlet (displacement) or Neumann (traction)")
+        if not np.all(np.isin(colloc.components, (1, 2))):
+            raise ConfigurationError(
+                "elastic rows need component tag 1 or 2 (the displacement or "
+                "traction component they constrain)")
+        return colloc.kinds
     initial = colloc.kinds == geo.INITIAL
     if not np.all(np.isin(colloc.components[initial], (0, 1))):
         raise ConfigurationError(
             "initial rows need component tag 0 (value) or 1 (time derivative)")
-    groups = np.where(initial & (colloc.components == 1), _INITIAL_RATE, colloc.kinds)
-    if family.kind == kn.T_COMPLETE:
-        _fill_tcomplete_block(block, family, colloc, groups)
-        return
-    S = sources.points
-    TAU = sources.times
-    m = S.shape[0]
-    for group in sorted(set(groups.tolist())):
-        rows = np.flatnonzero(groups == group)
-        P = colloc.points[rows]
-        T = colloc.times[rows] if colloc.times is not None else None
-        if group in (geo.DIRICHLET, geo.INITIAL):
-            vals = kernel_block(family, P, S, T, TAU)
-        elif group == _INITIAL_RATE:
-            vals = kernel_time_derivative_block(family, P, S, T, TAU)
-        elif group == geo.NEUMANN:
-            vals = kernel_gradient_block(family, P, S, colloc.normals[rows], T, TAU)
-        else:
-            vals = governing_applied_block(family, governing, P, S)
-        _place(block, rows, m, vals, family)
+    if family.kind == kn.T_COMPLETE and \
+            not np.all(np.isin(colloc.kinds, (geo.DIRICHLET, geo.INITIAL, geo.NEUMANN))):
+        raise ConfigurationError(
+            "T-complete families support Dirichlet/Neumann/Initial rows only")
+    return np.where(initial & (colloc.components == 1), _INITIAL_RATE, colloc.kinds)
 
 
-def _place(block, rows, m, vals, family):
-    # where assembly turns a complex block real: split families keep both
-    # parts as separate columns, the others their real part
-    if family.complex_split:
-        block[rows, :m] = vals.real
-        block[rows, m:] = vals.imag
-    else:
-        block[rows, :] = np.real(vals)
+def _kernel_rows(family, group, rows, sources, colloc, governing):
+    P = colloc.points[rows]
+    T = colloc.times[rows] if colloc.times is not None else None
+    S, TAU = sources.points, sources.times
+    if group in (geo.DIRICHLET, geo.INITIAL):
+        return kernel_block(family, P, S, T, TAU)
+    if group == _INITIAL_RATE:
+        return kernel_time_derivative_block(family, P, S, T, TAU)
+    if group == geo.NEUMANN:
+        return kernel_gradient_block(family, P, S, colloc.normals[rows], T, TAU)
+    return governing_applied_block(family, governing, P, S, T, TAU)
 
 
-def _fill_tcomplete_block(block, family, colloc, groups):
+def _tcomplete_rows(family, group, rows, sources, colloc, governing):
     # value rows take member values, Neumann rows central-difference
     # gradients (h = 1e-6 * max(1, |x|)) dotted with the normal; the members
     # do not depend on t, so initial rows tagged component 1 stay zero
-    if not np.all(np.isin(colloc.kinds, (geo.DIRICHLET, geo.INITIAL, geo.NEUMANN))):
-        raise ConfigurationError(
-            "T-complete families support Dirichlet/Neumann/Initial rows only")
-    value_rows = np.flatnonzero(np.isin(groups, (geo.DIRICHLET, geo.INITIAL)))
-    flux_rows = colloc.rows(geo.NEUMANN)
-    P = colloc.points[flux_rows]
+    members = tcomplete_members(family)
+    P = colloc.points[rows]
+    if group == _INITIAL_RATE:
+        return np.zeros((len(rows), len(members)))
+    if group != geo.NEUMANN:
+        return np.column_stack([tcomplete_member_block(family, index, P)
+                                for index in members])
     h = 1e-6 * np.maximum(1.0, np.linalg.norm(P, axis=1))
     shifts = np.eye(colloc.dim)[:, None, :] * h[None, :, None]  # (axis, row, dim)
     stencil = np.concatenate([P + shifts, P - shifts]).reshape(-1, colloc.dim)
-    for j, index in enumerate(tcomplete_members(family)):
-        block[value_rows, j] = tcomplete_member_block(family, index,
-                                                      colloc.points[value_rows])
-        if len(flux_rows):
-            up, dn = tcomplete_member_block(family, index, stencil).reshape(
-                2, colloc.dim, len(flux_rows))
-            grad = (up - dn) / (2.0 * h)
-            block[flux_rows, j] = np.einsum("ar,ra->r", grad, colloc.normals[flux_rows])
+    normals = colloc.normals[rows]
+    out = np.empty((len(rows), len(members)))
+    for j, index in enumerate(members):
+        up, dn = tcomplete_member_block(family, index, stencil).reshape(
+            2, colloc.dim, len(rows))
+        grad = (up - dn) / (2.0 * h)
+        # normal . grad summed axis by axis: einsum sums a single row in
+        # another order, and the rows would depend on the block they are in
+        out[:, j] = sum(grad[a] * normals[:, a] for a in range(colloc.dim))
+    return out
 
 
-def _fill_elastic_block(block, family, sources, colloc):
+def _elastic_rows(family, group, rows, sources, colloc, governing):
     # columns: (source j, force component k); each row takes its own
     # displacement or traction component l from its component tag
-    if not np.all(np.isin(colloc.kinds, (geo.DIRICHLET, geo.NEUMANN))):
-        raise ConfigurationError(
-            "elastic rows must be Dirichlet (displacement) or Neumann (traction)")
-    if not np.all(np.isin(colloc.components, (1, 2))):
-        raise ConfigurationError(
-            "elastic rows need component tag 1 or 2 (the displacement or "
-            "traction component they constrain)")
-    for kind in (geo.DIRICHLET, geo.NEUMANN):
-        rows = colloc.rows(kind)
-        if kind == geo.DIRICHLET:
-            kelvin = elastic_block(family.operator, colloc.points[rows], sources.points)
-        else:
-            # the traction of the Kelvin displacement column is the NEGATIVE
-            # of the printed traction kernel (verified against stress
-            # differentiation); rows must carry the field's own traction or
-            # mixed displacement/traction data turn inconsistent
-            kelvin = -elastic_block(family.operator, colloc.points[rows],
-                                    sources.points, normals=colloc.normals[rows])
-        picked = kelvin[np.arange(len(rows)), :, colloc.components[rows] - 1, :]
-        block[rows] = picked.reshape(len(rows), block.shape[1])
+    P = colloc.points[rows]
+    if group == geo.DIRICHLET:
+        kelvin = elastic_block(family.operator, P, sources.points)
+    else:
+        # the traction of the Kelvin displacement column is the NEGATIVE
+        # of the printed traction kernel (verified against stress
+        # differentiation); rows must carry the field's own traction or
+        # mixed displacement/traction data turn inconsistent
+        kelvin = -elastic_block(family.operator, P, sources.points,
+                                normals=colloc.normals[rows])
+    picked = kelvin[np.arange(len(rows)), :, colloc.components[rows] - 1, :]
+    return picked.reshape(len(rows), -1)
 
 
 def forward(model, points, times=None):

@@ -106,7 +106,7 @@ def format_kernel_id(family):
     """Inverse of parse_kernel_id (canonical parameter order)."""
     op = family.operator
     if family.kind in _ELASTO_CLASSES:
-        return f"{family.kind}:{op.dim}d?nu={op.nu:g}&mu={op.shear:g}"
+        return f"{family.kind}:{op.dim}d?nu={_short(op.nu)}&mu={_short(op.shear)}"
     parts = [family.kind, op.kind, f"{op.dim}d"]
     params = []
     if op.k:
@@ -136,6 +136,12 @@ def format_kernel_id(family):
         params.append("outgoing=0")
     base = ":".join(parts)
     return base + ("?" + "&".join(params)) if params else base
+
+
+def _short(value):
+    # %g where it is exact (nu=0.3&mu=1), else all 17 significant digits
+    text = f"{value:g}"
+    return text if float(text) == value else f"{value:.17g}"
 
 
 def list_kernel_ids():

@@ -5,8 +5,8 @@ The Bessel functions are thin wrappers over scipy.special, gated by the
 tools/gen_special_reference.py).  Orders 0 and 1 use the order-specific
 ufuncs j0/j1/y0/y1/i0/i1/k0/k1, which are far cheaper than jv/yv/iv/kv;
 higher and half-integer orders use jv/yv/iv/kv.  The spherical pieces of
-orders 0 and 1 are elementary (with a power series near 0), and so are j, y
-and k of order -1; none of them reaches scipy.  load_bessel_table imports
+orders 0 and 1 are elementary (with a power series near 0), and so are j, y,
+i and k of order -1; none of them reaches scipy.  load_bessel_table imports
 scipy.special once, when a kernel family that reaches Bessel functions is
 constructed (or on the first evaluation), so Bessel-free runs never load it.
 
@@ -131,11 +131,13 @@ def spherical_bessel_block(kind, n, z):
 
     j_n and i_n take their limits at z = 0 (1 for n = 0, else 0); y_n and
     k_n raise SingularityError there, and i_n RangeOverflowError above 700.
-    At n = -1 the roles of j and y swap: y_-1 -> 1 at z = 0, j_-1 raises.
-    Orders 0 and 1 are pure numpy: the elementary closed forms, and for j_n
-    and i_n below _SPHERICAL_SERIES_BELOW their power series, chosen per
-    element.  Order -1 (j, y and k) reflects onto order 0 (DLMF 10.47):
-    j_-1 = -y_0 = cos z / z, y_-1 = j_0 = sin z / z, k_-1 = k_0.
+    At n = -1 the roles of j and y swap: y_-1 -> 1 at z = 0, j_-1 raises,
+    and so does i_-1.  Orders 0 and 1 are pure numpy: the elementary closed
+    forms, and for j_n and i_n below _SPHERICAL_SERIES_BELOW their power
+    series, chosen per element.  Order -1 is elementary too: j, y and k
+    reflect onto order 0 (DLMF 10.47), j_-1 = -y_0 = cos z / z,
+    y_-1 = j_0 = sin z / z, k_-1 = k_0, and i_-1 = cosh z / z (the
+    second-kind modified piece of order 0, DLMF 10.49).
     Higher orders go through bessel_block at order n + 1/2;
     scipy.special.spherical_* are not used: their Python wrappers cost tens
     of microseconds per call.
@@ -144,6 +146,11 @@ def spherical_bessel_block(kind, n, z):
     if n == -1 and kind in _REFLECTED:
         sign, kind = _REFLECTED[kind]
         return sign * spherical_bessel_block(kind, 0, z)
+    if n == -1:  # i_-1 = cosh z / z
+        _check_arguments(kind, n, z)
+        if not z.all():
+            raise SingularityError("i_-1(z) = cosh z / z requires z != 0")
+        return np.cosh(z) / z
     if n in (0, 1):
         _check_arguments(kind, n, z)
         if kind in ("y", "k"):

@@ -1,4 +1,7 @@
+import functools
 import math
+import os
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -6,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from pikfnn import kernels
+from pikfnn import geometry, kernels, network
 from pikfnn.errors import ConditioningError, ConfigurationError, SingularityError
 from pikfnn.geometry import (
     CollocationSet,
@@ -36,6 +40,7 @@ from pikfnn.network import (
 )
 from pikfnn.operators import OperatorSpec, apply_steady_operator_fd, steady_operator_fd_block
 from pikfnn.registry import parse_kernel_id
+from pikfnn.runner import run_benchmark
 
 
 def laplace_family(dim=2):
@@ -190,6 +195,18 @@ def test_interior_residual_rows_apply_operator():
     fn = lambda q: kernel_at(np.asarray(q), s)
     fd = apply_steady_operator_fd(op, fn, x, h=2e-3)
     assert mtx.entries[0, 1] == pytest.approx(fd, rel=1e-5)
+
+
+def test_interior_residual_rows_of_a_time_family_take_the_row_times():
+    # heat family k = 0.5 under the heat operator k0 = 0.2: (L0 G) = (k - k0)/k dG/dt,
+    # at each row's own time (these rows raised DomainError without the times)
+    fam = parse_kernel_id("time-fundamental:heat:2d?k=0.5")
+    pts, times = np.array([[0.2, -0.1], [0.4, 0.3]]), np.array([1.0, 1.5])
+    sources = SourceSet(np.array([[1.5, 0.0], [0.0, -1.5]]), times=np.array([0.0, 0.5]))
+    colloc = CollocationSet(pts, ["R", "R"], np.zeros(2), times=times)
+    mtx = assemble([fam], sources, colloc, governing=OperatorSpec("heat", 2, k=0.2))
+    rate = kernels.kernel_time_derivative_block(fam, pts, sources.points, times, sources.times)
+    assert np.array_equal(mtx.entries, 0.6 * rate) and np.all(rate != 0.0)
 
 
 def test_tcomplete_assembly_width():
@@ -422,6 +439,157 @@ def test_weight_length_validation():
     model = PikfnnModel([laplace_family()], sources, 2, weights=np.zeros(5))
     with pytest.raises(ConfigurationError):
         forward(model, [[0.0, 0.0]])
+
+
+_TIMED_POOL = ("time-fundamental:heat:{d}d?k=0.5", "time-radial-trefftz:wave:{d}d?c1=1.3")
+_STEADY_POOL = ("fundamental:laplace:{d}d", "fundamental:modified-helmholtz:{d}d?k=1.5&shift=0.25",
+                "radial-trefftz:helmholtz:{d}d?k=2")
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3]), n=st.integers(1, 12), timed=st.booleans(),
+       enhanced=st.booleans(), delay=_FINITE, data=st.data())
+def test_model_round_trip_is_bit_identical(dim, n, timed, enhanced, delay, data):
+    # save_model then load_model: the same families, and sources, times,
+    # weights and delay bit for bit (-0.0 and subnormals included)
+    pool = _TIMED_POOL if timed else _STEADY_POOL
+    idents = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+    families = [parse_kernel_id(ident.format(d=dim)) for ident in idents]
+    points = data.draw(arrays(float, (n, dim), elements=_FINITE))
+    times = data.draw(arrays(float, n, elements=_FINITE)) if timed else None
+    sources = SourceSet(points, times=times, enhanced=enhanced, delay_dt=delay)
+    width = sum(family_width(f, sources) for f in families)
+    model = PikfnnModel(families, sources, dim,
+                        weights=data.draw(arrays(float, width, elements=_FINITE)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(path, model)
+        back = load_model(path)
+    assert back.families == families and back.dim == dim
+    assert back.sources.enhanced == enhanced
+    assert np.float64(back.sources.delay_dt).tobytes() == np.float64(delay).tobytes()
+    pairs = [(back.sources.points, points), (back.weights, model.weights)]
+    if timed:
+        pairs.append((back.sources.times, times))
+    else:
+        assert back.sources.times is None
+    for got, want in pairs:
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# row-block assembly: the rows of each kind are evaluated in blocks of
+# geometry._BLOCK_ENTRIES entries; each case has about two blocks of rows per
+# kind, so subsets fall on both sides of one block
+PARTITION_CASES = [  # (family, row kinds, governing operator of the R rows)
+    ("fundamental:modified-helmholtz:2d?k=1.5&shift=0.25", "DNIR",  # steady radial
+     OperatorSpec("laplace", 2)),
+    ("time-fundamental:heat:3d?k=0.5", "DNIR", OperatorSpec("heat", 3, k=0.2)),
+    ("t-complete:helmholtz:3d?k=1.5&m=5", "DNI", None),
+    ("elasto-trac:2d?nu=0.3&mu=2", "DN", None),
+]
+
+
+@functools.cache
+def _partition_problem(ident, kinds, governing):
+    """(family, sources, collocation rows, whole design matrix, rows per block)."""
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    rng = np.random.default_rng(7)
+    timed = family.operator.is_time_dependent
+    sources = SourceSet(rng.uniform(1.5, 3.0, (256, dim)) * rng.choice([-1.0, 1.0], (256, dim)),
+                        times=rng.uniform(0.0, 2.0, 256) if timed else None)
+    per_block = geometry._BLOCK_ENTRIES // family_width(family, sources)
+    n = 2 * per_block * len(kinds) + 5
+    normals = rng.standard_normal((n, dim))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    elastic = family.kind in (kernels.ELASTO_DISP, kernels.ELASTO_TRAC)
+    colloc = CollocationSet(rng.uniform(-1.0, 1.0, (n, dim)), rng.choice(list(kinds), n),
+                            np.zeros(n), normals=normals,
+                            times=rng.uniform(1.0, 2.0, n) if timed else None,
+                            components=rng.integers(1, 3, n) if elastic else rng.integers(0, 2, n))
+    whole = assemble([family], sources, colloc, governing=governing).entries
+    return family, sources, colloc, whole, per_block
+
+
+def _rows(colloc, rows):
+    return CollocationSet(colloc.points[rows], colloc.kinds[rows], colloc.values[rows],
+                          normals=colloc.normals[rows],
+                          times=None if colloc.times is None else colloc.times[rows],
+                          components=colloc.components[rows])
+
+
+@pytest.mark.parametrize("ident, kinds, governing", PARTITION_CASES)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_assembled_rows_partition_freely(ident, kinds, governing, seed, data):
+    # any subset of the rows, in any order, assembles to those rows of the
+    # whole design matrix bit for bit
+    family, sources, colloc, whole, per_block = _partition_problem(ident, kinds, governing)
+    assert len(colloc) > 2 * per_block > 1 and set(colloc.kinds) == set(kinds)
+    size = data.draw(st.one_of(st.integers(1, 3), st.integers(1, len(colloc)),
+                               st.integers(per_block - 1, per_block + 2)))
+    rows = np.random.default_rng(seed).permutation(len(colloc))[:size]
+    part = assemble([family], sources, _rows(colloc, rows), governing=governing).entries
+    assert part.shape == (size, whole.shape[1])
+    assert part.tobytes() == whole[rows].tobytes()
+
+
+def test_first_non_finite_entry_is_named_across_row_blocks():
+    # the finiteness check runs block by block, in row order
+    rng = np.random.default_rng(3)
+    sources = SourceSet(rng.uniform(2.0, 3.0, (512, 2)))
+    per_block = geometry._BLOCK_ENTRIES // 512
+    points = rng.uniform(-1.0, 1.0, (3 * per_block, 2))
+    marked = points[[per_block + 5, 2 * per_block + 1], 0]
+
+    def poisoned(family, P, S, T, TAU):  # NaN at (per_block + 5, 7) and a later row
+        vals = kernel_block(family, P, S, T, TAU)
+        for x, column in zip(marked, (7, 2)):
+            vals[P[:, 0] == x, column] = np.nan
+        return vals
+
+    colloc = CollocationSet(points, ["D"] * len(points), np.zeros(len(points)))
+    with mock.patch.object(network, "kernel_block", poisoned):
+        with pytest.raises(SingularityError, match=f"row {per_block + 5}, column 7$"):
+            assemble([laplace_family()], sources, colloc)
+        entries = assemble([laplace_family()], sources, colloc, check_finite=False).entries
+    assert np.argwhere(np.isnan(entries)).tolist() == [[per_block + 5, 7],
+                                                       [2 * per_block + 1, 2]]
+
+
+@functools.cache
+def _trained_model(name):
+    return run_benchmark(name, seed=0).model
+
+
+@pytest.mark.parametrize("name", ["example2", "example5"])
+def test_forward_allocates_one_design_matrix_and_row_blocks(name):
+    # forward on 5 000 points builds the (5 000, width) design matrix once and
+    # evaluates the kernels over row blocks; whole-block kernel evaluation
+    # peaked at 8.0 (example2) and 3.1 (example5) design-matrix sizes
+    model = _trained_model(name)
+    rng = np.random.default_rng(1)
+    n = 5000
+    if name == "example2":  # the unit disk
+        r, theta = np.sqrt(rng.random(n)), 2.0 * np.pi * rng.random(n)
+        points, times = np.column_stack([r * np.cos(theta), r * np.sin(theta)]), None
+    else:  # the torus (R, r) = (2, 0.5) at t = 100
+        theta, phi = 2.0 * np.pi * rng.random(n), 2.0 * np.pi * rng.random(n)
+        rho = 2.0 + 0.5 * np.sqrt(rng.random(n)) * np.cos(phi)
+        points = np.column_stack([rho * np.cos(theta), rho * np.sin(theta),
+                                  0.5 * np.sqrt(rng.random(n)) * np.sin(phi)])
+        times = np.full(n, 100.0)
+    forward(model, points[:10], times=None if times is None else times[:10])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forward(model, points, times=times)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * model.width * 8
 
 
 # ---------------------------------------------------------------------------

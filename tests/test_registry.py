@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pikfnn.errors import UnsupportedKernelError
 from pikfnn.kernels import eval_kernel
@@ -86,3 +88,26 @@ def test_listed_ids_all_parse_and_evaluate():
             else:
                 assert math.isfinite(v)
     assert count >= 30
+
+
+# every float parameter of a catalog id redrawn within a range its operator
+# accepts; the velocity components one by one
+_REDRAWN = {"k": st.floats(0.01, 100.0), "d": st.floats(0.01, 100.0),
+            "c1": st.floats(0.01, 100.0), "nu": st.floats(0.0, 0.49),
+            "mu": st.floats(1e-3, 1e7), "v": st.floats(-10.0, 10.0)}
+
+
+@pytest.mark.parametrize("ident", list_kernel_ids())
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_catalog_ids_round_trip_with_any_parameters(ident, data):
+    # format_kernel_id then parse_kernel_id gives back the same family
+    head, _, query = ident.partition("?")
+    params = []
+    for item in query.split("&") if query else ():
+        key, _, value = item.partition("=")
+        if key in _REDRAWN:
+            value = ",".join(repr(data.draw(_REDRAWN[key])) for _ in value.split(","))
+        params.append(f"{key}={value}")
+    family = parse_kernel_id(head + ("?" + "&".join(params) if params else ""))
+    assert parse_kernel_id(format_kernel_id(family)) == family

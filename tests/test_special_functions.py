@@ -253,11 +253,11 @@ def test_spherical_pieces_match_reference_table(kind):
         assert got.tolist() == [float(spherical_bessel_block(kind, n, v)) for v in x]
 
 
-@pytest.mark.parametrize("kind", ["j", "y", "k"])
+@pytest.mark.parametrize("kind", ["j", "y", "i", "k"])
 def test_order_minus_one_spherical_pieces_match_reference_table(kind):
-    # j_-1 = cos x / x, y_-1 = sin x / x and k_-1 = k_0 are elementary and
-    # never load scipy; relative, or for j and y beyond x = 1 against their
-    # 1/x envelope, as for orders 0 and 1
+    # j_-1 = cos x / x, y_-1 = sin x / x, i_-1 = cosh x / x and k_-1 = k_0
+    # are elementary and never load scipy; relative, or for j and y beyond
+    # x = 1 against their 1/x envelope, as for orders 0 and 1
     rows = [(x, value) for name, order, x, value in load_reference(SPHERICAL_FIXTURE)
             if name == f"spherical_{kind}" and order == -1]
     x = np.array([x for x, _ in rows])
@@ -273,9 +273,12 @@ def test_order_minus_one_spherical_pieces_match_reference_table(kind):
     assert np.all(np.abs(got - expected) <= 1e-14 * scale), kind
     if kind == "y":
         assert at_zero == 1.0  # sin x / x -> 1
-    else:  # cos x / x and k_0 are singular at 0
+    else:  # cos x / x, cosh x / x and k_0 are singular at 0
         with pytest.raises(SingularityError):
             spherical_bessel_block(kind, -1, np.array([1.0, 0.0]))
+    if kind == "i":  # cosh x / x overflows where i_0 and i_1 do
+        with pytest.raises(RangeOverflowError):
+            spherical_bessel_block(kind, -1, np.array([1.0, 701.0]))
 
 
 def test_spherical_pieces_small_argument_series():

@@ -11,9 +11,9 @@ Points of the first table are restricted to |value| <= 100 so the 1e-12
 absolute comparison is meaningful in doubles (values like Y_5(0.05) ~ 1e8
 cannot be represented to 1e-12 absolute by any double-precision routine).
 The second table holds the spherical j_n, y_n, i_n and k_n (the
-sqrt(pi / 2x) F_{n+1/2}(x) of special_functions) at n = 0 and 1, and j, y
-and k at n = -1, compared relatively, at arguments on both sides of the
-series threshold x = 1.
+sqrt(pi / 2x) F_{n+1/2}(x) of special_functions) at n = -1, 0 and 1,
+compared relatively, at arguments on both sides of the series threshold
+x = 1.
 """
 
 import mpmath as mp
@@ -39,7 +39,7 @@ SPH_ARGS = (1e-8, 1e-5, 1e-3, 0.01, 0.07, 0.2, 0.45, 0.7, 0.9, 0.99, 0.999999, 1
             1.000001, 1.01, 1.2, 1.6, 2.3, 3.1, 4.5, 6.2, 8.8, 12.5, 17.0, 23.9,
             30.0, 41.3, 50.0)
 SPH_FNS = {"j": mp.besselj, "y": mp.bessely, "i": mp.besseli, "k": mp.besselk}
-SPH_ORDERS = {"j": (-1, 0, 1), "y": (-1, 0, 1), "i": (0, 1), "k": (-1, 0, 1)}
+SPH_ORDERS = {"j": (-1, 0, 1), "y": (-1, 0, 1), "i": (-1, 0, 1), "k": (-1, 0, 1)}
 
 
 def fmt(v):
