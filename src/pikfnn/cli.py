@@ -2,10 +2,14 @@
 
 Subcommands: run <config.json>, bench <name|all>, verify-kernels [filter],
 list-kernels.  Exit codes: 0 success, 2 validation error, 3 numerical
-failure.
+failure.  The command output (kernel ids, the verify pass count) goes to
+stdout; progress and diagnostics are logged to stderr, at INFO, or from
+WARNING up with --quiet.
 """
 
 import argparse
+import logging
+import os
 import sys
 
 from .benchmarks import BUILTINS
@@ -26,8 +30,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+log = logging.getLogger("pikfnn")
+
 _VALIDATION_ERRORS = (ConfigurationError, DomainError, NodeFileError,
-                      UnsupportedKernelError, UnsupportedSourceError)
+                      UnsupportedKernelError, UnsupportedSourceError, FileNotFoundError)
 _NUMERICAL_ERRORS = (ConditioningError, DivergenceError, SingularityError)
 
 
@@ -71,17 +77,29 @@ def _run_one(setup_or_name, args, subdir=None, **params):
     train = {"tol": args.tol} if args.tol is not None else None
     out = args.out
     if out and subdir:
-        import os
         out = os.path.join(out, subdir)
     result = run_benchmark(setup_or_name, seed=args.seed, out_dir=out,
-                           train=train, quiet=args.quiet, **params)
-    if not args.quiet and out:
-        print(f"outputs written to {out}")
+                           train=train, **params)
+    if out:
+        log.info("outputs written to %s", out)
     return result
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # a handler on the current stderr for this command only
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    log.addHandler(handler)
+    log.setLevel(logging.WARNING if getattr(args, "quiet", False) else logging.INFO)
+    try:
+        return _dispatch(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(logging.NOTSET)
+
+
+def _dispatch(args):
     try:
         if args.command == "run":
             cfg = load_problem_config(args.config)
@@ -99,7 +117,7 @@ def main(argv=None):
             return EXIT_OK
         if args.command == "verify-kernels":
             rows, ok = verify_kernels(pattern=args.filter, n_points=args.points,
-                                      seed=args.seed, quiet=args.quiet)
+                                      seed=args.seed)
             if not args.quiet:
                 n_bad = sum(1 for r in rows if not r.passed)
                 print(f"{len(rows) - n_bad}/{len(rows)} kernels passed")
@@ -109,14 +127,11 @@ def main(argv=None):
                 print(ident)
             return EXIT_OK
     except _VALIDATION_ERRORS as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        log.error("validation error: %s", exc)
         return EXIT_VALIDATION
     except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
-    except FileNotFoundError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     return EXIT_VALIDATION
 
 

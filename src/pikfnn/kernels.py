@@ -77,7 +77,8 @@ class KernelFamily:
     complex_split is the opt-in complex mode: a complex-valued family (the
     Hankel-form Helmholtz fundamental solution) contributes separate
     real-part and imaginary-part columns, doubling its weight count.  A family
-    whose kernels reach Bessel functions loads their table on construction.
+    whose kernels reach the scipy Bessel functions (orders above 1) loads
+    their table on construction.
     """
 
     kind: str                      # kernel class
@@ -154,18 +155,16 @@ def _require_supported(family):
 
 
 def _reaches_bessel(family):
-    """Whether the family's kernels reach the scipy Bessel functions: 2D
-    Helmholtz-type and time-radial-Trefftz kernels, and in 3D the spherical
-    pieces of orders above 1 (orders -1, 0 and 1 are elementary): T-complete
-    members of degree >= 2 and power pieces at n >= 2."""
+    """Whether the family's kernels reach the scipy Bessel functions, that is
+    evaluate an order outside {-1, 0, 1} (special_functions evaluates those
+    itself): in 2D and 3D, T-complete members of degree >= 2 and power
+    pieces at n >= 2."""
     op = family.operator
     if op.kind not in (ops.HELMHOLTZ, ops.MODIFIED_HELMHOLTZ, ops.CONVECTION_DIFFUSION,
                        ops.HELMHOLTZ_POWER, ops.MOD_HELMHOLTZ_POWER, ops.CONV_DIFF_POWER):
-        return family.kind == TIME_RADIAL_TREFFTZ and op.dim == 2
-    if op.dim == 2:
-        return True
+        return False
     if family.kind == T_COMPLETE:
-        return family.tcomplete_max_order >= 2
+        return family.tcomplete_max_order + op.power_n >= 2
     return op.power_n >= 2
 
 

@@ -9,6 +9,7 @@ never in the CSVs).
 import hashlib
 import inspect
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 
@@ -48,6 +49,8 @@ from .training import (
     write_loss_csv,
 )
 
+log = logging.getLogger(__name__)
+
 
 @dataclass
 class RunResult:
@@ -59,9 +62,9 @@ class RunResult:
     out_dir: str = None
 
 
-def run_benchmark(problem, seed=0, out_dir=None, train=None, quiet=True, **params):
+def run_benchmark(problem, seed=0, out_dir=None, train=None, **params):
     """Execute one problem (builtin name, ProblemConfig, or ProblemSetup)
-    end to end."""
+    end to end; the training and metrics summaries are logged at INFO."""
     if isinstance(problem, str):
         setup = _builtin_setup(problem, seed, train, params)
     elif isinstance(problem, ProblemConfig):
@@ -82,9 +85,8 @@ def run_benchmark(problem, seed=0, out_dir=None, train=None, quiet=True, **param
         fams = list(setup.families) + [f for f, _ in setup.pretrained]
         weights = np.concatenate([model.weights] + [w for _, w in setup.pretrained])
         model = PikfnnModel(fams, setup.sources, setup.colloc.dim, weights=weights)
-    if not quiet:
-        print(f"[{setup.name}] trained: loss {report.final_loss:.3e} "
-              f"({report.iters} iters, stop {report.stop_reason})")
+    log.info("[%s] trained: loss %.3e (%d iters, stop %s)", setup.name,
+             report.final_loss, report.iters, report.stop_reason)
 
     extras = {}
     if setup.post == "stress":
@@ -103,9 +105,8 @@ def run_benchmark(problem, seed=0, out_dir=None, train=None, quiet=True, **param
         pred = forward(model, setup.test_points, times=setup.test_times)
     metrics = build_metrics(setup.test_points, pred, setup.test_values,
                             times=setup.test_times, rerr_floor=setup.rerr_floor)
-    if not quiet:
-        print(f"[{setup.name}] L2 {metrics.l2:.3e}  max|rerr| {metrics.max_rerr:.3e} "
-              f"R^2 {metrics.r_squared:.6f} (excluded {metrics.excluded})")
+    log.info("[%s] L2 %.3e  max|rerr| %.3e R^2 %.6f (excluded %s)", setup.name,
+             metrics.l2, metrics.max_rerr, metrics.r_squared, metrics.excluded)
 
     result = RunResult(setup=setup, model=model, metrics=metrics,
                        train_report=report, extras=extras, out_dir=out_dir)
@@ -319,8 +320,9 @@ def build_verify_entries(pattern=None):
     return entries
 
 
-def verify_kernels(pattern=None, n_points=100, seed=12345, entries=None, quiet=True):
-    """FD PDE-residual sweep across the catalog; returns (rows, all_passed)."""
+def verify_kernels(pattern=None, n_points=100, seed=12345, entries=None):
+    """FD PDE-residual sweep across the catalog; returns (rows, all_passed).
+    Each entry is logged, a pass at INFO and a failure at WARNING."""
     if entries is None:
         entries = build_verify_entries(pattern)
     rows = []
@@ -328,9 +330,9 @@ def verify_kernels(pattern=None, n_points=100, seed=12345, entries=None, quiet=T
         worst = check(n_points, seed)
         row = VerifyRow(name=name, max_residual=float(worst), tol=tol)
         rows.append(row)
-        if not quiet:
-            state = "pass" if row.passed else "FAIL"
-            print(f"{state}  {name:60s} residual {worst:.3e} (tol {tol:g})")
+        log.log(logging.INFO if row.passed else logging.WARNING,
+                "%s  %-60s residual %.3e (tol %g)", "pass" if row.passed else "FAIL",
+                name, worst, tol)
     return rows, all(r.passed for r in rows)
 
 

@@ -1,23 +1,36 @@
 """Bessel and Legendre functions in double precision.
 
-The Bessel functions are thin wrappers over scipy.special, gated by the
-40-digit table (tests/data/special_function_reference.txt, regenerated by
-tools/gen_special_reference.py).  Orders 0 and 1 use the order-specific
-ufuncs j0/j1/y0/y1/i0/i1/k0/k1, which are far cheaper than jv/yv/iv/kv;
-higher and half-integer orders use jv/yv/iv/kv.  The spherical pieces of
-orders 0 and 1 are elementary (with a power series near 0), and so are j, y,
-i and k of order -1; none of them reaches scipy.  load_bessel_table imports
-scipy.special once, when a kernel family that reaches Bessel functions is
-constructed (or on the first evaluation), so Bessel-free runs never load it.
+J, Y, I and K of orders 0 and 1 (and -1, by reflection) are evaluated here
+in numpy from fixed expansions that tools/gen_bessel_coefficients.py fits
+with mpmath at 40 digits and writes into this module:
+
+- J and Y: below x = 4, series in x^2 (Y as (2/pi) ln(x/2) J plus an entire
+  remainder, DLMF 10.8); from 4 to 8, polynomials in x - 6; from 8 on, the
+  modulus-phase form M sin(theta) (DLMF 10.18), one sine per value;
+- I: below 15 a series in x^2, above e^x / sqrt(x) times a polynomial in 1/x;
+- K: below 2, -ln(x/2) I plus an entire remainder (DLMF 10.31); above,
+  e^-x / sqrt(x) times a polynomial in 1/x.
+
+A third 40-digit table (tests/data/bessel_order01_reference.txt) gates them
+to 1e-14 max(1, |F|) for J and Y and 1e-14 relative for I and K, from
+x = 1e-8 to 1000 (I to 700, K until it leaves the normal range).  Other
+orders go to scipy.special jv/yv/iv/kv, gated by the first table
+(tests/data/special_function_reference.txt); load_bessel_table imports
+scipy.special once, when a kernel family that evaluates such an order is
+constructed (T-complete members of degree >= 2, power pieces at n >= 2) or
+on the first such evaluation, so every other run never loads scipy.
+Both tables come from tools/gen_special_reference.py.
+
+The spherical pieces of orders 0 and 1 are elementary (with a power series
+near 0), and so are j, y, i and k of order -1; none of them reaches scipy.
 
 `bessel_block` and `spherical_bessel_block` evaluate whole arrays (the path
 the kernel catalog takes); `bessel_j/y/i/k` and `hankel1` are their scalar
 views and add the order and finiteness checks.  Both keep one error
 contract: Y and K raise SingularityError for arguments <= 0 (Y also below
 Y_SINGULARITY_FLOOR), I raises RangeOverflowError for |x| > 700, and a
-scalar result that overflows raises RangeOverflowError.  The scalar views
-fold negative x by exact parity for J and I (J_n(-x) = (-1)^n J_n(x), I
-likewise).
+scalar result that overflows raises RangeOverflowError.  J and I of
+negative x follow by exact parity (J_n(-x) = (-1)^n J_n(x), I likewise).
 
 P_v^m uses the stable three-term recurrence in the degree v (Condon-Shortley
 phase included); `assoc_legendre_block` runs it on whole arrays and
@@ -54,11 +67,10 @@ def _check_finite(x, name="x"):
 
 @functools.cache
 def load_bessel_table():
-    """kind -> (order-0, order-1, any-order) ufunc, resolved once."""
+    """kind -> scipy.special ufunc of any order (jv, yv, iv or kv), resolved once."""
     from scipy import special as sc
 
-    return {"j": (sc.j0, sc.j1, sc.jv), "y": (sc.y0, sc.y1, sc.yv),
-            "i": (sc.i0, sc.i1, sc.iv), "k": (sc.k0, sc.k1, sc.kv)}
+    return {"j": sc.jv, "y": sc.yv, "i": sc.iv, "k": sc.kv}
 
 
 def _check_arguments(kind, n, z):
@@ -76,19 +88,158 @@ def _check_arguments(kind, n, z):
 def bessel_block(kind, n, z):
     """J_n, Y_n, I_n or K_n (kind "j", "y", "i" or "k") elementwise on z.
 
-    n is a non-negative integer, or a half-integer for the spherical pieces;
-    it is not checked.  Raises SingularityError when a Y argument is below
+    n is an integer >= -1, or a half-integer for the spherical pieces; it is
+    not checked.  Orders 0 and 1 are evaluated here in numpy, and order -1
+    reflects onto order 1 (J_-1 = -J_1, Y_-1 = -Y_1, I_-1 = I_1 and
+    K_-1 = K_1; DLMF 10.4.1, 10.27.1, 10.27.3); other orders load
+    scipy.special.  Raises SingularityError when a Y argument is below
     Y_SINGULARITY_FLOOR or a K argument is <= 0, and RangeOverflowError when
     an I argument exceeds 700 in magnitude.
     """
+    if n == -1:
+        value = bessel_block(kind, 1, z)
+        return -value if kind in ("j", "y") else value
     z = np.asarray(z, dtype=float)
     _check_arguments(kind, n, z)
-    order0, order1, any_order = load_bessel_table()[kind]
-    if n == 0:
-        return order0(z)
-    if n == 1:
-        return order1(z)
-    return any_order(n, z)
+    if n not in (0, 1):
+        return load_bessel_table()[kind](n, z)
+    x = np.abs(z).ravel() if kind in ("j", "i") else z.ravel()
+    out = _by_interval(x, _EDGES[kind], _PARTS[kind], n)
+    if n == 1 and kind in ("j", "i"):
+        out[z.ravel() < 0.0] *= -1.0   # J_1 and I_1 are odd
+    return out.reshape(z.shape)
+
+
+# Elements per pass of the order-0 and order-1 evaluations: a pass keeps
+# about six work arrays, which then stay in the L2 cache.
+_CHUNK = 1 << 14
+
+
+def _by_interval(x, edges, parts, n):
+    """parts[i](n, x) on the elements of the 1-D x in [edges[i-1], edges[i]),
+    the first part below edges[0] and the last from edges[-1] on (NaN too).
+    The part is chosen per element, so a value does not depend on its
+    neighbours.  A chunk that spans several intervals takes its most common
+    part on every element, then overwrites the others from their own parts."""
+    out = np.empty(x.shape)
+    for start in range(0, x.size, _CHUNK):
+        xc, oc = x[start:start + _CHUNK], out[start:start + _CHUNK]
+        below = [int(np.count_nonzero(xc < edge)) for edge in edges] + [xc.size]
+        counts = [hi - lo for lo, hi in zip([0] + below, below)]
+        common = counts.index(max(counts))
+        with np.errstate(all="ignore"):  # outside its interval a part may overflow
+            oc[...] = parts[common](n, xc)
+        for i, count in enumerate(counts):
+            if count and i != common:
+                chosen = ~(xc < edges[i - 1]) if i else xc < edges[0]
+                if 0 < i < len(edges):
+                    chosen &= xc < edges[i]
+                oc[chosen] = parts[i](n, xc[chosen])
+    return out
+
+
+def _horner(coeffs, v):
+    """sum coeffs[i] v^(d - i), d = len(coeffs) - 1, in one new array."""
+    p = coeffs[0] * v
+    p += coeffs[1]
+    for c in coeffs[2:]:
+        p *= v
+        p += c
+    return p
+
+
+_TWO_OVER_PI = 2.0 / math.pi
+
+
+def _jy_small(kind, n, x):
+    # J_0 = P(x^2), J_1 = x P(x^2); Y_n = (2/pi) ln(x/2) J_n + an entire
+    # remainder, less 2/(pi x) for n = 1 (DLMF 10.8.1, 10.8.2)
+    t = x * x
+    j = _horner(_J1_SMALL, t) * x if n else _horner(_J0_SMALL, t)
+    if kind == "j":
+        return j
+    y = np.log(0.5 * x)
+    y *= _TWO_OVER_PI
+    y *= j
+    rest = _horner(_Y1_SMALL if n else _Y0_SMALL, t)
+    if n:
+        rest *= x
+        rest -= _TWO_OVER_PI / x
+    y += rest
+    return y
+
+
+def _jy_mid(kind, n, x):
+    if kind == "j":
+        return _horner(_J1_MID if n else _J0_MID, x - 6.0)
+    return _horner(_Y1_MID if n else _Y0_MID, x - 6.0)
+
+
+def _jy_large(kind, n, x):
+    # modulus-phase form (DLMF 10.18): J_n = M cos theta, Y_n = M sin theta,
+    # M = m(w) / sqrt(x), theta = x - (2n + 1) pi/4 + phi(w) / x, w = 1/x^2;
+    # J_n takes the sine at theta + pi/2, so each kind costs one sine
+    r = np.divide(1.0, x)
+    w = r * r
+    theta = _horner(_JY1_PHASE if n else _JY0_PHASE, w)
+    theta *= r
+    theta += _PHASE_SHIFT[kind, n]
+    theta += x
+    value = np.sin(theta, out=theta)
+    value *= _horner(_JY1_MODULUS if n else _JY0_MODULUS, w)
+    value *= np.sqrt(r, out=r)
+    return value
+
+
+def _i_small(n, x):
+    t = x * x
+    return _horner(_I1_SMALL, t) * x if n else _horner(_I0_SMALL, t)
+
+
+def _i_large(n, x):
+    # I_n = e^x p(1/x) / sqrt(x)
+    r = np.divide(1.0, x)
+    value = _horner(_I1_LARGE if n else _I0_LARGE, r)
+    value *= np.sqrt(r, out=r)
+    value *= np.exp(x)
+    return value
+
+
+def _k_small(n, x):
+    # K_n = (-1)^(n+1) ln(x/2) I_n + an entire remainder, plus 1/x for n = 1
+    # (DLMF 10.31.1, 10.31.2)
+    t = x * x
+    log_i = np.log(0.5 * x)
+    log_i *= _i_small(n, x)
+    value = _horner(_K1_SMALL if n else _K0_SMALL, t)
+    if n:
+        value *= x
+        value += log_i
+        value += np.divide(1.0, x)
+    else:
+        value -= log_i
+    return value
+
+
+def _k_large(n, x):
+    # K_n = e^-x q(1/x) / sqrt(x)
+    r = np.divide(1.0, x)
+    value = _horner(_K1_LARGE if n else _K0_LARGE, r)
+    value *= np.sqrt(r, out=r)
+    value *= np.exp(-x)
+    return value
+
+
+_EDGES = {"j": (4.0, 8.0), "y": (4.0, 8.0), "i": (15.0,), "k": (2.0,)}
+_PARTS = {
+    "j": [functools.partial(f, "j") for f in (_jy_small, _jy_mid, _jy_large)],
+    "y": [functools.partial(f, "y") for f in (_jy_small, _jy_mid, _jy_large)],
+    "i": [_i_small, _i_large],
+    "k": [_k_small, _k_large],
+}
+# the sine of theta for Y_n, of theta + pi/2 for J_n, less x and phi(w) / x
+_PHASE_SHIFT = {("y", 0): -0.25 * math.pi, ("j", 0): 0.25 * math.pi,
+                ("y", 1): -0.75 * math.pi, ("j", 1): -0.25 * math.pi}
 
 
 # Below this argument j_n and i_n (n = 0, 1) take their power series: the
@@ -248,3 +399,163 @@ def assoc_legendre_block(v, m, x):
     for vv in range(m + 2, v + 1):
         pmm, pmmp1 = pmmp1, (x * (2.0 * vv - 1.0) * pmmp1 - (vv + m - 1.0) * pmm) / (vv - m)
     return pmmp1
+
+
+# BEGIN fitted coefficients (tools/gen_bessel_coefficients.py)
+_J0_SMALL = (  # powers of t, degree 11 first
+    -1.2659378642186218e-22, 7.148083081971282e-20, -2.89466199847509e-17,
+    9.385626852952818e-15, -2.402804131042143e-12, 4.709502567532006e-10,
+    -6.781684017622987e-08, 6.781684027492821e-06, -0.0004340277777773058,
+    0.015624999999999596, -0.24999999999999986, 1.0,
+)
+_J1_SMALL = (  # powers of t, degree 11 first
+    -5.343596719147275e-24, 3.2554383520944232e-21, -1.447582184532871e-18,
+    5.214294075862951e-16, -1.5017533909823957e-13, 3.363930480175053e-11,
+    -5.6514033525361895e-09, 6.78168402766705e-07, -5.425347222220388e-05,
+    0.002604166666666651, -0.06249999999999999, 0.5,
+)
+_Y0_SMALL = (  # powers of t, degree 12 first
+    -3.563342805518526e-25, 2.2993370898142516e-22, -1.0835628968303609e-19,
+    4.15261586541619e-17, -1.2790943791753736e-14, 3.083275849716628e-12,
+    -5.614911942505097e-10, 7.365914182368992e-08, -6.502443354187334e-06,
+    0.000347078708395804, -0.009179105521168058, 0.06728821679274134,
+    0.36746690519661596,
+)
+_Y1_SMALL = (  # powers of t, degree 11 first
+    8.408901309023186e-24, -4.964439313907907e-21, 2.1210609932617786e-18,
+    -7.290295714469221e-16, 1.9867982404374048e-13, -4.163618726502248e-11,
+    6.438078072279531e-09, -6.934178768215942e-07, 4.770219269147937e-05,
+    -0.0018061615852847477, 0.026769238141428786, 0.024578509506412646,
+)
+_J0_MID = (  # powers of s, degree 18 first
+    -2.4437975157658487e-17, 2.1315622986281633e-16, 8.211484484930289e-15,
+    -6.688901625772108e-14, -2.069112805189098e-12, 1.5644694317399996e-11,
+    3.9607746255537913e-10, -2.7609575441727847e-09, -5.5113219941444694e-08,
+    3.5106184109231037e-07, 5.227183605000051e-06, -3.0037971983084223e-05,
+    -0.0003059706348624307, 0.0015513507450473783, 0.009276407324868143,
+    -0.03936749830014451, -0.0983796168027956, 0.2766838581275656,
+    0.15064525725099692,
+)
+_J1_MID = (  # powers of s, degree 18 first
+    1.0931182750651385e-17, 4.386464710638568e-16, -3.809486014428951e-15,
+    -1.3136395845050068e-13, 1.0046469857958943e-12, 2.8967449379061108e-11,
+    -2.0338599981435149e-10, -4.752929100366784e-09, 3.037054392801457e-08,
+    5.511321985299335e-07, -3.1595565838992254e-06, -4.1817468839020635e-05,
+    0.00021026580389168998, 0.0018358238091740128, -0.007756753725240499,
+    -0.03710562929947243, 0.11810249490043401, 0.19675923360559117,
+    -0.27668385812756563,
+)
+_Y0_MID = (  # powers of s, degree 20 first
+    -1.4905885090004986e-17, 8.957459891344822e-17, -2.4619324284016937e-16,
+    2.152942761659707e-15, -1.7446249612151567e-14, -4.9861950189696155e-14,
+    5.335340011100357e-13, 3.3036063104396796e-11, -2.371583123225505e-10,
+    -4.742391965048224e-09, 3.167694431664954e-08, 5.715963783309627e-07,
+    -3.46728512368215e-06, -4.260114491371988e-05, 0.00023058347484727722,
+    0.0018689630526326903, -0.008779294888990897, -0.03555333245417972,
+    0.1295131466324231, 0.1750103443003982, -0.28819468398157916,
+)
+_Y1_MID = (  # powers of s, degree 21 first
+    9.09638396175758e-18, -5.2894474010677764e-17, 1.1619002256494812e-16,
+    -6.969223731526387e-16, 5.9869600285835945e-15, -4.469288147184872e-14,
+    2.7171734448163086e-13, 7.838974951727032e-13, -7.447826621711517e-12,
+    -4.295650882998578e-10, 2.845860014865461e-09, 5.216647045763592e-08,
+    -3.1676939763909364e-07, -5.144367563820769e-06, 2.773828095823841e-05,
+    0.00029820801448680607, -0.0013835008490719564, -0.009344815263189634,
+    0.03511717955596159, 0.10665999736254206, -0.2590262932648461,
+    -0.17501034430039825,
+)
+_JY0_MODULUS = (  # powers of w, degree 12 first
+    507179309476.9294, -59699244991.78256, 3313981680.9539566,
+    -119025222.50804135, 3297720.549609307, -83416.81628286661,
+    2325.693695430339, -85.14965422763396, 4.666308271256707,
+    -0.4331286306672291, 0.08259351875227398, -0.04986778505011599,
+    0.7978845608028654,
+)
+_JY0_PHASE = (  # powers of w, degree 13 first
+    248293387928827.7, -30419242482378.766, 1738027135463.267,
+    -62626639706.88523, 1650802577.51613, -36044837.83685634,
+    751469.2585170825, -17594.32663487312, 534.9965823841707,
+    -23.47398688008133, 1.638064646168137, -0.20957031178954788,
+    0.06510416666650415, -0.125,
+)
+_JY1_MODULUS = (  # powers of w, degree 12 first
+    -574257377927.6901, 67702998144.1256, -3767854116.2975388,
+    135912104.16823146, -3794753.9609259795, 97335.84082575508,
+    -2779.525400682948, 105.77881880529537, -6.175277109941839,
+    0.6425343254555724, -0.15427845973284507, 0.1496033551504664,
+    0.7978845608028654,
+)
+_JY1_PHASE = (  # powers of w, degree 13 first
+    -279081187913035.75, 34229270525945.547, -1958992423099.061,
+    70777021415.32834, -1874040180.535155, 41243205.114675924,
+    -871812.9041993517, 20885.952895921975, -658.4679663016059,
+    30.622740360577044, -2.369396465190827, 0.37089843670740574,
+    -0.16406249999981865, 0.375,
+)
+_I0_SMALL = (  # powers of t, degree 22 first
+    1.5054290112649094e-55, -6.512223253213838e-53, 2.7824830168968515e-49,
+    1.773103689054523e-46, 3.823874493667816e-43, 4.517994462731325e-40,
+    5.338178250673979e-37, 5.44265267926645e-34, 4.90220387699022e-31,
+    3.842838943450665e-28, 2.597808954445959e-25, 1.496333922935657e-22,
+    7.242258768938815e-20, 2.8969033782281076e-17, 9.385966995479826e-15,
+    2.4028075493790056e-12, 4.709502797098211e-10, 6.781684027773298e-08,
+    6.781684027778221e-06, 0.0004340277777777751, 0.01562500000000001,
+    0.25, 1.0,
+)
+_I1_SMALL = (  # powers of t, degree 21 first
+    6.628156155617577e-54, -2.735354890397085e-51, 1.1118814591553903e-47,
+    6.753413175296777e-45, 1.3754654125759424e-41, 1.5366496152432033e-38,
+    1.7080390801101751e-35, 1.6328401673969784e-32, 1.372608638190651e-29,
+    9.99139371594704e-27, 6.2347400562829344e-24, 3.2919347593606006e-21,
+    1.4484517447810084e-18, 5.214426085658041e-16, 1.5017547190788465e-13,
+    3.363930569190564e-11, 5.6514033565048036e-09, 6.781684027775246e-07,
+    5.4253472222223907e-05, 0.002604166666666661, 0.06250000000000001,
+    0.5,
+)
+_I0_LARGE = (  # powers of r, degree 13 first
+    595250.1538617803, -184425.59764573743, 26996.845023329275,
+    -2238.1777712721223, 136.11756520768486, -2.316948787463399,
+    0.8112774591651604, 0.2262521150503507, 0.09062805089359449,
+    0.04474202789940986, 0.029219406117471203, 0.028050629088910702,
+    0.049867785050180635, 0.3989422804014327,
+)
+_I1_LARGE = (  # powers of r, degree 13 first
+    -640304.5113767775, 199300.62479883365, -29333.806214992626,
+    2446.096492321741, -150.00179346540307, 2.5139743378074777,
+    -0.9319904398919967, -0.2674938208466961, -0.1107657610526608,
+    -0.05752548654574336, -0.040907168394565, -0.04675104848232226,
+    -0.1496033551505392, 0.3989422804014327,
+)
+_K0_SMALL = (  # powers of t, degree 10 first
+    1.7854482642541868e-19, 6.515237526552918e-17, 2.0092414442155058e-14,
+    4.843197143224581e-12, 8.81988309484001e-10, 1.1570350941095112e-07,
+    1.0214014135961437e-05, 0.0005451899602568561, 0.014418505235913549,
+    0.10569608377461678, -0.5772156649015329,
+)
+_K1_SMALL = (  # powers of t, degree 10 first
+    -8.239379049184117e-21, -3.330649284637601e-18, -1.1452086430065694e-15,
+    -3.120858171280313e-13, -6.540197242400565e-11, -1.01129093974579e-08,
+    -1.0892182538737142e-06, -7.493042905988493e-05, -0.002837111983763369,
+    -0.042049020943654196, 0.03860783245076643,
+)
+_K0_LARGE = (  # powers of r, degree 23 first
+    -4862.799609286091, 29883.39302631405, -86492.02171513712,
+    156861.36952002393, -200117.03987423627, 191194.0938589672,
+    -142283.93309322142, 84767.23443106354, -41294.130853391594,
+    16757.690841846994, -5774.519539867095, 1729.051429779708,
+    -464.0075252123128, 116.44744769793148, -28.86319292101591,
+    7.5042944902684505, -2.159940467167465, 0.7173171904376466,
+    -0.284631984392142, 0.14056170582359057, -0.09179546781104393,
+    0.08812365027235669, -0.15666426716441853, 1.2533141373155003,
+)
+_K1_LARGE = (  # powers of r, degree 23 first
+    5295.104085684811, -32545.889794606737, 94218.30352880395,
+    -170917.88754274792, 218118.9486056542, -208476.03833627334,
+    155223.60720598817, -92537.63244502203, 45119.80210441602,
+    -18332.955925573326, 6328.598431923345, -1899.9475712648182,
+    511.8952123331306, -129.23888222504758, 32.32020239242379,
+    -8.510406832071642, 2.492625614162727, -0.8477588794241224,
+    0.3478843238923547, -0.18072221461034507, 0.12851365532398767,
+    -0.14687275045837522, 0.469992801493292, 1.2533141373155003,
+)
+# END fitted coefficients

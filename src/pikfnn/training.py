@@ -163,7 +163,9 @@ class _Damping:
         d = np.diag(A)
         d = np.maximum(d, 1e-14 * max(float(np.max(d)), 1e-300)) if marquardt else np.ones(len(d))
         self.root = 1.0 / np.sqrt(d)  # diagonal of D^{-1/2}
-        s, self.V = np.linalg.eigh(self.root[:, None] * A * self.root)
+        scaled = self.root[:, None] * A  # one n x n buffer, scaled in place
+        scaled *= self.root
+        s, self.V = np.linalg.eigh(scaled)
         self.s = np.maximum(s, 0.0)   # ascending
         eps = np.finfo(float).eps
         # s is accurate to eps s_max; a smaller lambda would let the roundoff in

@@ -46,11 +46,24 @@ def test_bench_rejects_unknown_name():
 
 
 def test_verify_kernels_filter(capsys):
+    # the pass count is the command's output; the per-entry lines are logged
     code = main(["verify-kernels", "fundamental:laplace", "--points", "10"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "fundamental:laplace:2d" in out
-    assert "pass" in out
+    captured = capsys.readouterr()
+    assert captured.out == "3/3 kernels passed\n"
+    assert "pass  fundamental:laplace:2d" in captured.err
+
+
+def test_quiet_logs_only_warnings(tmp_path, capsys):
+    assert main(["verify-kernels", "fundamental:laplace:2d", "--points", "10", "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(["bench", "example3", "--out", str(tmp_path), "--tol", "1e-6"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[example3] trained" in captured.err
+    assert f"outputs written to {tmp_path}" in captured.err
+    assert main(["bench", "example3", "--out", str(tmp_path), "--tol", "1e-6", "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_verify_kernels_no_match(capsys):

@@ -57,8 +57,8 @@ def test_catalog_has_bessel_families():
 def _evaluations_reach_bessel(family):
     """Whether kernel_block, kernel_gradient_block or governing_applied_block of
     the family (and tcomplete_member_block on every member of a T-complete
-    family) reads the scipy Bessel table; spherical pieces of orders 0 and 1
-    are elementary and do not."""
+    family) reads the scipy Bessel table; orders -1, 0 and 1, plain and
+    spherical, are evaluated without it."""
     dim = family.operator.dim
     X = np.array([[0.3] * dim, [-0.6] * dim])
     S = np.zeros((1, dim))
@@ -80,11 +80,29 @@ def _evaluations_reach_bessel(family):
     return table.called
 
 
-@pytest.mark.parametrize("ident", list_kernel_ids() + [
-    "fundamental:helmholtz-power:3d?k=1&n=0", "fundamental:modified-helmholtz-power:3d?k=1&n=0"])
+# power pieces at n = 0-3 and T-complete families of degree 0-3, in 2D and
+# 3D: the orders they evaluate straddle the {-1, 0, 1} that needs no scipy
+_ORDER_VARIANTS = [
+    f"{cls}:{kind}:{dim}d?k=1&n={n}"
+    for cls, kind, dims in (
+        ("fundamental", "helmholtz-power", (2, 3)),
+        ("fundamental", "modified-helmholtz-power", (2, 3)),
+        ("fundamental-real", "helmholtz-power", (2,)),
+        ("radial-trefftz", "helmholtz-power", (2, 3)),
+        ("radial-trefftz", "modified-helmholtz-power", (2, 3)))
+    for dim in dims for n in range(4)] + [
+    f"t-complete:{kind}:{dim}d?k=1&m={m}"
+    for kind in ("helmholtz", "modified-helmholtz") for dim in (2, 3) for m in range(4)] + [
+    f"t-complete:{kind}:2d?k=1&n={n}&m={m}"
+    for kind in ("helmholtz-power", "modified-helmholtz-power")
+    for n in (1, 2) for m in range(4)]
+
+
+@pytest.mark.parametrize("ident", list(dict.fromkeys(list_kernel_ids() + _ORDER_VARIANTS)))
 def test_construction_loads_bessel_table_iff_kernels_use_it(ident):
     # the scipy.special import belongs to problem set-up, not to the first
-    # kernel call, and a family without Bessel kernels must not pay for it
+    # kernel call, and a family without Bessel kernels of an order above 1
+    # must not pay for it
     with mock.patch.object(kernels, "load_bessel_table",
                            wraps=kernels.load_bessel_table) as load:
         family = parse_kernel_id(ident)
@@ -98,9 +116,10 @@ def test_exponential_kernels_leave_bessel_table_alone():
     assert all(ident.startswith("fundamental:modified-helmholtz:3d")
                for ident in setup.kernel_ids)
     assert not load.called
+    # example9's 2D Helmholtz fundamental solution reads Y_0 and Y_1 only
     with mock.patch.object(kernels, "load_bessel_table") as load:
         BUILTINS["example9"](seed=0)
-    assert load.called
+    assert not load.called
 
 
 coords = arrays(float, st.tuples(st.integers(2, 9), st.just(3)),

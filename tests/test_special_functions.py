@@ -24,6 +24,8 @@ from pikfnn.special_functions import (
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "special_function_reference.txt")
 SPHERICAL_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                                  "spherical_bessel_reference.txt")
+LOW_ORDER_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
+                                 "bessel_order01_reference.txt")
 
 FNS = {
     "bessel_j": bessel_j,
@@ -180,6 +182,74 @@ def test_block_matches_scalar_views():
             assert bessel_block(kind, n, np.empty((0, 3))).shape == (0, 3)
 
 
+def _scipy_table_stubbed():
+    return mock.patch.object(special_functions, "load_bessel_table",
+                             side_effect=AssertionError("orders 0 and 1 loaded scipy"))
+
+
+@pytest.mark.parametrize("kind", ["j", "y", "i", "k"])
+def test_low_orders_match_reference_table(kind):
+    # frozen 40-digit table of orders 0 and 1 from x = 1e-8, across every
+    # edge between the expansions and at the zeros of J and Y; J and Y to
+    # 1e-14 max(1, |F|), I and K to 1e-14 relative, all without scipy
+    for n in (0, 1):
+        rows = [(x, value) for name, order, x, value in load_reference(LOW_ORDER_FIXTURE)
+                if name == f"bessel_{kind}" and order == n]
+        x = np.array([x for x, _ in rows])
+        expected = np.array([value for _, value in rows])
+        with _scipy_table_stubbed():
+            got = bessel_block(kind, n, x)
+            views = [FNS[f"bessel_{kind}"](n, v) for v in x]
+        scale = np.maximum(1.0, np.abs(expected)) if kind in ("j", "y") else np.abs(expected)
+        assert np.all(np.abs(got - expected) <= 1e-14 * scale), (kind, n)
+        assert got.tolist() == views
+        assert x.min() <= 1e-8 and x.max() >= {"j": 1000.0, "y": 1000.0, "i": 700.0,
+                                                "k": 705.0}[kind]
+
+
+def test_low_order_edges_are_in_the_reference_table():
+    # both sides of every edge between the expansions are gated above
+    rows = load_reference(LOW_ORDER_FIXTURE)
+    for kind, edges in special_functions._EDGES.items():
+        x = {x for name, _, x, _ in rows if name == f"bessel_{kind}"}
+        for edge in edges:
+            assert {math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)} <= x
+
+
+def test_k_underflows_to_zero():
+    with _scipy_table_stubbed():
+        for n in (0, 1):
+            assert bessel_block("k", n, np.array([750.0, 1e6])).tolist() == [0.0, 0.0]
+
+
+def test_block_parity_and_order_minus_one():
+    # J_n(-x) = (-1)^n J_n(x) and I likewise, bit for bit on whole blocks;
+    # J_-1 = -J_1, Y_-1 = -Y_1, I_-1 = I_1, K_-1 = K_1
+    x = np.concatenate([[0.0, 1e-8, 0.3], np.linspace(0.5, 690.0, 997)]).reshape(10, 100)
+    with _scipy_table_stubbed():
+        for kind in ("j", "i"):
+            for n in (0, 1):
+                sign = -1.0 if n else 1.0
+                assert np.array_equal(bessel_block(kind, n, -x), sign * bessel_block(kind, n, x))
+        for kind, sign in (("j", -1.0), ("y", -1.0), ("i", 1.0), ("k", 1.0)):
+            z = x[1:]
+            assert np.array_equal(bessel_block(kind, -1, z), sign * bessel_block(kind, 1, z))
+    assert np.array_equal(bessel_block("j", 2, -x), bessel_block("j", 2, x))
+    assert np.array_equal(bessel_block("i", 3, -x[:, :50]), -bessel_block("i", 3, x[:, :50]))
+
+
+def test_block_nan_stays_in_its_element():
+    # a NaN takes no neighbour into the wrong expansion, whatever the mix
+    x = np.array([0.5, 3.0, np.nan, 5.0, 9.0, 30.0, np.nan])
+    with _scipy_table_stubbed():
+        for kind in ("j", "y", "i", "k"):
+            for n in (0, 1):
+                got = bessel_block(kind, n, x)
+                assert np.isnan(got[[2, 6]]).all()
+                finite = [0, 1, 3, 4, 5]
+                assert got[finite].tolist() == bessel_block(kind, n, x[finite]).tolist()
+
+
 def test_block_error_contract():
     with pytest.raises(SingularityError):
         bessel_block("y", 0, np.array([1.0, 0.0]))
@@ -320,31 +390,35 @@ def _fresh_interpreter(code):
 
 
 def test_scipy_special_loads_on_first_bessel_use():
-    # a Bessel-free run must not pay for importing scipy.special
+    # a run that needs no Bessel function of an order above 1 must not pay
+    # for importing scipy.special
     code = (
         "import sys\n"
-        "from pikfnn import KernelFamily, OperatorSpec, bessel_j\n"
+        "from pikfnn import KernelFamily, OperatorSpec, bessel_i, bessel_j, bessel_k, bessel_y\n"
         "from pikfnn.kernels import kernel_block\n"
         "fam = KernelFamily('fundamental', OperatorSpec('laplace', 2))\n"
         "kernel_block(fam, [[0.0, 0.0]], [[1.0, 1.0]])\n"
         "print('scipy.special' in sys.modules)\n"
-        "bessel_j(0, 1.0)\n"
+        "for f in (bessel_j, bessel_y, bessel_i, bessel_k):\n"
+        "    f(0, 1.0), f(1, 2.0)\n"
+        "print('scipy.special' in sys.modules)\n"
+        "bessel_j(2, 1.0)\n"
         "print('scipy.special' in sys.modules)\n")
-    assert _fresh_interpreter(code).split() == ["False", "True"]
+    assert _fresh_interpreter(code).split() == ["False", "False", "True"]
 
 
 def test_bessel_free_solve_loads_no_scipy(tmp_path):
     # a stray top-level scipy import anywhere in the package would put about
-    # a quarter second back into every Bessel-free run; a Bessel problem
-    # loads scipy.special while it is built, before any kernel call.
+    # a third of a second back into every run that needs no Bessel function
+    # of an order above 1: set-up and solve of example3 (no Bessel kernel)
+    # and of the 2D Helmholtz examples 1, 2 and 9 (Y_0 and Y_1 only).
     # numpy.ma (about 12 ms) comes in through np.unique on string arrays
     code = (
         "import sys\n"
         "import pikfnn\n"
         "from pikfnn.benchmarks import BUILTINS\n"
-        f"pikfnn.run_benchmark('example3', out_dir={str(tmp_path)!r})\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith('scipy') or m.split('.')[:2] == ['numpy', 'ma']))\n"
-        "BUILTINS['example9'](seed=0)\n"
-        "print('scipy.special' in sys.modules)\n")
-    assert _fresh_interpreter(code).splitlines() == ["[]", "True"]
+        "for name in ('example3', 'example1', 'example2', 'example9'):\n"
+        f"    pikfnn.run_benchmark(BUILTINS[name](seed=0), out_dir={str(tmp_path)!r})\n"
+        "    print(sorted(m for m in sys.modules\n"
+        "                 if m.startswith('scipy') or m.split('.')[:2] == ['numpy', 'ma']))\n")
+    assert _fresh_interpreter(code).splitlines() == ["[]"] * 4

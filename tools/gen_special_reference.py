@@ -13,8 +13,14 @@ cannot be represented to 1e-12 absolute by any double-precision routine).
 The second table holds the spherical j_n, y_n, i_n and k_n (the
 sqrt(pi / 2x) F_{n+1/2}(x) of special_functions) at n = -1, 0 and 1,
 compared relatively, at arguments on both sides of the series threshold
-x = 1.
+x = 1.  The third table holds J, Y, I and K of orders 0 and 1, which
+special_functions evaluates itself: from x = 1e-8, on both sides of each
+edge between its expansions (and at the adjacent doubles), at the first
+three zeros of J_0, J_1, Y_0 and Y_1, J and Y up to x = 1000, I up to 700
+and K up to 705, beyond which K_0 and K_1 leave the normal double range.
 """
+
+import math
 
 import mpmath as mp
 
@@ -40,6 +46,35 @@ SPH_ARGS = (1e-8, 1e-5, 1e-3, 0.01, 0.07, 0.2, 0.45, 0.7, 0.9, 0.99, 0.999999, 1
             30.0, 41.3, 50.0)
 SPH_FNS = {"j": mp.besselj, "y": mp.bessely, "i": mp.besseli, "k": mp.besselk}
 SPH_ORDERS = {"j": (-1, 0, 1), "y": (-1, 0, 1), "i": (-1, 0, 1), "k": (-1, 0, 1)}
+
+LOW_OUT = "tests/data/bessel_order01_reference.txt"
+LOW_SMALL = (1e-8, 1e-5, 1e-3, 0.01, 0.1, 0.37, 1.0, 1.5)
+
+
+def _around(*edges):
+    out = []
+    for e in edges:
+        out += [math.nextafter(e, 0.0), e * (1 - 1e-8), float(e), e * (1 + 1e-8),
+                math.nextafter(e, math.inf)]
+    return tuple(out)
+
+
+def _zeros():
+    # the first three zeros of J_0, J_1, Y_0 and Y_1, rounded to double
+    return tuple(float(f(n, k)) for f in (mp.besseljzero, mp.besselyzero)
+                 for n in (0, 1) for k in (1, 2, 3))
+
+
+LOW_ARGS = {
+    "j": LOW_SMALL + _around(4.0, 8.0) + (2.9, 6.3, 9.7, 12.0, 17.5, 25.0, 33.3, 50.0, 71.2,
+                                           100.0, 150.0, 212.9, 300.0, 400.0, 567.8, 777.7,
+                                           1000.0),
+    "i": LOW_SMALL + _around(15.0) + (3.0, 7.5, 11.0, 20.0, 33.0, 50.0, 100.0, 220.0, 400.0,
+                                      650.0, 699.9, 700.0),
+    "k": LOW_SMALL + _around(2.0) + (3.0, 5.0, 8.8, 15.0, 30.0, 64.0, 100.0, 250.0, 500.0,
+                                     700.0, 705.0),
+}
+LOW_ARGS["y"] = LOW_ARGS["j"]
 
 
 def fmt(v):
@@ -109,6 +144,7 @@ def main():
             fh.write(f"{name} {n} {x!r} {fmt(val)}\n")
     print({k: v for k, v in per_fn.items()})
     spherical()
+    low_orders()
 
 
 def spherical():
@@ -123,6 +159,19 @@ def spherical():
                     fh.write(f"spherical_{kind} {n} {x!r} {fmt(val)}\n")
                     count += 1
     print({"spherical": count})
+
+
+
+def low_orders():
+    count = 0
+    with open(LOW_OUT, "w") as fh:
+        for kind, fn in SPH_FNS.items():
+            args = sorted(set(LOW_ARGS[kind] + (_zeros() if kind in "jy" else ())))
+            for n in (0, 1):
+                for x in args:
+                    fh.write(f"bessel_{kind} {n} {x!r} {fmt(fn(n, x))}\n")
+                    count += 1
+    print({"order 0 and 1": count})
 
 
 if __name__ == "__main__":
