@@ -30,8 +30,7 @@ from . import operators as ops
 from .errors import DomainError, SingularityError, UnsupportedKernelError
 from .geometry import pairwise_sq_dist
 from .operators import OperatorSpec, high_order_coeffs
-from .special_functions import (assoc_legendre_block, bessel_block, load_bessel_table,
-                                spherical_bessel_block)
+from .special_functions import assoc_legendre_block, bessel_block, spherical_bessel_block
 
 # kernel classes
 FUNDAMENTAL = "fundamental"
@@ -76,9 +75,10 @@ class KernelFamily:
 
     complex_split is the opt-in complex mode: a complex-valued family (the
     Hankel-form Helmholtz fundamental solution) contributes separate
-    real-part and imaginary-part columns, doubling its weight count.  A family
-    whose kernels reach the scipy Bessel functions (orders above 1) loads
-    their table on construction.
+    real-part and imaginary-part columns, doubling its weight count.  Every
+    kernel, Bessel functions of any order included, is evaluated in numpy
+    (special_functions), so constructing or evaluating a family imports no
+    other library.
     """
 
     kind: str                      # kernel class
@@ -101,8 +101,6 @@ class KernelFamily:
         if self.complex_split and not self.is_complex:
             raise DomainError("complex_split needs a complex-valued family")
         _require_supported(self)
-        if _reaches_bessel(self):
-            load_bessel_table()
 
     @property
     def is_singular(self):
@@ -152,20 +150,6 @@ def _require_supported(family):
     if family.shift > 0 and not _is_radial(family):
         raise UnsupportedKernelError(
             "the enhanced radial shift applies to radial steady kernels only")
-
-
-def _reaches_bessel(family):
-    """Whether the family's kernels reach the scipy Bessel functions, that is
-    evaluate an order outside {-1, 0, 1} (special_functions evaluates those
-    itself): in 2D and 3D, T-complete members of degree >= 2 and power
-    pieces at n >= 2."""
-    op = family.operator
-    if op.kind not in (ops.HELMHOLTZ, ops.MODIFIED_HELMHOLTZ, ops.CONVECTION_DIFFUSION,
-                       ops.HELMHOLTZ_POWER, ops.MOD_HELMHOLTZ_POWER, ops.CONV_DIFF_POWER):
-        return False
-    if family.kind == T_COMPLETE:
-        return family.tcomplete_max_order + op.power_n >= 2
-    return op.power_n >= 2
 
 
 def _is_radial(family):
@@ -673,6 +657,18 @@ def tcomplete_member_block(family, index, X):
     """T-complete member values at the rows of X (n, dim), given relative to
     the expansion origin.  index = (degree v, order m, parity); 2D uses the
     order m."""
+    return _tcomplete_member(family, index, X, gradient=False)
+
+
+def tcomplete_member_gradient_block(family, index, X):
+    """Gradients (n, dim) of a T-complete member at the rows of X, in closed
+    form from the radial part's derivative and the angular derivatives (the
+    expansion origin included, where the polar frame is taken at theta = 0
+    and phi = 0)."""
+    return _tcomplete_member(family, index, X, gradient=True)
+
+
+def _tcomplete_member(family, index, X, gradient):
     v, m, parity = index
     if parity not in ("cos", "sin"):
         raise DomainError(f"parity must be cos|sin, got {parity!r}")
@@ -680,41 +676,118 @@ def tcomplete_member_block(family, index, X):
     op = family.operator
     if X.ndim != 2 or X.shape[1] != op.dim:
         raise DomainError(f"points must have dim {op.dim}")
+    if op.dim == 3 and m > v:
+        raise DomainError(f"need m <= v, got m={m} v={v}")
     if op.dim == 2:
         rho = np.hypot(X[:, 0], X[:, 1])
         theta = np.arctan2(X[:, 1], X[:, 0])
-        ang = np.cos(m * theta) if parity == "cos" else np.sin(m * theta)
-        n = op.power_n
-        if op.kind in (ops.LAPLACE, ops.POLY_LAPLACE):
-            return rho ** (m + 2 * n) * ang
-        if op.kind == ops.BIHARMONIC:
-            return rho ** (m + 2) * ang
-        if op.kind in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER):
-            dn = (op.k * rho) ** n
-            return dn * bessel_block("j", m + n, op.k * rho) * ang
-        if op.kind in (ops.MODIFIED_HELMHOLTZ, ops.MOD_HELMHOLTZ_POWER):
-            dn = (op.k * rho) ** n
-            return dn * bessel_block("i", m + n, op.k * rho) * ang
-        raise UnsupportedKernelError(f"no 2D T-complete row for {op.kind!r}")
-    # 3D: rho, polar angle phi from x3, azimuth theta; degree-v radial parts
-    if m > v:
-        raise DomainError(f"need m <= v, got m={m} v={v}")
-    rho = np.sqrt(np.einsum("ni,ni->n", X, X))
-    origin = rho == 0.0
-    with np.errstate(invalid="ignore"):
-        cosphi = np.where(origin, 1.0, X[:, 2] / rho)
-    theta = np.where(origin, 0.0, np.arctan2(X[:, 1], X[:, 0]))
-    pvm = assoc_legendre_block(v, m, np.clip(cosphi, -1.0, 1.0))
+    else:  # rho, polar angle phi from x3, azimuth theta
+        rho = np.sqrt(np.einsum("ni,ni->n", X, X))
+        origin = rho == 0.0
+        with np.errstate(invalid="ignore"):
+            cosphi = np.where(origin, 1.0, X[:, 2] / rho)
+        theta = np.where(origin, 0.0, np.arctan2(X[:, 1], X[:, 0]))
     ang = np.cos(m * theta) if parity == "cos" else np.sin(m * theta)
-    if op.kind == ops.LAPLACE:
-        return rho ** v * pvm * ang
-    if op.kind == ops.BIHARMONIC:
-        return rho ** (v + 2) * pvm * ang
+    if op.dim == 2:
+        if not gradient:
+            return _tcomplete_radial_2d(op, m, rho, False) * ang
+        # f = R(rho) A(theta): grad f = R' A rho^ + (R / rho) A' theta^
+        dr, rr = _tcomplete_radial_2d(op, m, rho, True)
+        dang = -m * np.sin(m * theta) if parity == "cos" else m * np.cos(m * theta)
+        along, across = dr * ang, rr * dang
+        c, s = np.cos(theta), np.sin(theta)
+        return np.stack([along * c - across * s, along * s + across * c], axis=1)
+    cosphi = np.clip(cosphi, -1.0, 1.0)
+    if not gradient:
+        pvm = assoc_legendre_block(v, m, cosphi)
+        return _tcomplete_radial_3d(op, v, rho, False) * pvm * ang
+    # f = R(rho) P(cos phi) A(theta): grad f = R' P A rho^
+    #   + (R / rho) (dP/dphi A phi^ + (P / sin phi) A' theta^); sin phi
+    # comes from the distance to the axis, as cos phi rounds to +-1 near it
+    with np.errstate(invalid="ignore"):
+        sinphi = np.where(origin, 0.0, np.hypot(X[:, 0], X[:, 1]) / rho)
+    pvm = assoc_legendre_block(v, m, cosphi, sinphi)
+    dr, rr = _tcomplete_radial_3d(op, v, rho, True)
+    dpdphi, m_p_over_sin = _legendre_angular(v, m, cosphi, sinphi)
+    across = -np.sin(m * theta) if parity == "cos" else np.cos(m * theta)  # A' / m
+    along = dr * pvm * ang
+    polar = rr * dpdphi * ang
+    across *= rr * m_p_over_sin
+    planar = along * sinphi + polar * cosphi
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([planar * c - across * s, planar * s + across * c,
+                     along * cosphi - polar * sinphi], axis=1)
+
+
+def _tcomplete_radial_2d(op, m, rho, gradient):
+    """R(rho) of a 2D member of order m, or (R', R / rho) for its gradient."""
+    n = op.power_n
+    if op.kind in (ops.LAPLACE, ops.POLY_LAPLACE, ops.BIHARMONIC):
+        p = m + 2 if op.kind == ops.BIHARMONIC else m + 2 * n
+        if not gradient:
+            return rho ** p
+        over = rho ** (p - 1) if p else np.zeros(rho.shape)
+        return p * over, over
+    if op.kind in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER):
+        kind, sign = "j", -1.0
+    elif op.kind in (ops.MODIFIED_HELMHOLTZ, ops.MOD_HELMHOLTZ_POWER):
+        kind, sign = "i", 1.0
+    else:
+        raise UnsupportedKernelError(f"no 2D T-complete row for {op.kind!r}")
+    # R = z^n F_v(z), z = k rho, v = m + n; F'_v = F_{v-1} - (v / z) F_v and
+    # F_v / z = (F_{v-1} - sign F_{v+1}) / 2v (DLMF 10.6.1-2, 10.29.1-2) give
+    # R' = k z^n ((m + 2n) F_{v-1} + sign m F_{v+1}) / 2v and
+    # R / rho = k z^n (F_{v-1} - sign F_{v+1}) / 2v, finite at rho = 0
+    dn = (op.k * rho) ** n
+    v = m + n
+    if not gradient:
+        return dn * bessel_block(kind, v, op.k * rho)
+    if v == 0:  # J_0' = -J_1, I_0' = I_1; A' = 0 at m = 0
+        return sign * op.k * bessel_block(kind, 1, op.k * rho), np.zeros(rho.shape)
+    lo, hi = bessel_block(kind, v - 1, op.k * rho), bessel_block(kind, v + 1, op.k * rho)
+    scale = op.k * dn / (2 * v)
+    return scale * ((m + 2 * n) * lo + sign * m * hi), scale * (lo - sign * hi)
+
+
+def _tcomplete_radial_3d(op, v, rho, gradient):
+    """R(rho) of a 3D member of degree v, or (R', R / rho) for its gradient."""
+    if op.kind in (ops.LAPLACE, ops.BIHARMONIC):
+        p = v + 2 if op.kind == ops.BIHARMONIC else v
+        if not gradient:
+            return rho ** p
+        over = rho ** (p - 1) if p else np.zeros(rho.shape)
+        return p * over, over
     if op.kind == ops.HELMHOLTZ:
-        return spherical_bessel_block("j", v, op.k * rho) * pvm * ang
-    if op.kind == ops.MODIFIED_HELMHOLTZ:
-        return spherical_bessel_block("i", v, op.k * rho) * pvm * ang
-    raise UnsupportedKernelError(f"no 3D T-complete row for {op.kind!r}")
+        kind, sign = "j", -1.0
+    elif op.kind == ops.MODIFIED_HELMHOLTZ:
+        kind, sign = "i", 1.0
+    else:
+        raise UnsupportedKernelError(f"no 3D T-complete row for {op.kind!r}")
+    # R = f_v(z), z = k rho: (2v + 1) f'_v = v f_{v-1} + sign (v + 1) f_{v+1}
+    # and (2v + 1) f_v / z = f_{v-1} - sign f_{v+1} (DLMF 10.51.2, 10.51.5)
+    z = op.k * rho
+    if not gradient:
+        return spherical_bessel_block(kind, v, z)
+    if v == 0:  # j_0' = -j_1, i_0' = i_1; dP/dphi = 0 at v = 0
+        return sign * op.k * spherical_bessel_block(kind, 1, z), np.zeros(rho.shape)
+    lo, hi = spherical_bessel_block(kind, v - 1, z), spherical_bessel_block(kind, v + 1, z)
+    scale = op.k / (2 * v + 1)
+    return scale * (v * lo + sign * (v + 1) * hi), scale * (lo - sign * hi)
+
+
+def _legendre_angular(v, m, x, s):
+    """dP_v^m(cos phi)/dphi and m P_v^m / sin phi at x = cos phi, both finite
+    on the axis: dP_v^m/dphi = (P_v^{m+1} - (v + m)(v - m + 1) P_v^{m-1}) / 2
+    (P_v^1 at m = 0) and m P_v^m / sin phi = -(P_{v+1}^{m+1}
+    + (v - m + 1)(v - m + 2) P_{v+1}^{m-1}) / 2 (0 at m = 0), with the
+    Condon-Shortley phase of assoc_legendre_block; s = sin phi."""
+    up = assoc_legendre_block(v, m + 1, x, s) if m < v else np.zeros(x.shape)
+    if m == 0:
+        return up, np.zeros(x.shape)
+    dp = 0.5 * (up - (v + m) * (v - m + 1) * assoc_legendre_block(v, m - 1, x, s))
+    over = -0.5 * (assoc_legendre_block(v + 1, m + 1, x, s)
+                   + (v - m + 1) * (v - m + 2) * assoc_legendre_block(v + 1, m - 1, x, s))
+    return dp, over
 
 
 # ---------------------------------------------------------------------------

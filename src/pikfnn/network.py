@@ -30,6 +30,7 @@ from .kernels import (
     kernel_gradient_block,
     kernel_time_derivative_block,
     tcomplete_member_block,
+    tcomplete_member_gradient_block,
     tcomplete_members,
 )
 from .registry import format_kernel_id, parse_kernel_id
@@ -202,9 +203,9 @@ def _kernel_rows(family, group, rows, sources, colloc, governing):
 
 
 def _tcomplete_rows(family, group, rows, sources, colloc, governing):
-    # value rows take member values, Neumann rows central-difference
-    # gradients (h = 1e-6 * max(1, |x|)) dotted with the normal; the members
-    # do not depend on t, so initial rows tagged component 1 stay zero
+    # value rows take member values, Neumann rows their closed-form gradients
+    # dotted with the normal; the members do not depend on t, so initial rows
+    # tagged component 1 stay zero
     members = tcomplete_members(family)
     P = colloc.points[rows]
     if group == _INITIAL_RATE:
@@ -212,18 +213,13 @@ def _tcomplete_rows(family, group, rows, sources, colloc, governing):
     if group != geo.NEUMANN:
         return np.column_stack([tcomplete_member_block(family, index, P)
                                 for index in members])
-    h = 1e-6 * np.maximum(1.0, np.linalg.norm(P, axis=1))
-    shifts = np.eye(colloc.dim)[:, None, :] * h[None, :, None]  # (axis, row, dim)
-    stencil = np.concatenate([P + shifts, P - shifts]).reshape(-1, colloc.dim)
     normals = colloc.normals[rows]
     out = np.empty((len(rows), len(members)))
     for j, index in enumerate(members):
-        up, dn = tcomplete_member_block(family, index, stencil).reshape(
-            2, colloc.dim, len(rows))
-        grad = (up - dn) / (2.0 * h)
+        grad = tcomplete_member_gradient_block(family, index, P)
         # normal . grad summed axis by axis: einsum sums a single row in
         # another order, and the rows would depend on the block they are in
-        out[:, j] = sum(grad[a] * normals[:, a] for a in range(colloc.dim))
+        out[:, j] = sum(grad[:, a] * normals[:, a] for a in range(colloc.dim))
     return out
 
 

@@ -1,8 +1,8 @@
-"""Bessel and Legendre functions in double precision.
+"""Bessel and Legendre functions in double precision, in numpy alone.
 
-J, Y, I and K of orders 0 and 1 (and -1, by reflection) are evaluated here
-in numpy from fixed expansions that tools/gen_bessel_coefficients.py fits
-with mpmath at 40 digits and writes into this module:
+J, Y, I and K of orders 0 and 1 (and -1, by reflection) come from fixed
+expansions that tools/gen_bessel_coefficients.py fits with mpmath at 40
+digits and writes into this module:
 
 - J and Y: below x = 4, series in x^2 (Y as (2/pi) ln(x/2) J plus an entire
   remainder, DLMF 10.8); from 4 to 8, polynomials in x - 6; from 8 on, the
@@ -11,26 +11,30 @@ with mpmath at 40 digits and writes into this module:
 - K: below 2, -ln(x/2) I plus an entire remainder (DLMF 10.31); above,
   e^-x / sqrt(x) times a polynomial in 1/x.
 
-A third 40-digit table (tests/data/bessel_order01_reference.txt) gates them
-to 1e-14 max(1, |F|) for J and Y and 1e-14 relative for I and K, from
-x = 1e-8 to 1000 (I to 700, K until it leaves the normal range).  Other
-orders go to scipy.special jv/yv/iv/kv, gated by the first table
-(tests/data/special_function_reference.txt); load_bessel_table imports
-scipy.special once, when a kernel family that evaluates such an order is
-constructed (T-complete members of degree >= 2, power pieces at n >= 2) or
-on the first such evaluation, so every other run never loads scipy.
-Both tables come from tools/gen_special_reference.py.
+Every integer order n >= 2 follows from orders 0 and 1 (_high_order): Y
+and K by forward recurrence, J forward where x >= n and by Miller's
+backward recurrence below, I by Miller's recurrence everywhere, and J and I
+by their power series below x = 2.  The spherical j, y, i and k are
+elementary at orders -1, 0 and 1 (with a power series near 0) and recur
+from orders 0 and 1 in the same way above.  No other library is imported:
+a run loads numpy and nothing else for any kernel.
 
-The spherical pieces of orders 0 and 1 are elementary (with a power series
-near 0), and so are j, y, i and k of order -1; none of them reaches scipy.
+Five 40-digit tables from tools/gen_special_reference.py gate these in
+tests/data: special_function_reference.txt (orders to 12, 1e-12),
+spherical_bessel_reference.txt (orders -1 to 1),
+bessel_order01_reference.txt (orders 0 and 1 to 1e-14, from x = 1e-8 to
+1000), bessel_high_order_reference.txt (orders 2 to 20, plain and
+spherical, from x = 1e-8 to 1000) and, for the T-complete members of
+kernels, tcomplete_gradient_reference.txt.
 
 `bessel_block` and `spherical_bessel_block` evaluate whole arrays (the path
-the kernel catalog takes); `bessel_j/y/i/k` and `hankel1` are their scalar
-views and add the order and finiteness checks.  Both keep one error
-contract: Y and K raise SingularityError for arguments <= 0 (Y also below
-Y_SINGULARITY_FLOOR), I raises RangeOverflowError for |x| > 700, and a
-scalar result that overflows raises RangeOverflowError.  J and I of
-negative x follow by exact parity (J_n(-x) = (-1)^n J_n(x), I likewise).
+the kernel catalog takes) and accept integer orders >= -1 only;
+`bessel_j/y/i/k` and `hankel1` are their scalar views and add the order and
+finiteness checks.  Both keep one error contract: Y and K raise
+SingularityError for arguments <= 0 (Y also below Y_SINGULARITY_FLOOR), I
+raises RangeOverflowError for |x| > 700, and a scalar result that overflows
+raises RangeOverflowError.  J and I of negative x follow by exact parity
+(J_n(-x) = (-1)^n J_n(x), I likewise).
 
 P_v^m uses the stable three-term recurrence in the degree v (Condon-Shortley
 phase included); `assoc_legendre_block` runs it on whole arrays and
@@ -42,6 +46,7 @@ non-negative integers.
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -60,17 +65,14 @@ def _check_order(n):
         raise DomainError(f"order must be >= 0, got {n}")
 
 
+def _check_block_order(n):
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < -1:
+        raise DomainError(f"order must be an integer >= -1, got {n!r}")
+
+
 def _check_finite(x, name="x"):
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
-
-
-@functools.cache
-def load_bessel_table():
-    """kind -> scipy.special ufunc of any order (jv, yv, iv or kv), resolved once."""
-    from scipy import special as sc
-
-    return {"j": sc.jv, "y": sc.yv, "i": sc.iv, "k": sc.kv}
 
 
 def _check_arguments(kind, n, z):
@@ -88,25 +90,27 @@ def _check_arguments(kind, n, z):
 def bessel_block(kind, n, z):
     """J_n, Y_n, I_n or K_n (kind "j", "y", "i" or "k") elementwise on z.
 
-    n is an integer >= -1, or a half-integer for the spherical pieces; it is
-    not checked.  Orders 0 and 1 are evaluated here in numpy, and order -1
-    reflects onto order 1 (J_-1 = -J_1, Y_-1 = -Y_1, I_-1 = I_1 and
-    K_-1 = K_1; DLMF 10.4.1, 10.27.1, 10.27.3); other orders load
-    scipy.special.  Raises SingularityError when a Y argument is below
-    Y_SINGULARITY_FLOOR or a K argument is <= 0, and RangeOverflowError when
-    an I argument exceeds 700 in magnitude.
+    n is an integer >= -1; any other order raises DomainError.  Orders 0
+    and 1 come from the fitted expansions, order -1 reflects onto order 1
+    (J_-1 = -J_1, Y_-1 = -Y_1, I_-1 = I_1 and K_-1 = K_1; DLMF 10.4.1,
+    10.27.1, 10.27.3), and orders >= 2 follow from orders 0 and 1 by
+    recurrence (_high_order).  Raises SingularityError when a Y argument is
+    below Y_SINGULARITY_FLOOR or a K argument is <= 0, and RangeOverflowError
+    when an I argument exceeds 700 in magnitude.
     """
+    _check_block_order(n)
     if n == -1:
         value = bessel_block(kind, 1, z)
         return -value if kind in ("j", "y") else value
     z = np.asarray(z, dtype=float)
     _check_arguments(kind, n, z)
-    if n not in (0, 1):
-        return load_bessel_table()[kind](n, z)
     x = np.abs(z).ravel() if kind in ("j", "i") else z.ravel()
-    out = _by_interval(x, _EDGES[kind], _PARTS[kind], n)
-    if n == 1 and kind in ("j", "i"):
-        out[z.ravel() < 0.0] *= -1.0   # J_1 and I_1 are odd
+    if n < 2:
+        out = _by_interval(x, _EDGES[kind], _PARTS[kind], (n,))[0]
+    else:
+        out = _high_order(kind, n, 0.0, x, _orders01)
+    if n % 2 and kind in ("j", "i"):
+        out[z.ravel() < 0.0] *= -1.0   # J_n and I_n of odd order are odd
     return out.reshape(z.shape)
 
 
@@ -115,27 +119,36 @@ def bessel_block(kind, n, z):
 _CHUNK = 1 << 14
 
 
-def _by_interval(x, edges, parts, n):
-    """parts[i](n, x) on the elements of the 1-D x in [edges[i-1], edges[i]),
-    the first part below edges[0] and the last from edges[-1] on (NaN too).
-    The part is chosen per element, so a value does not depend on its
-    neighbours.  A chunk that spans several intervals takes its most common
-    part on every element, then overwrites the others from their own parts."""
-    out = np.empty(x.shape)
+def _by_interval(x, edges, parts, orders):
+    """parts[i](orders, x) on the elements of the 1-D x in [edges[i-1],
+    edges[i]), the first part below edges[0] and the last from edges[-1] on
+    (NaN too), as one row per order.  The part is chosen per element, so a
+    value does not depend on its neighbours.  A chunk that spans several
+    intervals takes its most common part on every element, then overwrites
+    the others from their own parts."""
+    out = np.empty((len(orders), x.size))
     for start in range(0, x.size, _CHUNK):
-        xc, oc = x[start:start + _CHUNK], out[start:start + _CHUNK]
+        xc, oc = x[start:start + _CHUNK], out[:, start:start + _CHUNK]
         below = [int(np.count_nonzero(xc < edge)) for edge in edges] + [xc.size]
         counts = [hi - lo for lo, hi in zip([0] + below, below)]
         common = counts.index(max(counts))
         with np.errstate(all="ignore"):  # outside its interval a part may overflow
-            oc[...] = parts[common](n, xc)
+            for row, value in zip(oc, parts[common](orders, xc)):
+                row[...] = value
         for i, count in enumerate(counts):
             if count and i != common:
                 chosen = ~(xc < edges[i - 1]) if i else xc < edges[0]
                 if 0 < i < len(edges):
                     chosen &= xc < edges[i]
-                oc[chosen] = parts[i](n, xc[chosen])
+                for row, value in zip(oc, parts[i](orders, xc[chosen])):
+                    row[chosen] = value
     return out
+
+
+def _orders01(kind, x, orders=(0, 1)):
+    """F_0 and F_1 (or those of orders) of the kind at the 1-D x >= 0, from
+    one split of x."""
+    return _by_interval(x, _EDGES[kind], _PARTS[kind], orders)
 
 
 def _horner(coeffs, v):
@@ -150,84 +163,109 @@ def _horner(coeffs, v):
 
 _TWO_OVER_PI = 2.0 / math.pi
 
+# Each part below returns [F_n for n in orders] and computes what the orders
+# share (x^2, ln(x/2), 1/x, sqrt(1/x), e^x or e^-x) once; F_n alone takes the
+# same operations in the same order whether or not the other order is asked.
 
-def _jy_small(kind, n, x):
+
+def _jy_small(kind, orders, x):
     # J_0 = P(x^2), J_1 = x P(x^2); Y_n = (2/pi) ln(x/2) J_n + an entire
     # remainder, less 2/(pi x) for n = 1 (DLMF 10.8.1, 10.8.2)
     t = x * x
-    j = _horner(_J1_SMALL, t) * x if n else _horner(_J0_SMALL, t)
+    js = [_horner(_J1_SMALL, t) * x if n else _horner(_J0_SMALL, t) for n in orders]
     if kind == "j":
-        return j
-    y = np.log(0.5 * x)
-    y *= _TWO_OVER_PI
-    y *= j
-    rest = _horner(_Y1_SMALL if n else _Y0_SMALL, t)
-    if n:
-        rest *= x
-        rest -= _TWO_OVER_PI / x
-    y += rest
-    return y
+        return js
+    log = np.log(0.5 * x)
+    out = []
+    for n, j in zip(orders, js):
+        y = log * _TWO_OVER_PI
+        y *= j
+        rest = _horner(_Y1_SMALL if n else _Y0_SMALL, t)
+        if n:
+            rest *= x
+            rest -= _TWO_OVER_PI / x
+        y += rest
+        out.append(y)
+    return out
 
 
-def _jy_mid(kind, n, x):
+def _jy_mid(kind, orders, x):
+    s = x - 6.0
     if kind == "j":
-        return _horner(_J1_MID if n else _J0_MID, x - 6.0)
-    return _horner(_Y1_MID if n else _Y0_MID, x - 6.0)
+        return [_horner(_J1_MID if n else _J0_MID, s) for n in orders]
+    return [_horner(_Y1_MID if n else _Y0_MID, s) for n in orders]
 
 
-def _jy_large(kind, n, x):
+def _jy_large(kind, orders, x):
     # modulus-phase form (DLMF 10.18): J_n = M cos theta, Y_n = M sin theta,
     # M = m(w) / sqrt(x), theta = x - (2n + 1) pi/4 + phi(w) / x, w = 1/x^2;
     # J_n takes the sine at theta + pi/2, so each kind costs one sine
     r = np.divide(1.0, x)
     w = r * r
-    theta = _horner(_JY1_PHASE if n else _JY0_PHASE, w)
-    theta *= r
-    theta += _PHASE_SHIFT[kind, n]
-    theta += x
-    value = np.sin(theta, out=theta)
-    value *= _horner(_JY1_MODULUS if n else _JY0_MODULUS, w)
-    value *= np.sqrt(r, out=r)
-    return value
+    root = np.sqrt(r)
+    out = []
+    for n in orders:
+        theta = _horner(_JY1_PHASE if n else _JY0_PHASE, w)
+        theta *= r
+        theta += _PHASE_SHIFT[kind, n]
+        theta += x
+        value = np.sin(theta, out=theta)
+        value *= _horner(_JY1_MODULUS if n else _JY0_MODULUS, w)
+        value *= root
+        out.append(value)
+    return out
 
 
-def _i_small(n, x):
-    t = x * x
-    return _horner(_I1_SMALL, t) * x if n else _horner(_I0_SMALL, t)
+def _i_small(orders, x, t=None):
+    t = x * x if t is None else t
+    return [_horner(_I1_SMALL, t) * x if n else _horner(_I0_SMALL, t) for n in orders]
 
 
-def _i_large(n, x):
+def _i_large(orders, x):
     # I_n = e^x p(1/x) / sqrt(x)
     r = np.divide(1.0, x)
-    value = _horner(_I1_LARGE if n else _I0_LARGE, r)
-    value *= np.sqrt(r, out=r)
-    value *= np.exp(x)
-    return value
+    root = np.sqrt(r)
+    grow = np.exp(x)
+    out = []
+    for n in orders:
+        value = _horner(_I1_LARGE if n else _I0_LARGE, r)
+        value *= root
+        value *= grow
+        out.append(value)
+    return out
 
 
-def _k_small(n, x):
+def _k_small(orders, x):
     # K_n = (-1)^(n+1) ln(x/2) I_n + an entire remainder, plus 1/x for n = 1
     # (DLMF 10.31.1, 10.31.2)
     t = x * x
-    log_i = np.log(0.5 * x)
-    log_i *= _i_small(n, x)
-    value = _horner(_K1_SMALL if n else _K0_SMALL, t)
-    if n:
-        value *= x
-        value += log_i
-        value += np.divide(1.0, x)
-    else:
-        value -= log_i
-    return value
+    log = np.log(0.5 * x)
+    out = []
+    for n, i in zip(orders, _i_small(orders, x, t)):
+        log_i = log * i
+        value = _horner(_K1_SMALL if n else _K0_SMALL, t)
+        if n:
+            value *= x
+            value += log_i
+            value += np.divide(1.0, x)
+        else:
+            value -= log_i
+        out.append(value)
+    return out
 
 
-def _k_large(n, x):
+def _k_large(orders, x):
     # K_n = e^-x q(1/x) / sqrt(x)
     r = np.divide(1.0, x)
-    value = _horner(_K1_LARGE if n else _K0_LARGE, r)
-    value *= np.sqrt(r, out=r)
-    value *= np.exp(-x)
-    return value
+    root = np.sqrt(r)
+    decay = np.exp(-x)
+    out = []
+    for n in orders:
+        value = _horner(_K1_LARGE if n else _K0_LARGE, r)
+        value *= root
+        value *= decay
+        out.append(value)
+    return out
 
 
 _EDGES = {"j": (4.0, 8.0), "y": (4.0, 8.0), "i": (15.0,), "k": (2.0,)}
@@ -242,35 +280,214 @@ _PHASE_SHIFT = {("y", 0): -0.25 * math.pi, ("j", 0): 0.25 * math.pi,
                 ("y", 1): -0.75 * math.pi, ("j", 1): -0.25 * math.pi}
 
 
-# Below this argument j_n and i_n (n = 0, 1) take their power series: the
-# closed forms of j_1 and i_1 lose about eps / z^2 of relative precision to
-# cancellation.  At the threshold the first term left out is below 1e-22.
+# ---------------------------------------------------------------------------
+# Orders >= 2 by recurrence.  With v = n + half (half = 0 for J, Y, I, K and
+# 1/2 for the spherical pieces) and c = 2 (n + half) / x, the orders are tied
+# by F_{n+1} = c F_n - F_{n-1} for J, Y, j, y (DLMF 10.6.1, 10.51.1),
+# F_{n+1} = F_{n-1} - c F_n for I, i, and F_{n+1} = F_{n-1} + c F_n for K, k
+# (DLMF 10.29.1, 10.51.4).
+
+# Below this argument j_n and i_n (n = 0, 1) take their power series in 10
+# terms: the closed forms of j_1 and i_1 lose about eps / z^2 of relative
+# precision to cancellation.  At the threshold the first term left out is
+# below 1e-22.
 _SPHERICAL_SERIES_BELOW = 1.0
-_SPHERICAL_SERIES_TERMS = 10
+# Below this argument J_n, I_n, j_n and i_n (n >= 2) take their power
+# series in 12 terms; at the threshold the first term left out is below
+# 1e-19 of the sum, and the alternating terms of J and j cancel by at most
+# I_n(2) / J_n(2) < 2.  Above, Miller's recurrence grows by at most N + 2 per
+# step.
+_SERIES_BELOW = 2.0
+
+# Miller's recurrence starts where its estimated relative error,
+# exp(-2 Phi) (see _start_order), is below this.
+_MILLER_TOL = 1e-19
 
 
-def _spherical_series(kind, n, z):
-    # j_n, i_n = z^n / (2n+1)!! sum_k (-+z^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1))
-    q = (-0.5 if kind == "j" else 0.5) * z * z
-    total = np.ones(z.shape)
-    for k in range(_SPHERICAL_SERIES_TERMS, 0, -1):
-        total = 1.0 + total * q / (k * (2 * n + 2 * k + 1))
-    return total * z / 3.0 if n else total
+def _high_order(kind, n, half, x, seeds):
+    """F_n, n >= 2, at the 1-D x (x >= 0 for J, I, j and i), from the orders
+    0 and 1 that seeds(kind, x, orders) gives.
+
+    Y, K, y and k recur forward: they grow with the order, so the recurrence
+    is stable (an overflow to -inf stays -inf).  J and j recur forward where
+    x >= n, and backward by Miller's method (DLMF 3.6(iii), 10.74(iv);
+    Gautschi, SIAM Review 9, 1967) on [_SERIES_BELOW, n); I and i recur
+    backward on all of [_SERIES_BELOW, 700]; all four take the power series
+    below.  Each element takes its branch and start order from its own
+    argument, so a value does not depend on its neighbours.
+    """
+    if kind in ("y", "k"):
+        out = _forward(kind, n, half, x, *seeds(kind, x, (0, 1)))
+        if kind == "y":  # -inf - -inf past the overflow
+            out[np.isnan(out) & ~np.isnan(x)] = -np.inf
+        return out
+    small = ~(x >= _SERIES_BELOW)  # NaN too, which the series keeps
+    if small.all():
+        return _series(kind, n, half, x)
+    out = np.empty(x.shape)
+    if small.any():
+        out[small] = _series(kind, n, half, x[small])
+        rest = ~small
+        out[rest] = _recurred(kind, n, half, x[rest], seeds)
+    else:
+        out[...] = _recurred(kind, n, half, x, seeds)
+    return out
 
 
-def _spherical_closed(kind, n, z):
-    # DLMF 10.49.3, 10.49.5, 10.49.8, 10.49.12 at n = 0 and 1
+def _recurred(kind, n, half, x, seeds):
+    """F_n of kind J, I, j or i at the 1-D x >= _SERIES_BELOW."""
+    if kind == "i":
+        return _miller(kind, n, half, x, seeds(kind, x, (0,))[0])
+    f0, f1 = seeds(kind, x, (0, 1))
+    backward = x < n
+    if backward.all():
+        return _miller(kind, n, half, x, f0, f1)
+    out = _forward(kind, n, half, x, f0, f1)
+    if backward.any():
+        out[backward] = _miller(kind, n, half, x[backward], f0[backward], f1[backward])
+    return out
+
+
+def _series(kind, n, half, x):
+    """J_n, I_n (half = 0) or j_n, i_n (half = 1/2) by the power series
+    (x/2)^v / Gamma(v + 1) sum_k (-+x^2/4)^k / (k! (v + 1)_k), v = n + half
+    (DLMF 10.2.2, 10.25.2), in 10 terms for n < 2 (j and i below
+    _SPHERICAL_SERIES_BELOW) and 12 from n = 2 on (below _SERIES_BELOW)."""
+    terms = 10 if n < 2 else 12
+    if half:  # z^n / (2n+1)!! sum_k (-+z^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1))
+        q = (-0.5 if kind == "j" else 0.5) * x * x
+        lead = math.prod(range(1, 2 * n + 2, 2))
+        steps = [k * (2 * n + 2 * k + 1) for k in range(terms, 0, -1)]
+    else:
+        q = (-0.25 if kind == "j" else 0.25) * x * x
+        lead = 2 ** n * math.factorial(n)
+        steps = [k * (n + k) for k in range(terms, 0, -1)]
+    total = np.ones(x.shape)
+    if n < 2:  # the order of operations of the closed-form era, bit for bit
+        for step in steps:
+            total = 1.0 + total * q / step
+        return total * x / 3.0 if n else total
+    for step in steps:
+        total *= q
+        total /= step
+        total += 1.0
+    # a leading factor beyond the double range makes a value that underflows
+    total *= x ** n
+    total /= float(min(lead, 1 << 1023))
+    return total
+
+
+def _forward(kind, n, half, x, f0, f1):
+    """F_n (J, Y, K, j, y or k) from F_0 and F_1 by the forward recurrence."""
+    r = 2.0 / x
+    prev, cur = f0, f1
+    for k in range(1, n):
+        nxt = (k + half) * r
+        nxt *= cur
+        if kind == "k":
+            nxt += prev
+        else:
+            nxt -= prev
+        prev, cur = cur, nxt
+    return cur
+
+
+def _miller(kind, n, half, x, f0, f1=None):
+    """F_n (J, I, j or i) by Miller's backward recurrence: F_{N+1} = 0,
+    F_N = 1 from the start order N of _start_orders down to order 0, then
+    scaled to the true F_0 and F_1.  J_0 and j_0 have zeros where Miller's
+    region reaches them, so J and j scale by whichever of F_0 and F_1 is
+    larger in magnitude (the two have no common zero); I and i scale by F_0.
+    An element enters at its own N (its terms before are exact zeros), and
+    each 8 orders the elements beyond 1e200 are scaled back."""
+    start, entries = _start_orders(kind, n, half, x)
+    r = 2.0 / x
+    cur, nxt, prev = np.zeros(x.shape), np.zeros(x.shape), np.empty(x.shape)
+    kept = None
+    for k in range(max(entries), 0, -1):
+        if k in entries:
+            cur += start == k
+        if k == n:
+            kept = cur.copy()
+        np.multiply(r, k + half, out=prev)
+        prev *= cur
+        if kind == "i":
+            prev += nxt
+        else:
+            prev -= nxt
+        prev, nxt, cur = nxt, cur, prev
+        if k % 8 == 0:
+            big = np.abs(cur) > 1e200
+            if big.any():
+                for f in (cur, nxt) if kept is None else (cur, nxt, kept):
+                    f[big] *= 1e-200
+    # cur and nxt now hold orders 0 and 1 of the recurred solution
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "i":
+            scale = f0 / cur
+        else:
+            scale = np.where(np.abs(f0) >= np.abs(f1), f0 / cur, f1 / nxt)
+    kept *= scale
+    return kept
+
+
+def _start_orders(kind, n, half, x):
+    """Miller's start order for x >= _SERIES_BELOW, and the set of its
+    values: for J and j the one at x = n, which serves all of [2, n); for I
+    and i, per element, the one at the top of the octave [2^(e-1), 2^e)
+    that holds it (the start order grows with x).  np.unique would import
+    numpy.ma, about 12 ms, so the values come from the octaves' range."""
+    if kind != "i":
+        start = _start_order(kind, n, half, float(n))
+        return start, {start}
+    _, octave = np.frexp(x)
+    low = int(octave.min())
+    table = [_start_order(kind, n, half, 2.0 ** e) for e in range(low, int(octave.max()) + 1)]
+    return np.array(table)[octave - low], set(table)
+
+
+@functools.cache
+def _start_order(kind, n, half, x):
+    """The least N > n for which Miller's recurrence started at N is good to
+    _MILLER_TOL at order n and argument x (x <= n for J and j).
+
+    The error at order n of a start at N is about
+    F_{N+1} G_n / (F_n G_{N+1}), G the second solution (Y for J, K for I).
+    By Debye's forms (DLMF 10.19.3, 10.41.3) each step beyond order t
+    shrinks F and grows G by about x / (t + sqrt(t^2 -+ x^2)), so the error
+    is exp(-2 Phi) with Phi = int_v^{N+half} acosh(t/x) dt for J (asinh for
+    I), v = n + half.  For I at large x this is exp(-(N^2 - n^2) / x): the
+    start order grows like sqrt(x).  Two orders more cover the turning
+    point t ~ x, where Debye's form is rough.
+    """
+    if kind == "i":
+        def phi(t):
+            return t * math.asinh(t / x) - math.hypot(t, x)
+    else:
+        def phi(t):
+            return t * math.acosh(t / x) - math.sqrt((t - x) * (t + x))
+    v = n + half
+    target = phi(v) - 0.5 * math.log(_MILLER_TOL)
+    top = v + 1.0
+    while phi(top) < target:
+        top += 1.0
+    return int(top - half) + 2
+
+
+def _spherical_closed(kind, z, orders):
+    """[f_n for n in orders] (n = 0, 1) of the spherical kind by DLMF
+    10.49.3, 10.49.5, 10.49.8 and 10.49.12."""
     if kind == "j":
         s = np.sin(z) / z
-        return s if n == 0 else (s - np.cos(z)) / z
+        return [(s - np.cos(z)) / z if n else s for n in orders]
     if kind == "y":
         c = np.cos(z) / z
-        return -c if n == 0 else -(c + np.sin(z)) / z
+        return [-(c + np.sin(z)) / z if n else -c for n in orders]
     if kind == "i":
         s = np.sinh(z) / z
-        return s if n == 0 else (np.cosh(z) - s) / z
+        return [(np.cosh(z) - s) / z if n else s for n in orders]
     e = 0.5 * math.pi * np.exp(-z) / z
-    return e if n == 0 else e * (1.0 + 1.0 / z)
+    return [e * (1.0 + 1.0 / z) if n else e for n in orders]
 
 
 # order -1 pieces as (sign, kind) of the order-0 piece they equal
@@ -280,44 +497,37 @@ _REFLECTED = {"j": (-1.0, "y"), "y": (1.0, "j"), "k": (1.0, "k")}
 def spherical_bessel_block(kind, n, z):
     """Spherical j_n, y_n, i_n or k_n = sqrt(pi / 2z) F_{n+1/2}(z) on z >= 0.
 
-    j_n and i_n take their limits at z = 0 (1 for n = 0, else 0); y_n and
-    k_n raise SingularityError there, and i_n RangeOverflowError above 700.
-    At n = -1 the roles of j and y swap: y_-1 -> 1 at z = 0, j_-1 raises,
-    and so does i_-1.  Orders 0 and 1 are pure numpy: the elementary closed
-    forms, and for j_n and i_n below _SPHERICAL_SERIES_BELOW their power
+    n is an integer >= -1; any other order raises DomainError.  j_n and i_n
+    take their limits at z = 0 (1 for n = 0, else 0); y_n and k_n raise
+    SingularityError there, and i_n RangeOverflowError above 700.  At n = -1
+    the roles of j and y swap: y_-1 -> 1 at z = 0, j_-1 raises, and so does
+    i_-1.  All orders are pure numpy.  Orders 0 and 1 are the elementary
+    closed forms, and for j_n and i_n below _SPHERICAL_SERIES_BELOW their power
     series, chosen per element.  Order -1 is elementary too: j, y and k
     reflect onto order 0 (DLMF 10.47), j_-1 = -y_0 = cos z / z,
     y_-1 = j_0 = sin z / z, k_-1 = k_0, and i_-1 = cosh z / z (the
-    second-kind modified piece of order 0, DLMF 10.49).
-    Higher orders go through bessel_block at order n + 1/2;
-    scipy.special.spherical_* are not used: their Python wrappers cost tens
-    of microseconds per call.
+    second-kind modified piece of order 0, DLMF 10.49).  Orders >= 2 recur
+    from orders 0 and 1 (_high_order, DLMF 10.51.1 and 10.51.4).
     """
+    _check_block_order(n)
     z = np.asarray(z, dtype=float)
     if n == -1 and kind in _REFLECTED:
         sign, kind = _REFLECTED[kind]
         return sign * spherical_bessel_block(kind, 0, z)
+    _check_arguments(kind, n, z)
     if n == -1:  # i_-1 = cosh z / z
-        _check_arguments(kind, n, z)
         if not z.all():
             raise SingularityError("i_-1(z) = cosh z / z requires z != 0")
         return np.cosh(z) / z
-    if n in (0, 1):
-        _check_arguments(kind, n, z)
-        if kind in ("y", "k"):
-            return _spherical_closed(kind, n, z)
-        small = np.abs(z) < _SPHERICAL_SERIES_BELOW
-        out = np.empty(z.shape)
-        out[small] = _spherical_series(kind, n, z[small])
-        out[~small] = _spherical_closed(kind, n, z[~small])
-        return out
-    if kind in ("j", "i") and not z.all():
-        out = np.full(z.shape, 1.0 if n == 0 else 0.0)
-        nonzero = z != 0.0
-        out[nonzero] = spherical_bessel_block(kind, n, z[nonzero])
-        return out
-    values = bessel_block(kind, n + 0.5, z)  # raises for y_n, k_n at 0 before 1/z
-    return np.sqrt(0.5 * math.pi / z) * values
+    if n >= 2:
+        return _high_order(kind, n, 0.5, z.ravel(), _spherical_closed).reshape(z.shape)
+    if kind in ("y", "k"):
+        return _spherical_closed(kind, z, (n,))[0]
+    small = np.abs(z) < _SPHERICAL_SERIES_BELOW
+    out = np.empty(z.shape)
+    out[small] = _series(kind, n, 0.5, z[small])
+    out[~small] = _spherical_closed(kind, z[~small], (n,))[0]
+    return out
 
 
 def _scalar(kind, n, x):
@@ -380,13 +590,16 @@ def assoc_legendre(v, m, x):
     return float(assoc_legendre_block(v, m, x))
 
 
-def assoc_legendre_block(v, m, x):
-    """P_v^m elementwise on x (|x| <= 1, 0 <= m <= v; not checked)."""
+def assoc_legendre_block(v, m, x, s=None):
+    """P_v^m elementwise on x (|x| <= 1, 0 <= m <= v; not checked).  s, if
+    given, is sqrt(1 - x^2) from a source more precise near |x| = 1 (such as
+    the distance from the polar axis)."""
     x = np.asarray(x, dtype=float)
     # P_m^m = (-1)^m (2m-1)!! (1-x^2)^{m/2}
     pmm = np.ones_like(x)
     if m > 0:
-        s = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
+        if s is None:
+            s = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
         fact = 1.0
         for _ in range(m):
             pmm = pmm * (-fact * s)

@@ -3,7 +3,10 @@ rows of a block can be partitioned freely, the blocks agree with the scalar
 formulas (the scalar entry points are 1x1 views of the block path), and the
 unmasked time kernels equal their masked gather/scatter form bit for bit."""
 
+import contextlib
 import math
+import os
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -14,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pikfnn import kernels, special_functions
-from pikfnn.benchmarks import BUILTINS
+from pikfnn import kernels
 from pikfnn.errors import UnsupportedKernelError
 from pikfnn.geometry import CollocationSet, SourceSet
 from pikfnn.kernels import SpaceTimePoint, eval_kernel, kernel_block
@@ -54,34 +56,53 @@ def test_catalog_has_bessel_families():
     assert "radial-trefftz:modified-helmholtz-power:3d?k=1&n=1" in BESSEL_IDS
 
 
-def _evaluations_reach_bessel(family):
-    """Whether kernel_block, kernel_gradient_block or governing_applied_block of
-    the family (and tcomplete_member_block on every member of a T-complete
-    family) reads the scipy Bessel table; orders -1, 0 and 1, plain and
-    spherical, are evaluated without it."""
+@contextlib.contextmanager
+def _scipy_unimportable():
+    """Any import of scipy or scipy.special inside raises ImportError; the
+    modules an earlier test imported are put back afterwards."""
+    names = ("scipy", "scipy.special")
+    saved = {name: sys.modules[name] for name in names if name in sys.modules}
+    sys.modules.update(dict.fromkeys(names))
+    try:
+        yield
+    finally:
+        for name in names:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def _evaluate_everything(family):
+    """kernel_block, kernel_gradient_block and governing_applied_block of the
+    family, every member value and gradient of a T-complete family, and the
+    Kelvin blocks of an elastic one; returns how many of them ran."""
     dim = family.operator.dim
-    X = np.array([[0.3] * dim, [-0.6] * dim])
-    S = np.zeros((1, dim))
-    normals = np.full((2, dim), 1.0 / math.sqrt(dim))
-    T, TAU = _times(family, 2, 1)
+    X = np.array([[0.3] * dim, [-0.6] * dim, [1.7] * dim, [0.0] * dim])
+    S = np.full((1, dim), 2.5)
+    normals = np.full((4, dim), 1.0 / math.sqrt(dim))
+    T, TAU = _times(family, 4, 1)
     calls = [lambda: kernel_block(family, X, S, T, TAU),
              lambda: kernels.kernel_gradient_block(family, X, S, normals, T, TAU),
              lambda: kernels.governing_applied_block(family, family.operator, X, S)]
+    if family.kind in (kernels.ELASTO_DISP, kernels.ELASTO_TRAC):
+        calls += [lambda: kernels.elastic_block(family.operator, X, S, normals),
+                  lambda: kernels.elastic_gradient_block(family.operator, X, S)]
     if family.kind == kernels.T_COMPLETE:
-        calls += [lambda index=index: kernels.tcomplete_member_block(family, index, X)
-                  for index in kernels.tcomplete_members(family)]
-    with mock.patch.object(special_functions, "load_bessel_table",
-                           wraps=special_functions.load_bessel_table) as table:
-        for call in calls:
-            try:
-                call()
-            except UnsupportedKernelError:  # no such path for this family
-                pass
-    return table.called
+        for index in kernels.tcomplete_members(family):
+            calls += [lambda index=index: kernels.tcomplete_member_block(family, index, X),
+                      lambda index=index: kernels.tcomplete_member_gradient_block(
+                          family, index, X)]
+    evaluated = 0
+    for call in calls:
+        try:
+            assert np.all(np.isfinite(call()))
+            evaluated += 1
+        except UnsupportedKernelError:  # no such path for this family
+            pass
+    return evaluated
 
 
 # power pieces at n = 0-3 and T-complete families of degree 0-3, in 2D and
-# 3D: the orders they evaluate straddle the {-1, 0, 1} that needs no scipy
+# 3D: the Bessel orders they evaluate run from -1 to 6, integer and spherical
 _ORDER_VARIANTS = [
     f"{cls}:{kind}:{dim}d?k=1&n={n}"
     for cls, kind, dims in (
@@ -99,27 +120,22 @@ _ORDER_VARIANTS = [
 
 
 @pytest.mark.parametrize("ident", list(dict.fromkeys(list_kernel_ids() + _ORDER_VARIANTS)))
-def test_construction_loads_bessel_table_iff_kernels_use_it(ident):
-    # the scipy.special import belongs to problem set-up, not to the first
-    # kernel call, and a family without Bessel kernels of an order above 1
-    # must not pay for it
-    with mock.patch.object(kernels, "load_bessel_table",
-                           wraps=kernels.load_bessel_table) as load:
+def test_evaluations_load_no_scipy(ident):
+    # every kernel, Bessel functions of any order included, is evaluated in
+    # numpy: construction and every evaluation path run with scipy
+    # unimportable
+    with _scipy_unimportable():
         family = parse_kernel_id(ident)
-    assert load.called == _evaluations_reach_bessel(family)
+        assert _evaluate_everything(family) >= 1
 
 
-def test_exponential_kernels_leave_bessel_table_alone():
-    # example4's 3D modified-Helmholtz fundamental solution is exp(-kr)/(4 pi r)
-    with mock.patch.object(kernels, "load_bessel_table") as load:
-        setup = BUILTINS["example4"](seed=0)
-    assert all(ident.startswith("fundamental:modified-helmholtz:3d")
-               for ident in setup.kernel_ids)
-    assert not load.called
-    # example9's 2D Helmholtz fundamental solution reads Y_0 and Y_1 only
-    with mock.patch.object(kernels, "load_bessel_table") as load:
-        BUILTINS["example9"](seed=0)
-    assert not load.called
+def test_package_source_never_names_scipy():
+    # no import of scipy, lazy or not, is left anywhere in the package
+    package = os.path.dirname(kernels.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                assert "scipy" not in fh.read(), name
 
 
 coords = arrays(float, st.tuples(st.integers(2, 9), st.just(3)),

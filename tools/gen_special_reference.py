@@ -18,6 +18,16 @@ special_functions evaluates itself: from x = 1e-8, on both sides of each
 edge between its expansions (and at the adjacent doubles), at the first
 three zeros of J_0, J_1, Y_0 and Y_1, J and Y up to x = 1000, I up to 700
 and K up to 705, beyond which K_0 and K_1 leave the normal double range.
+The fourth table holds J, Y, I and K and the spherical j, y, i and k of
+orders 2 to 20, which special_functions builds from orders 0 and 1 by
+recurrence: from x = 1e-8 to 1000 (I and i to 700), on both sides of the
+series threshold x = 2, densely around x = n (where Miller's region of J
+and j ends), and at the first zeros of J_0 and j_0 (where Miller's
+recurrence must not scale by order 0; Y and y there too, for the modulus
+the tests scale by).  Values outside the normal double range are left out.  The fifth table holds the gradients of T-complete
+members, differentiated by mpmath (mp.diff) from the members' own
+definitions, at random points, near and at the expansion origin, and on the
+3D polar axis.
 """
 
 import math
@@ -77,22 +87,47 @@ LOW_ARGS = {
 LOW_ARGS["y"] = LOW_ARGS["j"]
 
 
+HIGH_OUT = "tests/data/bessel_high_order_reference.txt"
+HIGH_ORDERS = range(2, 21)
+HIGH_ARGS = (1e-8, 1e-5, 1e-3, 0.05, 0.5, 1.0, math.nextafter(2.0, 0.0), 2.0, 3.7, 10.0, 31.6,
+             100.0, 316.0, 699.9, 700.0, 1000.0)
+HIGH_AROUND_N = (-0.5, -0.1, -1e-3, 0.0, 1e-3, 0.1, 0.5)
+
+GRAD_OUT = "tests/data/tcomplete_gradient_reference.txt"
+GRAD_IDS = ("t-complete:laplace:2d?m=3", "t-complete:poly-laplace:2d?n=1&m=2",
+            "t-complete:biharmonic:2d?m=2", "t-complete:helmholtz:2d?k=1.5&m=4",
+            "t-complete:modified-helmholtz:2d?k=1.5&m=4",
+            "t-complete:helmholtz-power:2d?k=1.5&n=2&m=2",
+            "t-complete:modified-helmholtz-power:2d?k=1.5&n=1&m=2",
+            "t-complete:laplace:3d?m=3", "t-complete:biharmonic:3d?m=2",
+            "t-complete:helmholtz:3d?k=1.5&m=3", "t-complete:modified-helmholtz:3d?k=1.5&m=3")
+GRAD_POINTS = {
+    2: ((0.83, -1.21), (-1.7, 0.44), (1.93, 1.62), (-0.31, -0.05), (1e-9, 3e-9), (0.0, 0.0),
+        (0.0, 1.4), (-1.1, 0.0)),
+    3: ((0.83, -1.21, 0.52), (-1.7, 0.44, -1.05), (0.6, 1.62, 1.3), (-0.31, -0.05, 0.2),
+        (1e-9, -2e-9, 3e-9), (0.0, 0.0, 0.0), (0.0, 0.0, 1.3), (0.0, 0.0, -0.7),
+        (1e-9, 0.0, 1.3), (1.1, -0.4, 0.0)),
+}
+
+
 def fmt(v):
     return mp.nstr(v, 17, strip_zeros=False)
 
 
-def legenp(v, m, x):
+def legenp(v, m, x, s=None):
     # Exact three-term recurrence evaluated at 40 digits (the hypergeometric
     # route in mp.legenp fails to converge at scattered (v, m, x)).  Spot
-    # cross-checked against mp.legenp and scipy where both converge.
+    # cross-checked against mp.legenp and scipy where both converge.  s is
+    # sqrt(1 - x^2) when the caller knows it more precisely (near x = +-1).
     x = mp.mpf(x)
-    if x == 1:
+    if s is None and x == 1:
         return mp.mpf(1) if m == 0 else mp.mpf(0)
-    if x == -1:
+    if s is None and x == -1:
         return mp.mpf(-1) ** v if m == 0 else mp.mpf(0)
     pmm = mp.mpf(1)
     if m > 0:
-        s = mp.sqrt((1 - x) * (1 + x))
+        if s is None:
+            s = mp.sqrt((1 - x) * (1 + x))
         fact = mp.mpf(1)
         for _ in range(m):
             pmm *= -fact * s
@@ -145,6 +180,8 @@ def main():
     print({k: v for k, v in per_fn.items()})
     spherical()
     low_orders()
+    high_orders()
+    tcomplete_gradients()
 
 
 def spherical():
@@ -172,6 +209,96 @@ def low_orders():
                     fh.write(f"bessel_{kind} {n} {x!r} {fmt(fn(n, x))}\n")
                     count += 1
     print({"order 0 and 1": count})
+
+
+def high_orders():
+    count = 0
+    # the zeros of J_0 and j_0, for J and j and, to give their modulus, Y and y
+    zeros = dict.fromkeys("jy", tuple(float(mp.besseljzero(0, k)) for k in (1, 2, 3, 4)))
+    zeros_sph = dict.fromkeys("jy", tuple(k * math.pi for k in (1, 2, 3, 4)))
+    with open(HIGH_OUT, "w") as fh:
+        for spherical in (False, True):
+            for kind, fn in SPH_FNS.items():
+                for n in HIGH_ORDERS:
+                    args = HIGH_ARGS + tuple(n + d for d in HIGH_AROUND_N)
+                    args += (zeros_sph if spherical else zeros).get(kind, ())
+                    for x in sorted(set(args)):
+                        if kind == "i" and x > 700.0:
+                            continue
+                        if spherical:
+                            val = mp.sqrt(mp.pi / (2 * mp.mpf(x))) * fn(n + mp.mpf(1) / 2, x)
+                        else:
+                            val = fn(n, x)
+                        if not 1e-307 < abs(val) < 1e307:
+                            continue
+                        name = f"spherical_{kind}" if spherical else f"bessel_{kind}"
+                        fh.write(f"{name} {n} {x!r} {fmt(val)}\n")
+                        count += 1
+    print({"orders 2 to 20": count})
+
+
+def _member(ident, v, m, parity):
+    """The T-complete member as an mpmath function of its coordinates,
+    written from its definition (kernels.tcomplete_member_block)."""
+    kind, dim = ident.split(":")[1], int(ident.split(":")[2][0])
+    params = dict(p.split("=") for p in ident.split("?")[1].split("&"))
+    k, n = mp.mpf(params.get("k", 1)), int(params.get("n", 0))
+    trig = mp.cos if parity == "cos" else mp.sin
+
+    def f(*x):
+        rho = mp.sqrt(sum(c * c for c in x))
+        theta = mp.atan2(x[1], x[0])
+        if dim == 2:
+            if kind in ("laplace", "poly-laplace"):
+                radial = rho ** (m + 2 * n)
+            elif kind == "biharmonic":
+                radial = rho ** (m + 2)
+            else:
+                bessel = mp.besselj if kind.startswith("helmholtz") else mp.besseli
+                radial = (k * rho) ** n * bessel(m + n, k * rho)
+            return radial * trig(m * theta)
+        cosphi = x[2] / rho if rho else mp.mpf(1)
+        sinphi = mp.sqrt(x[0] ** 2 + x[1] ** 2) / rho if rho else mp.mpf(0)
+        if kind == "laplace":
+            radial = rho ** v
+        elif kind == "biharmonic":
+            radial = rho ** (v + 2)
+        else:
+            bessel = mp.besselj if kind == "helmholtz" else mp.besseli
+            z = k * rho
+            half = v + mp.mpf(1) / 2
+            radial = mp.sqrt(mp.pi / (2 * z)) * bessel(half, z) if z else mp.mpf(v == 0)
+        return radial * legenp(v, m, cosphi, sinphi) * trig(m * theta)
+    return f
+
+
+def _members(ident):
+    dim, top = int(ident.split(":")[2][0]), int(ident.split("m=")[1])
+    if dim == 2:
+        return [(0, 0, "cos")] + [(m, m, p) for m in range(1, top + 1) for p in ("cos", "sin")]
+    return [(v, m, p) for v in range(top + 1) for m in range(v + 1)
+            for p in (("cos", "sin") if m else ("cos",))]
+
+
+def tcomplete_gradients():
+    count = 0
+    with open(GRAD_OUT, "w") as fh:
+        for ident in GRAD_IDS:
+            dim = int(ident.split(":")[2][0])
+            for v, m, parity in _members(ident):
+                f = _member(ident, v, m, parity)
+                for x in GRAD_POINTS[dim]:
+                    # mp.diff steps by about 10^-(dps/3); on the polar axis
+                    # cos phi then sits that close to 1, and legenp's
+                    # sqrt((1 - x)(1 + x)) needs the extra digits
+                    with mp.workdps(120):
+                        grad = [mp.diff(f, x, tuple(int(a == b) for b in range(dim)))
+                                for a in range(dim)]
+                    coords = " ".join(repr(c) for c in x)
+                    fh.write(f"{ident} {v} {m} {parity} {coords} "
+                             + " ".join(fmt(g) for g in grad) + "\n")
+                    count += 1
+    print({"t-complete gradients": count})
 
 
 if __name__ == "__main__":
