@@ -351,30 +351,31 @@ def _recurred(kind, n, half, x, seeds):
 def _series(kind, n, half, x):
     """J_n, I_n (half = 0) or j_n, i_n (half = 1/2) by the power series
     (x/2)^v / Gamma(v + 1) sum_k (-+x^2/4)^k / (k! (v + 1)_k), v = n + half
-    (DLMF 10.2.2, 10.25.2), in 10 terms for n < 2 (j and i below
-    _SPHERICAL_SERIES_BELOW) and 12 from n = 2 on (below _SERIES_BELOW)."""
-    terms = 10 if n < 2 else 12
-    if half:  # z^n / (2n+1)!! sum_k (-+z^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1))
-        q = (-0.5 if kind == "j" else 0.5) * x * x
-        lead = math.prod(range(1, 2 * n + 2, 2))
-        steps = [k * (2 * n + 2 * k + 1) for k in range(terms, 0, -1)]
-    else:
-        q = (-0.25 if kind == "j" else 0.25) * x * x
-        lead = 2 ** n * math.factorial(n)
-        steps = [k * (n + k) for k in range(terms, 0, -1)]
+    (DLMF 10.2.2, 10.25.2); for j and i, z^n / (2n+1)!! sum_k (-+z^2/2)^k /
+    (k! (2n+3)(2n+5)...(2n+2k+1)).  Orders 0 and 1 (j and i below
+    _SPHERICAL_SERIES_BELOW) take 10 terms as nested products; orders >= 2
+    (below _SERIES_BELOW) take 12 as a polynomial in x^2 (_series_coeffs)."""
+    if n >= 2:
+        value = _horner(_series_coeffs(kind, n, half), x * x)
+        value *= x ** n
+        return value
+    q = (-0.5 if kind == "j" else 0.5) * x * x
     total = np.ones(x.shape)
-    if n < 2:  # the order of operations of the closed-form era, bit for bit
-        for step in steps:
-            total = 1.0 + total * q / step
-        return total * x / 3.0 if n else total
-    for step in steps:
-        total *= q
-        total /= step
-        total += 1.0
-    # a leading factor beyond the double range makes a value that underflows
-    total *= x ** n
-    total /= float(min(lead, 1 << 1023))
-    return total
+    for k in range(10, 0, -1):
+        total = 1.0 + total * q / (k * (2 * n + 2 * k + 1))
+    return total * x / 3.0 if n else total
+
+
+@functools.cache
+def _series_coeffs(kind, n, half):
+    """The 12 coefficients of _series in powers of x^2, highest first, with
+    the leading factor folded in (it underflows to 0 where the values do)."""
+    lead = math.prod(range(1, 2 * n + 2, 2)) if half else 2 ** n * math.factorial(n)
+    coeffs = [1.0 / float(min(lead, 1 << 1023))]
+    for k in range(1, 12):
+        step = k * (2 * n + 2 * k + 1) / 0.5 if half else k * (n + k) / 0.25
+        coeffs.append(coeffs[-1] / (-step if kind == "j" else step))
+    return tuple(reversed(coeffs))
 
 
 def _forward(kind, n, half, x, f0, f1):
