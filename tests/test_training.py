@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pikfnn.errors import ConditioningError, ConfigurationError, DivergenceError
@@ -213,6 +213,12 @@ def test_adam_divergence_raises():
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), extra=st.integers(2, 24),
        log_lr=st.floats(-3.0, -1.0))
+# trajectories on which a reordered but equivalent Adam update drifted more
+# than 1e-10 from the textbook weights
+@example(seed=0, n=9, extra=16, log_lr=-1.34375)
+@example(seed=500, n=4, extra=22, log_lr=-1.59375)
+@example(seed=3766881149, n=7, extra=22, log_lr=-1.3781889133613263)
+@example(seed=2667505854, n=11, extra=15, log_lr=-1.8974873196838293)
 def test_adam_matches_textbook_adam(seed, n, extra, log_lr):
     # more rows than weights keeps the optimal loss away from 0, so the
     # relative comparison is about rounding, not about a vanishing loss;
