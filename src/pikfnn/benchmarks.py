@@ -31,12 +31,7 @@ from .geometry import (
 from .kernels import KernelFamily
 from .operators import OperatorSpec
 from .registry import format_kernel_id
-from .training import (
-    BOUNDARY_ONLY,
-    BOUNDARY_PLUS_INITIAL,
-    BOUNDARY_PLUS_INTERIOR,
-    TrainConfig,
-)
+from .training import TrainConfig
 
 
 @dataclass
@@ -91,7 +86,7 @@ def example1(seed=0, train=None):
     return ProblemSetup(
         name="example1", operator=fam.operator, families=[fam], colloc=colloc,
         sources=sources,
-        train=_train(train, optimizer="adam", loss_mode=BOUNDARY_ONLY, lr=5e-3,
+        train=_train(train, optimizer="adam", lr=5e-3,
                      max_iters=400_000, loss_goal=1e-5, tol=1e-14, seed=seed),
         test_points=test, test_values=exact(test), exact=exact,
         notes={"source_square": [-1.5, 1.5], "wavenumber": k})
@@ -113,8 +108,7 @@ def example2(seed=0, train=None, k=100.0, n_boundary=400):
     return ProblemSetup(
         name="example2", operator=fam.operator, families=[fam], colloc=colloc,
         sources=sources,
-        train=_train(train, optimizer="lm", lm_marquardt_scaling=True,
-                     lambda_down=0.01, loss_mode=BOUNDARY_ONLY, tol=1e-4,
+        train=_train(train, optimizer="lm", lambda_down=0.01, tol=1e-4,
                      max_iters=200, seed=seed),
         test_points=test, test_values=exact(test), exact=exact,
         notes={"wavenumber": k, "n_boundary": n_boundary})
@@ -141,8 +135,7 @@ def example3(seed=0, train=None, n_boundary=400):
     return ProblemSetup(
         name="example3", operator=fam.operator, families=[fam], colloc=colloc,
         sources=sources,
-        train=_train(train, optimizer="lm", lm_marquardt_scaling=True,
-                     lambda_down=0.01, loss_mode=BOUNDARY_ONLY, tol=1e-10,
+        train=_train(train, optimizer="lm", lambda_down=0.01, tol=1e-10,
                      max_iters=400, seed=seed),
         test_points=test, test_values=exact(test), exact=exact,
         notes={"boundary": "circle of radius 2 (paper shows only a figure)",
@@ -196,8 +189,7 @@ def example4(seed=0, train=None, n_boundary=400):
         name="example4", operator=base,
         families=[KernelFamily("fundamental", base)], colloc=colloc,
         sources=sources,
-        train=_train(train, optimizer="lm", lm_marquardt_scaling=True,
-                     loss_mode=BOUNDARY_ONLY, tol=1e-12, max_iters=300,
+        train=_train(train, optimizer="lm", tol=1e-12, max_iters=300,
                      loss_goal=1e-5, seed=seed),
         test_points=test, test_values=exact(test), exact=exact,
         source_fn=source,
@@ -251,9 +243,7 @@ def example5(seed=0, train=None, n_boundary=200, n_interior=80):
         name="example5", operator=base,
         families=[KernelFamily("time-fundamental", base)], colloc=colloc,
         sources=sources,
-        train=_train(train, optimizer="lm", lm_marquardt_scaling=True,
-                     loss_mode=BOUNDARY_PLUS_INITIAL, tol=1e-10, max_iters=150,
-                     seed=seed),
+        train=_train(train, optimizer="lm", tol=1e-10, max_iters=150, seed=seed),
         test_points=test, test_values=exact(test, 100.0), test_times=times,
         rerr_floor=0.05, exact=exact,
         source_fn=source,
@@ -305,8 +295,7 @@ def example6(seed=0, train=None, diffusion=1.0, beta=1.0, selector="power"):
     return ProblemSetup(
         name="example6", operator=op, families=[fam], colloc=colloc,
         sources=sources,
-        train=_train(train, optimizer="lm", lm_marquardt_scaling=True, loss_mode=BOUNDARY_PLUS_INITIAL,
-                     tol=1e-10, max_iters=150, seed=seed),
+        train=_train(train, optimizer="lm", tol=1e-10, max_iters=150, seed=seed),
         test_points=test, test_values=exact(test, 1.0), test_times=times,
         exact=exact,
         notes={"geometry": "unit square (paper gives only a figure)",
@@ -331,8 +320,7 @@ def example7(seed=0, train=None, n_boundary=400):
     return ProblemSetup(
         name="example7", operator=fam.operator, families=[fam], colloc=colloc,
         sources=sources,
-        train=_train(train, optimizer="lm", lm_marquardt_scaling=True, loss_mode=BOUNDARY_ONLY, tol=1e-8,
-                     max_iters=300, seed=seed),
+        train=_train(train, optimizer="lm", tol=1e-8, max_iters=300, seed=seed),
         test_points=test, test_values=exact(test), exact=exact,
         notes={"source_radius": 5.0, "test_surface_radius": 0.5})
 
@@ -368,8 +356,7 @@ def example8_synthetic(seed=0, train=None, n_outer=300):
     return ProblemSetup(
         name="example8-synthetic", operator=fam.operator, families=[fam],
         colloc=colloc, sources=sources,
-        train=_train(train, optimizer="lm", lm_marquardt_scaling=True, loss_mode=BOUNDARY_ONLY, tol=1e-8,
-                     max_iters=300, seed=seed),
+        train=_train(train, optimizer="lm", tol=1e-8, max_iters=300, seed=seed),
         test_points=test, test_values=exact(test), exact=exact,
         notes={"setup": "synthetic harmonic field; Cauchy data on the outer "
                         "sphere only; recovery scored on the inner sphere",
@@ -401,8 +388,7 @@ def example9(seed=0, train=None, shift=1.0):
     return ProblemSetup(
         name="example9", operator=op, families=[fam], colloc=colloc,
         sources=sources,
-        train=_train(train, optimizer="lm", lm_marquardt_scaling=True, loss_mode=BOUNDARY_PLUS_INTERIOR,
-                     tol=1e-10, max_iters=300, seed=seed),
+        train=_train(train, optimizer="lm", tol=1e-10, max_iters=300, seed=seed),
         test_points=test, test_values=exact(test), rerr_floor=0.05, exact=exact,
         source_fn=source_term,
         notes={"shift": shift, "n_boundary": len(bpts), "n_interior": len(interior),
@@ -462,8 +448,7 @@ def example10(seed=0, train=None, thickness_ratio=1e-3, length=20.0):
     return ProblemSetup(
         name="example10", operator=op, families=[fam], colloc=colloc,
         sources=sources,
-        train=_train(train, optimizer="lm", lm_marquardt_scaling=True,
-                     loss_mode=BOUNDARY_ONLY, tol=1e-16, max_iters=400,
+        train=_train(train, optimizer="lm", tol=1e-16, max_iters=400,
                      seed=seed, init="zeros"),
         test_points=test, test_values=u2_exact(test), post="stress",
         row_weights={"D": mu},

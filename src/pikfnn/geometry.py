@@ -86,9 +86,6 @@ class CollocationSet:
     def count(self, kind):
         return int(np.sum(self.kinds == kind))
 
-    def rows(self, kind):
-        return np.nonzero(self.kinds == kind)[0]
-
 
 class SourceSet:
     """Hidden-neuron centers; optionally with per-source times tau."""

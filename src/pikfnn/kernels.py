@@ -685,7 +685,9 @@ def _tcomplete_member(family, index, X, gradient):
         rho = np.sqrt(np.einsum("ni,ni->n", X, X))
         origin = rho == 0.0
         with np.errstate(invalid="ignore"):
-            cosphi = np.where(origin, 1.0, X[:, 2] / rho)
+            cosphi = np.clip(np.where(origin, 1.0, X[:, 2] / rho), -1.0, 1.0)
+            # from the distance to the axis, as cos phi rounds to +-1 near it
+            sinphi = np.where(origin, 0.0, np.hypot(X[:, 0], X[:, 1]) / rho)
         theta = np.where(origin, 0.0, np.arctan2(X[:, 1], X[:, 0]))
     ang = np.cos(m * theta) if parity == "cos" else np.sin(m * theta)
     if op.dim == 2:
@@ -697,16 +699,11 @@ def _tcomplete_member(family, index, X, gradient):
         along, across = dr * ang, rr * dang
         c, s = np.cos(theta), np.sin(theta)
         return np.stack([along * c - across * s, along * s + across * c], axis=1)
-    cosphi = np.clip(cosphi, -1.0, 1.0)
+    pvm = assoc_legendre_block(v, m, cosphi, sinphi)
     if not gradient:
-        pvm = assoc_legendre_block(v, m, cosphi)
         return _tcomplete_radial_3d(op, v, rho, False) * pvm * ang
     # f = R(rho) P(cos phi) A(theta): grad f = R' P A rho^
-    #   + (R / rho) (dP/dphi A phi^ + (P / sin phi) A' theta^); sin phi
-    # comes from the distance to the axis, as cos phi rounds to +-1 near it
-    with np.errstate(invalid="ignore"):
-        sinphi = np.where(origin, 0.0, np.hypot(X[:, 0], X[:, 1]) / rho)
-    pvm = assoc_legendre_block(v, m, cosphi, sinphi)
+    #   + (R / rho) (dP/dphi A phi^ + (P / sin phi) A' theta^)
     dr, rr = _tcomplete_radial_3d(op, v, rho, True)
     dpdphi, m_p_over_sin = _legendre_angular(v, m, cosphi, sinphi)
     across = -np.sin(m * theta) if parity == "cos" else np.cos(m * theta)  # A' / m

@@ -140,20 +140,18 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class HighOrderCoeffs:
-    """A_0..A_n, B_0..B_n, C_0..C_n, D_0..D_n of the high-order kernel tables."""
+    """A_0..A_n, B_0..B_n, C_0..C_n of the high-order kernel tables."""
 
     A: tuple
     B: tuple
     C: tuple
-    D_seq: tuple
 
 
-def high_order_coeffs(op, krho=1.0):
+def high_order_coeffs(op):
     """Coefficient sequences up to op.power_n.
 
     A_0=1, A_n = A_{n-1}/(2 n k^2);  B_0=0, B_{n+1} = (C_n/(n+1) + B_n)/(4(n+1)^2);
-    C_0=1, C_{n+1} = C_n/(4(n+1)^2);  D_0=1, D_{n+1} = krho * D_n.
-    The A recurrence needs k > 0; D depends on the evaluation point through krho.
+    C_0=1, C_{n+1} = C_n/(4(n+1)^2).  The A recurrence needs k > 0.
     """
     n = op.power_n
     k = op.mu_cd if op.kind in (CONVECTION_DIFFUSION, CONV_DIFF_POWER) else op.k
@@ -162,16 +160,14 @@ def high_order_coeffs(op, krho=1.0):
     a = [1.0]
     b = [0.0]
     c = [1.0]
-    d = [1.0]
     for i in range(1, n + 1):
         if k > 0:
             a.append(a[-1] / (2.0 * i * k * k))
         b.append((c[-1] / i + b[-1]) / (4.0 * i * i))
         c.append(c[-1] / (4.0 * i * i))
-        d.append(krho * d[-1])
     if k <= 0:
         a = a + [float("nan")] * (n + 1 - len(a))
-    return HighOrderCoeffs(A=tuple(a), B=tuple(b), C=tuple(c), D_seq=tuple(d))
+    return HighOrderCoeffs(A=tuple(a), B=tuple(b), C=tuple(c))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ fully deterministic for a fixed seed (wall time lives only in summary.json,
 never in the CSVs).
 """
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry as geo
 from . import kernels as kn
 from . import operators as ops
 from .benchmarks import BUILTINS, ProblemSetup
@@ -39,15 +39,7 @@ from .network import (
 )
 from .operators import OperatorSpec, steady_operator_fd_block, time_operator_fd_block
 from .registry import list_kernel_ids, parse_kernel_id
-from .training import (
-    BOUNDARY_PLUS_INITIAL,
-    BOUNDARY_PLUS_INTERIOR,
-    BOUNDARY_ONLY,
-    TrainConfig,
-    train_adam,
-    train_lm,
-    write_loss_csv,
-)
+from .training import TrainConfig, train_adam, train_lm, write_loss_csv
 
 log = logging.getLogger(__name__)
 
@@ -122,9 +114,7 @@ def _config_hash(setup, seed):
         "rows": len(setup.colloc),
         "sources": len(setup.sources),
         "seed": seed,
-        "train": {k: getattr(setup.train, k) for k in
-                  ("optimizer", "tol", "max_iters", "loss_goal", "loss_mode",
-                   "lr", "lambda0", "seed", "init")},
+        "train": dataclasses.asdict(setup.train),
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -152,8 +142,8 @@ def _write_outputs(result, seed):
         },
         "train": {"optimizer": setup.train.optimizer, "wall_time_s": rep.wall_time} | {
             key: getattr(rep, key) for key in ("final_loss", "iters", "stop_reason",
-                                               "cond_estimate", "cond_is_lower_bound",
-                                               "effective_rank", "rejected_steps")},
+                                               "cond_estimate", "effective_rank",
+                                               "rejected_steps")},
         "notes": setup.notes,
     }
     summary.update(result.extras)
@@ -430,17 +420,9 @@ def setup_from_config(cfg):
                                  "reference values")
     test_set = load_nodes(cfg.test["node_file"])
 
-    train = dict(cfg.train)
-    if "loss_mode" not in train:
-        if colloc.count(geo.INITIAL):
-            train["loss_mode"] = BOUNDARY_PLUS_INITIAL
-        elif colloc.count(geo.INTERIOR_RESIDUAL):
-            train["loss_mode"] = BOUNDARY_PLUS_INTERIOR
-        else:
-            train["loss_mode"] = BOUNDARY_ONLY
     return ProblemSetup(
         name=cfg.name, operator=op, families=families, colloc=colloc,
-        sources=sources, train=TrainConfig(**{"seed": cfg.seed, **train}),
+        sources=sources, train=TrainConfig(**{"seed": cfg.seed, **cfg.train}),
         test_points=test_set.points, test_values=test_set.values,
         test_times=test_set.times, rerr_floor=cfg.rerr_floor,
         notes={"config": "custom"})

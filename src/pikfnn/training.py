@@ -1,15 +1,17 @@
 """Weight training: full-batch Adam and Levenberg-Marquardt on the
 boundary/initial-data least-squares loss.
 
-The loss is a sum of per-row-kind group means (one group for boundary-only
-problems, boundary+initial for transient ones, boundary+interior for the
-enhanced mode).  The residual is linear in the weights, so both trainers
-share one scaled least-squares problem: the group-scaled design matrix J and
-targets y, built once.  Adam works on the residual r = J p - y alone (loss
-r.r, gradient 2 J^T r).  LM also forms A = J^T J and b = J^T y and takes one
-symmetric eigendecomposition D^{-1/2} A D^{-1/2} = V diag(s) V^T (D the
-damping diagonal, eigenvalues clamped at 0), so each trial step of
-(A + lambda D) delta = -J^T r is two mat-vecs and no factorization can fail.
+The loss is a sum of per-row-kind group means.  The groups follow from the
+rows the problem supplies: the boundary (D, N) rows always, then the
+initial (I) rows of a transient problem or the interior-residual (R) rows
+of the enhanced mode.  The residual is linear in the weights, so both
+trainers share one scaled least-squares problem: the group-scaled design
+matrix J and targets y, built once.  Adam works on the residual r = J p - y
+alone (loss r.r, gradient 2 J^T r).  LM also forms A = J^T J and b = J^T y
+and takes one symmetric eigendecomposition D^{-1/2} A D^{-1/2} =
+V diag(s) V^T (D Marquardt's diagonal of A, eigenvalues clamped at 0), so
+each trial step of (A + lambda D) delta = -J^T r is two mat-vecs and no
+factorization can fail.
 
 Both trainers update model.weights in place, are deterministic for a fixed
 seed/config, and record one log row per iteration for the loss-history CSV
@@ -26,83 +28,78 @@ import numpy as np
 from . import geometry as geo
 from .errors import ConditioningError, ConfigurationError, DivergenceError
 
-BOUNDARY_ONLY = "boundary_only"
-BOUNDARY_PLUS_INITIAL = "boundary_plus_initial"
-BOUNDARY_PLUS_INTERIOR = "boundary_plus_interior"
-MODES = (BOUNDARY_ONLY, BOUNDARY_PLUS_INITIAL, BOUNDARY_PLUS_INTERIOR)
-
-_LAMBDA_CEILING = 1e16
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+# LM's first damping, its growth on a rejected trial, and its ceiling
+_LAMBDA0, _LAMBDA_UP, _LAMBDA_CEILING = 1e-3, 10.0, 1e16
 
 
 @dataclass
 class TrainConfig:
+    """optimizer "adam" | "lm"; tol, max_iters and loss_goal stop either
+    trainer; lr is Adam's step size, lambda_down LM's damping decrease on an
+    accepted step; seed and init ("uniform_pm1" | "zeros") set the start."""
+
     optimizer: str = "lm"
     tol: float = 1e-8
     max_iters: int = 500
     loss_goal: float = None
-    loss_mode: str = BOUNDARY_ONLY
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
     lambda_down: float = 0.1
-    lm_marquardt_scaling: bool = False  # damp with lambda * diag(J^T J)
     seed: int = 0
     init: str = "uniform_pm1"
 
     def __post_init__(self):
         if self.optimizer not in ("adam", "lm"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss_mode not in MODES:
-            raise ConfigurationError(f"unknown loss mode {self.loss_mode!r}")
         if not self.tol > 0:
             raise ConfigurationError("tol must be > 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigurationError("need 0 < beta1, beta2 < 1")
         if not self.lr > 0:
             raise ConfigurationError("lr must be > 0")
-        if not self.lambda0 > 0:
-            raise ConfigurationError("lambda0 must be > 0")
         if self.init not in ("uniform_pm1", "zeros"):
             raise ConfigurationError(f"unknown init {self.init!r}")
 
 
 @dataclass
 class TrainReport:
-    """cond_estimate, effective_rank: of J D^{-1/2}, LM only (see _Damping).
-    cond_is_lower_bound: the spectrum does not resolve the condition number,
-    and cond_estimate is the resolution floor 1/sqrt(n eps)."""
+    """log_rows: (iter, loss, lambda_or_lr, accepted) per logged iteration,
+    the rows of loss.csv.  cond_estimate, effective_rank: of J D^{-1/2}, LM
+    only (see _Damping); cond_estimate is None where the spectrum does not
+    resolve it."""
 
-    loss_history: list
-    final_loss: float
     iters: int
     stop_reason: str
     wall_time: float
-    log_rows: list = field(default_factory=list, repr=False)
+    log_rows: list = field(repr=False)
     cond_estimate: float = None
     effective_rank: int = None
-    rejected_steps: int = 0
-    cond_is_lower_bound: bool = None
+
+    @property
+    def loss_history(self):
+        return [row[1] for row in self.log_rows]
+
+    @property
+    def final_loss(self):
+        return self.log_rows[-1][1]
+
+    @property
+    def rejected_steps(self):
+        return sum(1 for row in self.log_rows if not row[3])
 
 
-def _groups(matrix, mode):
+def _groups(matrix):
     """Row-index groups entering the loss, in a fixed order: the boundary rows,
-    then the initial (I) or interior (R) rows the mode adds."""
-    added = {BOUNDARY_PLUS_INITIAL: geo.INITIAL,
-             BOUNDARY_PLUS_INTERIOR: geo.INTERIOR_RESIDUAL}.get(mode)
+    then the initial (I) or interior-residual (R) rows, whichever are present.
+    No boundary rows, or both I and R rows, raise ConfigurationError."""
     groups = [matrix.group_rows((geo.DIRICHLET, geo.NEUMANN))]
     if not len(groups[0]):
         raise ConfigurationError("no boundary rows present")
     for kind in (geo.INITIAL, geo.INTERIOR_RESIDUAL):
         rows = matrix.group_rows((kind,))
-        if kind == added:
-            if not len(rows):
-                raise ConfigurationError(f"{mode} loss needs {kind} rows")
+        if len(rows):
             groups.append(rows)
-        elif len(rows):
-            raise ConfigurationError(f"{mode} loss cannot see {kind} rows")
+    if len(groups) > 2:
+        raise ConfigurationError("initial and interior-residual rows cannot share one loss")
     return groups
 
 
@@ -111,9 +108,9 @@ class _ScaledProblem:
     gradient 2 (A p - b), A = J^T J and b = J^T y formed on first use.  Raises
     ConditioningError naming the first row of J or y that is not finite."""
 
-    def __init__(self, matrix, targets, mode):
+    def __init__(self, matrix, targets):
         scale = np.zeros(matrix.entries.shape[0])
-        for g in _groups(matrix, mode):
+        for g in _groups(matrix):
             scale[g] = 1.0 / math.sqrt(len(g))
         self.J = matrix.entries * scale[:, None]
         self.y = np.asarray(targets, dtype=float) * scale
@@ -134,34 +131,34 @@ class _ScaledProblem:
         return float(r @ r)
 
 
-def loss(model, matrix, targets, mode=BOUNDARY_ONLY):
+def loss(model, matrix, targets):
     """Sum over groups of mean squared residuals (Eqs.-17/18/41 style)."""
-    return _ScaledProblem(matrix, targets, mode).loss_of(model.weights)
+    return _ScaledProblem(matrix, targets).loss_of(model.weights)
 
 
-def grad_loss(model, matrix, targets, mode=BOUNDARY_ONLY):
+def grad_loss(model, matrix, targets):
     """exact gradient: sum_g (2/N_g) Phi_g^T (Phi_g p - g_g)."""
-    prob = _ScaledProblem(matrix, targets, mode)
+    prob = _ScaledProblem(matrix, targets)
     return 2.0 * (prob.J.T @ (prob.J @ model.weights - prob.y))
 
 
 class _Damping:
     """(A + lam D)^{-1} for every lam > 0 from one eigendecomposition.
 
-    D is the Marquardt diagonal of A (clamped from below) or the identity.
-    With D^{-1/2} A D^{-1/2} = V diag(s) V^T, s clamped at 0, the step is
+    D is Marquardt's diagonal of A, clamped from below.  With
+    D^{-1/2} A D^{-1/2} = V diag(s) V^T, s clamped at 0, the step is
     -D^{-1/2} V diag(1/(s + lam)) V^T D^{-1/2} g.  s holds the squared
-    singular values of J D^{-1/2}: those at or below n eps s_max are roundoff,
-    so they bound the effective rank, and the condition number
-    sqrt(s_max / s_min) resolves only up to 1/sqrt(n eps): below full rank
-    the estimate is that floor, a lower bound.
+    singular values of J D^{-1/2}, accurate to n eps s_max.  effective_rank
+    is the rank at that resolution: the number of singular values above
+    sqrt(n eps) times the largest.  The condition number sqrt(s_max / s_min)
+    is resolved only at full rank; below it cond_estimate is None.
     """
 
-    def __init__(self, A, marquardt):
+    def __init__(self, A):
         if not np.isfinite(A).all():
             raise ConditioningError("J^T J overflows the double range")
         d = np.diag(A)
-        d = np.maximum(d, 1e-14 * max(float(np.max(d)), 1e-300)) if marquardt else np.ones(len(d))
+        d = np.maximum(d, 1e-14 * max(float(np.max(d)), 1e-300))
         self.root = 1.0 / np.sqrt(d)  # diagonal of D^{-1/2}
         scaled = self.root[:, None] * A  # one n x n buffer, scaled in place
         scaled *= self.root
@@ -173,9 +170,8 @@ class _Damping:
         self.lam_floor = eps * self.s[-1]
         tol = len(s) * eps * self.s[-1]
         self.effective_rank = int(np.count_nonzero(self.s > tol))
-        self.cond_estimate = (math.sqrt(self.s[-1] / max(self.s[0], tol))
-                              if self.effective_rank else math.inf)
-        self.cond_is_lower_bound = self.effective_rank < len(s)
+        self.cond_estimate = (math.sqrt(self.s[-1] / self.s[0])
+                              if self.effective_rank == len(s) else None)
 
     def step(self, g, lam):
         return -self.root * (self.V @ ((self.V.T @ (self.root * g)) / (self.s + lam)))
@@ -204,12 +200,12 @@ def train_adam(model, matrix, targets, config):
     bias corrections folded into the step size) was seen to drift 1e-10 of
     max |p| from the textbook weights within 300 iterations.
     """
-    prob = _ScaledProblem(matrix, targets, config.loss_mode)
+    prob = _ScaledProblem(matrix, targets)
     J, y = prob.J, prob.y
     JT = J.T
     n = J.shape[1]
     p = init_weights(n, config)
-    lr, b1, b2, eps, goal = config.lr, config.beta1, config.beta2, config.eps, config.loss_goal
+    lr, b1, b2, goal = config.lr, _BETA1, _BETA2, config.loss_goal
     t0 = time.perf_counter()
     r = J @ p - y
     history = [float(r @ r)]
@@ -219,7 +215,7 @@ def train_adam(model, matrix, targets, config):
     # (2, 1) array or a Python float costs more per call than the arithmetic
     beta = np.repeat([[b1], [b2]], n, axis=1)
     gain = np.repeat([[2.0 * (1.0 - b1)], [4.0 * (1.0 - b2)]], n, axis=1)
-    lr_n, eps_n = np.full(n, lr), np.full(n, eps)
+    lr_n, eps_n = np.full(n, lr), np.full(n, _EPS)
     bias = np.empty((2, n))   # 1 - beta1^t, 1 - beta2^t
     hh = np.empty((2, n))     # J^T r = g / 2, twice
     mv = np.zeros((2, n))     # m, v
@@ -259,7 +255,7 @@ def train_adam(model, matrix, targets, config):
             break
     model.weights = p
     log = [(i, value, lr, 1) for i, value in enumerate(history)]
-    return TrainReport(history, history[-1], it, stop, time.perf_counter() - t0, log)
+    return TrainReport(it, stop, time.perf_counter() - t0, log)
 
 
 def train_lm(model, matrix, targets, config):
@@ -269,13 +265,12 @@ def train_lm(model, matrix, targets, config):
     across accepted iterations (max_iters as the safety net); see module
     docstring for the damped step.
     """
-    prob = _ScaledProblem(matrix, targets, config.loss_mode)
+    prob = _ScaledProblem(matrix, targets)
     p = init_weights(prob.J.shape[1], config)
     t0 = time.perf_counter()
-    damping = _Damping(prob.A, config.lm_marquardt_scaling)
-    lam = config.lambda0
+    damping = _Damping(prob.A)
+    lam = _LAMBDA0
     cur = prob.loss_of(p)
-    history = [cur]
     log = [(0, cur, lam, 1)]
     done = config.loss_goal is not None and cur <= config.loss_goal
     stop = "loss_goal" if done else "max_iters"
@@ -289,7 +284,6 @@ def train_lm(model, matrix, targets, config):
         if trial_loss <= cur:
             prev, p, cur = cur, trial, trial_loss
             lam = max(lam * config.lambda_down, damping.lam_floor)
-            history.append(cur)
             log.append((it, cur, lam, 1))
             if config.loss_goal is not None and cur <= config.loss_goal:
                 stop = "loss_goal"
@@ -301,17 +295,15 @@ def train_lm(model, matrix, targets, config):
                 stop = "tol_loss"
                 break
         else:
-            lam *= config.lambda_up
-            history.append(cur)
+            lam *= _LAMBDA_UP
             log.append((it, cur, lam, 0))
             if lam > _LAMBDA_CEILING:
                 raise DivergenceError(
                     f"damping exceeded {_LAMBDA_CEILING:g} at iteration {it}",
                     iteration=it)
     model.weights = p
-    return TrainReport(history, history[-1], it, stop, time.perf_counter() - t0, log,
-                       damping.cond_estimate, damping.effective_rank,
-                       sum(1 for row in log if row[3] == 0), damping.cond_is_lower_bound)
+    return TrainReport(it, stop, time.perf_counter() - t0, log,
+                       damping.cond_estimate, damping.effective_rank)
 
 
 def write_loss_csv(path, report):

@@ -94,8 +94,7 @@ def test_run_custom_config(tmp_path):
         "geometry": {"node_file": "boundary.txt"},
         "sources": {"placement": "scaled_circle", "n": 60, "r": 0.5},
         "test": {"node_file": "test.txt"},
-        "train": {"optimizer": "lm", "tol": 1e-8, "lm_marquardt_scaling": True,
-                  "lambda_down": 0.01},
+        "train": {"optimizer": "lm", "tol": 1e-8, "lambda_down": 0.01},
     }
     cfg_path = tmp_path / "problem.json"
     cfg_path.write_text(json.dumps(config))
@@ -166,6 +165,10 @@ def test_kernel_dim_mismatch_before_compute(tmp_path):
 @pytest.mark.parametrize("config, key, valid", [
     ({"builtin": "example3", "train": {"optimiser": "lm"}}, "optimiser", "optimizer"),
     ({"builtin": "example3", "params": {"n_boundry": 40}}, "n_boundry", "n_boundary"),
+    # the loss groups follow the rows, and LM always damps by Marquardt's diagonal
+    ({"builtin": "example3", "train": {"loss_mode": "boundary_only"}}, "loss_mode", "lambda_down"),
+    ({"builtin": "example3", "train": {"lm_marquardt_scaling": True}}, "lm_marquardt_scaling",
+     "lambda_down"),
 ])
 def test_builtin_config_with_unknown_key_exits_2(tmp_path, capsys, config, key, valid):
     cfg = tmp_path / "c.json"
@@ -175,7 +178,9 @@ def test_builtin_config_with_unknown_key_exits_2(tmp_path, capsys, config, key, 
     assert key in err and valid in err
 
 
-def test_custom_config_with_unknown_train_key_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("train", [{"optimiser": "lm"}, {"loss_mode": "boundary_only"},
+                                   {"lm_marquardt_scaling": True}])
+def test_custom_config_with_unknown_train_key_exits_2(tmp_path, capsys, train):
     boundary = gen_boundary("circle", 10, r=1.0)
     colloc = CollocationSet(nodes_points(boundary), ["D"] * 10, np.zeros(10))
     save_nodes(tmp_path / "b.txt", colloc)
@@ -186,8 +191,9 @@ def test_custom_config_with_unknown_train_key_exits_2(tmp_path, capsys):
         "geometry": {"node_file": "b.txt"},
         "sources": {"placement": "scaled_circle", "n": 10, "r": 3.0},
         "test": {"node_file": "b.txt"},
-        "train": {"optimiser": "lm"},
+        "train": train,
     }))
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "optimiser" in err and "optimizer" in err
+    assert "validation error" in err and next(iter(train)) in err
+    assert "'optimizer'" in err and "'lambda_down'" in err

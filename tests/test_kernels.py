@@ -19,6 +19,7 @@ from pikfnn.kernels import (
     eval_tcomplete_member,
     governing_applied_block,
     kernel_block,
+    tcomplete_member_block,
     tcomplete_members,
 )
 from pikfnn.operators import (
@@ -427,6 +428,32 @@ def test_tcomplete_values():
         0.7651976865579666, abs=1e-13)
 
 
+def _spherical_j3(x):
+    """j_3(x) from its power series, x^3 / 7!! sum_k (-x^2 / 2)^k / (k! (9)(11)...(7 + 2k))."""
+    term, total = x ** 3 / 105.0, 0.0
+    for k in range(1, 30):
+        total += term
+        term *= -x * x / (2.0 * k * (7 + 2 * k))
+    return total
+
+
+@pytest.mark.parametrize("ident, index, point", [
+    ("t-complete:laplace:3d?m=3", (3, 2, "cos"), (1e-9, 0.0, 1.3)),
+    ("t-complete:helmholtz:3d?k=1&m=3", (3, 2, "cos"), (1e-9, 0.0, 1.3)),
+    ("t-complete:laplace:3d?m=3", (3, 1, "sin"), (0.0, 1e-9, 1.3)),
+])
+def test_tcomplete_values_next_to_the_polar_axis(ident, index, point):
+    # cos phi rounds to 1 here, so sin phi must come from the distance to the
+    # axis; with Condon-Shortley, P_3^2(x) = 15 x (1 - x^2) and
+    # P_3^1(x) = -3/2 (5 x^2 - 1) sqrt(1 - x^2); the azimuthal factor is 1
+    rho = math.hypot(1e-9, 1.3)
+    c, s = 1.3 / rho, 1e-9 / rho
+    radial = rho ** 3 if "laplace" in ident else _spherical_j3(rho)
+    angular = 15.0 * c * s * s if index[1] == 2 else -1.5 * (5.0 * c * c - 1.0) * s
+    got = tcomplete_member_block(parse_kernel_id(ident), index, np.array([point]))[0]
+    assert got == pytest.approx(radial * angular, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("opkw,M", [
     (dict(kind="laplace", dim=2), 3),
     (dict(kind="helmholtz", dim=2, k=1.2), 3),
@@ -476,7 +503,6 @@ def test_high_order_coeffs_base_case():
     assert co.A == (1.0,)
     assert co.B == (0.0,)
     assert co.C == (1.0,)
-    assert co.D_seq == (1.0,)
 
 
 def test_high_order_coeffs_one_step():
@@ -484,11 +510,6 @@ def test_high_order_coeffs_one_step():
     assert co.A[1] == pytest.approx(0.5)
     assert co.C[1] == pytest.approx(0.25)
     assert co.B[1] == pytest.approx(0.25)
-
-
-def test_high_order_coeffs_d_sequence():
-    co = high_order_coeffs(OperatorSpec("helmholtz-power", 2, k=1.0, power_n=1), krho=2.0)
-    assert co.D_seq == (1.0, 2.0)
 
 
 def test_high_order_coeffs_requires_k():
