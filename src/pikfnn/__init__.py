@@ -22,7 +22,6 @@ from .errors import (
 )
 from .geometry import (
     CollocationSet,
-    Node,
     SourceSet,
     gen_boundary,
     gen_sources,

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry as geo
 from . import network
 from .annihilators import SourceTerm, build_annihilator_chain
+from .errors import ConfigurationError
 from .geometry import (
     CollocationSet,
     SourceSet,
@@ -25,11 +25,9 @@ from .geometry import (
     interior_grid_lshape,
     interior_grid_square,
     interior_torus,
-    nodes_normals,
-    nodes_points,
 )
 from .kernels import KernelFamily
-from .operators import OperatorSpec
+from .operators import OperatorSpec, structural_fn
 from .registry import format_kernel_id
 from .training import TrainConfig
 
@@ -76,11 +74,10 @@ def example1(seed=0, train=None):
     def exact(x):
         return np.sin(10.0 * x[..., 0] + 10.0 * x[..., 1])
 
-    boundary = gen_boundary("square", 80, a=-1.0, b=1.0)
-    pts = nodes_points(boundary)
+    pts, _ = gen_boundary("square", 80, a=-1.0, b=1.0)
     colloc = CollocationSet(pts, ["D"] * len(pts), exact(pts))
     # the printed source square does not enclose the domain; use [-1.5, 1.5]^2
-    sources = SourceSet(nodes_points(gen_boundary("square", 80, a=-1.5, b=1.5)))
+    sources = SourceSet(gen_boundary("square", 80, a=-1.5, b=1.5)[0])
     fam = KernelFamily("fundamental-real", OperatorSpec("helmholtz", 2, k=k))
     test = interior_grid_square(-1.0, 1.0, 32)
     return ProblemSetup(
@@ -99,8 +96,7 @@ def example2(seed=0, train=None, k=100.0, n_boundary=400):
     def exact(x):
         return np.sin(k * x[..., 0]) + np.cos(k * x[..., 1])
 
-    boundary = gen_boundary("circle", n_boundary, r=1.0)
-    pts = nodes_points(boundary)
+    pts, _ = gen_boundary("circle", n_boundary, r=1.0)
     colloc = CollocationSet(pts, ["D"] * len(pts), exact(pts))
     sources = gen_sources(None, "scaled_circle", n=n_boundary, r=3.0)
     fam = KernelFamily("fundamental-real", OperatorSpec("helmholtz", 2, k=k))
@@ -124,8 +120,7 @@ def example3(seed=0, train=None, n_boundary=400):
 
     # cavity radius 2: on a unit circle ln|x| = 0 kills the monopole column
     # and leaves the far-field log mode unconstrained by boundary data
-    boundary = gen_boundary("circle", n_boundary, r=2.0)
-    pts = nodes_points(boundary)
+    pts, _ = gen_boundary("circle", n_boundary, r=2.0)
     colloc = CollocationSet(pts, ["D"] * len(pts), exact(pts))
     sources = gen_sources(None, "scaled_circle", n=n_boundary, r=0.5)
     fam = KernelFamily("fundamental", OperatorSpec("laplace", 2))
@@ -176,8 +171,7 @@ def example4(seed=0, train=None, n_boundary=400):
     chain = build_annihilator_chain(
         SourceTerm("exponential", coeff=2.0, direction=(1.0, 1.0, 1.0)), base)
     chain_fams = [KernelFamily("fundamental", op) for op in chain]
-    boundary = gen_boundary("sphere", n_boundary, r=1.0)
-    pts = nodes_points(boundary)
+    pts, _ = gen_boundary("sphere", n_boundary, r=1.0)
     sources = gen_sources(None, "scaled_sphere", n=n_boundary, r=3.0)
 
     colloc, pretrained, fit_notes = _fit_particular(
@@ -220,22 +214,18 @@ def example5(seed=0, train=None, n_boundary=200, n_interior=80):
                    spatial=SourceTerm("trig_eigen", eigenvalue=-1.0)), base)
     chain_fams = [KernelFamily("time-fundamental", op) for op in chain]
 
-    boundary = gen_boundary("torus", n_boundary, r_major=2.0, r_minor=0.5, seed=seed)
+    boundary, _ = gen_boundary("torus", n_boundary, r_major=2.0, r_minor=0.5, seed=seed)
     interior = interior_torus(2.0, 0.5, n_interior, seed=seed + 1)
-    interior_nodes = [geo.Node(tuple(p)) for p in interior]
     instants = (20.0, 40.0, 60.0, 80.0, 100.0)
-    colloc = gen_spacetime_grid(
-        boundary, instants, list(boundary) + interior_nodes,
-        bc_value=lambda x, t: float(exact(np.asarray(x), t)),
-        init_value=lambda x: float(spatial(np.asarray(x))))
+    colloc = gen_spacetime_grid(boundary, instants, np.vstack([boundary, interior]),
+                                bc_value=exact, init_value=spatial)
     sources = gen_sources(colloc, "same_nodes_with_delay", dt=200.0)
 
     # annihilator family reproduces the thermal loading on the data rows
     colloc, pretrained, fit_notes = _fit_particular(
         chain_fams, sources, colloc, source(colloc.points, colloc.times), base)
 
-    test_nodes = gen_boundary("torus", 150, r_major=2.0, r_minor=0.5, seed=seed + 7)
-    surf = nodes_points(test_nodes)
+    surf, _ = gen_boundary("torus", 150, r_major=2.0, r_minor=0.5, seed=seed + 7)
     vol = interior_torus(2.0, 0.5, 100, seed=seed + 8)
     test = np.vstack([surf, vol])
     times = np.full(test.shape[0], 100.0)
@@ -260,13 +250,10 @@ def example5(seed=0, train=None, n_boundary=200, n_interior=80):
 
 def example6(seed=0, train=None, diffusion=1.0, beta=1.0, selector="power"):
     half_pi = 0.5 * math.pi
-
-    def fmap(v):
-        if selector == "power" and beta == 1.0:
-            return v
-        if selector == "power":
-            return np.power(v, beta)
-        raise ValueError("built-in example6 uses the power selector")
+    if selector == "log":
+        raise ConfigurationError("example6 cannot use the log selector: ln maps the "
+                                 "square's x = 0 edge to -inf")
+    fmap, _ = structural_fn(selector, beta)
 
     def profile(x):
         f1 = fmap(x[..., 0])
@@ -280,14 +267,11 @@ def example6(seed=0, train=None, diffusion=1.0, beta=1.0, selector="power"):
     op = OperatorSpec("structural-diffusion", 2, diffusion=diffusion, beta=beta,
                       structural_t="identity", structural_x=selector)
     fam = KernelFamily("time-fundamental", op)
-    boundary = gen_boundary("square", 80, a=0.0, b=1.0)
+    boundary, _ = gen_boundary("square", 80, a=0.0, b=1.0)
     interior = interior_grid_square(0.0, 1.0, 13)
-    interior_nodes = [geo.Node(tuple(p)) for p in interior]
     instants = (0.2, 0.4, 0.6, 0.8, 1.0)
-    colloc = gen_spacetime_grid(
-        boundary, instants, list(boundary) + interior_nodes,
-        bc_value=lambda x, t: float(exact(np.asarray(x), t)),
-        init_value=lambda x: float(profile(np.asarray(x))))
+    colloc = gen_spacetime_grid(boundary, instants, np.vstack([boundary, interior]),
+                                bc_value=exact, init_value=profile)
     sources = gen_sources(colloc, "same_nodes_with_delay", dt=3.0)
 
     test = interior_grid_square(0.0, 1.0, 20)
@@ -310,13 +294,11 @@ def example7(seed=0, train=None, n_boundary=400):
     def exact(x):
         return x[..., 0] ** 2 + x[..., 1] ** 2 - x[..., 2] ** 2 - x[..., 3] ** 2
 
-    boundary = gen_boundary("hypersphere4", n_boundary, r=1.0, seed=seed)
-    pts = nodes_points(boundary)
+    pts, _ = gen_boundary("hypersphere4", n_boundary, r=1.0, seed=seed)
     colloc = CollocationSet(pts, ["D"] * len(pts), exact(pts))
     sources = gen_sources(pts, "inflated", factor=5.0)
     fam = KernelFamily("fundamental", OperatorSpec("laplace", 4))
-    test_nodes = gen_boundary("hypersphere4", n_boundary, r=0.5, seed=seed + 1)
-    test = nodes_points(test_nodes)
+    test, _ = gen_boundary("hypersphere4", n_boundary, r=0.5, seed=seed + 1)
     return ProblemSetup(
         name="example7", operator=fam.operator, families=[fam], colloc=colloc,
         sources=sources,
@@ -340,9 +322,7 @@ def example8_synthetic(seed=0, train=None, n_outer=300):
         r = np.linalg.norm(d, axis=-1)
         return -np.einsum("...i,...i->...", d, n) / r ** 3
 
-    outer = gen_boundary("sphere", n_outer, r=2.0)
-    pts = nodes_points(outer)
-    nms = nodes_normals(outer)
+    pts, nms = gen_boundary("sphere", n_outer, r=2.0)
     # over-specified Cauchy data: Dirichlet + Neumann rows at the same nodes
     points = np.vstack([pts, pts])
     kinds = ["D"] * n_outer + ["N"] * n_outer
@@ -351,8 +331,7 @@ def example8_synthetic(seed=0, train=None, n_outer=300):
     colloc = CollocationSet(points, kinds, values, normals=normals)
     sources = gen_sources(None, "scaled_sphere", n=n_outer, r=0.3)
     fam = KernelFamily("fundamental", OperatorSpec("laplace", 3))
-    inner = gen_boundary("sphere", 200, r=0.8, seed=seed + 3)
-    test = nodes_points(inner)
+    test, _ = gen_boundary("sphere", 200, r=0.8, seed=seed + 3)
     return ProblemSetup(
         name="example8-synthetic", operator=fam.operator, families=[fam],
         colloc=colloc, sources=sources,
@@ -375,8 +354,7 @@ def example9(seed=0, train=None, shift=1.0):
 
     op = OperatorSpec("helmholtz", 2, k=1.0)
     fam = KernelFamily("fundamental-real", op, shift=shift)
-    boundary = gen_boundary("lshape", 62, scale=1.0)
-    bpts = nodes_points(boundary)
+    bpts, _ = gen_boundary("lshape", 62, scale=1.0)
     interior = interior_grid_lshape(1.0, 17)
     points = np.vstack([bpts, interior])
     kinds = ["D"] * len(bpts) + ["R"] * len(interior)
@@ -408,31 +386,25 @@ def example10(seed=0, train=None, thickness_ratio=1e-3, length=20.0):
         return -p * (1.0 - 2.0 * nu) / (2.0 * mu * (1.0 - nu)) * x[..., 1]
 
     half = 0.5 * length
-    pts, kinds, values, normals, comps = [], [], [], [], []
-
-    def add(point, kind, normal, tvec):
-        for comp in (1, 2):
-            pts.append(point)
-            kinds.append(kind)
-            normals.append(normal if normal is not None else (math.nan, math.nan))
-            comps.append(comp)
-            values.append(tvec[comp - 1])
-
     m_long, m_short = 40, 14
-    for i in range(m_long):  # bottom: clamped
-        x1 = -half + (i + 0.5) * length / m_long
-        add((x1, 0.0), "D", None, (0.0, 0.0))
-    for i in range(m_long):  # top: pressure
-        x1 = -half + (i + 0.5) * length / m_long
-        add((x1, h), "N", (0.0, 1.0), (0.0, s22))
-    for i in range(m_short):  # sides: manufactured confining traction
-        x2 = (i + 0.5) * h / m_short
-        add((-half, x2), "N", (-1.0, 0.0), (-s11, 0.0))
-        add((half, x2), "N", (1.0, 0.0), (s11, 0.0))
-    colloc = CollocationSet(pts, kinds, values, normals=np.asarray(normals),
-                            components=comps)
+    x1 = -half + (np.arange(m_long) + 0.5) * length / m_long
+    x2 = (np.arange(m_short) + 0.5) * h / m_short
+    # bottom: clamped; top: pressure; sides, left and right at each height:
+    # manufactured confining traction
+    nodes = np.vstack([np.column_stack([x1, np.zeros(m_long)]),
+                       np.column_stack([x1, np.full(m_long, h)]),
+                       np.column_stack([np.tile([-half, half], m_short), np.repeat(x2, 2)])])
+    normals = np.vstack([np.full((m_long, 2), np.nan), np.tile([0.0, 1.0], (m_long, 1)),
+                         np.tile([[-1.0, 0.0], [1.0, 0.0]], (m_short, 1))])
+    traction = np.vstack([np.zeros((m_long, 2)), np.tile([0.0, s22], (m_long, 1)),
+                          np.tile([[-s11, 0.0], [s11, 0.0]], (m_short, 1))])
+    # one row per node and component (1, 2) of its displacement or traction
+    colloc = CollocationSet(np.repeat(nodes, 2, axis=0),
+                            np.repeat(["D", "N"], [2 * m_long, 2 * (m_long + 2 * m_short)]),
+                            traction.ravel(), normals=np.repeat(normals, 2, axis=0),
+                            components=np.tile([1, 2], len(nodes)))
 
-    n_src = len(pts) // 2
+    n_src = len(nodes)
     # sources clear the plate by 2 (the paper's radius 10 equals the plate
     # half-length); zeros init keeps random rigid-mode content out of the
     # clamp rows' near-null directions, and displacement rows are rescaled by

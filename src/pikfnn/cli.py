@@ -65,7 +65,8 @@ def build_parser():
 
 
 def _common_flags(cmd):
-    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--seed", type=int, default=None,
+                     help="problem seed (default: the config's, or 0)")
     cmd.add_argument("--out", default=None, help="output directory "
                      "(summary.json, field.csv, loss.csv)")
     cmd.add_argument("--tol", type=float, default=None,
@@ -73,13 +74,12 @@ def _common_flags(cmd):
     cmd.add_argument("--quiet", action="store_true")
 
 
-def _run_one(setup_or_name, args, subdir=None, **params):
+def _run_one(setup_or_name, args, seed, subdir=None):
     train = {"tol": args.tol} if args.tol is not None else None
     out = args.out
     if out and subdir:
         out = os.path.join(out, subdir)
-    result = run_benchmark(setup_or_name, seed=args.seed, out_dir=out,
-                           train=train, **params)
+    result = run_benchmark(setup_or_name, seed=seed, out_dir=out, train=train)
     if out:
         log.info("outputs written to %s", out)
     return result
@@ -103,17 +103,18 @@ def _dispatch(args):
     try:
         if args.command == "run":
             cfg = load_problem_config(args.config)
-            if args.seed:
+            if args.seed is not None:
                 cfg.seed = args.seed
             if args.tol is not None:
                 cfg.train["tol"] = args.tol
             setup = setup_from_config(cfg)
-            _run_one(setup, args)
+            _run_one(setup, args, cfg.seed)
             return EXIT_OK
         if args.command == "bench":
             names = sorted(BUILTINS) if args.name == "all" else [args.name]
+            seed = 0 if args.seed is None else args.seed
             for name in names:
-                _run_one(name, args, subdir=name if len(names) > 1 else None)
+                _run_one(name, args, seed, subdir=name if len(names) > 1 else None)
             return EXIT_OK
         if args.command == "verify-kernels":
             rows, ok = verify_kernels(pattern=args.filter, n_points=args.points,

@@ -7,7 +7,6 @@ I(nitial), R = interior residual (enhanced mode only).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,23 +19,6 @@ NEUMANN = "N"
 INITIAL = "I"
 INTERIOR_RESIDUAL = "R"
 KINDS = (DIRICHLET, NEUMANN, INITIAL, INTERIOR_RESIDUAL)
-
-
-@dataclass(frozen=True)
-class Node:
-    """One node: coordinates, optional unit outward normal, optional time."""
-
-    x: tuple
-    normal: tuple = None
-    t: float = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if self.normal is not None:
-            nm = tuple(float(v) for v in self.normal)
-            if abs(math.sqrt(sum(v * v for v in nm)) - 1.0) > 1e-12:
-                raise DomainError(f"normal must have unit length, got {nm}")
-            object.__setattr__(self, "normal", nm)
 
 
 class CollocationSet:
@@ -163,7 +145,8 @@ def pairwise_sq_dist(X, S):
 # boundary generators
 
 def gen_boundary(shape, n, seed=0, **params):
-    """Nodes uniformly distributed on a named boundary, with outward normals.
+    """(points, normals): n nodes uniformly distributed on a named boundary
+    and their unit outward normals, both (n, dim) arrays.
 
     Shapes: square(a, b), circle(r, center), lshape(scale), sphere(r),
     torus(r_major, r_minor), hypersphere4(r).
@@ -178,36 +161,26 @@ def gen_boundary(shape, n, seed=0, **params):
 
 
 def _square(n, a=-1.0, b=1.0, seed=0):
-    # midpoint-offset nodes per edge, corner-exclusive
+    # midpoint-offset nodes per edge, corner-exclusive: bottom (x2 = a),
+    # right (x1 = b), top (x2 = b), left (x1 = a)
     if not b > a:
         raise DomainError("square needs b > a")
-    per = [n // 4 + (1 if i < n % 4 else 0) for i in range(4)]
-    nodes = []
-    m = per[0]
-    for i in range(m):  # bottom: x2 = a
-        nodes.append(Node((a + (i + 0.5) * (b - a) / m, a), (0.0, -1.0)))
-    m = per[1]
-    for i in range(m):  # right: x1 = b
-        nodes.append(Node((b, a + (i + 0.5) * (b - a) / m), (1.0, 0.0)))
-    m = per[2]
-    for i in range(m):  # top: x2 = b
-        nodes.append(Node((a + (i + 0.5) * (b - a) / m, b), (0.0, 1.0)))
-    m = per[3]
-    for i in range(m):  # left: x1 = a
-        nodes.append(Node((a, a + (i + 0.5) * (b - a) / m), (-1.0, 0.0)))
-    return nodes
+    points, normals = [], []
+    for edge, normal in enumerate(((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))):
+        m = n // 4 + (1 if edge < n % 4 else 0)
+        along = a + (np.arange(m) + 0.5) * (b - a) / m
+        fixed = np.full(m, b if edge in (1, 2) else a)
+        points.append(np.column_stack((along, fixed) if edge % 2 == 0 else (fixed, along)))
+        normals.append(np.tile(normal, (m, 1)))
+    return np.vstack(points), np.vstack(normals)
 
 
 def _circle(n, r=1.0, center=(0.0, 0.0), seed=0):
     if r <= 0:
         raise DomainError("circle needs r > 0")
-    cx, cy = center
-    nodes = []
-    for j in range(n):
-        th = 2.0 * math.pi * j / n
-        c, s = math.cos(th), math.sin(th)
-        nodes.append(Node((cx + r * c, cy + r * s), (c, s)))
-    return nodes
+    th = 2.0 * math.pi * np.arange(n) / n
+    normals = np.column_stack((np.cos(th), np.sin(th)))
+    return np.asarray(center, dtype=float) + r * normals, normals
 
 
 _LSHAPE_PATH = [((-1, -1), (1, -1), (0.0, -1.0)),
@@ -219,68 +192,64 @@ _LSHAPE_PATH = [((-1, -1), (1, -1), (0.0, -1.0)),
 
 
 def _lshape(n, scale=1.0, seed=0):
-    # [-1,1]^2 minus [0,1]^2, scaled; arc-length uniform over the six edges
+    # [-1,1]^2 minus [0,1]^2, scaled; arc-length uniform over the six edges.
+    # Each node's arc length s loses the length of every edge it passes, and
+    # the last edge takes the nodes that rounding carries past the others.
     if scale <= 0:
         raise DomainError("lshape needs scale > 0")
     lengths = [math.dist(p, q) for p, q, _ in _LSHAPE_PATH]
-    perimeter = sum(lengths)
-    nodes = []
-    for i in range(n):
-        s = (i + 0.5) * perimeter / n
-        for (p, q, normal), L in zip(_LSHAPE_PATH, lengths):
-            if s <= L or (p, q) == _LSHAPE_PATH[-1][:2]:
-                f = min(s / L, 1.0)
-                x = (p[0] + f * (q[0] - p[0])) * scale
-                y = (p[1] + f * (q[1] - p[1])) * scale
-                nodes.append(Node((x, y), normal))
-                break
-            s -= L
-    return nodes
+    s = (np.arange(n) + 0.5) * sum(lengths) / n
+    points, normals = np.empty((n, 2)), np.empty((n, 2))
+    pending = np.ones(n, dtype=bool)
+    for edge, ((p, q, normal), L) in enumerate(zip(_LSHAPE_PATH, lengths)):
+        here = pending & (s <= L) if edge < len(_LSHAPE_PATH) - 1 else pending
+        f = np.minimum(s[here] / L, 1.0)[:, None]
+        points[here] = (np.asarray(p) + f * np.subtract(q, p)) * scale
+        normals[here] = normal
+        pending &= ~here
+        s[pending] -= L
+    return points, normals
 
 
 def _sphere(n, r=1.0, center=(0.0, 0.0, 0.0), seed=0):
     # Fibonacci spiral with polar endpoints (n = 2 degenerates to the poles)
     if r <= 0:
         raise DomainError("sphere needs r > 0")
-    nodes = []
-    for i in range(n):
-        z = 1.0 - 2.0 * i / (n - 1) if n > 1 else 1.0
-        z = max(-1.0, min(1.0, z))
-        rho = math.sqrt(max(0.0, 1.0 - z * z))
-        th = i * GOLDEN_ANGLE
-        d = (rho * math.cos(th), rho * math.sin(th), z)
-        nodes.append(Node(tuple(center[j] + r * d[j] for j in range(3)), d))
-    return nodes
+    i = np.arange(n)
+    z = np.clip(1.0 - 2.0 * i / (n - 1), -1.0, 1.0) if n > 1 else np.ones(n)
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    th = i * GOLDEN_ANGLE
+    d = np.column_stack((rho * np.cos(th), rho * np.sin(th), z))
+    return np.asarray(center, dtype=float) + r * d, d
 
 
 def _torus(n, r_major=2.0, r_minor=0.5, center=(0.0, 0.0, 0.0), seed=0):
     # golden-ratio lattice in (u, w); w inverted through the area CDF in v
     if not (r_major > r_minor > 0):
         raise DomainError("torus needs r_major > r_minor > 0")
+    i = np.arange(n)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    nodes = []
-    for i in range(n):
-        u = 2.0 * math.pi * ((i * phi) % 1.0)
-        w = (i + 0.5) / n
-        v = _torus_v_from_cdf(w, r_major, r_minor)
-        cu, su = math.cos(u), math.sin(u)
-        cv, sv = math.cos(v), math.sin(v)
-        x = ((r_major + r_minor * cv) * cu + center[0],
-             (r_major + r_minor * cv) * su + center[1],
-             r_minor * sv + center[2])
-        nodes.append(Node(x, (cv * cu, cv * su, sv)))
-    return nodes
+    u = 2.0 * math.pi * ((i * phi) % 1.0)
+    v = _torus_v_from_cdf((i + 0.5) / n, r_major, r_minor)
+    cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+    ring = r_major + r_minor * cv
+    points = np.column_stack((ring * cu, ring * su, r_minor * sv))
+    return points + np.asarray(center, dtype=float), np.column_stack((cv * cu, cv * su, sv))
 
 
 def _torus_v_from_cdf(w, R, r):
-    # solve (R v + r sin v) / (2 pi R) = w on [0, 2 pi)
+    # solve (R v + r sin v) / (2 pi R) = w on [0, 2 pi) by Newton, each node
+    # stopping after its first step below 1e-14 (at most 50 steps)
     v = 2.0 * math.pi * w
+    active = np.arange(len(w))
     for _ in range(50):
-        f = (R * v + r * math.sin(v)) / (2.0 * math.pi * R) - w
-        fp = (R + r * math.cos(v)) / (2.0 * math.pi * R)
+        va = v[active]
+        f = (R * va + r * np.sin(va)) / (2.0 * math.pi * R) - w[active]
+        fp = (R + r * np.cos(va)) / (2.0 * math.pi * R)
         step = f / fp
-        v -= step
-        if abs(step) < 1e-14:
+        v[active] = va - step
+        active = active[~(np.abs(step) < 1e-14)]
+        if not active.size:
             break
     return v
 
@@ -290,25 +259,30 @@ def _hypersphere4(n, r=1.0, seed=0):
     if r <= 0:
         raise DomainError("hypersphere4 needs r > 0")
     rng = np.random.default_rng(seed)
-    nodes = []
-    while len(nodes) < n:
-        cand = rng.uniform(-1.0, 1.0, size=4)
-        norm = float(np.linalg.norm(cand))
-        if 1e-3 < norm <= 1.0:
-            d = cand / norm
-            nodes.append(Node(tuple(r * d), tuple(d)))
-    return nodes
+
+    def norm(c):
+        # one BLAS dot per row, (1, 4) @ (4, 1), as np.linalg.norm(row) sums;
+        # an axis-wise norm or einsum rounds some rows differently
+        return np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0])
+
+    def inside(c):
+        length = norm(c)
+        return (1e-3 < length) & (length <= 1.0)
+
+    cand = _rejection_sample(lambda k: rng.uniform(-1.0, 1.0, size=(k, 4)), inside, n)
+    d = cand / norm(cand)[:, None]
+    return r * d, d
 
 
-def nodes_points(nodes):
-    return np.asarray([nd.x for nd in nodes], dtype=float)
-
-
-def nodes_normals(nodes):
-    out = []
-    for nd in nodes:
-        out.append(nd.normal if nd.normal is not None else (math.nan,) * len(nd.x))
-    return np.asarray(out, dtype=float)
+def _rejection_sample(draw, accept, n):
+    """The first n rows of successive draw(k) batches that accept(rows)
+    keeps.  A batch of k rows holds the numbers k single-row draws give, so
+    the rows do not depend on the batch size."""
+    rows = draw(0)
+    while len(rows) < n:
+        cand = draw(4 * n)
+        rows = np.concatenate([rows, cand[accept(cand)]])
+    return rows[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +291,15 @@ def nodes_normals(nodes):
 def gen_sources(base, placement, n=None, **params):
     """SourceSet on a fictitious boundary.
 
-    placements: scaled_circle(r, center), scaled_sphere(r, center),
-    inflated(factor, center), same_nodes_with_delay(dt) (space-time sets).
+    placements: scaled_circle(r, center), scaled_sphere(r, center) (the
+    points of n nodes on that boundary), inflated(factor, center) (base: an
+    (n, dim) point array), same_nodes_with_delay(dt) (base: a space-time
+    CollocationSet).
     """
     if placement == "scaled_circle":
-        nodes = _circle(n, **params)
-        return SourceSet(nodes_points(nodes))
+        return SourceSet(_circle(n, **params)[0])
     if placement == "scaled_sphere":
-        nodes = _sphere(n, **params)
-        return SourceSet(nodes_points(nodes))
+        return SourceSet(_sphere(n, **params)[0])
     if placement == "inflated":
         factor = params.get("factor")
         if not factor or factor <= 0:
@@ -348,32 +322,29 @@ def gen_sources(base, placement, n=None, **params):
 # ---------------------------------------------------------------------------
 # space-time grids
 
-def gen_spacetime_grid(boundary_nodes, time_instants, initial_nodes,
+def gen_spacetime_grid(boundary_points, time_instants, initial_points,
                        bc_value=None, init_value=None):
-    """Boundary rows at each (x_b, t_j), initial rows at (x, 0).
+    """Dirichlet rows at each (x_b, t_j), one instant after the other, then
+    initial rows at (x, 0); N = N_Bou + N_Ini.
 
-    Values come from the callables (default zero); N = N_Bou + N_Ini.
+    Values come from the vectorized callables, bc_value(X, t) once per
+    instant and init_value(X) once (default zero).  D and I rows read no
+    normal, so the rows carry none.
     """
     instants = [float(t) for t in time_instants]
     if not instants:
         raise DomainError("need at least one time instant")
     if any(t <= 0 for t in instants) or any(b >= a for a, b in zip(instants[1:], instants)):
         raise DomainError("time instants must be strictly increasing and > 0")
-    pts, kinds, values, times, normals = [], [], [], [], []
-    for t in instants:
-        for nd in boundary_nodes:
-            pts.append(nd.x)
-            kinds.append(DIRICHLET)
-            values.append(0.0 if bc_value is None else float(bc_value(nd.x, t)))
-            times.append(t)
-            normals.append(nd.normal if nd.normal is not None else (math.nan,) * len(nd.x))
-    for nd in initial_nodes:
-        pts.append(nd.x)
-        kinds.append(INITIAL)
-        values.append(0.0 if init_value is None else float(init_value(nd.x)))
-        times.append(0.0)
-        normals.append(nd.normal if nd.normal is not None else (math.nan,) * len(nd.x))
-    return CollocationSet(pts, kinds, values, normals=normals, times=times)
+    X = np.atleast_2d(np.asarray(boundary_points, dtype=float))
+    X0 = np.asarray(initial_points, dtype=float).reshape(-1, X.shape[1])
+    values = [np.zeros(len(X)) if bc_value is None else bc_value(X, t) for t in instants]
+    values.append(np.zeros(len(X0)) if init_value is None else init_value(X0))
+    n_bou = len(X) * len(instants)
+    return CollocationSet(np.vstack([np.tile(X, (len(instants), 1)), X0]),
+                          np.repeat([DIRICHLET, INITIAL], [n_bou, len(X0)]),
+                          np.concatenate(values),
+                          times=np.concatenate([np.repeat(instants, len(X)), np.zeros(len(X0))]))
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +421,8 @@ def load_nodes(path):
             val = float(cells[idx])
         except ValueError as exc:
             raise NodeFileError(f"cannot parse row: {exc}", line=ln) from exc
+        if not all(map(math.isfinite, pos + [val] + ([t] if has_time else []))):
+            raise NodeFileError("coordinates, time and value must be finite", line=ln)
         if kind not in KINDS:
             raise NodeFileError(f"unknown kind {kind!r}", line=ln)
         if kind == NEUMANN and not all(math.isfinite(v) for v in nm):
@@ -500,11 +473,11 @@ def interior_ball(r, m, center=(0.0, 0.0, 0.0)):
 def interior_torus(r_major, r_minor, n, seed=0, center=(0.0, 0.0, 0.0)):
     """Seeded uniform rejection sampling in the solid torus."""
     rng = np.random.default_rng(seed)
-    out = []
     R, r = r_major, r_minor
-    while len(out) < n:
-        cand = rng.uniform([-(R + r), -(R + r), -r], [R + r, R + r, r])
-        rho = math.hypot(cand[0], cand[1])
-        if (rho - R) ** 2 + cand[2] ** 2 < r * r:
-            out.append(cand + np.asarray(center))
-    return np.asarray(out)
+
+    def inside(c):
+        return (np.hypot(c[:, 0], c[:, 1]) - R) ** 2 + c[:, 2] ** 2 < r * r
+
+    low, high = [-(R + r), -(R + r), -r], [R + r, R + r, r]
+    cand = _rejection_sample(lambda k: rng.uniform(low, high, size=(k, 3)), inside, n)
+    return cand + np.asarray(center)

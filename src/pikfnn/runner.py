@@ -337,7 +337,6 @@ class ProblemConfig:
     kernels: list = field(default_factory=list)
     geometry: dict = field(default_factory=dict)
     sources: dict = field(default_factory=dict)
-    bc: dict = None
     train: dict = field(default_factory=dict)
     test: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)

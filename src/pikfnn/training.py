@@ -54,6 +54,9 @@ class TrainConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not self.tol > 0:
             raise ConfigurationError("tol must be > 0")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int) \
+                or self.max_iters < 1:
+            raise ConfigurationError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
         if not self.lr > 0:
             raise ConfigurationError("lr must be > 0")
         if self.init not in ("uniform_pm1", "zeros"):

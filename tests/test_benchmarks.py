@@ -2,12 +2,14 @@
 by test_acceptance; these shrink node counts to keep the suite quick)."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from pikfnn.benchmarks import BUILTINS
+from pikfnn.errors import ConfigurationError
 from pikfnn.runner import _config_hash, check_exact_solution, run_benchmark
 from pikfnn.training import TrainConfig
 
@@ -61,6 +63,54 @@ def test_example6_smoke():
     res = run_benchmark("example6", seed=0)
     assert res.metrics.l2 <= 1e-2
     assert check_exact_solution(res.setup) <= 1e-5
+
+
+def test_example6_takes_its_spatial_map_from_the_operator():
+    # the exp map runs like the power map; ln maps the square's x = 0 edge to
+    # -inf, so the log map is refused before any row is built
+    res = run_benchmark("example6", seed=0, selector="exp")
+    assert res.metrics.l2 <= 1e-2
+    assert check_exact_solution(res.setup) <= 1e-5
+    with pytest.raises(ConfigurationError, match="log selector"):
+        BUILTINS["example6"](seed=0, selector="log")
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(b"-" if a is None else np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_builtin_setups_keep_their_bits():
+    # sha256 prefixes of each built-in's set-up at seed 0: (training rows,
+    # sources, test protocol).  The rows are their points, kinds, values,
+    # times, components and the normals of the Neumann rows (the only normals
+    # a row builder reads).  The values of the pre-fitted built-ins (example4,
+    # example5) are left out: the correction passes through LAPACK, so its
+    # bits follow the BLAS thread count
+    expected = {
+        "example1": ("08a406e5baa09c88", "3239db2a5980f4e3", "f8f21c8836882c28"),
+        "example2": ("386f1d109a55684f", "8085da90622ceb9e", "1214265dc464a4bd"),
+        "example3": ("31e254a00a95c9af", "4ec6daf36a108c56", "06e295143d4eacc4"),
+        "example4": ("919ccf5ff891258a", "2bfb5ff89459f1e0", "e7830ed756009e23"),
+        "example5": ("1802e38a51fe6d61", "c44d316db9ec601d", "27ca95c5b1859525"),
+        "example6": ("7628d9b990962174", "ce4fdf9217bb6520", "efb8e118f0f14d09"),
+        "example7": ("554b25da80af6d30", "59e6284d1c3f0b0d", "901227f610580bc4"),
+        "example8-synthetic": ("423b315ee6a64926", "81dd57bdfaec2b4f", "409d5669d7802bc4"),
+        "example9": ("de863735a28d6716", "65f5fd5b019c2357", "c9e169fd7653052a"),
+        "example10": ("e606e1e2ba3913ea", "31204689b159482e", "3f972c409f6b00ff"),
+    }
+    assert set(expected) == set(BUILTINS)
+    for name, digests in expected.items():
+        setup = BUILTINS[name](seed=0)
+        c, src = setup.colloc, setup.sources
+        values = None if setup.pretrained else c.values
+        got = (_digest(c.points, c.kinds, values, c.times, c.components,
+                       c.normals[c.kinds == "N"]),
+               _digest(src.points, src.times),
+               _digest(setup.test_points, setup.test_values, setup.test_times))
+        assert got == digests, name
 
 
 def test_example7_smoke():

@@ -7,7 +7,6 @@ from pikfnn.cli import main
 from pikfnn.geometry import (
     CollocationSet,
     gen_boundary,
-    nodes_points,
     save_nodes,
 )
 
@@ -74,8 +73,7 @@ def test_verify_kernels_no_match(capsys):
 
 def test_run_custom_config(tmp_path):
     # tiny exterior Laplace problem driven entirely by node files
-    boundary = gen_boundary("circle", 60, r=2.0)
-    pts = nodes_points(boundary)
+    pts, _ = gen_boundary("circle", 60, r=2.0)
 
     def exact(p):
         return (p[:, 0] + p[:, 1]) / (p[:, 0] ** 2 + p[:, 1] ** 2)
@@ -131,8 +129,8 @@ def test_config_missing_node_file_exits_2(tmp_path):
 
 
 def test_config_unknown_kernel_exits_2(tmp_path):
-    boundary = gen_boundary("circle", 10, r=1.0)
-    colloc = CollocationSet(nodes_points(boundary), ["D"] * 10, np.zeros(10))
+    boundary, _ = gen_boundary("circle", 10, r=1.0)
+    colloc = CollocationSet(boundary, ["D"] * 10, np.zeros(10))
     save_nodes(tmp_path / "b.txt", colloc)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -147,8 +145,8 @@ def test_config_unknown_kernel_exits_2(tmp_path):
 
 def test_kernel_dim_mismatch_before_compute(tmp_path):
     # mismatched kernel dim is caught at validation (exit 2), not mid-pipeline
-    boundary = gen_boundary("circle", 10, r=1.0)
-    colloc = CollocationSet(nodes_points(boundary), ["D"] * 10, np.zeros(10))
+    boundary, _ = gen_boundary("circle", 10, r=1.0)
+    colloc = CollocationSet(boundary, ["D"] * 10, np.zeros(10))
     save_nodes(tmp_path / "b.txt", colloc)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -169,6 +167,8 @@ def test_kernel_dim_mismatch_before_compute(tmp_path):
     ({"builtin": "example3", "train": {"loss_mode": "boundary_only"}}, "loss_mode", "lambda_down"),
     ({"builtin": "example3", "train": {"lm_marquardt_scaling": True}}, "lm_marquardt_scaling",
      "lambda_down"),
+    # boundary values come from the node files or the built-in, never from a bc section
+    ({"builtin": "example3", "bc": {"value": 0.0}}, "bc", "geometry"),
 ])
 def test_builtin_config_with_unknown_key_exits_2(tmp_path, capsys, config, key, valid):
     cfg = tmp_path / "c.json"
@@ -181,8 +181,8 @@ def test_builtin_config_with_unknown_key_exits_2(tmp_path, capsys, config, key, 
 @pytest.mark.parametrize("train", [{"optimiser": "lm"}, {"loss_mode": "boundary_only"},
                                    {"lm_marquardt_scaling": True}])
 def test_custom_config_with_unknown_train_key_exits_2(tmp_path, capsys, train):
-    boundary = gen_boundary("circle", 10, r=1.0)
-    colloc = CollocationSet(nodes_points(boundary), ["D"] * 10, np.zeros(10))
+    boundary, _ = gen_boundary("circle", 10, r=1.0)
+    colloc = CollocationSet(boundary, ["D"] * 10, np.zeros(10))
     save_nodes(tmp_path / "b.txt", colloc)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -197,3 +197,55 @@ def test_custom_config_with_unknown_train_key_exits_2(tmp_path, capsys, train):
     err = capsys.readouterr().err
     assert "validation error" in err and next(iter(train)) in err
     assert "'optimizer'" in err and "'lambda_down'" in err
+
+
+def test_run_reports_and_overrides_the_config_seed(tmp_path):
+    # summary.json names the seed the problem was built with, and --seed
+    # overrides the config's seed, 0 included
+    runs = []
+
+    def run(config_seed, *flags):
+        cfg = tmp_path / f"c{len(runs)}.json"
+        cfg.write_text(json.dumps({"builtin": "example3", "seed": config_seed,
+                                   "params": {"n_boundary": 40}}))
+        out = tmp_path / f"out{len(runs)}"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet", *flags]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        runs.append((summary["seed"], summary["config_hash"], (out / "loss.csv").read_bytes()))
+        return runs[-1]
+
+    seed3, seed0 = run(3), run(0)
+    assert seed3[0] == 3 and seed0[0] == 0
+    assert seed3[1] != seed0[1] and seed3[2] != seed0[2]
+    assert run(3, "--seed", "0") == seed0
+    assert run(0, "--seed", "3") == seed3
+
+
+@pytest.mark.parametrize("max_iters", [-1, 0, 1.5, True, "10"])
+def test_config_with_bad_max_iters_exits_2(tmp_path, capsys, max_iters):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"builtin": "example3", "train": {"max_iters": max_iters}}))
+    assert main(["run", str(cfg)]) == 2
+    assert "max_iters must be an int >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, row", [
+    ("time=0", "nan,0,D,1.0"),   # coordinate
+    ("time=0", "0,-inf,D,1.0"),
+    ("time=1", "0,0,inf,D,1.0"),  # time
+    ("time=0", "0,0,D,nan"),     # value
+])
+def test_node_file_with_non_finite_cell_exits_2(tmp_path, capsys, header, row):
+    time_cell = "0.5," if header == "time=1" else ""
+    (tmp_path / "b.txt").write_text(f"# dim=2 {header} normals=0 kind_col=1\n"
+                                    f"1,0,{time_cell}D,1.0\n{row}\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "name": "x",
+        "kernels": ["fundamental:laplace:2d"],
+        "geometry": {"node_file": "b.txt"},
+        "sources": {"placement": "scaled_circle", "n": 10, "r": 3.0},
+        "test": {"node_file": "b.txt"},
+    }))
+    assert main(["run", str(cfg)]) == 2
+    assert "line 3: coordinates, time and value must be finite" in capsys.readouterr().err

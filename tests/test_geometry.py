@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from pikfnn.errors import DomainError, NodeFileError
 from pikfnn.geometry import (
     CollocationSet,
-    Node,
     SourceSet,
     gen_boundary,
     gen_sources,
     gen_spacetime_grid,
     interior_torus,
     load_nodes,
-    nodes_normals,
-    nodes_points,
     pairwise_sq_dist,
     save_nodes,
     validate_source_separation,
@@ -24,18 +21,15 @@ from pikfnn.geometry import (
 
 
 def test_circle_four_nodes():
-    nodes = gen_boundary("circle", 4, r=1.0)
-    pts = nodes_points(nodes)
+    pts, nm = gen_boundary("circle", 4, r=1.0)
     expect = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
     assert np.allclose(pts, expect, atol=1e-15)
-    for nd in nodes:
-        assert nd.normal == pytest.approx(nd.x)  # radial normals on the unit circle
+    assert np.array_equal(nm, pts)  # radial normals on the unit circle
 
 
 def test_square_80_nodes_per_edge():
-    nodes = gen_boundary("square", 80, a=-1.0, b=1.0)
-    pts = nodes_points(nodes)
-    assert len(nodes) == 80
+    pts, nm = gen_boundary("square", 80, a=-1.0, b=1.0)
+    assert pts.shape == nm.shape == (80, 2)
     assert np.sum(pts[:, 1] == -1.0) == 20  # bottom
     assert np.sum(pts[:, 0] == 1.0) == 20   # right
     # corner-exclusive
@@ -43,8 +37,7 @@ def test_square_80_nodes_per_edge():
 
 
 def test_sphere_two_nodes_are_poles():
-    nodes = gen_boundary("sphere", 2, r=1.0)
-    pts = nodes_points(nodes)
+    pts, _ = gen_boundary("sphere", 2, r=1.0)
     assert np.allclose(sorted(pts[:, 2]), [-1.0, 1.0], atol=1e-15)
     assert np.allclose(pts[:, :2], 0.0, atol=1e-15)
 
@@ -57,46 +50,40 @@ def test_sphere_two_nodes_are_poles():
      lambda p: np.abs((np.hypot(p[:, 0], p[:, 1]) - 2.0) ** 2 + p[:, 2] ** 2 - 0.25)),
 ])
 def test_implicit_equation_satisfied(shape, params, implicit):
-    nodes = gen_boundary(shape, 97, seed=3, **params)
-    pts = nodes_points(nodes)
+    pts, _ = gen_boundary(shape, 97, seed=3, **params)
     assert np.max(implicit(pts)) <= 1e-12
 
 
 def test_normals_unit_and_analytic():
     for shape, params in [("circle", dict(r=2.0)), ("sphere", dict(r=1.0)),
                           ("torus", dict(r_major=2.0, r_minor=0.5))]:
-        nodes = gen_boundary(shape, 64, **params)
-        nm = nodes_normals(nodes)
+        _, nm = gen_boundary(shape, 64, **params)
         assert np.allclose(np.linalg.norm(nm, axis=1), 1.0, atol=1e-12)
     # circle/sphere normals are radial
-    nodes = gen_boundary("sphere", 50, r=3.0)
-    pts, nm = nodes_points(nodes), nodes_normals(nodes)
+    pts, nm = gen_boundary("sphere", 50, r=3.0)
     assert np.max(np.abs(pts / 3.0 - nm)) <= 1e-10
 
 
 def test_lshape_nodes_on_boundary_with_outward_normals():
-    nodes = gen_boundary("lshape", 62, scale=1.0)
-    assert len(nodes) == 62
-    for nd in nodes:
-        x1, x2 = nd.x
+    pts, nms = gen_boundary("lshape", 62, scale=1.0)
+    assert pts.shape == nms.shape == (62, 2)
+    for (x1, x2), normal in zip(pts, nms):
         on_outer = any(abs(v - e) < 1e-12 for v in (x1, x2) for e in (-1.0, 1.0))
         on_inner = (abs(x1) < 1e-12 and 0 <= x2 <= 1) or (abs(x2) < 1e-12 and 0 <= x1 <= 1)
         assert on_outer or on_inner
         # stepping outward leaves the domain
         eps = 1e-6
-        out = (x1 + eps * nd.normal[0], x2 + eps * nd.normal[1])
+        out = (x1 + eps * normal[0], x2 + eps * normal[1])
         inside = (-1 <= out[0] <= 1 and -1 <= out[1] <= 1
                   and not (out[0] >= 0 and out[1] >= 0))
         assert not inside
 
 
 def test_generation_deterministic():
-    a = nodes_points(gen_boundary("hypersphere4", 40, seed=11))
-    b = nodes_points(gen_boundary("hypersphere4", 40, seed=11))
-    assert np.array_equal(a, b)
-    c = nodes_points(gen_boundary("torus", 33, seed=0))
-    d = nodes_points(gen_boundary("torus", 33, seed=0))
-    assert np.array_equal(c, d)
+    for shape in ("hypersphere4", "torus"):
+        a = gen_boundary(shape, 40, seed=11)
+        b = gen_boundary(shape, 40, seed=11)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_unsupported_shape():
@@ -114,13 +101,13 @@ def test_scaled_circle_sources():
 
 
 def test_inflated_sources():
-    nodes = gen_boundary("hypersphere4", 30, r=1.0, seed=2)
-    src = gen_sources(nodes_points(nodes), "inflated", factor=5.0)
+    pts, _ = gen_boundary("hypersphere4", 30, r=1.0, seed=2)
+    src = gen_sources(pts, "inflated", factor=5.0)
     assert np.allclose(np.linalg.norm(src.points, axis=1), 5.0, atol=1e-10)
 
 
 def test_same_nodes_with_delay():
-    boundary = gen_boundary("circle", 10, r=1.0)
+    boundary, _ = gen_boundary("circle", 10, r=1.0)
     grid = gen_spacetime_grid(boundary, [20.0, 40.0], boundary[:5])
     src = gen_sources(grid, "same_nodes_with_delay", dt=200.0)
     assert np.array_equal(src.points, grid.points)
@@ -130,14 +117,14 @@ def test_same_nodes_with_delay():
 
 
 def test_source_separation_guard():
-    boundary = gen_boundary("circle", 8, r=1.0)
-    colloc = CollocationSet(nodes_points(boundary), ["D"] * 8, np.zeros(8))
-    good = SourceSet(nodes_points(gen_boundary("circle", 8, r=3.0)))
+    boundary, _ = gen_boundary("circle", 8, r=1.0)
+    colloc = CollocationSet(boundary, ["D"] * 8, np.zeros(8))
+    good = SourceSet(gen_boundary("circle", 8, r=3.0)[0])
     validate_source_separation(good, colloc)
-    bad = SourceSet(nodes_points(boundary))
+    bad = SourceSet(boundary)
     with pytest.raises(DomainError):
         validate_source_separation(bad, colloc)
-    enhanced = SourceSet(nodes_points(boundary), enhanced=True)
+    enhanced = SourceSet(boundary, enhanced=True)
     validate_source_separation(enhanced, colloc)  # no raise
 
 
@@ -187,8 +174,8 @@ def test_pairwise_sq_dist_splits_transposes_and_sums_in_order(seed, n, m, dim):
 
 
 def test_spacetime_grid_counts_paper_numbers():
-    boundary = gen_boundary("circle", 998, r=1.0)
-    initial = gen_boundary("circle", 1279, r=0.9)
+    boundary, _ = gen_boundary("circle", 998, r=1.0)
+    initial, _ = gen_boundary("circle", 1279, r=0.9)
     grid = gen_spacetime_grid(boundary, (20, 40, 60, 80, 100), initial)
     assert grid.count("D") == 998 * 5
     assert grid.count("I") == 1279
@@ -196,25 +183,31 @@ def test_spacetime_grid_counts_paper_numbers():
 
 
 def test_spacetime_grid_small_and_values():
-    boundary = [Node((1.0, 0.0), (1.0, 0.0))]
-    initial = [Node((0.5, 0.0))]
-    grid = gen_spacetime_grid(boundary, [1.0], initial,
-                              bc_value=lambda x, t: x[0] + t,
-                              init_value=lambda x: 10.0 * x[0])
-    assert len(grid) == 2
-    assert grid.values[0] == pytest.approx(2.0)
-    assert grid.values[1] == pytest.approx(5.0)
-    assert grid.times[0] == 1.0 and grid.times[1] == 0.0
+    # each callable sees all its rows at once: bc_value once per instant
+    calls = []
+
+    def bc_value(X, t):
+        calls.append((X.shape, t))
+        return X[:, 0] + t
+
+    boundary = [[1.0, 0.0], [2.0, 0.0]]
+    grid = gen_spacetime_grid(boundary, [1.0, 3.0], [[0.5, 0.0]], bc_value=bc_value,
+                              init_value=lambda X: 10.0 * X[:, 0])
+    assert calls == [((2, 2), 1.0), ((2, 2), 3.0)]
+    assert list(grid.kinds) == ["D", "D", "D", "D", "I"]
+    assert np.array_equal(grid.values, [2.0, 3.0, 4.0, 5.0, 5.0])
+    assert np.array_equal(grid.times, [1.0, 1.0, 3.0, 3.0, 0.0])
+    assert np.isnan(grid.normals).all()  # D and I rows read no normal
 
 
 def test_spacetime_grid_count_arithmetic():
-    boundary = gen_boundary("circle", 10, r=1.0)
+    boundary, _ = gen_boundary("circle", 10, r=1.0)
     grid = gen_spacetime_grid(boundary, (20.0, 40.0), [])
     assert grid.count("D") == 20
 
 
 def test_spacetime_grid_rejects_bad_instants():
-    boundary = gen_boundary("circle", 4, r=1.0)
+    boundary, _ = gen_boundary("circle", 4, r=1.0)
     with pytest.raises(DomainError):
         gen_spacetime_grid(boundary, [], [])
     with pytest.raises(DomainError):
@@ -227,10 +220,10 @@ def test_spacetime_grid_rejects_bad_instants():
 # node files
 
 def test_node_file_roundtrip_bit_exact(tmp_path):
-    nodes = gen_boundary("circle", 7, r=math.pi / 3)
-    colloc = CollocationSet(nodes_points(nodes), ["D", "N", "D", "N", "I", "D", "R"],
+    pts, nms = gen_boundary("circle", 7, r=math.pi / 3)
+    colloc = CollocationSet(pts, ["D", "N", "D", "N", "I", "D", "R"],
                             np.linspace(-1, 1, 7) * math.e,
-                            normals=nodes_normals(nodes),
+                            normals=nms,
                             times=np.linspace(0.1, 0.7, 7))
     path = tmp_path / "nodes.txt"
     save_nodes(path, colloc)
@@ -281,10 +274,10 @@ def test_node_file_missing_header(tmp_path):
 
 def test_cauchy_style_file_doubles_rows(tmp_path):
     # over-specified data: same locations carry Dirichlet and Neumann rows
-    nodes = gen_boundary("circle", 5, r=1.0)
-    pts = np.vstack([nodes_points(nodes), nodes_points(nodes)])
+    pts, nms = gen_boundary("circle", 5, r=1.0)
+    pts = np.vstack([pts, pts])
     kinds = ["D"] * 5 + ["N"] * 5
-    normals = np.vstack([nodes_normals(nodes), nodes_normals(nodes)])
+    normals = np.vstack([nms, nms])
     colloc = CollocationSet(pts, kinds, np.arange(10.0), normals=normals)
     path = tmp_path / "cauchy.txt"
     save_nodes(path, colloc)
@@ -298,7 +291,7 @@ def test_cauchy_style_file_doubles_rows(tmp_path):
 
 def test_node_validation():
     with pytest.raises(DomainError):
-        Node((0.0, 0.0), normal=(2.0, 0.0))
+        CollocationSet([[0, 0]], ["N"], [0.0], normals=[[2.0, 0.0]])  # not unit
     with pytest.raises(DomainError):
         CollocationSet([[0, 0]], ["N"], [0.0])  # Neumann without a normal
     with pytest.raises(DomainError):

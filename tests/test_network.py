@@ -18,8 +18,6 @@ from pikfnn.geometry import (
     SourceSet,
     gen_boundary,
     load_nodes,
-    nodes_normals,
-    nodes_points,
     save_nodes,
 )
 from pikfnn.kernels import KernelFamily, eval_elasticity_kernel, eval_kernel, kernel_block
@@ -59,10 +57,10 @@ def test_one_by_one_matrix_value():
 def test_two_family_column_count():
     # nonhomogeneous setups double the hidden layer (two families)
     n = 40
-    boundary = gen_boundary("sphere", n, r=1.0)
-    colloc = CollocationSet(nodes_points(boundary), ["D"] * n, np.zeros(n),
-                            normals=nodes_normals(boundary))
-    sources = SourceSet(nodes_points(gen_boundary("sphere", n, r=3.0)))
+    boundary, normals = gen_boundary("sphere", n, r=1.0)
+    colloc = CollocationSet(boundary, ["D"] * n, np.zeros(n),
+                            normals=normals)
+    sources = SourceSet(gen_boundary("sphere", n, r=3.0)[0])
     fams = [KernelFamily("fundamental", OperatorSpec("modified-helmholtz", 3, k=1.0)),
             KernelFamily("fundamental", OperatorSpec("modified-helmholtz", 3, k=math.sqrt(3)))]
     mtx = assemble(fams, sources, colloc)
@@ -89,9 +87,9 @@ def test_singularity_propagates():
 
 
 def test_assemble_deterministic():
-    boundary = gen_boundary("circle", 16, r=1.0)
-    colloc = CollocationSet(nodes_points(boundary), ["D"] * 16, np.zeros(16))
-    sources = SourceSet(nodes_points(gen_boundary("circle", 16, r=3.0)))
+    boundary, _ = gen_boundary("circle", 16, r=1.0)
+    colloc = CollocationSet(boundary, ["D"] * 16, np.zeros(16))
+    sources = SourceSet(gen_boundary("circle", 16, r=3.0)[0])
     fam = KernelFamily("fundamental-real", OperatorSpec("helmholtz", 2, k=5.0))
     a = assemble([fam], sources, colloc).entries
     b = assemble([fam], sources, colloc).entries
@@ -101,9 +99,9 @@ def test_assemble_deterministic():
 def test_forward_linearity_and_matrix_consistency():
     rng = np.random.default_rng(2)
     n = 12
-    boundary = gen_boundary("circle", n, r=1.0)
-    colloc = CollocationSet(nodes_points(boundary), ["D"] * n, np.zeros(n))
-    sources = SourceSet(nodes_points(gen_boundary("circle", n, r=3.0)))
+    boundary, _ = gen_boundary("circle", n, r=1.0)
+    colloc = CollocationSet(boundary, ["D"] * n, np.zeros(n))
+    sources = SourceSet(gen_boundary("circle", n, r=3.0)[0])
     fam = laplace_family()
     mtx = assemble([fam], sources, colloc)
     model = PikfnnModel([fam], sources, 2, weights=rng.normal(size=n))
@@ -145,7 +143,7 @@ def test_forward_field_satisfies_pde_for_any_weights():
     # the kernels carry the physics: any weight vector solves the PDE
     rng = np.random.default_rng(7)
     n = 20
-    sources = SourceSet(nodes_points(gen_boundary("circle", n, r=3.0)))
+    sources = SourceSet(gen_boundary("circle", n, r=3.0)[0])
     op = OperatorSpec("helmholtz", 2, k=2.0)
     fam = KernelFamily("fundamental-real", op)
     model = PikfnnModel([fam], sources, 2, weights=rng.normal(size=n))
@@ -163,10 +161,10 @@ def test_forward_field_satisfies_pde_for_any_weights():
 
 def test_neumann_rows_use_normal_gradient():
     fam = laplace_family(dim=3)
-    boundary = gen_boundary("sphere", 10, r=1.0)
-    colloc = CollocationSet(nodes_points(boundary), ["N"] * 10, np.zeros(10),
-                            normals=nodes_normals(boundary))
-    sources = SourceSet(nodes_points(gen_boundary("sphere", 10, r=2.5)))
+    boundary, normals = gen_boundary("sphere", 10, r=1.0)
+    colloc = CollocationSet(boundary, ["N"] * 10, np.zeros(10),
+                            normals=normals)
+    sources = SourceSet(gen_boundary("sphere", 10, r=2.5)[0])
     mtx = assemble([fam], sources, colloc)
     # d/dn (1/(4 pi |x-s|)) with radial normal at |x|=1
     i, j = 3, 5
@@ -211,8 +209,8 @@ def test_interior_residual_rows_of_a_time_family_take_the_row_times():
 
 def test_tcomplete_assembly_width():
     fam = KernelFamily("t-complete", OperatorSpec("laplace", 2), tcomplete_max_order=4)
-    boundary = gen_boundary("circle", 12, r=1.0)
-    colloc = CollocationSet(nodes_points(boundary), ["D"] * 12, np.zeros(12))
+    boundary, _ = gen_boundary("circle", 12, r=1.0)
+    colloc = CollocationSet(boundary, ["D"] * 12, np.zeros(12))
     src = SourceSet(np.zeros((0, 2)))
     assert family_width(fam, src) == 9
     mtx = assemble([fam], src, colloc)
@@ -229,8 +227,7 @@ def test_tcomplete_neumann_rows():
                            4: lambda p, n: 2.0 * (p[:, 1] * n[:, 0] + p[:, 0] * n[:, 1])}),
             (3, "sphere", {1: lambda p, n: n[:, 2]})):
         fam = KernelFamily("t-complete", OperatorSpec("laplace", dim), tcomplete_max_order=2)
-        boundary = gen_boundary(shape, 12, r=1.5)
-        pts, nms = nodes_points(boundary), nodes_normals(boundary)
+        pts, nms = gen_boundary(shape, 12, r=1.5)
         colloc = CollocationSet(np.vstack([pts, pts]), ["D"] * 12 + ["N"] * 12,
                                 np.zeros(24), normals=np.vstack([nms, nms]))
         mtx = assemble([fam], SourceSet(np.zeros((0, dim))), colloc)
@@ -380,9 +377,9 @@ def test_complex_split_mode():
     op = OperatorSpec("helmholtz", 2, k=2.0)
     fam = KernelFamily("fundamental", op, complex_split=True)
     n = 16
-    boundary = gen_boundary("circle", n, r=1.0)
-    colloc = CollocationSet(nodes_points(boundary), ["D"] * n, np.zeros(n))
-    sources = SourceSet(nodes_points(gen_boundary("circle", n, r=3.0)))
+    boundary, _ = gen_boundary("circle", n, r=1.0)
+    colloc = CollocationSet(boundary, ["D"] * n, np.zeros(n))
+    sources = SourceSet(gen_boundary("circle", n, r=3.0)[0])
     assert family_width(fam, sources) == 2 * n
     mtx = assemble([fam], sources, colloc)
     assert mtx.shape == (n, 2 * n)
@@ -483,7 +480,7 @@ def test_time_independent_families_have_zero_initial_rate_rows(ident):
 
 def test_model_serialization_roundtrip(tmp_path):
     n = 8
-    sources = SourceSet(nodes_points(gen_boundary("circle", n, r=3.0)))
+    sources = SourceSet(gen_boundary("circle", n, r=3.0)[0])
     fam = KernelFamily("fundamental-real", OperatorSpec("helmholtz", 2, k=math.sqrt(200)))
     rng = np.random.default_rng(0)
     model = PikfnnModel([fam], sources, 2, weights=rng.normal(size=n))
