@@ -7,6 +7,7 @@ I(nitial), R = interior residual (enhanced mode only).
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -296,10 +297,10 @@ def gen_sources(base, placement, n=None, **params):
     (n, dim) point array), same_nodes_with_delay(dt) (base: a space-time
     CollocationSet).
     """
-    if placement == "scaled_circle":
-        return SourceSet(_circle(n, **params)[0])
-    if placement == "scaled_sphere":
-        return SourceSet(_sphere(n, **params)[0])
+    if placement in ("scaled_circle", "scaled_sphere"):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError(f"{placement} placement needs n, an int >= 1, got {n!r}")
+        return SourceSet((_circle if placement == "scaled_circle" else _sphere)(n, **params)[0])
     if placement == "inflated":
         factor = params.get("factor")
         if not factor or factor <= 0:
@@ -409,10 +410,12 @@ def load_nodes(path):
                 t = float(cells[idx])
                 idx += 1
             nm = (math.nan,) * dim
+            given = False   # a normal of empty cells is absent
             if has_normals:
                 raw_nm = cells[idx:idx + dim]
                 idx += dim
-                if any(c.strip() for c in raw_nm):
+                given = any(c.strip() for c in raw_nm)
+                if given:
                     nm = tuple(float(c) for c in raw_nm)
             kind = DIRICHLET
             if has_kind:
@@ -425,9 +428,11 @@ def load_nodes(path):
             raise NodeFileError("coordinates, time and value must be finite", line=ln)
         if kind not in KINDS:
             raise NodeFileError(f"unknown kind {kind!r}", line=ln)
-        if kind == NEUMANN and not all(math.isfinite(v) for v in nm):
+        if kind == NEUMANN and not given:
             raise NodeFileError("Neumann row lacks a normal", line=ln)
-        if all(math.isfinite(v) for v in nm):
+        if given:
+            if not all(map(math.isfinite, nm)):
+                raise NodeFileError("normal must be finite", line=ln)
             length = math.sqrt(sum(v * v for v in nm))
             if abs(length - 1.0) > 1e-10:
                 raise NodeFileError(f"normal has length {length:.3g}, expected 1", line=ln)

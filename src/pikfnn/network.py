@@ -303,23 +303,18 @@ def fit_particular_weights(chain_families, sources, points, f_values,
     max(m, n, 16) eps (lstsq's default cut-off on unit columns; at least
     16 eps, so that on small blocks too it dominates the QR's rounding in an
     exactly dependent direction, about sqrt(m) eps), solved by one
-    Householder QR of [[B D^-1, f], [a I, 0]] (Bjorck 1996).  Each chain block
-    is written into that matrix and scaled there.  Not the normal equations:
-    B^T B loses the singular values below sqrt(eps) sigma_max, and the
-    example5 smoke problem then misses its gate.  Returns (q, fit rms,
-    amplification max_j |q_j| D_j / |f|); an amplification >> 1 means the fit
-    cancels huge column terms (dependent columns with f outside the range of
-    B), which the fit rms does not show.  Raises ConditioningError naming the
-    first non-finite row of B or f.
+    Householder QR of [[B D^-1, f], [a I, 0]] (Bjorck 1996).  B is written
+    into that matrix over row blocks (_prefit_matrix) and scaled there.  Not
+    the normal equations: B^T B loses the singular values below
+    sqrt(eps) sigma_max, and the example5 smoke problem then misses its gate.
+    Returns (q, fit rms, amplification max_j |q_j| D_j / |f|); an
+    amplification >> 1 means the fit cancels huge column terms (dependent
+    columns with f outside the range of B), which the fit rms does not show.
+    Raises ConditioningError naming the first non-finite row of B or f.
     """
-    blocks = [np.real(kn.governing_applied_block(fam, governing, points, sources.points,
-                                                 times, sources.times))
-              for fam in chain_families]
-    m, n = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
-    M = np.zeros((m + n, n + 1))
-    np.concatenate(blocks, axis=1, out=M[:m, :n])
-    del blocks  # freed before the QR copies M
-    M[:m, n] = f_values
+    M = _prefit_matrix(chain_families, sources, points, f_values, governing, times)
+    n = M.shape[1] - 1
+    m = M.shape[0] - n
     bad = np.flatnonzero(~np.isfinite(M[:m]).all(axis=1))
     if bad.size:
         raise ConditioningError(f"pre-fit row {bad[0]} has a non-finite entry or source value")
@@ -333,6 +328,24 @@ def fit_particular_weights(chain_families, sources, points, f_values,
     q = y / D
     amplification = np.max(np.abs(q) * D) / max(np.linalg.norm(f), np.finfo(float).tiny)
     return q, float(np.sqrt(np.mean((B @ y - f) ** 2))), float(amplification)
+
+
+def _prefit_matrix(chain_families, sources, points, f_values, governing, times):
+    """The stacked pre-fit matrix [[B, f], [0, 0]], (m + n) x (n + 1): B the
+    chain families' governing-operator columns, filled as assembly fills
+    interior-residual rows (row block by row block, real parts), f the
+    source values; the lower n rows are left for the Tikhonov term."""
+    rows = CollocationSet(points, [geo.INTERIOR_RESIDUAL] * len(f_values), f_values,
+                          times=times)
+    widths = [family_width(f, sources) for f in chain_families]
+    m, n = len(rows), sum(widths)
+    M = np.zeros((m + n, n + 1))
+    start = 0
+    for fam, width in zip(chain_families, widths):
+        _fill_family_block(M[:m, start:start + width], fam, sources, rows, governing)
+        start += width
+    M[:m, n] = f_values
+    return M
 
 
 def _solve_upper(R, c):

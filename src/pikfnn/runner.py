@@ -39,7 +39,7 @@ from .network import (
 )
 from .operators import OperatorSpec, steady_operator_fd_block, time_operator_fd_block
 from .registry import list_kernel_ids, parse_kernel_id
-from .training import TrainConfig, train_adam, train_lm, write_loss_csv
+from .training import ScaledProblem, TrainConfig, train_problem, write_loss_csv
 
 log = logging.getLogger(__name__)
 
@@ -64,14 +64,8 @@ def run_benchmark(problem, seed=0, out_dir=None, train=None, **params):
     else:
         setup = problem
 
-    matrix = assemble(setup.families, setup.sources, setup.colloc,
-                      governing=setup.operator)
-    targets = setup.colloc.values
-    if setup.row_weights:
-        matrix, targets = apply_row_weights(matrix, targets, setup.row_weights)
     model = PikfnnModel(setup.families, setup.sources, setup.colloc.dim)
-    trainer = train_adam if setup.train.optimizer == "adam" else train_lm
-    report = trainer(model, matrix, targets, setup.train)
+    report = train_problem(model, _training_problem(setup), setup.train)
     if setup.pretrained:
         # append the source-fitted annihilator families (fixed weights)
         fams = list(setup.families) + [f for f, _ in setup.pretrained]
@@ -105,6 +99,17 @@ def run_benchmark(problem, seed=0, out_dir=None, train=None, **params):
     if out_dir:
         _write_outputs(result, seed)
     return result
+
+
+def _training_problem(setup):
+    """The scaled least-squares problem of the setup's rows.  The unscaled
+    design matrix lives only in this frame, so training runs without it."""
+    matrix = assemble(setup.families, setup.sources, setup.colloc,
+                      governing=setup.operator)
+    targets = setup.colloc.values
+    if setup.row_weights:
+        matrix, targets = apply_row_weights(matrix, targets, setup.row_weights)
+    return ScaledProblem(matrix, targets)
 
 
 def _config_hash(setup, seed):
@@ -369,12 +374,20 @@ def _require_known(what, keys, valid):
         raise ConfigurationError(f"unknown {what} {unknown}; valid: {sorted(valid)}")
 
 
+def _check_train(seed, train):
+    """Raise ConfigurationError on an unknown train field, or on a bad value
+    of one or of the seed, before any set-up runs."""
+    _require_known("train fields", train, TrainConfig.__dataclass_fields__)
+    TrainConfig(**train)
+    TrainConfig(seed=seed)
+
+
 def _builtin_setup(name, seed, train, params):
     """The built-in's ProblemSetup; an unknown name, train field or
     parameter raises ConfigurationError naming the valid ones."""
     if name not in BUILTINS:
         raise ConfigurationError(f"unknown builtin {name!r}; available: {sorted(BUILTINS)}")
-    _require_known("train fields", train or {}, TrainConfig.__dataclass_fields__)
+    _check_train(seed, train or {})
     _require_known(f"params of {name}", params,
                    set(inspect.signature(BUILTINS[name]).parameters) - {"seed", "train"})
     return BUILTINS[name](seed=seed, train=train, **params)
@@ -387,7 +400,7 @@ def setup_from_config(cfg):
 
     if not cfg.kernels:
         raise ConfigurationError("custom config needs a kernels list")
-    _require_known("train fields", cfg.train, TrainConfig.__dataclass_fields__)
+    _check_train(cfg.seed, cfg.train)
     families = [parse_kernel_id(ident) for ident in cfg.kernels]
     if cfg.operator:
         op = OperatorSpec(**cfg.operator)

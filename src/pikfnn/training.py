@@ -20,6 +20,7 @@ seed/config, and record one log row per iteration for the loss-history CSV
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -52,6 +53,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "lm"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("tol", "lr", "lambda_down", "loss_goal"):
+            value = getattr(self, name)
+            if name == "loss_goal" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if not self.tol > 0:
             raise ConfigurationError("tol must be > 0")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int) \
@@ -59,6 +67,11 @@ class TrainConfig:
             raise ConfigurationError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
         if not self.lr > 0:
             raise ConfigurationError("lr must be > 0")
+        if not 0 < self.lambda_down <= 1:
+            raise ConfigurationError(f"lambda_down must be in (0, 1], got {self.lambda_down!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or self.seed < 0:
+            raise ConfigurationError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.init not in ("uniform_pm1", "zeros"):
             raise ConfigurationError(f"unknown init {self.init!r}")
 
@@ -106,7 +119,7 @@ def _groups(matrix):
     return groups
 
 
-class _ScaledProblem:
+class ScaledProblem:
     """min |J p - y|^2, the loss with each group's 1/N_g folded into its rows;
     gradient 2 (A p - b), A = J^T J and b = J^T y formed on first use.  Raises
     ConditioningError naming the first row of J or y that is not finite."""
@@ -136,12 +149,12 @@ class _ScaledProblem:
 
 def loss(model, matrix, targets):
     """Sum over groups of mean squared residuals (Eqs.-17/18/41 style)."""
-    return _ScaledProblem(matrix, targets).loss_of(model.weights)
+    return ScaledProblem(matrix, targets).loss_of(model.weights)
 
 
 def grad_loss(model, matrix, targets):
     """exact gradient: sum_g (2/N_g) Phi_g^T (Phi_g p - g_g)."""
-    prob = _ScaledProblem(matrix, targets)
+    prob = ScaledProblem(matrix, targets)
     return 2.0 * (prob.J.T @ (prob.J @ model.weights - prob.y))
 
 
@@ -155,17 +168,30 @@ class _Damping:
     is the rank at that resolution: the number of singular values above
     sqrt(n eps) times the largest.  The condition number sqrt(s_max / s_min)
     is resolved only at full rank; below it cond_estimate is None.
+
+    A must be exactly symmetric, as J.T @ J is (numpy forms it with the
+    symmetric rank-k product).  The scaled matrix is built in A's own lower
+    triangle, the only part eigh reads, while the upper triangle keeps A;
+    A is then restored bit for bit, so no third n x n array is held.
     """
 
     def __init__(self, A):
         if not np.isfinite(A).all():
             raise ConditioningError("J^T J overflows the double range")
-        d = np.diag(A)
-        d = np.maximum(d, 1e-14 * max(float(np.max(d)), 1e-300))
-        self.root = 1.0 / np.sqrt(d)  # diagonal of D^{-1/2}
-        scaled = self.root[:, None] * A  # one n x n buffer, scaled in place
-        scaled *= self.root
-        s, self.V = np.linalg.eigh(scaled)
+        diag = A.diagonal().copy()
+        d = np.maximum(diag, 1e-14 * max(float(np.max(diag)), 1e-300))
+        root = self.root = 1.0 / np.sqrt(d)  # diagonal of D^{-1/2}
+        n = len(d)
+        try:
+            for i in range(n):
+                row = A[i, :i + 1]
+                row *= root[i]    # (root_i A_ij) root_j, row by row
+                row *= root[:i + 1]
+            s, self.V = np.linalg.eigh(A, UPLO="L")
+        finally:
+            for i in range(n):
+                A[i, :i] = A[:i, i]
+            np.fill_diagonal(A, diag)
         self.s = np.maximum(s, 0.0)   # ascending
         eps = np.finfo(float).eps
         # s is accurate to eps s_max; a smaller lambda would let the roundoff in
@@ -203,7 +229,10 @@ def train_adam(model, matrix, targets, config):
     bias corrections folded into the step size) was seen to drift 1e-10 of
     max |p| from the textbook weights within 300 iterations.
     """
-    prob = _ScaledProblem(matrix, targets)
+    return _adam(model, ScaledProblem(matrix, targets), config)
+
+
+def _adam(model, prob, config):
     J, y = prob.J, prob.y
     JT = J.T
     n = J.shape[1]
@@ -268,7 +297,10 @@ def train_lm(model, matrix, targets, config):
     across accepted iterations (max_iters as the safety net); see module
     docstring for the damped step.
     """
-    prob = _ScaledProblem(matrix, targets)
+    return _lm(model, ScaledProblem(matrix, targets), config)
+
+
+def _lm(model, prob, config):
     p = init_weights(prob.J.shape[1], config)
     t0 = time.perf_counter()
     damping = _Damping(prob.A)
@@ -307,6 +339,13 @@ def train_lm(model, matrix, targets, config):
     model.weights = p
     return TrainReport(it, stop, time.perf_counter() - t0, log,
                        damping.cond_estimate, damping.effective_rank)
+
+
+def train_problem(model, prob, config):
+    """Train model.weights on a ScaledProblem with config.optimizer; the same
+    run as train_adam or train_lm on the matrix prob was built from, for a
+    caller that need not keep that matrix while training runs."""
+    return (_adam if config.optimizer == "adam" else _lm)(model, prob, config)
 
 
 def write_loss_csv(path, report):

@@ -1,8 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from pikfnn import runner
+from pikfnn.benchmarks import BUILTINS
 from pikfnn.cli import main
 from pikfnn.geometry import (
     CollocationSet,
@@ -249,3 +252,66 @@ def test_node_file_with_non_finite_cell_exits_2(tmp_path, capsys, header, row):
     }))
     assert main(["run", str(cfg)]) == 2
     assert "line 3: coordinates, time and value must be finite" in capsys.readouterr().err
+
+
+def _custom_config(tmp_path, **fields):
+    """A custom config on a 10-node circle, with the given fields replaced."""
+    boundary, _ = gen_boundary("circle", 10, r=1.0)
+    save_nodes(tmp_path / "b.txt", CollocationSet(boundary, ["D"] * 10, np.zeros(10)))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "name": "x",
+        "kernels": ["fundamental:laplace:2d"],
+        "geometry": {"node_file": "b.txt"},
+        "sources": {"placement": "scaled_circle", "n": 10, "r": 3.0},
+        "test": {"node_file": "b.txt"},
+        **fields,
+    }))
+    return cfg
+
+
+_BAD_TRAIN = [
+    ({"seed": "a"}, "seed must be an int >= 0"),
+    ({"seed": True}, "seed must be an int >= 0"),
+    ({"seed": 1.5}, "seed must be an int >= 0"),
+    ({"seed": -1}, "seed must be an int >= 0"),
+    ({"train": {"seed": "a"}}, "seed must be an int >= 0"),
+    ({"train": {"tol": "1e-8"}}, "tol must be a finite number"),
+    ({"train": {"tol": float("nan")}}, "tol must be a finite number"),
+    ({"train": {"lr": None}}, "lr must be a finite number"),
+    ({"train": {"lr": float("inf")}}, "lr must be a finite number"),
+    ({"train": {"lambda_down": "x"}}, "lambda_down must be a finite number"),
+    ({"train": {"lambda_down": 0}}, "lambda_down must be in (0, 1]"),
+    ({"train": {"lambda_down": 1.5}}, "lambda_down must be in (0, 1]"),
+    ({"train": {"loss_goal": "x"}}, "loss_goal must be a finite number"),
+    ({"train": {"loss_goal": float("-inf")}}, "loss_goal must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("fields, message", _BAD_TRAIN)
+def test_builtin_config_with_bad_train_value_exits_2_before_set_up(tmp_path, capsys,
+                                                                    fields, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"builtin": "example3", **fields}))
+    built = mock.create_autospec(BUILTINS["example3"])
+    with mock.patch.dict(BUILTINS, {"example3": built}):
+        assert main(["run", str(cfg)]) == 2
+    assert not built.called
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, message", _BAD_TRAIN)
+def test_custom_config_with_bad_train_value_exits_2_before_set_up(tmp_path, capsys,
+                                                                   fields, message):
+    cfg = _custom_config(tmp_path, **fields)
+    with mock.patch.object(runner, "load_nodes") as load:
+        assert main(["run", str(cfg)]) == 2
+    assert not load.called
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [None, 0, "10"])
+def test_custom_config_scaled_circle_without_n_exits_2(tmp_path, capsys, n):
+    sources = {"placement": "scaled_circle", "r": 3.0} | ({} if n is None else {"n": n})
+    assert main(["run", str(_custom_config(tmp_path, sources=sources))]) == 2
+    assert "scaled_circle placement needs n" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -98,6 +100,13 @@ def test_scaled_circle_sources():
     src = gen_sources(None, "scaled_circle", n=400, r=3.0)
     assert len(src) == 400
     assert np.allclose(np.linalg.norm(src.points, axis=1), 3.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("placement", ["scaled_circle", "scaled_sphere"])
+@pytest.mark.parametrize("n", [None, 0, 2.5, True, "10"])
+def test_scaled_placements_need_n(placement, n):
+    with pytest.raises(DomainError, match=f"{placement} placement needs n"):
+        gen_sources(None, placement, n=n, r=3.0)
 
 
 def test_inflated_sources():
@@ -253,6 +262,66 @@ def test_node_file_zero_normal_rejected(tmp_path):
                     "0,0,0,0,N,1.0\n")
     with pytest.raises(NodeFileError):
         load_nodes(path)
+
+
+@pytest.mark.parametrize("normal", ["inf,0", "0,-inf", "nan,nan", "nan,1"])
+@pytest.mark.parametrize("kind", ["D", "I", "N"])
+def test_node_file_rejects_a_non_finite_normal_on_any_row(tmp_path, normal, kind):
+    path = tmp_path / "bad.txt"
+    path.write_text("# dim=2 time=0 normals=1 kind_col=1\n"
+                    "0,1,0,1,D,1.0\n"
+                    f"1,0,{normal},{kind},1.0\n")
+    with pytest.raises(NodeFileError, match="normal must be finite") as err:
+        load_nodes(path)
+    assert err.value.line == 3
+
+
+# cells a node file may hold: numbers, blanks and non-finite or malformed ones
+_CELLS = st.sampled_from(["0", "1", "-1", "0.6", "-0.8", "2.5e-3", "", " ", "inf", "-inf",
+                          "nan", "x"])
+
+
+def _normal_cells(dim):
+    # absent, unit, or anything; the unit ones keep many draws loadable
+    unit = ["0.6", "0.8"] + ["0"] * (dim - 2) if dim > 1 else ["-1"]
+    return st.one_of(st.just([""] * dim), st.just(unit),
+                     st.lists(_CELLS, min_size=dim, max_size=dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), has_time=st.booleans(),
+       has_normals=st.booleans(), has_kind=st.booleans())
+def test_every_node_file_that_loads_survives_a_save_and_reload(data, dim, has_time,
+                                                               has_normals, has_kind):
+    number = st.one_of(st.sampled_from(["0", "1", "-0.5", "3.25"]), _CELLS)
+    lines = [f"# dim={dim} time={int(has_time)} normals={int(has_normals)} "
+             f"kind_col={int(has_kind)}"]
+    for _ in range(data.draw(st.integers(1, 4))):
+        cells = data.draw(st.lists(number, min_size=dim, max_size=dim))
+        if has_time:
+            cells.append(data.draw(number))
+        if has_normals:
+            cells += data.draw(_normal_cells(dim))
+        if has_kind:
+            cells.append(data.draw(st.sampled_from(["D", "N", "I", "R", "X"])))
+        cells.append(data.draw(number))
+        lines.append(",".join(cells))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, saved = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        try:
+            colloc = load_nodes(path)
+        except (NodeFileError, DomainError):
+            return
+        save_nodes(saved, colloc)
+        back = load_nodes(saved)
+    assert np.array_equal(back.points, colloc.points)
+    assert np.array_equal(back.values, colloc.values)
+    assert np.array_equal(back.normals, colloc.normals, equal_nan=True)
+    assert (back.times is None) == (colloc.times is None)
+    assert colloc.times is None or np.array_equal(back.times, colloc.times)
+    assert list(back.kinds) == list(colloc.kinds)
 
 
 def test_node_file_parse_error_reports_line(tmp_path):

@@ -3,6 +3,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pikfnn import geometry, kernels, network
+from pikfnn.benchmarks import BUILTINS
 from pikfnn.errors import ConditioningError, ConfigurationError, SingularityError
 from pikfnn.geometry import (
     CollocationSet,
@@ -659,11 +661,19 @@ EPS = np.finfo(float).eps
 
 
 def _prefit(f, *blocks):
-    """fit_particular_weights with one chain family per given block B_i."""
-    it = iter(blocks)
-    with mock.patch.object(kernels, "governing_applied_block", lambda *args: next(it)):
-        return fit_particular_weights([None] * len(blocks), SourceSet([[0.0, 0.0]]),
-                                      None, f, None)
+    """fit_particular_weights with one chain family per given block B_i.  Row
+    i sits at x = (i, 0), and the mocked governing block of family i returns
+    the rows of B_i it is asked for."""
+    families = [types.SimpleNamespace(kind="chain", complex_split=False, block=B)
+                for B in blocks]
+    points = np.column_stack([np.arange(len(f)), np.zeros(len(f))])
+
+    def governing_block(family, governing, X, S, T, TAU):
+        return family.block[X[:, 0].astype(int)]
+
+    with mock.patch.object(network, "governing_applied_block", governing_block), \
+            mock.patch.object(network, "family_width", lambda fam, _: fam.block.shape[1]):
+        return fit_particular_weights(families, SourceSet([[0.0, 0.0]]), points, f, None)
 
 
 def _matrix(seed, m, n, log_cond):
@@ -795,3 +805,60 @@ def test_prefit_allocates_at_most_three_stacked_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * (300 + 400) * 401 * 8
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def prefit_args():
+    """The fit_particular_weights arguments of example4 and example5 at seed
+    0, captured as the built-ins make the call."""
+    args = {}
+    for name in ("example4", "example5"):
+        def capture(*call, name=name):
+            args[name] = call
+            raise _Captured
+
+        with mock.patch.object(network, "fit_particular_weights", capture), \
+                pytest.raises(_Captured):
+            BUILTINS[name](seed=0)
+    return args
+
+
+@pytest.mark.parametrize("name", ["example4", "example5"])
+def test_prefit_chain_columns_equal_the_whole_governing_block(prefit_args, name):
+    # written over row blocks, each chain family's columns of the stacked
+    # matrix are governing_applied_block on all rows at once, bit for bit
+    chain, sources, points, f, governing, times = prefit_args[name]
+    M = network._prefit_matrix(chain, sources, points, f, governing, times)
+    start = 0
+    for fam in chain:
+        whole = np.real(kernels.governing_applied_block(fam, governing, points, sources.points,
+                                                        times, sources.times))
+        assert np.array_equal(M[:len(f), start:start + whole.shape[1]], whole)
+        start += whole.shape[1]
+    assert start == M.shape[1] - 1
+    assert np.array_equal(M[:len(f), -1], f) and not M[len(f):].any()
+
+
+@pytest.mark.parametrize("name", ["example4", "example5"])
+def test_prefit_writes_the_chain_in_row_blocks(prefit_args, name):
+    # until the QR, the pre-fit holds the stacked matrix and row-block
+    # temporaries only: at most 12 blocks of 2^16 entries beyond the matrix
+    # (full-size chain blocks took 17 on example4 and 56 on example5)
+    peaks = []
+
+    def qr(M, mode):
+        peaks.append(tracemalloc.get_traced_memory()[1] - base - M.nbytes)
+        raise _Captured
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with mock.patch.object(np.linalg, "qr", qr), pytest.raises(_Captured):
+            fit_particular_weights(*prefit_args[name])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 12 * geometry._BLOCK_ENTRIES * 8

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pikfnn import runner
+from pikfnn.benchmarks import BUILTINS
 from pikfnn.errors import ConditioningError, ConfigurationError, DivergenceError
 from pikfnn.geometry import SourceSet
 from pikfnn.kernels import KernelFamily
-from pikfnn.network import DesignMatrix, PikfnnModel
+from pikfnn.network import DesignMatrix, PikfnnModel, family_width
 from pikfnn.operators import OperatorSpec
 from pikfnn.training import (
     TrainConfig,
@@ -20,6 +24,7 @@ from pikfnn.training import (
     train_lm,
     write_loss_csv,
 )
+from pikfnn.runner import run_benchmark
 
 
 def toy_model(width):
@@ -443,3 +448,99 @@ def test_config_validation():
         TrainConfig(tol=0.0)
     with pytest.raises(ConfigurationError):
         TrainConfig(init="gaussian")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tol", "1e-8"), ("tol", math.nan), ("tol", True), ("lr", None), ("lr", math.inf),
+    ("lambda_down", "x"), ("lambda_down", 0.0), ("lambda_down", 1.5),
+    ("loss_goal", "x"), ("loss_goal", math.nan), ("loss_goal", -math.inf),
+    ("seed", "a"), ("seed", False), ("seed", 2.0), ("seed", -1)])
+def test_config_names_a_malformed_field(name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must"):
+        TrainConfig(**{name: value})
+
+
+def test_config_accepts_the_ends_of_its_ranges():
+    cfg = TrainConfig(tol=1, lr=np.float32(0.5), lambda_down=1.0, loss_goal=0.0,
+                      seed=np.int64(3))
+    assert (cfg.lambda_down, cfg.loss_goal, cfg.seed) == (1.0, 0.0, 3)
+
+
+# ---------------------------------------------------------------------------
+# memory of the LM eigendecomposition
+
+def _scaled_eigh(A):
+    """(s, V) as _Damping takes them, from eigh of a separately scaled copy:
+    root_i A_ij root_j in a full n x n array."""
+    d = np.diag(A)
+    d = np.maximum(d, 1e-14 * max(float(np.max(d)), 1e-300))
+    root = 1.0 / np.sqrt(d)
+    scaled = root[:, None] * A
+    scaled *= root
+    s, V = np.linalg.eigh(scaled)
+    return np.maximum(s, 0.0), V
+
+
+def _check_damping_in_place(J):
+    # _Damping works in A's buffer: afterwards A is J^T J again, bit for bit,
+    # and the spectrum is that of the separately scaled copy, bit for bit
+    A = J.T @ J
+    s, V = _scaled_eigh(A)
+    damping = _Damping(A)
+    assert np.array_equal(A, J.T @ J)
+    assert np.array_equal(damping.s, s)
+    assert np.array_equal(damping.V, V)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), extra=st.integers(0, 20),
+       repeat=st.booleans())
+def test_damping_restores_A_on_random_instances(seed, m, extra, repeat):
+    rng = np.random.default_rng(seed)
+    J = rng.normal(size=(m + extra, m)) * 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+    if repeat:
+        J[:, -1] = J[:, 0]   # a zero eigenvalue
+    _check_damping_in_place(J)
+
+
+@pytest.mark.parametrize("name", ["example3", "example6", "example8-synthetic"])
+def test_damping_restores_A_on_builtins(name):
+    _check_damping_in_place(runner._training_problem(BUILTINS[name](seed=0)).J)
+
+
+def test_damping_restores_A_when_eigh_fails():
+    J = np.random.default_rng(5).normal(size=(12, 6))
+    A = J.T @ J
+
+    def fail(a, UPLO):
+        raise np.linalg.LinAlgError("no convergence")
+
+    with mock.patch.object(np.linalg, "eigh", fail), pytest.raises(np.linalg.LinAlgError):
+        _Damping(A)
+    assert np.array_equal(A, J.T @ J)
+
+
+@pytest.mark.parametrize("name", ["example3", "example10"])
+def test_run_holds_only_J_and_A_at_the_eigendecomposition(name):
+    # the unscaled design matrix (and example10's row-weighted copy of it) is
+    # gone before training, and the scaled matrix lives in A's buffer: at the
+    # call into eigh the run holds J, A and arrays far below a design size
+    setup = BUILTINS[name](seed=0)
+    width = sum(family_width(f, setup.sources) for f in setup.families)
+    design = len(setup.colloc) * width * 8
+    np.random.default_rng(0)   # numpy.random's first import is not the run's memory
+    real_eigh, held = np.linalg.eigh, []
+
+    def eigh(a, *args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return real_eigh(a, *args, **kwargs)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with mock.patch.object(np.linalg, "eigh", eigh):
+            run_benchmark(setup)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1
+    assert held[0] <= design + width * width * 8 + 0.2 * design
