@@ -44,7 +44,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute one problem from a JSON config")
-    run.add_argument("config", help="JSON config mirroring ProblemConfig fields")
+    run.add_argument("config", help="JSON problem config (see the README)")
     _common_flags(run)
 
     bench = sub.add_parser("bench", help="run built-in benchmarks")
@@ -74,17 +74,6 @@ def _common_flags(cmd):
     cmd.add_argument("--quiet", action="store_true")
 
 
-def _run_one(setup_or_name, args, seed, subdir=None):
-    train = {"tol": args.tol} if args.tol is not None else None
-    out = args.out
-    if out and subdir:
-        out = os.path.join(out, subdir)
-    result = run_benchmark(setup_or_name, seed=seed, out_dir=out, train=train)
-    if out:
-        log.info("outputs written to %s", out)
-    return result
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     # a handler on the current stderr for this command only
@@ -101,20 +90,21 @@ def main(argv=None):
 
 def _dispatch(args):
     try:
-        if args.command == "run":
-            cfg = load_problem_config(args.config)
-            if args.seed is not None:
-                cfg.seed = args.seed
-            if args.tol is not None:
-                cfg.train["tol"] = args.tol
-            setup = setup_from_config(cfg)
-            _run_one(setup, args, cfg.seed)
-            return EXIT_OK
-        if args.command == "bench":
-            names = sorted(BUILTINS) if args.name == "all" else [args.name]
-            seed = 0 if args.seed is None else args.seed
-            for name in names:
-                _run_one(name, args, seed, subdir=name if len(names) > 1 else None)
+        if args.command in ("run", "bench"):
+            if args.command == "run":
+                docs = [(None, load_problem_config(args.config))]
+            else:  # one output subdirectory per built-in under bench all
+                names = sorted(BUILTINS) if args.name == "all" else [args.name]
+                docs = [(name if len(names) > 1 else None, {"builtin": name}) for name in names]
+            for subdir, doc in docs:
+                if args.seed is not None:
+                    doc["seed"] = args.seed
+                if args.tol is not None:
+                    doc["train"] = {**doc.get("train", {}), "tol": args.tol}
+                out = os.path.join(args.out, subdir) if args.out and subdir else args.out
+                run_benchmark(setup_from_config(doc), seed=doc.get("seed", 0), out_dir=out)
+                if out:
+                    log.info("outputs written to %s", out)
             return EXIT_OK
         if args.command == "verify-kernels":
             rows, ok = verify_kernels(pattern=args.filter, n_points=args.points,

@@ -289,29 +289,26 @@ def _rejection_sample(draw, accept, n):
 # ---------------------------------------------------------------------------
 # source placement
 
-def gen_sources(base, placement, n=None, **params):
-    """SourceSet on a fictitious boundary.
-
-    placements: scaled_circle(r, center), scaled_sphere(r, center) (the
-    points of n nodes on that boundary), inflated(factor, center) (base: an
-    (n, dim) point array), same_nodes_with_delay(dt) (base: a space-time
-    CollocationSet).
-    """
+def gen_sources(base, placement: str, n: int = None, r: float = 1.0, center: tuple = None,
+                factor: float = None, dt: float = None):
+    """SourceSet on a fictitious boundary: scaled_circle or scaled_sphere (n
+    nodes of radius r about center), inflated (the (n, dim) points base
+    scaled by factor about center) or same_nodes_with_delay (the nodes of
+    the space-time CollocationSet base, dt in the past).  The annotations
+    are the JSON types of a config's sources section."""
     if placement in ("scaled_circle", "scaled_sphere"):
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise DomainError(f"{placement} placement needs n, an int >= 1, got {n!r}")
-        return SourceSet((_circle if placement == "scaled_circle" else _sphere)(n, **params)[0])
+        shape = _circle if placement == "scaled_circle" else _sphere
+        return SourceSet(shape(n, r, **({} if center is None else {"center": center}))[0])
     if placement == "inflated":
-        factor = params.get("factor")
         if not factor or factor <= 0:
             raise DomainError("inflated placement needs factor > 0")
         pts = np.asarray(base, dtype=float)
-        center = np.asarray(params["center"], dtype=float) if "center" in params \
-            else np.zeros(pts.shape[-1])
+        center = np.zeros(pts.shape[-1]) if center is None else np.asarray(center, dtype=float)
         return SourceSet(center + factor * (pts - center))
     if placement == "same_nodes_with_delay":
-        dt = params.get("dt", 0.0)
-        if dt <= 0:
+        if not dt or dt <= 0:
             raise DomainError("same_nodes_with_delay needs dt > 0")
         if not isinstance(base, CollocationSet) or base.times is None:
             raise DomainError("same_nodes_with_delay needs a space-time CollocationSet")

@@ -14,7 +14,7 @@ the block it falls in.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,11 +49,10 @@ def family_width(family, sources):
 
 @dataclass
 class DesignMatrix:
-    """Dense training matrix plus per-row kind tags and column layout."""
+    """Dense training matrix plus per-row kind tags."""
 
     entries: np.ndarray
     row_kinds: np.ndarray
-    col_slices: tuple = field(default=())
 
     @property
     def shape(self):
@@ -94,7 +93,7 @@ class PikfnnModel:
                 f"weight length {len(self.weights)} != neuron count {self.width}")
 
 
-def assemble(families, sources, colloc, governing=None, check_finite=True):
+def assemble(families, sources, colloc, governing=None):
     """Design matrix: rows = collocation rows, columns = hidden neurons.
 
     Dirichlet rows take kernel values, Neumann rows normal-dot-gradients,
@@ -119,22 +118,17 @@ def assemble(families, sources, colloc, governing=None, check_finite=True):
     n = len(colloc)
     widths = [family_width(f, sources) for f in families]
     entries = np.zeros((n, sum(widths)))
-    col_slices = []
-    start = 0
-    for fam, width in zip(families, widths):
-        sl = slice(start, start + width)
-        col_slices.append(sl)
-        _fill_family_block(entries[:, sl], fam, sources, colloc, governing)
-        start += width
+    offsets = np.cumsum([0] + widths)
+    for fam, start, stop in zip(families, offsets[:-1], offsets[1:]):
+        _fill_family_block(entries[:, start:stop], fam, sources, colloc, governing)
 
-    if check_finite:  # block by block, in row order: the first bad entry is named
-        for rows in geo.row_blocks(np.arange(n), entries.shape[1]):
-            bad = np.argwhere(~np.isfinite(entries[rows]))
-            if len(bad):
-                raise SingularityError(f"non-finite design-matrix entry at row "
-                                       f"{rows[bad[0, 0]]}, column {bad[0, 1]}")
-    return DesignMatrix(entries=entries, row_kinds=colloc.kinds.copy(),
-                        col_slices=tuple(col_slices))
+    # block by block, in row order: the first bad entry is named
+    for rows in geo.row_blocks(np.arange(n), entries.shape[1]):
+        bad = np.argwhere(~np.isfinite(entries[rows]))
+        if len(bad):
+            raise SingularityError(f"non-finite design-matrix entry at row "
+                                   f"{rows[bad[0, 0]]}, column {bad[0, 1]}")
+    return DesignMatrix(entries=entries, row_kinds=colloc.kinds.copy())
 
 
 _INITIAL_RATE = "dt"  # the row group of initial rows tagged component 1
@@ -362,8 +356,7 @@ def apply_row_weights(matrix, targets, weight_by_kind):
     scale = np.ones(matrix.entries.shape[0])
     for kind, w in weight_by_kind.items():
         scale[matrix.row_kinds == kind] = w
-    scaled = DesignMatrix(entries=matrix.entries * scale[:, None],
-                          row_kinds=matrix.row_kinds, col_slices=matrix.col_slices)
+    scaled = DesignMatrix(entries=matrix.entries * scale[:, None], row_kinds=matrix.row_kinds)
     return scaled, np.asarray(targets, dtype=float) * scale
 
 

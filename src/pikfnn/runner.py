@@ -11,6 +11,7 @@ import hashlib
 import inspect
 import json
 import logging
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -55,12 +56,13 @@ class RunResult:
 
 
 def run_benchmark(problem, seed=0, out_dir=None, train=None, **params):
-    """Execute one problem (builtin name, ProblemConfig, or ProblemSetup)
-    end to end; the training and metrics summaries are logged at INFO."""
+    """Execute one problem, a built-in name (train and params apply to it
+    only) or a ProblemSetup, end to end; summaries are logged at INFO."""
     if isinstance(problem, str):
-        setup = _builtin_setup(problem, seed, train, params)
-    elif isinstance(problem, ProblemConfig):
-        setup = setup_from_config(problem)
+        setup = setup_from_config({"builtin": problem, "seed": seed, "train": train or {},
+                                   "params": params})
+    elif train or params:
+        raise ConfigurationError("train and params apply to a built-in name only")
     else:
         setup = problem
 
@@ -332,109 +334,127 @@ def verify_kernels(pattern=None, n_points=100, seed=12345, entries=None):
 
 
 # ---------------------------------------------------------------------------
-# JSON problem configs (mirrors ProblemConfig field names)
+# JSON problem configs
 
-@dataclass
-class ProblemConfig:
-    name: str = "custom"
-    builtin: str = None
-    operator: dict = None
-    kernels: list = field(default_factory=list)
-    geometry: dict = field(default_factory=dict)
-    sources: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    test: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-    rerr_floor: float = 0.0
-    seed: int = 0
+_NEEDED = inspect.Parameter.empty  # the default of a field a config must give
+_NOUNS = {int: "an int", float: "a finite number", str: "a string", tuple: "a list of numbers",
+          list: "a list of strings", dict: "an object"}
+_NODE_FILE = {"node_file": (str, _NEEDED)}
+# the document's own fields, (JSON type, default): a built-in config takes
+# the first four, a custom one all from seed on; TrainConfig checks seed
+_DOCUMENT = {"builtin": (str, _NEEDED), "params": (dict, {}), "seed": (object, 0),
+             "train": (dict, {}), "name": (str, "custom"), "kernels": (list, _NEEDED),
+             "operator": (dict, None), "geometry": (dict, _NEEDED),
+             "sources": (dict, _NEEDED), "test": (dict, _NEEDED), "rerr_floor": (float, 0.0)}
+
+
+def _signature(fn, skip=()):
+    """{name: (JSON type: the annotation, else the default's type, default)}."""
+    return {p.name: (type(p.default) if p.annotation is p.empty else p.annotation, p.default)
+            for p in inspect.signature(fn).parameters.values() if p.name not in skip}
+
+
+def _is(value, kind):
+    """Whether value has the JSON type kind; a bool is no number."""
+    if kind in (tuple, list):
+        return isinstance(value, list) and all(_is(v, float if kind is tuple else str)
+                                               for v in value)
+    if kind in (int, float):
+        number = numbers.Integral if kind is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool) \
+            and (kind is int or abs(value) <= np.finfo(float).max)
+    return isinstance(value, kind)
+
+
+def _check(path, owner, section, fields):
+    """Raise ConfigurationError naming path + key for a key that fields does
+    not list, a missing _NEEDED field, or a value of the wrong JSON type."""
+    for key in sorted(section.keys() - fields.keys()):
+        raise ConfigurationError(f"unknown field {path}{key}; valid: {sorted(fields)}")
+    for key, (kind, default) in fields.items():
+        if key not in section and default is _NEEDED:
+            raise ConfigurationError(f"{path}{key}: {owner} needs {key}")
+        if key in section and not (section[key] is None and default is None
+                                   or _is(section[key], kind)):
+            raise ConfigurationError(f"{path}{key}: {owner} needs {key} as {_NOUNS[kind]}"
+                                     f"{' or null' * (default is None)}, got {section[key]!r}")
+
+
+def check_config(doc):
+    """Raise ConfigurationError naming section.field for an unknown key, a
+    missing field or a value of the wrong JSON type.  The types are read
+    from the code each section feeds: the built-in's keyword defaults,
+    OperatorSpec's and gen_sources' annotations; TrainConfig checks train."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"a config is a JSON object, got {doc!r}")
+    builtin = doc.get("builtin")
+    kind = "a built-in config" if "builtin" in doc else "a custom config"
+    takes = list(_DOCUMENT)[:4] if "builtin" in doc else list(_DOCUMENT)[2:]
+    for key in sorted(doc.keys() - takes):
+        raise ConfigurationError(f"{key}: {kind} takes no {key}" if key in _DOCUMENT
+                                 else f"unknown field {key}; valid: {sorted(_DOCUMENT)}")
+    _check("", kind, doc, {key: _DOCUMENT[key] for key in takes})
+    if "builtin" in doc and builtin not in BUILTINS:
+        raise ConfigurationError(f"builtin: unknown {builtin!r}; valid: {sorted(BUILTINS)}")
+    sources = doc.get("sources", {})
+    placement = sources.get("placement")
+    for key, owner, fields in [
+            ("train", "TrainConfig", dict.fromkeys(TrainConfig.__dataclass_fields__,
+                                                   (object, None))),
+            ("params", builtin, builtin and _signature(BUILTINS[builtin], skip=("seed", "train"))),
+            ("operator", "the operator", _signature(OperatorSpec)),
+            ("geometry", "geometry", _NODE_FILE),
+            ("sources", f"{placement} placement" if isinstance(placement, str) else "sources",
+             _NODE_FILE if "node_file" in sources else _signature(gen_sources, skip=("base",))),
+            ("test", "test", _NODE_FILE)]:
+        if doc.get(key) is not None:
+            _check(f"{key}.", owner, doc[key], fields)
+    TrainConfig(seed=doc.get("seed", 0))
+    try:
+        TrainConfig(**doc.get("train", {}))
+    except ConfigurationError as exc:  # its messages begin with the field
+        raise ConfigurationError(f"train.{exc}") from None
 
 
 def load_problem_config(path):
+    """The checked config document at path, its node files taken from its directory."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    _require_known("config fields", doc, ProblemConfig.__dataclass_fields__)
-    cfg = ProblemConfig(**doc)
-    base = os.path.dirname(os.path.abspath(path))
-    for section in (cfg.geometry, cfg.sources, cfg.test):
-        if isinstance(section, dict) and "node_file" in section:
-            section["node_file"] = os.path.join(base, section["node_file"])
-            if not os.path.exists(section["node_file"]):
-                raise ConfigurationError(f"node file not found: {section['node_file']}")
-    return cfg
+    check_config(doc)
+    for part in (doc.get(section, {}) for section in ("geometry", "sources", "test")):
+        if "node_file" in part:
+            part["node_file"] = os.path.join(os.path.dirname(path), part["node_file"])
+    return doc
 
 
-def _require_known(what, keys, valid):
-    unknown = sorted(set(keys) - set(valid))
-    if unknown:
-        raise ConfigurationError(f"unknown {what} {unknown}; valid: {sorted(valid)}")
-
-
-def _check_train(seed, train):
-    """Raise ConfigurationError on an unknown train field, or on a bad value
-    of one or of the seed, before any set-up runs."""
-    _require_known("train fields", train, TrainConfig.__dataclass_fields__)
-    TrainConfig(**train)
-    TrainConfig(seed=seed)
-
-
-def _builtin_setup(name, seed, train, params):
-    """The built-in's ProblemSetup; an unknown name, train field or
-    parameter raises ConfigurationError naming the valid ones."""
-    if name not in BUILTINS:
-        raise ConfigurationError(f"unknown builtin {name!r}; available: {sorted(BUILTINS)}")
-    _check_train(seed, train or {})
-    _require_known(f"params of {name}", params,
-                   set(inspect.signature(BUILTINS[name]).parameters) - {"seed", "train"})
-    return BUILTINS[name](seed=seed, train=train, **params)
-
-
-def setup_from_config(cfg):
-    """ProblemSetup from a config (builtin reference or fully custom)."""
-    if cfg.builtin:
-        return _builtin_setup(cfg.builtin, cfg.seed, cfg.train or None, cfg.params)
-
-    if not cfg.kernels:
-        raise ConfigurationError("custom config needs a kernels list")
-    _check_train(cfg.seed, cfg.train)
-    families = [parse_kernel_id(ident) for ident in cfg.kernels]
-    if cfg.operator:
-        op = OperatorSpec(**cfg.operator)
-        for fam in families:
-            if fam.operator.dim != op.dim:
-                raise ConfigurationError(
-                    f"kernel {cfg.kernels[0]} dim != operator dim {op.dim}")
+def setup_from_config(doc):
+    """ProblemSetup of a config document, built-in or custom, once checked."""
+    check_config(doc)
+    seed, train = doc.get("seed", 0), doc.get("train", {})
+    if "builtin" in doc:
+        return BUILTINS[doc["builtin"]](seed=seed, train=train, **doc.get("params", {}))
+    if not doc["kernels"]:
+        raise ConfigurationError("kernels: a custom config needs at least one kernel")
+    families = [parse_kernel_id(ident) for ident in doc["kernels"]]
+    op = families[0].operator if doc.get("operator") is None else OperatorSpec(**doc["operator"])
+    for ident, fam in zip(doc["kernels"], families):
+        if fam.operator.dim != op.dim:
+            raise ConfigurationError(f"kernel {ident} dim != operator dim {op.dim}")
+    colloc = load_nodes(doc["geometry"]["node_file"])
+    spec = doc["sources"]
+    if "node_file" in spec:
+        nodes = load_nodes(spec["node_file"])
+        sources = SourceSet(nodes.points, times=nodes.times)
     else:
-        op = families[0].operator
-
-    if "node_file" not in cfg.geometry:
-        raise ConfigurationError("custom config geometry needs node_file "
-                                 "(boundary/initial rows + values)")
-    colloc = load_nodes(cfg.geometry["node_file"])
-
-    if "node_file" in cfg.sources:
-        src_set = load_nodes(cfg.sources["node_file"])
-        sources = SourceSet(src_set.points, times=src_set.times)
-    elif "placement" in cfg.sources:
-        kwargs = {k: v for k, v in cfg.sources.items() if k != "placement"}
-        placement = cfg.sources["placement"]
-        base = colloc if placement == "same_nodes_with_delay" else colloc.points
-        sources = gen_sources(base, placement, **kwargs)
-    else:
-        raise ConfigurationError("custom config sources need node_file or placement")
-
-    if "node_file" not in cfg.test:
-        raise ConfigurationError("custom config test needs node_file with "
-                                 "reference values")
-    test_set = load_nodes(cfg.test["node_file"])
-
+        base = colloc if spec["placement"] == "same_nodes_with_delay" else colloc.points
+        sources = gen_sources(base, **spec)
+    test_set = load_nodes(doc["test"]["node_file"])
     return ProblemSetup(
-        name=cfg.name, operator=op, families=families, colloc=colloc,
-        sources=sources, train=TrainConfig(**{"seed": cfg.seed, **cfg.train}),
+        name=doc.get("name", "custom"), operator=op, families=families, colloc=colloc,
+        sources=sources, train=TrainConfig(**{"seed": seed, **train}),
         test_points=test_set.points, test_values=test_set.values,
-        test_times=test_set.times, rerr_floor=cfg.rerr_floor,
+        test_times=test_set.times, rerr_floor=doc.get("rerr_floor", 0.0),
         notes={"config": "custom"})

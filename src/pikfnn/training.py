@@ -52,7 +52,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.optimizer not in ("adam", "lm"):
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigurationError(f"optimizer must be 'adam' or 'lm', got {self.optimizer!r}")
         for name in ("tol", "lr", "lambda_down", "loss_goal"):
             value = getattr(self, name)
             if name == "loss_goal" and value is None:
@@ -73,7 +73,7 @@ class TrainConfig:
                 or self.seed < 0:
             raise ConfigurationError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.init not in ("uniform_pm1", "zeros"):
-            raise ConfigurationError(f"unknown init {self.init!r}")
+            raise ConfigurationError(f"init must be 'uniform_pm1' or 'zeros', got {self.init!r}")
 
 
 @dataclass

@@ -1,0 +1,185 @@
+"""The config schema: every malformed field of a JSON config exits 2 with
+the field named, before any set-up runs."""
+
+import inspect
+import json
+import math
+import os
+import subprocess
+import sys
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import pikfnn
+from pikfnn import runner
+from pikfnn.benchmarks import BUILTINS
+from pikfnn.cli import main
+from pikfnn.errors import ConfigurationError
+from pikfnn.operators import OperatorSpec
+
+_CUSTOM = {
+    "name": "x",
+    "kernels": ["fundamental:laplace:2d"],
+    "operator": {"kind": "laplace", "dim": 2},
+    "geometry": {"node_file": "b.txt"},
+    "sources": {"placement": "scaled_circle", "n": 10, "r": 3.0},
+    "test": {"node_file": "b.txt"},
+}
+
+# (section or None for the document, field, JSON type, null allowed)
+_TRAIN_FIELDS = [("train", "optimizer", str, False), ("train", "tol", float, False),
+                 ("train", "max_iters", int, False), ("train", "loss_goal", float, True),
+                 ("train", "lr", float, False), ("train", "lambda_down", float, False),
+                 ("train", "seed", int, False), ("train", "init", str, False)]
+_SHARED_FIELDS = [(None, "seed", int, False), (None, "train", dict, False)] + _TRAIN_FIELDS
+_BUILTIN_FIELDS = [(None, "builtin", str, False), (None, "params", dict, False)] + _SHARED_FIELDS
+_CUSTOM_FIELDS = [
+    (None, "name", str, False), (None, "kernels", list, False), (None, "operator", dict, True),
+    (None, "geometry", dict, False), (None, "sources", dict, False), (None, "test", dict, False),
+    (None, "rerr_floor", float, False),
+    ("geometry", "node_file", str, False), ("test", "node_file", str, False),
+    ("sources", "placement", str, False), ("sources", "n", int, True),
+    ("sources", "r", float, False), ("sources", "center", tuple, True),
+    ("sources", "factor", float, True), ("sources", "dt", float, True),
+] + [("operator", name, param.annotation, False)
+     for name, param in inspect.signature(OperatorSpec).parameters.items()] + _SHARED_FIELDS
+
+
+def _params(name):
+    return {p: param.default for p, param in inspect.signature(BUILTINS[name]).parameters.items()
+            if p not in ("seed", "train")}
+
+
+# (built-in name or None for a custom config, field); the document and train
+# fields are checked alike for every built-in, so one stands for them all
+_CASES = [("example3", field) for field in _BUILTIN_FIELDS] + [
+    (name, ("params", p, type(default), False))
+    for name in sorted(BUILTINS) for p, default in _params(name).items()] + [
+    (None, field) for field in _CUSTOM_FIELDS]
+
+# any JSON value, half of the draws from the edges of the number types
+_JSON = st.sampled_from([math.nan, math.inf, -math.inf, 2.0, 0.5, True, False, None, "1", [], {}]) \
+    | st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+                   lambda children: st.lists(children, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), children, max_size=3),
+                   max_leaves=6)
+
+
+def _has_type(value, kind):
+    """The JSON types a field takes, written out independently of the schema."""
+    if kind is int:
+        return type(value) is int
+    if kind is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    if kind is tuple:
+        return type(value) is list and all(_has_type(v, float) for v in value)
+    if kind is list:
+        return type(value) is list and all(type(v) is str for v in value)
+    return type(value) is kind
+
+
+_MOCKS = {name: mock.create_autospec(fn) for name, fn in BUILTINS.items()}
+
+
+def _mocked_run(path):
+    """main(["run", path]) with every built-in and load_nodes mocked; returns
+    the exit code and whether any of them was called."""
+    with mock.patch.dict(BUILTINS, _MOCKS), mock.patch.object(runner, "load_nodes") as load:
+        code = main(["run", str(path)])
+    called = load.called or any(m.called for m in _MOCKS.values())
+    for m in _MOCKS.values():
+        m.reset_mock()
+    return code, called
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(_CASES), data=st.data())
+def test_a_wrong_typed_field_exits_2_naming_it(tmp_path, capsys, case, data):
+    name, (section, field, json_type, nullable) = case
+    value = data.draw(_JSON.filter(
+        lambda v: not (_has_type(v, json_type) or v is None and nullable)
+        # TrainConfig takes exactly its two optimizers and inits
+        and not (section == "train" and v in ("adam", "lm", "uniform_pm1", "zeros"))))
+    doc = json.loads(json.dumps({"builtin": name, "train": {}, "params": {}} if name else _CUSTOM))
+    (doc if section is None else doc.setdefault(section, {}))[field] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    code, called = _mocked_run(cfg)
+    err = capsys.readouterr().err
+    assert code == 2 and not called
+    assert (field if section is None else f"{section}.{field}") in err
+
+
+_PROBES = [
+    ({"builtin": "example2", "params": {"n_boundary": "x"}}, "params.n_boundary"),
+    ({"builtin": "example2", "params": {"k": "x"}}, "params.k"),
+    ({"builtin": "example9", "params": {"shift": "x"}}, "params.shift"),
+    ({"builtin": "example5", "params": {"n_interior": "5"}}, "params.n_interior"),
+    ({"builtin": "example10", "params": {"thickness_ratio": [1]}}, "params.thickness_ratio"),
+    ({"builtin": "example2", "params": {"n_boundary": True}}, "params.n_boundary"),
+    (_CUSTOM | {"rerr_floor": "x"}, "rerr_floor"),
+    (_CUSTOM | {"operator": [1]}, "operator"),
+    (_CUSTOM | {"operator": {"kind": "laplace", "dim": 2, "bogus": 1}}, "operator.bogus"),
+    (_CUSTOM | {"operator": {"kind": "laplace", "dim": 2, "k": "x"}}, "operator.k"),
+    (_CUSTOM | {"sources": {"placement": "scaled_circle", "n": 10, "r": "x"}}, "sources.r"),
+    (_CUSTOM | {"sources": {"placement": "scaled_circle", "n": 10, "bogus": 1}},
+     "sources.bogus"),
+    (_CUSTOM | {"geometry": {"node_file": 5}}, "geometry.node_file"),
+    (_CUSTOM | {"test": 5}, "test"),
+    (_CUSTOM | {"params": {"k": 1.0}}, "params"),
+    (_CUSTOM | {"kernels": "fundamental:laplace:2d"}, "kernels"),
+    (_CUSTOM | {"operator": {"dim": 2}}, "operator.kind"),
+    (_CUSTOM | {"sources": {"r": 3.0}}, "sources.placement"),
+    ({"builtin": "example3", "kernels": ["fundamental:laplace:2d"]}, "kernels"),
+    ({"builtin": "example99"}, "builtin"),
+    ({"builtin": "example3", "train": {"optimizer": "sgd"}}, "train.optimizer"),
+    ([1], "JSON object"),
+]
+
+
+@pytest.mark.parametrize("doc, field", _PROBES)
+def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, doc, field):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert _mocked_run(cfg) == (2, False)
+    assert field in capsys.readouterr().err
+
+
+def test_every_builtin_parameter_has_a_json_typed_default():
+    # the schema types params by their defaults: a parameter without an int,
+    # float or str default would pass unchecked
+    for name in BUILTINS:
+        for param, default in _params(name).items():
+            assert type(default) in (int, float, str), (name, param, default)
+
+
+@pytest.mark.parametrize("doc", [
+    {"builtin": "example2", "params": {"n_boundary": "x"}},
+    _CUSTOM | {"operator": {"kind": "laplace", "dim": 2, "bogus": 1}},
+    _CUSTOM | {"test": 5},
+])
+def test_process_exit_code_is_2_without_a_traceback(tmp_path, doc):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pikfnn.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "pikfnn.cli", "run", str(cfg)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert "validation error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("extra", [{"train": {"tol": 1e-3}}, {"n_boundary": 40}])
+def test_run_benchmark_rejects_train_or_params_for_a_setup(extra):
+    with pytest.raises(ConfigurationError, match="built-in name only"):
+        runner.run_benchmark(BUILTINS["example3"](), **extra)
+
+
+def test_run_benchmark_checks_a_builtin_name_and_its_params():
+    with pytest.raises(ConfigurationError, match="params.n_boundary"):
+        runner.run_benchmark("example3", n_boundary="40")
+    with pytest.raises(ConfigurationError, match="train.max_iters"):
+        runner.run_benchmark("example3", train={"max_iters": 0})

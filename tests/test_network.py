@@ -67,7 +67,6 @@ def test_two_family_column_count():
             KernelFamily("fundamental", OperatorSpec("modified-helmholtz", 3, k=math.sqrt(3)))]
     mtx = assemble(fams, sources, colloc)
     assert mtx.shape == (n, 2 * n)
-    assert [s.stop - s.start for s in mtx.col_slices] == [n, n]
 
 
 def test_empty_family_list_errors():
@@ -616,9 +615,6 @@ def test_first_non_finite_entry_is_named_across_row_blocks():
     with mock.patch.object(network, "kernel_block", poisoned):
         with pytest.raises(SingularityError, match=f"row {per_block + 5}, column 7$"):
             assemble([laplace_family()], sources, colloc)
-        entries = assemble([laplace_family()], sources, colloc, check_finite=False).entries
-    assert np.argwhere(np.isnan(entries)).tolist() == [[per_block + 5, 7],
-                                                       [2 * per_block + 1, 2]]
 
 
 @functools.cache
