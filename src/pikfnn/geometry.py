@@ -299,12 +299,14 @@ def gen_sources(base, placement: str, n: int = None, r: float = 1.0, center: tup
     if placement in ("scaled_circle", "scaled_sphere"):
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise DomainError(f"{placement} placement needs n, an int >= 1, got {n!r}")
-        shape = _circle if placement == "scaled_circle" else _sphere
+        shape, dim = (_circle, 2) if placement == "scaled_circle" else (_sphere, 3)
+        _check_center(placement, center, dim)
         return SourceSet(shape(n, r, **({} if center is None else {"center": center}))[0])
     if placement == "inflated":
         if not factor or factor <= 0:
             raise DomainError("inflated placement needs factor > 0")
         pts = np.asarray(base, dtype=float)
+        _check_center(placement, center, pts.shape[-1])
         center = np.zeros(pts.shape[-1]) if center is None else np.asarray(center, dtype=float)
         return SourceSet(center + factor * (pts - center))
     if placement == "same_nodes_with_delay":
@@ -315,6 +317,11 @@ def gen_sources(base, placement: str, n: int = None, r: float = 1.0, center: tup
         # sources sit dt in the past so theta(t - tau) is active on the window
         return SourceSet(base.points.copy(), times=base.times - dt, delay_dt=dt)
     raise DomainError(f"unsupported placement {placement!r}")
+
+
+def _check_center(placement, center, dim):
+    if center is not None and np.shape(center) != (dim,):
+        raise DomainError(f"{placement} placement needs center of {dim} numbers, got {center!r}")
 
 
 # ---------------------------------------------------------------------------

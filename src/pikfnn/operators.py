@@ -111,15 +111,15 @@ class OperatorSpec:
                 raise DomainError("structural-diffusion model is 2D")
             if not self.diffusion > 0:
                 raise DomainError("structural diffusion requires D > 0")
-            for sel in (self.structural_t, self.structural_x):
-                if sel not in STRUCTURAL_SELECTORS:
-                    raise DomainError(f"unknown structural selector {sel!r}")
+        for sel in (self.structural_t, self.structural_x):  # of every kind, so ids round-trip
+            if sel not in STRUCTURAL_SELECTORS:
+                raise DomainError(f"unknown structural selector {sel!r}")
 
     @property
     def mu_cd(self):
         """mu = sqrt((|v|/2D)^2 + k/D) for convection-diffusion kinds."""
-        vnorm = math.sqrt(sum(v * v for v in self.velocity))
-        return math.sqrt((vnorm / (2.0 * self.diffusion)) ** 2 + self.k / self.diffusion)
+        drift = math.sqrt(sum(v * v for v in self.velocity)) / (2.0 * self.diffusion)
+        return math.sqrt(drift * drift + self.k / self.diffusion)  # inf, not OverflowError
 
     @property
     def is_time_dependent(self):

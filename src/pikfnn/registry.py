@@ -11,15 +11,19 @@ Grammar:  class:operator:dim[?param=value&...]
            modified-helmholtz-power | convection-diffusion-power |
            heat | wave | structural-diffusion
   dim      2d | 3d | 4d
-  params   k, d (diffusion D), v (velocity, comma-separated), c1, n (power),
-           alpha, beta, st/sx (structural selectors), nu, mu (shear),
-           c (shape), shift, m (t-complete max order)
+  params   k, d (diffusion D), v (velocity, comma-separated), c1, alpha,
+           beta, st/sx (structural selectors), n (power), nu, mu (shear),
+           c (shape), shift, m (t-complete max order), split (0|1),
+           outgoing (0|1); format_kernel_id writes, in this order, each one
+           whose field differs from its default
 
 Examples: fundamental:laplace:2d
           fundamental-real:helmholtz:2d?k=14.1421
           time-fundamental:heat:3d?k=0.001
           elasto-disp:2d?nu=0.3&mu=384615
 """
+
+import dataclasses
 
 from . import kernels as kn
 from . import operators as ops
@@ -29,9 +33,15 @@ from .operators import OperatorSpec
 
 _ELASTO_CLASSES = (kn.ELASTO_DISP, kn.ELASTO_TRAC)
 
-_FLOAT_PARAMS = ("k", "d", "c1", "alpha", "beta", "nu", "mu", "c", "shift")
-_INT_PARAMS = ("n", "m", "split", "outgoing")
-_STR_PARAMS = ("st", "sx")
+# id key -> the OperatorSpec or KernelFamily field it sets, in the order ids
+# write them; each value has the type of its field's default
+_KEYS = {"k": "k", "d": "diffusion", "v": "velocity", "c1": "c1", "alpha": "alpha",
+         "beta": "beta", "st": "structural_t", "sx": "structural_x", "n": "power_n",
+         "nu": "nu", "mu": "shear", "c": "c_shape", "shift": "shift",
+         "m": "tcomplete_max_order", "split": "complex_split", "outgoing": "outgoing_3d"}
+_DEFAULTS = {f.name: f.default for cls in (OperatorSpec, KernelFamily)
+             for f in dataclasses.fields(cls)}
+_ON_OPERATOR = {f.name for f in dataclasses.fields(OperatorSpec)}
 
 
 def parse_kernel_id(identifier):
@@ -49,51 +59,35 @@ def parse_kernel_id(identifier):
 def _parse(identifier):
     head, _, query = identifier.partition("?")
     parts = head.split(":")
-    params = {}
-    if query:
-        for item in query.split("&"):
-            key, _, value = item.partition("=")
-            if key in _FLOAT_PARAMS:
-                params[key] = float(value)
-            elif key in _INT_PARAMS:
-                params[key] = int(value)
-            elif key in _STR_PARAMS:
-                params[key] = value
-            elif key == "v":
-                params[key] = tuple(float(c) for c in value.split(","))
-            else:
-                raise UnsupportedKernelError(
-                    f"unknown kernel parameter {key!r} in {identifier!r}")
-
+    fields = {}
+    for item in query.split("&") if query else ():
+        key, _, value = item.partition("=")
+        if key not in _KEYS:
+            raise UnsupportedKernelError(
+                f"unknown kernel parameter {key!r} in {identifier!r}")
+        fields[_KEYS[key]] = _value(key, value, _DEFAULTS[_KEYS[key]])
     if parts[0] in _ELASTO_CLASSES:
         if len(parts) != 2:
             raise ValueError("elasticity ids are class:dim")
-        kclass, dim = parts[0], _parse_dim(parts[1])
-        op = OperatorSpec(ops.ELASTOSTATIC, dim, nu=params.get("nu", 0.0),
-                          shear=params.get("mu", 1.0))
-        return KernelFamily(kclass, op)
-
-    if len(parts) != 3:
+        parts.insert(1, ops.ELASTOSTATIC)
+    elif len(parts) != 3:
         raise ValueError("expected class:operator:dim")
     kclass, op_kind, dim = parts[0], parts[1], _parse_dim(parts[2])
-    op = OperatorSpec(
-        op_kind, dim,
-        k=params.get("k", 0.0),
-        diffusion=params.get("d", 1.0),
-        velocity=tuple(params["v"]) if "v" in params else
-        ((0.0,) * dim if op_kind.startswith(ops.CONVECTION_DIFFUSION) else ()),
-        c1=params.get("c1", 1.0),
-        power_n=params.get("n", 0),
-        alpha=params.get("alpha", 1.0),
-        beta=params.get("beta", 1.0),
-        structural_t=params.get("st", "identity"),
-        structural_x=params.get("sx", "identity"),
-    )
-    return KernelFamily(kclass, op, c_shape=params.get("c", 1.0),
-                        shift=params.get("shift", 0.0),
-                        tcomplete_max_order=params.get("m", 0),
-                        complex_split=bool(params.get("split", 0)),
-                        outgoing_3d=bool(params.get("outgoing", 1)))
+    if op_kind.startswith(ops.CONVECTION_DIFFUSION):
+        fields.setdefault("velocity", (0.0,) * dim)
+    op = OperatorSpec(op_kind, dim, **{n: v for n, v in fields.items() if n in _ON_OPERATOR})
+    return KernelFamily(kclass, op, **{n: v for n, v in fields.items() if n not in _ON_OPERATOR})
+
+
+def _value(key, text, default):
+    """text as the type of default: floats joined by commas for a tuple, 0|1 for a bool."""
+    if isinstance(default, tuple):
+        return tuple(float(c) for c in text.split(","))
+    if isinstance(default, bool):
+        if text not in ("0", "1"):
+            raise ValueError(f"{key} takes 0 or 1, got {text!r}")
+        return text == "1"
+    return type(default)(text)
 
 
 def _parse_dim(token):
@@ -103,45 +97,32 @@ def _parse_dim(token):
 
 
 def format_kernel_id(family):
-    """Inverse of parse_kernel_id (canonical parameter order)."""
+    """Inverse of parse_kernel_id: every field that differs from its
+    default, in _KEYS order, each number in its shortest exact form."""
     op = family.operator
-    if family.kind in _ELASTO_CLASSES:
-        return f"{family.kind}:{op.dim}d?nu={_short(op.nu)}&mu={_short(op.shear)}"
-    parts = [family.kind, op.kind, f"{op.dim}d"]
+    head = (f"{family.kind}:{op.dim}d" if family.kind in _ELASTO_CLASSES
+            else f"{family.kind}:{op.kind}:{op.dim}d")
     params = []
-    if op.k:
-        params.append(f"k={op.k:.17g}")
-    if op.kind in (ops.CONVECTION_DIFFUSION, ops.CONV_DIFF_POWER):
-        params.append(f"d={op.diffusion:.17g}")
-        params.append("v=" + ",".join(f"{v:.17g}" for v in op.velocity))
-    if op.kind == ops.WAVE:
-        params.append(f"c1={op.c1:.17g}")
-    if op.kind == ops.STRUCTURAL_DIFFUSION:
-        params.append(f"d={op.diffusion:.17g}")
-        params.append(f"alpha={op.alpha:.17g}")
-        params.append(f"beta={op.beta:.17g}")
-        params.append(f"st={op.structural_t}")
-        params.append(f"sx={op.structural_x}")
-    if op.power_n:
-        params.append(f"n={op.power_n}")
-    if family.kind == kn.HARMONIC:
-        params.append(f"c={family.c_shape:.17g}")
-    if family.shift:
-        params.append(f"shift={family.shift:.17g}")
-    if family.kind == kn.T_COMPLETE:
-        params.append(f"m={family.tcomplete_max_order}")
-    if family.complex_split:
-        params.append("split=1")
-    if not family.outgoing_3d:
-        params.append("outgoing=0")
-    base = ":".join(parts)
-    return base + ("?" + "&".join(params)) if params else base
+    for key, name in _KEYS.items():
+        value, default = getattr(op if name in _ON_OPERATOR else family, name), _DEFAULTS[name]
+        if value != default:
+            params.append(f"{key}={_text(value, default)}")
+    return head + ("?" + "&".join(params) if params else "")
+
+
+def _text(value, default):
+    if isinstance(default, tuple):
+        return ",".join(_short(v) for v in value)
+    if isinstance(default, float):
+        return _short(value)
+    return str(int(value) if isinstance(default, int) else value)  # a bool as 0|1
 
 
 def _short(value):
-    # %g where it is exact (nu=0.3&mu=1), else all 17 significant digits
+    # %g where it is exact (nu=0.3&mu=384615), else repr, the shortest text
+    # that reads back exactly
     text = f"{value:g}"
-    return text if float(text) == value else f"{value:.17g}"
+    return text if float(text) == value else repr(float(value))
 
 
 def list_kernel_ids():

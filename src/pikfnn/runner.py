@@ -13,6 +13,7 @@ import json
 import logging
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,7 +338,7 @@ def verify_kernels(pattern=None, n_points=100, seed=12345, entries=None):
 # JSON problem configs
 
 _NEEDED = inspect.Parameter.empty  # the default of a field a config must give
-_NOUNS = {int: "an int", float: "a finite number", str: "a string", tuple: "a list of numbers",
+_NOUNS = {int: "an int64", float: "a finite number", str: "a string", tuple: "a list of numbers",
           list: "a list of strings", dict: "an object"}
 _NODE_FILE = {"node_file": (str, _NEEDED)}
 # the document's own fields, (JSON type, default): a built-in config takes
@@ -355,14 +356,15 @@ def _signature(fn, skip=()):
 
 
 def _is(value, kind):
-    """Whether value has the JSON type kind; a bool is no number."""
+    """Whether value has the JSON type kind; a bool is no number, an int one
+    that int64 holds and a float one that a float holds."""
     if kind in (tuple, list):
         return isinstance(value, list) and all(_is(v, float if kind is tuple else str)
                                                for v in value)
     if kind in (int, float):
-        number = numbers.Integral if kind is int else numbers.Real
-        return isinstance(value, number) and not isinstance(value, bool) \
-            and (kind is int or abs(value) <= np.finfo(float).max)
+        number, limit = (numbers.Integral, np.iinfo(np.int64).max) if kind is int \
+            else (numbers.Real, sys.float_info.max)
+        return isinstance(value, number) and not isinstance(value, bool) and abs(value) <= limit
     return isinstance(value, kind)
 
 
@@ -421,7 +423,7 @@ def load_problem_config(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of more than 4300 digits
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     check_config(doc)
     for part in (doc.get(section, {}) for section in ("geometry", "sources", "test")):

@@ -21,6 +21,7 @@ seed/config, and record one log row per iteration for the loss-history CSV
 import functools
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -57,8 +58,10 @@ class TrainConfig:
             value = getattr(self, name)
             if name == "loss_goal" and value is None:
                 continue
+            # math.isfinite overflows on an int beyond the float range
             if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
+                    or not (abs(value) <= sys.float_info.max if isinstance(value, numbers.Integral)
+                            else math.isfinite(value)):
                 raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if not self.tol > 0:
             raise ConfigurationError("tol must be > 0")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,9 @@ from pikfnn import runner
 from pikfnn.benchmarks import BUILTINS
 from pikfnn.cli import main
 from pikfnn.errors import ConfigurationError
+from pikfnn.geometry import CollocationSet, gen_boundary, save_nodes
 from pikfnn.operators import OperatorSpec
+from pikfnn.training import TrainConfig
 
 _CUSTOM = {
     "name": "x",
@@ -138,6 +141,10 @@ _PROBES = [
     ({"builtin": "example99"}, "builtin"),
     ({"builtin": "example3", "train": {"optimizer": "sgd"}}, "train.optimizer"),
     ([1], "JSON object"),
+    # a number beyond what a float, or an int size beyond what int64, holds
+    ({"builtin": "example3", "train": {"tol": 10 ** 400}}, "train.tol"),
+    ({"builtin": "example2", "params": {"k": 10 ** 400}}, "params.k"),
+    ({"builtin": "example3", "params": {"n_boundary": 10 ** 400}}, "params.n_boundary"),
 ]
 
 
@@ -163,13 +170,45 @@ def test_every_builtin_parameter_has_a_json_typed_default():
     _CUSTOM | {"test": 5},
 ])
 def test_process_exit_code_is_2_without_a_traceback(tmp_path, doc):
+    proc = _run_process(tmp_path, doc)
+    assert proc.returncode == 2
+    assert "validation error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _run_process(tmp_path, doc):
+    """`python -m pikfnn.cli run` on doc written to tmp_path."""
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     src = os.path.dirname(os.path.dirname(os.path.abspath(pikfnn.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "pikfnn.cli", "run", str(cfg)],
+    return subprocess.run([sys.executable, "-m", "pikfnn.cli", "run", str(cfg)],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.parametrize("sources", [
+    {"placement": "scaled_circle", "n": 10, "r": 3.0, "center": [1, 2, 3]},
+    {"placement": "inflated", "factor": 2.0, "center": [1, 2, 3]},
+])
+def test_a_center_of_the_wrong_length_exits_2_naming_it(tmp_path, sources):
+    # type-correct, so the schema passes it; gen_sources checks the length
+    points, normals = gen_boundary("circle", 20)
+    save_nodes(tmp_path / "b.txt", CollocationSet(points, ["D"] * 20, np.zeros(20)))
+    proc = _run_process(tmp_path, _CUSTOM | {"sources": sources})
     assert proc.returncode == 2
-    assert "validation error" in proc.stderr and "Traceback" not in proc.stderr
+    assert "center" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_an_int_too_long_to_read_exits_2(tmp_path, capsys):
+    # Python reads no int of more than 4300 digits
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"builtin": "example3", "train": {"tol": 1' + "0" * 5000 + "}}")
+    assert _mocked_run(cfg) == (2, False)
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["tol", "lr", "lambda_down", "loss_goal"])
+def test_train_numbers_beyond_the_float_range_are_rejected(name):
+    with pytest.raises(ConfigurationError, match=name):
+        TrainConfig(**{name: 10 ** 400})
 
 
 @pytest.mark.parametrize("extra", [{"train": {"tol": 1e-3}}, {"n_boundary": 40}])
