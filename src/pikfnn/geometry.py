@@ -129,7 +129,9 @@ def pairwise_sq_dist(X, S):
 
     Squared coordinate differences are added one coordinate at a time, in
     index order, so no (n, m, dim) difference tensor is built and every entry
-    is the same sum whatever rows or columns the block holds.
+    is the same sum whatever rows or columns the block holds.  This is the
+    one rule for pair geometry: coordinate_dot(d, d) of the
+    pairwise_differences d gives the same bits.
     """
     X = np.asarray(X, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -140,6 +142,23 @@ def pairwise_sq_dist(X, S):
         np.subtract.outer(X[:, i], S[:, i], out=diff)
         d2 += np.square(diff, out=diff)
     return d2
+
+
+def pairwise_differences(X, S):
+    """The coordinate differences x_i - s_i of X (n, dim) and S (m, dim): a
+    list of dim (n, m) arrays, for formulas that need the components."""
+    X = np.asarray(X, dtype=float)
+    S = np.asarray(S, dtype=float)
+    return [np.subtract.outer(X[:, i], S[:, i]) for i in range(X.shape[1])]
+
+
+def coordinate_dot(a, b):
+    """sum_i a[i] * b[i] over per-coordinate terms (arrays or numbers that
+    broadcast), added in index order as pairwise_sq_dist adds."""
+    total = a[0] * b[0]
+    for a_i, b_i in zip(a[1:], b[1:]):
+        total = total + a_i * b_i
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ from the source point, with closed-form gradients and operator application.
 Every evaluation is pure; KernelFamily instances are frozen and shareable.
 Array-valued helpers (suffix `_block`) broadcast over field/source point
 sets and back the design-matrix assembly, in the family's dtype (complex for
-the Hankel form); the scalar entry points implement the per-point contracts.
+the Hankel form); the scalar entry points are 1x1 views of them.  A block
+sees each (field, source) pair through geometry's one rule: r^2 from
+pairwise_sq_dist, and, where a formula reads components, the per-coordinate
+differences of pairwise_differences, summed in index order (coordinate_dot).
+No (n, m, dim) difference tensor is built.
 
 Each closed form is written once, and values, gradients and operator rows
 all derive from it: a steady kernel is a radial profile [g, g', g''] of
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import operators as ops
 from .errors import DomainError, SingularityError, UnsupportedKernelError
-from .geometry import pairwise_sq_dist
+from .geometry import coordinate_dot, pairwise_differences, pairwise_sq_dist
 from .operators import OperatorSpec, high_order_coeffs
 from .special_functions import assoc_legendre_block, bessel_block, spherical_bessel_block
 
@@ -156,10 +160,11 @@ def _is_radial(family):
     return family.kind in _BESSEL and not _drifts(family.operator)
 
 
-def _as_xt(point):
-    if isinstance(point, SpaceTimePoint):
-        return np.asarray(point.x, dtype=float), point.t
-    return np.asarray(point, dtype=float), None
+def _as_row(point):
+    """A point as one row (1, dim), and its time as a length-1 array (None
+    without one): the arguments of a 1x1 block."""
+    x, t = (point.x, point.t) if isinstance(point, SpaceTimePoint) else (point, None)
+    return np.asarray(x, dtype=float).reshape(1, -1), None if t is None else np.array([float(t)])
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +175,11 @@ def _drifts(op):
     return op.kind in (ops.CONVECTION_DIFFUSION, ops.CONV_DIFF_POWER)
 
 
-def _steady_terms(family, dx, order):
-    """[K, grad K, lap K][:order + 1] of the steady kernel K at the difference
-    vectors dx (..., dim); with order 2 a radial part's grad K slot is None.
+def _steady_terms(family, X, S, order):
+    """[K, grad K, lap K][:order + 1] of the steady kernel K for every pair of
+    field points X (n, dim) and sources S (m, dim), each (n, m); grad K is a
+    list of one array per coordinate, and with order 2 a radial part's grad K
+    slot is None.
 
     K is a harmonic sum, or a radial part g(R), R = sqrt(r^2 + shift^2),
     times the drift factor w = e^{-u . dx} of convection-diffusion (u =
@@ -182,7 +189,9 @@ def _steady_terms(family, dx, order):
     smooth and even: g'/R dx -> 0, and lap g is _origin_laplacian's.
     """
     op = family.operator
-    r2 = np.einsum("...i,...i->...", dx, dx)
+    drifts = _drifts(op)
+    dx = pairwise_differences(X, S) if order == 1 or drifts or family.kind == HARMONIC else None
+    r2 = pairwise_sq_dist(X, S) if dx is None else coordinate_dot(dx, dx)
     if family.kind == HARMONIC:
         return _harmonic_terms(family, dx, r2, order)
     r = np.sqrt(r2)
@@ -200,17 +209,18 @@ def _steady_terms(family, dx, order):
         lap = np.where(re == 0.0, _origin_laplacian(family, g[0]), lap)
     terms = [g[0]]
     if order == 1:
-        terms.append(slope[..., None] * dx)
+        terms.append([slope * d for d in dx])
     elif order == 2:
         terms += [None, lap]
-    if _drifts(op):
+    if drifts:
         v = np.asarray(op.velocity)
-        w = np.exp(-np.einsum("...i,i->...", dx, v) / (2.0 * op.diffusion))
+        w = np.exp(-coordinate_dot(dx, v) / (2.0 * op.diffusion))
         u = v / (2.0 * op.diffusion)
         if order == 1:
-            terms[1] = (terms[1] - g[0][..., None] * u) * w[..., None]
+            terms[1] = [(t - g[0] * u_i) * w for t, u_i in zip(terms[1], u)]
         if order == 2:
-            terms[2] = (lap - 2.0 * slope * (dx @ u) + g[0] * (u @ u)) * w
+            terms[2] = (lap - 2.0 * slope * coordinate_dot(dx, u)
+                        + g[0] * coordinate_dot(u, u)) * w
         terms[0] = g[0] * w
     return terms
 
@@ -363,31 +373,31 @@ def _harmonic_sum(c, dx, dim):
         return np.exp(-c * (a * a - b * b)) * np.cos(2.0 * c * a * b)
 
     if dim == 2:
-        return pair(dx[..., 0], dx[..., 1])
-    return (pair(dx[..., 0], dx[..., 1]) + pair(dx[..., 1], dx[..., 2])
-            + pair(dx[..., 2], dx[..., 0]))
+        return pair(dx[0], dx[1])
+    return pair(dx[0], dx[1]) + pair(dx[1], dx[2]) + pair(dx[2], dx[0])
 
 
 def _harmonic_terms(family, dx, r2, order):
-    """[K, grad K, lap K][:order + 1] of the harmonic kernel K = r^2n H: H the
-    harmonic sum (lap H = 0), n = 1 for biharmonic, the power for
-    poly-Laplace, else 0.  A pair term of H is Re F(a + ib), F(z) =
-    e^{-c z^2}, so its d/da is Re F' and its d/db is -Im F'."""
+    """[K, grad K, lap K][:order + 1] of the harmonic kernel K = r^2n H at the
+    coordinate differences dx: H the harmonic sum (lap H = 0), n = 1 for
+    biharmonic, the power for poly-Laplace, else 0.  A pair term of H is
+    Re F(a + ib), F(z) = e^{-c z^2}, so its d/da is Re F' and its d/db is
+    -Im F'."""
     op = family.operator
     c = family.c_shape
     n = op.power_n if op.kind == ops.POLY_LAPLACE else (1 if op.kind == ops.BIHARMONIC else 0)
     h = _harmonic_sum(c, dx, op.dim)
     terms = [(r2 ** n if n else 1.0) * h]
     if order:
-        grad_h = np.zeros(dx.shape)
+        grad_h = [np.zeros(r2.shape) for _ in dx]
         for i, j in ((0, 1),) if op.dim == 2 else ((0, 1), (1, 2), (2, 0)):
-            z = dx[..., i] + 1j * dx[..., j]
+            z = dx[i] + 1j * dx[j]
             f = -2.0 * c * z * np.exp(-c * z * z)
-            grad_h[..., i] += f.real
-            grad_h[..., j] -= f.imag
+            grad_h[i] += f.real
+            grad_h[j] -= f.imag
         q = 2 * n * r2 ** (n - 1) if n else 0.0  # grad r^2n = q dx, lap r^2n = (2n + d - 2) q
-        terms.append((q * h)[..., None] * dx + (r2 ** n)[..., None] * grad_h)
-        terms.append(q * ((2 * n + op.dim - 2) * h + 2.0 * np.einsum("...i,...i->...", dx, grad_h)))
+        terms.append([q * h * d + r2 ** n * gh for d, gh in zip(dx, grad_h)])
+        terms.append(q * ((2 * n + op.dim - 2) * h + 2.0 * coordinate_dot(dx, grad_h)))
     return terms[:order + 1]
 
 
@@ -497,52 +507,44 @@ def _heat_like(q, dtg, kdiff, dim, part=VALUE):
 # public scalar operations
 
 def eval_kernel(family, field_point, source_point):
-    """Kernel value at one (field, source) pair.
+    """Kernel value at one (field, source) pair, a 1x1 view of kernel_block.
 
     Accepts SpaceTimePoint or plain coordinate sequences.  Complex values
     appear only for the Hankel-form Helmholtz fundamental solution.
     """
-    x, t = _as_xt(field_point)
-    s, tau = _as_xt(source_point)
+    (x, t), (s, tau) = _as_row(field_point), _as_row(source_point)
     if x.shape != s.shape or x.size != family.operator.dim:
         raise DomainError(f"points must have dim {family.operator.dim}")
     if family.kind in (ELASTO_DISP, ELASTO_TRAC):
         raise DomainError("elasticity kernels are 2x2 tensors; call "
                           "eval_elasticity_kernel with the components (l, k)")
-    if family.operator.is_time_dependent:
-        if t is None or tau is None:
-            raise DomainError("time kernels need t on the field point and tau on the source")
-        return float(kernel_block(family, x.reshape(1, -1), s.reshape(1, -1), [t], [tau])[0, 0])
-    val = _steady_terms(family, (x - s).reshape(1, -1), 0)[0][0]
-    if np.iscomplexobj(val):
-        return complex(val)
-    return float(val)
+    val = kernel_block(family, x, s, t, tau)[0, 0]
+    return complex(val) if np.iscomplexobj(val) else float(val)
 
 
 def eval_kernel_gradient(family, field_point, source_point):
     """Gradient of the kernel w.r.t. the field point, in closed form (a 1x1
     view of _gradient_block)."""
-    x, t = _as_xt(field_point)
-    s, tau = _as_xt(source_point)
-    g = _gradient_block(family, x.reshape(1, 1, -1) - s.reshape(1, 1, -1),
-                        None if t is None else np.asarray([[t - tau]]))
-    return np.asarray(g[0, 0])
+    (x, t), (s, tau) = _as_row(field_point), _as_row(source_point)
+    return np.array([g[0, 0] for g in _gradient_block(family, x, s, t, tau)])
 
 
-def _gradient_block(family, dx, dt=None):
-    """Gradients for dx of shape (n, m, dim); returns (n, m, dim).  A time
-    kernel is a radial function of r: grad = (d/dr)/r dx, -> 0 at r = 0."""
+def _gradient_block(family, X, S, T=None, TAU=None):
+    """grad_x of the kernel for every pair of field points X (n, dim) at
+    times T and sources S (m, dim) at times TAU: one (n, m) array per
+    coordinate.  A time kernel is a radial function of r: grad = (d/dr)/r dx,
+    -> 0 at r = 0."""
     op = family.operator
     if op.kind == ops.STRUCTURAL_DIFFUSION:
         raise UnsupportedKernelError(
             "Neumann rows need the kernel gradient, which the structural-diffusion "
             "family (time-fundamental:structural-diffusion) does not provide")
     if not op.is_time_dependent:
-        return _steady_terms(family, dx, 1)[1]
-    r2 = np.einsum("...i,...i->...", dx, dx)
+        return _steady_terms(family, X, S, 1)[1]
+    r2, dt = _time_pairs(family, X, S, T, TAU)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at r = 0
-        slope = _time_form(family, r2, np.asarray(dt, dtype=float), SLOPE)
-    return np.where(r2 == 0.0, 0.0, slope)[..., None] * dx
+        slope = np.where(r2 == 0.0, 0.0, _time_form(family, r2, dt, SLOPE))
+    return [slope * d for d in pairwise_differences(X, S)]
 
 
 def _laplace_eigenvalue(op):
@@ -582,14 +584,12 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
     closed-form Laplacian of the family's kernel (_steady_terms) plus or
     minus k^2 times its values.  The block has the family's dtype.
     """
-    X = np.asarray(X, dtype=float)
-    S = np.asarray(S, dtype=float)
     same = governing == family.operator
     exact = family.shift == 0.0 and family.kind in (
         FUNDAMENTAL, FUNDAMENTAL_REAL, RADIAL_TREFFTZ, HARMONIC,
         TIME_FUNDAMENTAL, TIME_RADIAL_TREFFTZ)
     if same and exact:
-        return np.zeros((X.shape[0], S.shape[0]), complex if family.is_complex else float)
+        return np.zeros((len(X), len(S)), complex if family.is_complex else float)
     if exact and not governing.is_time_dependent and not family.operator.is_time_dependent:
         s_fam = _laplace_eigenvalue(family.operator)
         s_gov = _laplace_eigenvalue(governing)
@@ -601,7 +601,7 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
     if governing.kind not in (ops.LAPLACE, ops.HELMHOLTZ, ops.MODIFIED_HELMHOLTZ):
         raise UnsupportedKernelError(
             f"interior-residual rows not implemented for operator {governing.kind!r}")
-    vals, _, lap = _steady_terms(family, X[:, None, :] - S[None, :, :], 2)
+    vals, _, lap = _steady_terms(family, X, S, 2)
     if governing.kind == ops.LAPLACE:
         return lap
     if governing.kind == ops.HELMHOLTZ:
@@ -649,8 +649,7 @@ def tcomplete_members(family):
 def eval_tcomplete_member(family, index, point):
     """T-complete basis member at a point given relative to the expansion
     origin (a one-row view of tcomplete_member_block)."""
-    x, _ = _as_xt(point)
-    return float(tcomplete_member_block(family, index, x.reshape(1, -1))[0])
+    return float(tcomplete_member_block(family, index, _as_row(point)[0])[0])
 
 
 def tcomplete_member_block(family, index, X):
@@ -682,7 +681,7 @@ def _tcomplete_member(family, index, X, gradient):
         rho = np.hypot(X[:, 0], X[:, 1])
         theta = np.arctan2(X[:, 1], X[:, 0])
     else:  # rho, polar angle phi from x3, azimuth theta
-        rho = np.sqrt(np.einsum("ni,ni->n", X, X))
+        rho = np.sqrt(coordinate_dot(X.T, X.T))
         origin = rho == 0.0
         with np.errstate(invalid="ignore"):
             cosphi = np.clip(np.where(origin, 1.0, X[:, 2] / rho), -1.0, 1.0)
@@ -791,14 +790,13 @@ def _legendre_angular(v, m, x, s):
 # 2D elastostatics (Kelvin plane-strain kernels)
 
 def _elastic_geometry(X, S):
-    """dx = x - s (n, m, 2), r (n, m) and r_{,l} = dx_l / r; raises at r = 0."""
-    X = np.asarray(X, dtype=float)
-    S = np.asarray(S, dtype=float)
-    dx = X[:, None, :] - S[None, :, :]
-    r = np.sqrt(np.einsum("...i,...i->...", dx, dx))
+    """The coordinate differences dx_l = x_l - s_l, r and r_{,l} = dx_l / r,
+    each (n, m), dx and r_{,l} one per coordinate; raises at r = 0."""
+    dx = pairwise_differences(X, S)
+    r = np.sqrt(coordinate_dot(dx, dx))
     if np.any(r == 0.0):
         raise SingularityError("elasticity kernel evaluated at r = 0")
-    return dx, r, dx / r[..., None]
+    return dx, r, [d / r for d in dx]
 
 
 def elastic_block(op, X, S, normals=None):
@@ -812,19 +810,23 @@ def elastic_block(op, X, S, normals=None):
     dx, r, rr = _elastic_geometry(X, S)
     nu, mu = op.nu, op.shear
     delta = np.eye(2)
-    rlrk = rr[..., :, None] * rr[..., None, :]
+    out = np.empty(r.shape + (2, 2))
     if normals is None:
-        return (1.0 / (8.0 * math.pi * mu * (1.0 - nu))) * (
-            (3.0 - 4.0 * nu) * np.log(1.0 / r)[..., None, None] * delta + rlrk)
+        c = 1.0 / (8.0 * math.pi * mu * (1.0 - nu))
+        log = (3.0 - 4.0 * nu) * np.log(1.0 / r)
+        for l, k in np.ndindex(2, 2):
+            out[..., l, k] = c * (log * delta[l, k] + rr[l] * rr[k])
+        return out
     n = np.asarray(normals, dtype=float)
     if np.any(np.abs(np.linalg.norm(n, axis=1) - 1.0) > 1e-10):
         raise DomainError("normal must have unit length")
-    rn = np.einsum("nmi,ni->nm", dx, n) / r
-    nl = n[:, None, :, None]
-    nk = n[:, None, None, :]
-    return (1.0 / (4.0 * math.pi * (1.0 - nu) * r))[..., None, None] * (
-        ((1.0 - 2.0 * nu) * delta + 2.0 * rlrk) * rn[..., None, None]
-        + (1.0 - 2.0 * nu) * (rr[..., :, None] * nk - rr[..., None, :] * nl))
+    n = n.T[:, :, None]  # one (n, 1) column per coordinate
+    rn = coordinate_dot(dx, n) / r
+    c = 1.0 / (4.0 * math.pi * (1.0 - nu) * r)
+    for l, k in np.ndindex(2, 2):
+        out[..., l, k] = c * (((1.0 - 2.0 * nu) * delta[l, k] + 2.0 * rr[l] * rr[k]) * rn
+                              + (1.0 - 2.0 * nu) * (rr[l] * n[k] - rr[k] * n[l]))
+    return out
 
 
 def elastic_gradient_block(op, X, S):
@@ -832,13 +834,13 @@ def elastic_gradient_block(op, X, S):
     _, r, rr = _elastic_geometry(X, S)
     nu, mu = op.nu, op.shear
     delta = np.eye(2)
-    rl = rr[..., :, None, None]
-    rk = rr[..., None, :, None]
-    rj = rr[..., None, None, :]
-    r = r[..., None, None, None]
-    return (1.0 / (8.0 * math.pi * mu * (1.0 - nu))) * (
-        -(3.0 - 4.0 * nu) * delta[:, :, None] * rj / r
-        + (delta[:, None, :] * rk + delta[None, :, :] * rl - 2.0 * rl * rk * rj) / r)
+    c = 1.0 / (8.0 * math.pi * mu * (1.0 - nu))
+    out = np.empty(r.shape + (2, 2, 2))
+    for l, k, j in np.ndindex(2, 2, 2):
+        out[..., l, k, j] = c * (-(3.0 - 4.0 * nu) * delta[l, k] * rr[j] / r
+                                 + (delta[l, j] * rr[k] + delta[k, j] * rr[l]
+                                    - 2.0 * rr[l] * rr[k] * rr[j]) / r)
+    return out
 
 
 def eval_elasticity_kernel(family, l, k, field_point, source_point, normal=None):
@@ -849,14 +851,13 @@ def eval_elasticity_kernel(family, l, k, field_point, source_point, normal=None)
         raise UnsupportedKernelError("eval_elasticity_kernel needs an elasto family")
     if l not in (1, 2) or k not in (1, 2):
         raise DomainError("component indices l, k must be 1 or 2")
-    x, _ = _as_xt(field_point)
-    s, _ = _as_xt(source_point)
     normals = None
     if family.kind == ELASTO_TRAC:
         if normal is None:
             raise DomainError("traction kernel needs the unit normal at the field point")
         normals = np.asarray(normal, dtype=float).reshape(1, -1)
-    block = elastic_block(family.operator, x.reshape(1, -1), s.reshape(1, -1), normals)
+    block = elastic_block(family.operator, _as_row(field_point)[0], _as_row(source_point)[0],
+                          normals)
     return float(block[0, 0, l - 1, k - 1])
 
 
@@ -867,22 +868,13 @@ def kernel_block(family, X, S, T=None, TAU=None):
     """Dense value block: rows = field points X (n, dim), cols = sources S
     (m, dim), in the family's dtype.  Time kernels take per-row times T and
     per-column times TAU."""
-    X = np.asarray(X, dtype=float)
-    S = np.asarray(S, dtype=float)
     if family.operator.is_time_dependent:
         return _time_form(family, *_time_pairs(family, X, S, T, TAU), VALUE)
-    return _steady_terms(family, X[:, None, :] - S[None, :, :], 0)[0]
+    return _steady_terms(family, X, S, 0)[0]
 
 
 def kernel_gradient_block(family, X, S, normals, T=None, TAU=None):
-    """normal . grad_x kernel for each (row, column) pair."""
-    X = np.asarray(X, dtype=float)
-    S = np.asarray(S, dtype=float)
-    dxs = X[:, None, :] - S[None, :, :]
-    dts = None
-    if family.operator.is_time_dependent:
-        dts = np.asarray(T, dtype=float)[:, None] - np.asarray(TAU, dtype=float)[None, :]
-    grads = _gradient_block(family, dxs, dts)
+    """normal . grad_x kernel for each (row, column) pair, summed over
+    coordinates in index order."""
     normals = np.asarray(normals, dtype=float)
-    return ops._by_parts(lambda g: np.einsum("nmi,ni->nm", g, normals), grads)
-
+    return coordinate_dot(_gradient_block(family, X, S, T, TAU), normals.T[:, :, None])

@@ -122,12 +122,10 @@ def assemble(families, sources, colloc, governing=None):
     for fam, start, stop in zip(families, offsets[:-1], offsets[1:]):
         _fill_family_block(entries[:, start:stop], fam, sources, colloc, governing)
 
-    # block by block, in row order: the first bad entry is named
-    for rows in geo.row_blocks(np.arange(n), entries.shape[1]):
-        bad = np.argwhere(~np.isfinite(entries[rows]))
-        if len(bad):
-            raise SingularityError(f"non-finite design-matrix entry at row "
-                                   f"{rows[bad[0, 0]]}, column {bad[0, 1]}")
+    finite = np.isfinite(entries)
+    if not finite.all():  # the first bad entry in row order is named
+        row, column = np.argwhere(~finite)[0]
+        raise SingularityError(f"non-finite design-matrix entry at row {row}, column {column}")
     return DesignMatrix(entries=entries, row_kinds=colloc.kinds.copy())
 
 
@@ -211,9 +209,7 @@ def _tcomplete_rows(family, group, rows, sources, colloc, governing):
     out = np.empty((len(rows), len(members)))
     for j, index in enumerate(members):
         grad = tcomplete_member_gradient_block(family, index, P)
-        # normal . grad summed axis by axis: einsum sums a single row in
-        # another order, and the rows would depend on the block they are in
-        out[:, j] = sum(grad[:, a] * normals[:, a] for a in range(colloc.dim))
+        out[:, j] = geo.coordinate_dot(grad.T, normals.T)
     return out
 
 

@@ -127,6 +127,9 @@ def _config_hash(setup, seed):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _write_outputs(result, seed):
     os.makedirs(result.out_dir, exist_ok=True)
     setup, rep = result.setup, result.train_report
@@ -153,6 +156,9 @@ def _write_outputs(result, seed):
                                                "cond_estimate", "effective_rank",
                                                "rejected_steps")},
         "notes": setup.notes,
+        # the CSV bytes follow the numpy build and the BLAS thread count
+        "environment": {"numpy": np.__version__} | {
+            var: os.environ.get(var) for var in _THREAD_VARS},
     }
     summary.update(result.extras)
     with open(os.path.join(result.out_dir, "summary.json"), "w") as fh:

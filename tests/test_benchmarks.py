@@ -245,3 +245,15 @@ def test_verify_kernels_flags_mutant():
     assert not ok
     assert rows[0].name == "mutant:heat-flipped-exponent"
     assert not rows[0].passed
+
+
+def test_summary_names_the_environment_its_bytes_follow(tmp_path, monkeypatch):
+    import json
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    run_benchmark("example7", seed=0, n_boundary=60, out_dir=tmp_path)
+    env = json.loads((tmp_path / "summary.json").read_text())["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
+    assert set(env) == {"numpy", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}

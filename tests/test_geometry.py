@@ -11,11 +11,13 @@ from pikfnn.errors import DomainError, NodeFileError
 from pikfnn.geometry import (
     CollocationSet,
     SourceSet,
+    coordinate_dot,
     gen_boundary,
     gen_sources,
     gen_spacetime_grid,
     interior_torus,
     load_nodes,
+    pairwise_differences,
     pairwise_sq_dist,
     save_nodes,
     validate_source_separation,
@@ -180,6 +182,22 @@ def test_pairwise_sq_dist_splits_transposes_and_sums_in_order(seed, n, m, dim):
     assert np.array_equal(np.concatenate([pairwise_sq_dist(X, S[:j]),
                                           pairwise_sq_dist(X, S[j:])], axis=1), d2)
     assert np.array_equal(pairwise_sq_dist(S, X), d2.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), m=st.integers(1, 9),
+       dim=st.integers(1, 4))
+def test_coordinate_differences_give_the_same_sq_dist(seed, n, m, dim):
+    # formulas that read components take r^2 from the differences; it must
+    # be pairwise_sq_dist's r^2 bit for bit
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-4.0, 4.0, size=dim)
+    X = rng.standard_normal((n, dim)) * scales
+    S = rng.standard_normal((m, dim)) * scales
+    d = pairwise_differences(X, S)
+    assert len(d) == dim and all(np.array_equal(d_i, X[:, i, None] - S[None, :, i])
+                                 for i, d_i in enumerate(d))
+    assert np.array_equal(coordinate_dot(d, d), pairwise_sq_dist(X, S))
 
 
 def test_spacetime_grid_counts_paper_numbers():

@@ -1,7 +1,9 @@
 """Property tests for the Bessel-backed, Kelvin and time kernel blocks: the
 rows of a block can be partitioned freely, the blocks agree with the scalar
-formulas (the scalar entry points are 1x1 views of the block path), and the
-unmasked time kernels equal their masked gather/scatter form bit for bit."""
+formulas (the scalar entry points are 1x1 views of the block path), every
+block that sees only the pair geometry is bit-identical under reflections,
+and the unmasked time kernels equal their masked gather/scatter form bit for
+bit."""
 
 import contextlib
 import math
@@ -19,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from pikfnn import kernels
 from pikfnn.errors import UnsupportedKernelError
-from pikfnn.geometry import CollocationSet, SourceSet
+from pikfnn.geometry import CollocationSet, SourceSet, pairwise_sq_dist
 from pikfnn.kernels import SpaceTimePoint, eval_kernel, kernel_block
 from pikfnn.network import assemble
 from pikfnn.operators import OperatorSpec, structural_fn
@@ -142,6 +144,21 @@ coords = arrays(float, st.tuples(st.integers(2, 9), st.just(3)),
                 elements=st.floats(-1.0, 1.0))
 
 
+def _governing(family):
+    """The governing operator of a family's interior-residual rows in these
+    tests: a Helmholtz operator for a 2D or 3D steady family, so the rows
+    take the closed-form Laplacian, and the family's own operator otherwise."""
+    op = family.operator
+    if op.is_time_dependent or op.dim == 4:  # 4D has the Laplace operator only
+        return op
+    return OperatorSpec("helmholtz", op.dim, k=1.3)
+
+
+def _rows_of(T, TAU, rows):
+    """The time arguments of a block over the given rows (none if steady)."""
+    return () if T is None else (T[rows], TAU)
+
+
 @pytest.mark.parametrize("ident", BESSEL_IDS)
 @settings(max_examples=20, deadline=None)
 @given(X=coords, S=arrays(float, st.tuples(st.integers(1, 4), st.just(3)),
@@ -154,14 +171,18 @@ def test_rows_partition_freely(ident, X, S, split):
     n, m = len(X), len(S)
     split = min(split, n)
     T, TAU = _times(family, n, m)
-    whole = kernel_block(family, X, S, T, TAU)
-    if T is None:
-        halves = [kernel_block(family, X[:split], S),
-                  kernel_block(family, X[split:], S)]
-    else:
-        halves = [kernel_block(family, X[:split], S, T[:split], TAU),
-                  kernel_block(family, X[split:], S, T[split:], TAU)]
-    assert np.array_equal(np.concatenate(halves), whole)
+    normals = (X + 2.0) / np.linalg.norm(X + 2.0, axis=1)[:, None]
+    blocks = [lambda rows: kernel_block(family, X[rows], S, *_rows_of(T, TAU, rows))]
+    if dim == 3:
+        blocks += [lambda rows: kernels.kernel_gradient_block(
+                       family, X[rows], S, normals[rows], *_rows_of(T, TAU, rows)),
+                   lambda rows: kernels.governing_applied_block(
+                       family, _governing(family), X[rows], S, *_rows_of(T, TAU, rows))]
+    for block in blocks:
+        whole = block(slice(None))
+        halves = [block(slice(None, split)), block(slice(split, None))]
+        assert np.array_equal(np.concatenate(halves), whole)
+    whole = blocks[0](slice(None))
     for i in range(n):
         for j in range(m):
             if T is None:
@@ -169,7 +190,97 @@ def test_rows_partition_freely(ident, X, S, split):
             else:
                 value = eval_kernel(family, SpaceTimePoint(X[i], T[i]),
                                     SpaceTimePoint(S[j], TAU[j]))
-            assert abs(value - whole[i, j]) <= 1e-14 * abs(whole[i, j])
+            assert value == whole[i, j]
+
+
+def test_eval_kernel_is_kernel_block_on_every_catalog_id():
+    # the scalar entry point is a 1x1 view of the block path, bit for bit;
+    # T-complete and elastic families have no scalar kernel value
+    rng = np.random.default_rng(9)
+    for ident in list_kernel_ids():
+        family = parse_kernel_id(ident)
+        if family.kind in (kernels.T_COMPLETE, kernels.ELASTO_DISP, kernels.ELASTO_TRAC):
+            continue
+        dim = family.operator.dim
+        X, S = rng.uniform(-1.0, 1.0, (5, dim)), rng.uniform(2.0, 3.0, (3, dim))
+        T, TAU = _times(family, 5, 3)
+        block = kernel_block(family, X, S, T, TAU)
+        for i, j in np.ndindex(block.shape):
+            x, s = (X[i], S[j]) if T is None else (SpaceTimePoint(X[i], T[i]),
+                                                   SpaceTimePoint(S[j], TAU[j]))
+            assert eval_kernel(family, x, s) == block[i, j], ident
+
+
+@pytest.mark.parametrize("ident,form", [
+    ("fundamental:laplace:3d", lambda r: 1.0 / (4.0 * math.pi * r)),
+    ("fundamental:laplace:4d", lambda r: 1.0 / (4.0 * math.pi ** 2 * r * r))])
+def test_steady_blocks_read_the_geometry_r2(ident, form):
+    # a steady kernel takes r^2 from geometry's one rule, as the time kernels
+    # do; coordinates of very different sizes make the order of the sum show
+    rng = np.random.default_rng(3)
+    dim = parse_kernel_id(ident).operator.dim
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=dim)
+    X, S = rng.standard_normal((40, dim)) * scales, rng.standard_normal((30, dim)) * scales
+    block = kernel_block(parse_kernel_id(ident), X, S)
+    assert _bitwise_equal(block, form(np.sqrt(pairwise_sq_dist(X, S))))
+
+
+def _reflections(family):
+    """The coordinate maps that leave the family's kernel unchanged: negating
+    one coordinate, unless a convection-diffusion drift e^{-v . dx / 2D}
+    reads the direction of dx, and in 2D the swap of the two axes, unless the
+    kernel is a harmonic sum (e^{-c(a^2 - b^2)} cos(2cab) is not symmetric in
+    a and b) or the drift velocity's components differ."""
+    op = family.operator
+    maps = []
+    if not any(op.velocity):
+        for axis in range(op.dim):
+            flip = np.ones(op.dim)
+            flip[axis] = -1.0
+            maps.append(lambda a, flip=flip: a * flip)
+    if op.dim == 2 and family.kind != kernels.HARMONIC and len(set(op.velocity)) <= 1:
+        maps.append(lambda a: a[:, ::-1])
+    return maps
+
+
+# every family whose kernel sees a pair through its geometry alone (all but
+# the T-complete and elastic ones) and has a reflection; the 3D drift
+# families have none
+PAIR_IDS = [ident for ident in list_kernel_ids()
+            if parse_kernel_id(ident).kind not in (
+                kernels.T_COMPLETE, kernels.ELASTO_DISP, kernels.ELASTO_TRAC)
+            and _reflections(parse_kernel_id(ident))]
+
+
+def _pair_blocks(family, X, S, normals, T, TAU):
+    """Every block of a family whose entries see only the pair geometry."""
+    out = [kernel_block(family, X, S, T, TAU),
+           kernels.kernel_time_derivative_block(family, X, S, T, TAU),
+           kernels.governing_applied_block(family, _governing(family), X, S, T, TAU)]
+    if family.operator.kind != "structural-diffusion":  # which has no gradient
+        out.append(kernels.kernel_gradient_block(family, X, S, normals, T, TAU))
+    return out
+
+
+@pytest.mark.parametrize("ident", PAIR_IDS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_blocks_are_bitwise_invariant_under_reflection(ident, seed):
+    # negating one coordinate of the points, sources and normals, and in 2D
+    # swapping the two axes, leaves every block bit for bit as it was: r^2
+    # and every sum over coordinates are added in index order, and each term
+    # is the same product up to sign
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    rng = np.random.default_rng(seed)
+    X, S = rng.uniform(-1.0, 1.0, (6, dim)), rng.uniform(-3.0, 3.0, (4, dim))
+    normals = rng.normal(size=X.shape)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    T, TAU = _times(family, 6, 4)
+    base = _pair_blocks(family, X, S, normals, T, TAU)
+    for f in _reflections(family):
+        moved = _pair_blocks(family, f(X), f(S), f(normals), T, TAU)
+        assert all(_bitwise_equal(a, b) for a, b in zip(base, moved))
 
 
 # ---------------------------------------------------------------------------
