@@ -38,7 +38,7 @@ from .kernels import (
     eval_tcomplete_member,
     tcomplete_members,
 )
-from .metrics import MetricsReport, metric_l2, metric_rerr, r_squared
+from .metrics import MetricsReport, metric_l2, r_squared
 from .network import (
     DesignMatrix,
     PikfnnModel,
@@ -59,6 +59,14 @@ from .special_functions import (
     bessel_y,
     hankel1,
 )
-from .training import TrainConfig, TrainReport, grad_loss, init_weights, loss, train_adam, train_lm
+from .training import (
+    ScaledProblem,
+    TrainConfig,
+    TrainReport,
+    grad_loss,
+    init_weights,
+    loss,
+    train_problem,
+)
 
 __version__ = "0.1.0"

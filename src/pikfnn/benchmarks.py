@@ -360,7 +360,7 @@ def example9(seed=0, train=None, shift=1.0):
     kinds = ["D"] * len(bpts) + ["R"] * len(interior)
     values = np.concatenate([exact(bpts), source_term(interior)])
     colloc = CollocationSet(points, kinds, values)
-    sources = SourceSet(points.copy(), enhanced=True)
+    sources = SourceSet(points.copy())
 
     test = interior_grid_lshape(1.0, 24)
     return ProblemSetup(

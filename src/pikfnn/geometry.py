@@ -73,13 +73,11 @@ class CollocationSet:
 class SourceSet:
     """Hidden-neuron centers; optionally with per-source times tau."""
 
-    def __init__(self, points, times=None, enhanced=False, delay_dt=0.0):
+    def __init__(self, points, times=None):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.times = None if times is None else np.asarray(times, dtype=float)
         if self.times is not None and self.times.shape != (self.points.shape[0],):
             raise DomainError("source times must match the point count")
-        self.enhanced = bool(enhanced)
-        self.delay_dt = float(delay_dt)
 
     def __len__(self):
         return self.points.shape[0]
@@ -106,14 +104,14 @@ def row_blocks(rows, width):
 
 
 def validate_source_separation(sources, colloc, min_rel=1e-10):
-    """Reject source/collocation coincidence unless in enhanced mode.
+    """Reject source/collocation coincidence.
 
     For space-time sets the delayed source times already prevent kernel
     singularities, so only purely spatial sets are checked.  The minimum
     distance is taken over row blocks (row_blocks), never over the whole
     (n, m) distance matrix.
     """
-    if sources.enhanced or sources.times is not None:
+    if sources.times is not None:
         return
     P = colloc.points
     scale = max(1.0, float(np.max(np.abs(P))) if len(colloc) else 1.0)
@@ -121,7 +119,7 @@ def validate_source_separation(sources, colloc, min_rel=1e-10):
               for rows in row_blocks(np.arange(len(P)), len(sources))), default=math.inf)
     if math.sqrt(d2) <= min_rel * scale:
         raise DomainError("source points coincide with collocation points "
-                          "(enhanced mode required for coincident centers)")
+                          "(coincident centers need a shifted kernel family)")
 
 
 def pairwise_sq_dist(X, S):
@@ -334,7 +332,7 @@ def gen_sources(base, placement: str, n: int = None, r: float = 1.0, center: tup
         if not isinstance(base, CollocationSet) or base.times is None:
             raise DomainError("same_nodes_with_delay needs a space-time CollocationSet")
         # sources sit dt in the past so theta(t - tau) is active on the window
-        return SourceSet(base.points.copy(), times=base.times - dt, delay_dt=dt)
+        return SourceSet(base.points.copy(), times=base.times - dt)
     raise DomainError(f"unsupported placement {placement!r}")
 
 

@@ -17,13 +17,6 @@ import numpy as np
 from .errors import DomainError
 
 
-def metric_rerr(pred, ana):
-    """(pred - ana)/ana for one point; ana = 0 raises the division guard."""
-    if ana == 0.0:
-        raise DomainError("relative error undefined at ana = 0 (point excluded)")
-    return (pred - ana) / ana
-
-
 def metric_l2(pred, ana):
     """sqrt(sum (pred-ana)^2 / sum ana^2) over equal-length vectors."""
     pred = np.asarray(pred, dtype=float)

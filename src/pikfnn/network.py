@@ -80,6 +80,8 @@ class PikfnnModel:
                 raise ConfigurationError(
                     f"family {format_kernel_id(fam)} has dim {fam.operator.dim}, "
                     f"model has {self.dim}")
+        if self.sources.dim != self.dim:
+            raise ConfigurationError(f"sources have dim {self.sources.dim}, model has {self.dim}")
 
     @property
     def width(self):
@@ -110,6 +112,8 @@ def assemble(families, sources, colloc, governing=None):
         if fam.operator.dim != colloc.dim:
             raise ConfigurationError(
                 f"kernel dim {fam.operator.dim} != collocation dim {colloc.dim}")
+    if sources.dim != colloc.dim:
+        raise ConfigurationError(f"source dim {sources.dim} != collocation dim {colloc.dim}")
     if any(f.is_singular for f in families):
         geo.validate_source_separation(sources, colloc)
     if governing is None:
@@ -367,8 +371,6 @@ def save_model(path, model):
         "sources": {
             "points": model.sources.points.tolist(),
             "times": None if model.sources.times is None else model.sources.times.tolist(),
-            "enhanced": model.sources.enhanced,
-            "delay_dt": model.sources.delay_dt,
         },
         "weights": model.weights.tolist(),
     }
@@ -381,9 +383,9 @@ def load_model(path):
         doc = json.load(fh)
     families = [parse_kernel_id(ident) for ident in doc["kernels"]]
     src = doc["sources"]
+    # files of earlier versions also carry "enhanced" and "delay_dt", which
+    # nothing reads
     sources = SourceSet(np.asarray(src["points"], dtype=float),
-                        times=None if src["times"] is None else np.asarray(src["times"]),
-                        enhanced=src.get("enhanced", False),
-                        delay_dt=src.get("delay_dt", 0.0))
+                        times=None if src["times"] is None else np.asarray(src["times"]))
     return PikfnnModel(families=families, sources=sources, dim=int(doc["dim"]),
                        weights=np.asarray(doc["weights"], dtype=float))

@@ -9,7 +9,6 @@ and the function is evaluated on the whole set with one call; the stencil
 weights then contract those values, applying each inner level of a nested
 power once per lattice point.  The oracle sees values only, never a
 kernel formula, so it stays an independent check of the kernel catalog.
-apply_steady_operator_fd and apply_time_operator_fd are its one-point views.
 
 OperatorSpec instances are frozen and shareable across threads.
 """
@@ -178,18 +177,34 @@ def structural_fn(selector, exponent):
     scalars or numpy arrays.
 
     'power' with exponent exactly 1 falls back to identity so the
-    power==classical reduction is bit-for-bit.
+    power==classical reduction is bit-for-bit.  'power' with a non-integer
+    exponent needs arguments >= 0 and 'log' arguments > 0; either map
+    raises DomainError at the first argument outside that domain.
     """
     if selector == "identity" or (selector == "power" and exponent == 1.0):
         return (lambda v: v), (lambda v: 1.0)
     if selector == "power":
-        return (lambda v: np.power(v, exponent)), \
-            (lambda v: exponent * np.power(v, exponent - 1.0))
+        return (lambda v: np.power(_in_domain(selector, exponent, v), exponent)), \
+            (lambda v: exponent * np.power(_in_domain(selector, exponent, v), exponent - 1.0))
     if selector == "exp":
         return np.exp, np.exp
     if selector == "log":
-        return np.log, (lambda v: 1.0 / v)
+        return (lambda v: np.log(_in_domain(selector, exponent, v))), \
+            (lambda v: 1.0 / _in_domain(selector, exponent, v))
     raise DomainError(f"unknown structural selector {selector!r}")
+
+
+def _in_domain(selector, exponent, v):
+    """v, once every entry is in the map's domain: >= 0 for 'power' with a
+    non-integer exponent, > 0 for 'log'."""
+    if selector == "power" and float(exponent).is_integer():
+        return v
+    bad = np.less_equal(v, 0.0) if selector == "log" else np.less(v, 0.0)
+    if np.any(bad):
+        first = float(np.asarray(v)[bad].flat[0])
+        raise DomainError(f"structural map {selector!r} (exponent {exponent:g}) needs "
+                          f"arguments {'> 0' if selector == 'log' else '>= 0'}, got {first!r}")
+    return v
 
 
 
@@ -439,21 +454,3 @@ def time_operator_fd_block(op, fn, X, T, h=None, ht=None):
         lambda v: _time_stencil(op, lambda o: v[offsets[o]], h, ht, dim, x_at, T), lattice,
         lambda Z: fn(Z[:, :dim], Z[:, dim]), np.column_stack([X, T]),
         np.column_stack([np.repeat(h[:, None], dim, axis=1), ht]))
-
-
-def apply_steady_operator_fd(op, fn, x, h=None):
-    """steady_operator_fd_block at one point x, for fn: R^dim -> R (or C)
-    taking one point."""
-    def block(P):
-        return np.asarray([fn(p) for p in P.tolist()])
-
-    return steady_operator_fd_block(op, block, [x], h)[0]
-
-
-def apply_time_operator_fd(op, fn, x, t, h=None, ht=None):
-    """time_operator_fd_block at one point (x, t), for fn(x, t) taking one
-    point and one time."""
-    def block(P, T):
-        return np.asarray([fn(p, tv) for p, tv in zip(P.tolist(), T.tolist())])
-
-    return time_operator_fd_block(op, block, [x], [t], h, ht)[0]

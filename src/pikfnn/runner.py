@@ -24,7 +24,6 @@ from .benchmarks import BUILTINS, ProblemSetup
 from .errors import ConfigurationError
 from .geometry import SourceSet, gen_sources, load_nodes
 from .kernels import (
-    KernelFamily,
     elastic_block,
     kernel_block,
     tcomplete_member_block,
@@ -307,12 +306,10 @@ def build_verify_entries(pattern=None):
         family = parse_kernel_id(ident)
         op = family.operator
         tol = _tol_for(op)
-        if family.kind in (kn.ELASTO_DISP, kn.ELASTO_TRAC):
-            if family.kind == kn.ELASTO_TRAC:
-                continue  # traction columns derive from the same Kelvin field
-            fam = KernelFamily(family.kind, OperatorSpec(
-                ops.ELASTOSTATIC, 2, nu=0.3, shear=1.0))
-            entries.append((ident, lambda n, s, f=fam: _elastic_check(f, n, s), 1e-4))
+        if family.kind == kn.ELASTO_TRAC:
+            continue  # traction columns derive from the same Kelvin field
+        if family.kind == kn.ELASTO_DISP:
+            entries.append((ident, lambda n, s, f=family: _elastic_check(f, n, s), 1e-4))
         elif family.kind == kn.T_COMPLETE:
             entries.append((ident, lambda n, s, f=family: _tcomplete_check(f, n, s), tol))
         elif op.is_time_dependent:
@@ -460,6 +457,10 @@ def setup_from_config(doc):
         base = colloc if spec["placement"] == "same_nodes_with_delay" else colloc.points
         sources = gen_sources(base, **spec)
     test_set = load_nodes(doc["test"]["node_file"])
+    for section, nodes in (("geometry", colloc), ("sources", sources), ("test", test_set)):
+        if nodes.dim != op.dim:
+            raise ConfigurationError(f"{section}: {nodes.dim}-dimensional points for a "
+                                     f"{op.dim}D operator")
     return ProblemSetup(
         name=doc.get("name", "custom"), operator=op, families=families, colloc=colloc,
         sources=sources, train=TrainConfig(**{"seed": seed, **train}),

@@ -13,8 +13,9 @@ V diag(s) V^T (D Marquardt's diagonal of A, eigenvalues clamped at 0), so
 each trial step of (A + lambda D) delta = -J^T r is two mat-vecs and no
 factorization can fail.
 
-Both trainers update model.weights in place, are deterministic for a fixed
-seed/config, and record one log row per iteration for the loss-history CSV
+train_problem runs the trainer that config.optimizer names.  Both trainers
+update model.weights in place, are deterministic for a fixed seed/config,
+and record one log row per iteration for the loss-history CSV
 (`iter,loss,lambda_or_lr,accepted`).
 """
 
@@ -219,7 +220,7 @@ def init_weights(n, config):
     return rng.uniform(-1.0, 1.0, size=n)
 
 
-def train_adam(model, matrix, targets, config):
+def _adam(model, prob, config):
     """Standard Adam with bias correction on the group-mean loss.
 
     Runs on the residual r = J p - y alone: the loss is r.r and the gradient
@@ -232,10 +233,6 @@ def train_adam(model, matrix, targets, config):
     bias corrections folded into the step size) was seen to drift 1e-10 of
     max |p| from the textbook weights within 300 iterations.
     """
-    return _adam(model, ScaledProblem(matrix, targets), config)
-
-
-def _adam(model, prob, config):
     J, y = prob.J, prob.y
     JT = J.T
     n = J.shape[1]
@@ -293,17 +290,13 @@ def _adam(model, prob, config):
     return TrainReport(it, stop, time.perf_counter() - t0, log)
 
 
-def train_lm(model, matrix, targets, config):
+def _lm(model, prob, config):
     """Levenberg-Marquardt on the linear residual.
 
     Stops when max|w_i - w_{i-1}| < tol or |loss_i - loss_{i-1}| < tol
     across accepted iterations (max_iters as the safety net); see module
     docstring for the damped step.
     """
-    return _lm(model, ScaledProblem(matrix, targets), config)
-
-
-def _lm(model, prob, config):
     p = init_weights(prob.J.shape[1], config)
     t0 = time.perf_counter()
     damping = _Damping(prob.A)
@@ -345,9 +338,8 @@ def _lm(model, prob, config):
 
 
 def train_problem(model, prob, config):
-    """Train model.weights on a ScaledProblem with config.optimizer; the same
-    run as train_adam or train_lm on the matrix prob was built from, for a
-    caller that need not keep that matrix while training runs."""
+    """Train model.weights on prob, a ScaledProblem, with config.optimizer:
+    "adam" runs _adam, "lm" runs _lm."""
     return (_adam if config.optimizer == "adam" else _lm)(model, prob, config)
 
 

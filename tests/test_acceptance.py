@@ -15,7 +15,7 @@ from pikfnn.kernels import KernelFamily, kernel_block
 from pikfnn.network import DesignMatrix, PikfnnModel
 from pikfnn.operators import OperatorSpec
 from pikfnn.runner import check_exact_solution, run_benchmark, verify_kernels
-from pikfnn.training import TrainConfig, grad_loss, loss, train_lm
+from pikfnn.training import ScaledProblem, TrainConfig, grad_loss, loss, train_problem
 
 from test_special_functions import load_reference, FNS
 from pikfnn.special_functions import assoc_legendre
@@ -205,7 +205,7 @@ def test_criterion_11_optimizer_properties():
         targets = rng.normal(size=n)
         model = toy(m)
         cfg = TrainConfig(optimizer="lm", tol=1e-14, max_iters=300, seed=7)
-        rep = train_lm(model, mtx, targets, cfg)
+        rep = train_problem(model, ScaledProblem(mtx, targets), cfg)
         p_star, *_ = np.linalg.lstsq(entries, targets, rcond=None)
         star = toy(m)
         star.weights = p_star

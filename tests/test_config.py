@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -222,3 +223,58 @@ def test_run_benchmark_checks_a_builtin_name_and_its_params():
         runner.run_benchmark("example3", n_boundary="40")
     with pytest.raises(ConfigurationError, match="train.max_iters"):
         runner.run_benchmark("example3", train={"max_iters": 0})
+
+
+def _write_nodes(path, points, times=None):
+    save_nodes(path, CollocationSet(points, ["D"] * len(points), np.zeros(len(points)),
+                                    times=times))
+
+
+@pytest.mark.parametrize("dim, fields, section", [
+    # 3D sources for 2D rows: placed on a sphere, or read from a node file
+    (2, {"sources": {"placement": "scaled_sphere", "n": 40, "r": 3.0}}, "sources"),
+    (2, {"sources": {"node_file": "n3.txt"}}, "sources"),
+    # 2D sources for 3D rows
+    (3, {"sources": {"placement": "scaled_circle", "n": 40, "r": 3.0}}, "sources"),
+    # rows or test points of another dimension than the operator's
+    (2, {"geometry": {"node_file": "n3.txt"}}, "geometry"),
+    (2, {"test": {"node_file": "n3.txt"}}, "test"),
+])
+def test_nodes_of_another_dimension_exit_2_naming_them(tmp_path, capsys, dim, fields, section):
+    rng = np.random.default_rng(0)
+    _write_nodes(tmp_path / "b.txt", rng.uniform(-1.0, 1.0, size=(30, dim)))
+    _write_nodes(tmp_path / "n3.txt", np.column_stack([rng.uniform(-3.0, 3.0, size=(40, 2)),
+                                                       np.full(40, 50.0)]))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_CUSTOM | {
+        "kernels": [f"fundamental:laplace:{dim}d"], "operator": {"kind": "laplace", "dim": dim},
+        } | fields))
+    with mock.patch("pikfnn.cli.run_benchmark") as run:  # rejected before the run
+        assert main(["run", str(cfg)]) == 2
+    assert not run.called
+    err = capsys.readouterr().err
+    assert f"validation error: {section}: " in err and "Traceback" not in err
+
+
+_STRUCTURAL = "time-fundamental:structural-diffusion:2d?d=0.8&alpha=0.7&beta=1.3&st=power&sx=power"
+
+
+@pytest.mark.parametrize("point, dt, message", [
+    # a row at x1 = -0.5: the spatial map x^1.3 is undefined there
+    ((-0.5, 0.3), 0.5, "structural map 'power' (exponent 1.3) needs arguments >= 0, got -0.5"),
+    # dt = 1 puts the row at t = 0.5 a source at tau = -0.5, where t^0.7 is undefined
+    ((0.5, 0.3), 1.0, "structural map 'power' (exponent 0.7) needs arguments >= 0, got -0.5"),
+])
+def test_structural_map_outside_its_domain_exits_2_naming_it(tmp_path, capsys, point, dt,
+                                                            message):
+    points = np.array([point, (0.2, 0.4), (0.6, 0.7)])
+    _write_nodes(tmp_path / "b.txt", points, times=[0.5, 1.0, 1.5])
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_CUSTOM | {
+        "kernels": [_STRUCTURAL], "operator": None,
+        "sources": {"placement": "same_nodes_with_delay", "dt": dt}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN from the map first
+        assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: {message}" in err and "Traceback" not in err

@@ -1,6 +1,6 @@
-"""Tests for the batched finite-difference oracle: row partitions, the
-one-point views, its independence from the analytic operator code (and
-theirs from it), its sensitivity to a perturbed kernel, and the T-complete member blocks it
+"""Tests for the batched finite-difference oracle: row partitions, its
+independence from the analytic operator code (and theirs from it), its
+sensitivity to a perturbed kernel, and the T-complete member blocks it
 drives."""
 
 import math
@@ -21,8 +21,6 @@ from pikfnn.kernels import (
 )
 from pikfnn.operators import (
     OperatorSpec,
-    apply_steady_operator_fd,
-    apply_time_operator_fd,
     steady_operator_fd_block,
     time_operator_fd_block,
 )
@@ -79,15 +77,6 @@ def test_block_oracle_rows_partition_freely(ident, data):
     parts = [_oracle(family, fn, X[rows], None if T is None else T[rows])
              for rows in (slice(None, split), slice(split, None))]
     assert np.array_equal(np.concatenate(parts), whole)
-    # the one-point views are the 1-row block, bit for bit
-    if T is None:
-        scalar = apply_steady_operator_fd(family.operator,
-                                          lambda pt: fn(np.asarray([pt]))[0], X[0])
-    else:
-        scalar = apply_time_operator_fd(
-            family.operator, lambda pt, tv: fn(np.asarray([pt]), np.asarray([tv]))[0],
-            X[0], T[0])
-    assert scalar == _oracle(family, fn, X[:1], None if T is None else T[:1])[0]
 
 
 def _sq(P):
@@ -370,8 +359,7 @@ def test_analytic_rows_independent_of_oracle(ident, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("analytic rows used the FD oracle")
 
-    for name in ("steady_operator_fd_block", "time_operator_fd_block",
-                 "apply_steady_operator_fd", "apply_time_operator_fd"):
+    for name in ("steady_operator_fd_block", "time_operator_fd_block"):
         monkeypatch.setattr(operators, name, forbidden)
     family = parse_kernel_id(ident)
     dim = family.operator.dim
@@ -400,8 +388,7 @@ def test_initial_rate_rows_independent_of_oracle(ident, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("analytic rows used the FD oracle")
 
-    for name in ("steady_operator_fd_block", "time_operator_fd_block",
-                 "apply_steady_operator_fd", "apply_time_operator_fd"):
+    for name in ("steady_operator_fd_block", "time_operator_fd_block"):
         monkeypatch.setattr(operators, name, forbidden)
     value_rows = []
 

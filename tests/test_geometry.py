@@ -135,8 +135,6 @@ def test_source_separation_guard():
     bad = SourceSet(boundary)
     with pytest.raises(DomainError):
         validate_source_separation(bad, colloc)
-    enhanced = SourceSet(boundary, enhanced=True)
-    validate_source_separation(enhanced, colloc)  # no raise
 
 
 @pytest.mark.parametrize("dim", [2, 3])

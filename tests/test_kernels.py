@@ -24,10 +24,9 @@ from pikfnn.kernels import (
 )
 from pikfnn.operators import (
     OperatorSpec,
-    apply_steady_operator_fd,
-    apply_time_operator_fd,
     high_order_coeffs,
     steady_operator_fd_block,
+    time_operator_fd_block,
 )
 from pikfnn.registry import list_kernel_ids, parse_kernel_id
 from pikfnn.special_functions import bessel_k, bessel_y
@@ -128,17 +127,18 @@ def test_steady_pde_residual(kclass, opkw, famkw, tol):
     fam = KernelFamily(kclass, op, **famkw)
     s = np.zeros(op.dim)
     rng = np.random.default_rng(42)
+    X = []
     for _ in range(25):
         d = rng.normal(size=op.dim)
         d /= np.linalg.norm(d)
-        x = s + (0.5 + 1.5 * rng.random()) * d
+        X.append(s + (0.5 + 1.5 * rng.random()) * d)
+    X = np.array(X)
 
-        def fn(pt):
-            v = eval_kernel(fam, np.asarray(pt), s)
-            return v.real if isinstance(v, complex) else v
+    def fn(P):
+        return np.real(kernel_block(fam, P, s[None, :])[:, 0])
 
-        res = apply_steady_operator_fd(op, fn, x)
-        assert abs(res) <= tol * max(abs(fn(x)), 1.0)
+    res = steady_operator_fd_block(op, fn, X)
+    assert np.all(np.abs(res) <= tol * np.maximum(np.abs(fn(X)), 1.0))
 
 
 TIME_CASES = [
@@ -157,19 +157,20 @@ def test_time_pde_residual(kclass, opkw):
     op = OperatorSpec(**opkw)
     fam = KernelFamily(kclass, op)
     rng = np.random.default_rng(17)
+    X, T = [], []
     for _ in range(25):
         d = rng.normal(size=op.dim)
         d /= np.linalg.norm(d)
-        x = (0.5 + 1.5 * rng.random()) * d
-        t = 0.5 + 1.5 * rng.random()
-        tau = -1.5  # keeps every FD stencil point causal
+        X.append((0.5 + 1.5 * rng.random()) * d)
+        T.append(0.5 + 1.5 * rng.random())
+    X, T = np.array(X), np.array(T)
+    tau = -1.5  # keeps every FD stencil point causal
 
-        def fn(pt, tv):
-            return eval_kernel(fam, SpaceTimePoint(pt, tv),
-                               SpaceTimePoint(tuple(np.zeros(op.dim)), tau))
+    def fn(P, Tp):
+        return kernel_block(fam, P, np.zeros((1, op.dim)), Tp, [tau])[:, 0]
 
-        res = apply_time_operator_fd(op, fn, x, t)
-        assert abs(res) <= 1e-5 * max(abs(fn(list(x), t)), 1.0)
+    res = time_operator_fd_block(op, fn, X, T)
+    assert np.all(np.abs(res) <= 1e-5 * np.maximum(np.abs(fn(X, T)), 1.0))
 
 
 def test_wave_fundamental_residual_inside_cone():
@@ -177,19 +178,20 @@ def test_wave_fundamental_residual_inside_cone():
         op = OperatorSpec("wave", dim, c1=1.0)
         fam = KernelFamily("time-fundamental", op)
         rng = np.random.default_rng(3)
+        X, T = [], []
         for _ in range(15):
             d = rng.normal(size=dim)
             d /= np.linalg.norm(d)
             r = 0.5 + rng.random()
-            x = r * d
-            t = r + 1.5 + rng.random()
+            X.append(r * d)
+            T.append(r + 1.5 + rng.random())
+        X, T = np.array(X), np.array(T)
 
-            def fn(pt, tv):
-                return eval_kernel(fam, SpaceTimePoint(pt, tv),
-                                   SpaceTimePoint(tuple(np.zeros(dim)), 0.0))
+        def fn(P, Tp):
+            return kernel_block(fam, P, np.zeros((1, dim)), Tp, [0.0])[:, 0]
 
-            res = apply_time_operator_fd(op, fn, x, t)
-            assert abs(res) <= 1e-5 * max(abs(fn(list(x), t)), 1.0)
+        res = time_operator_fd_block(op, fn, X, T)
+        assert np.all(np.abs(res) <= 1e-5 * np.maximum(np.abs(fn(X, T)), 1.0))
 
 
 def test_structural_pde_residual():
@@ -206,11 +208,11 @@ def test_structural_pde_residual():
             t = 1.0 + rng.random()
             tau = 0.2 * rng.random()
 
-            def fn(pt, tv):
-                return eval_kernel(fam, SpaceTimePoint(pt, tv), SpaceTimePoint(tuple(s0), tau))
+            def fn(P, Tp):
+                return kernel_block(fam, P, s0[None, :], Tp, [tau])[:, 0]
 
-            res = apply_time_operator_fd(op, fn, x, t, h=1e-4)
-            assert abs(res) <= 1e-5 * max(abs(fn(list(x), t)), 1.0)
+            res = time_operator_fd_block(op, fn, [x], [t], h=1e-4)[0]
+            assert abs(res) <= 1e-5 * max(abs(fn(x[None, :], [t])[0]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +472,18 @@ def test_tcomplete_members_satisfy_pde(opkw, M):
     tol = 1e-4 if op.kind == "biharmonic" else 1e-5
     rng = np.random.default_rng(31)
     for index in tcomplete_members(fam):
+        X = []
         for _ in range(5):
             d = rng.normal(size=op.dim)
             d /= np.linalg.norm(d)
-            x = (0.5 + 1.5 * rng.random()) * d
+            X.append((0.5 + 1.5 * rng.random()) * d)
+        X = np.array(X)
 
-            def fn(pt):
-                return eval_tcomplete_member(fam, index, pt)
+        def fn(P):
+            return tcomplete_member_block(fam, index, P)
 
-            res = apply_steady_operator_fd(op, fn, x)
-            assert abs(res) <= tol * max(abs(fn(x)), 1.0), (index, x)
+        res = steady_operator_fd_block(op, fn, X)
+        assert np.all(np.abs(res) <= tol * np.maximum(np.abs(fn(X)), 1.0)), (index, X)
 
 
 def test_tcomplete_power_members_satisfy_pde():
@@ -487,12 +491,15 @@ def test_tcomplete_power_members_satisfy_pde():
     fam = KernelFamily("t-complete", op, tcomplete_max_order=2)
     rng = np.random.default_rng(32)
     for index in tcomplete_members(fam):
+        X = []
         for _ in range(5):
             d = rng.normal(size=2)
             d /= np.linalg.norm(d)
-            x = (0.5 + 1.5 * rng.random()) * d
-            res = apply_steady_operator_fd(op, lambda pt: eval_tcomplete_member(fam, index, pt), x)
-            assert abs(res) <= 1e-4 * max(abs(eval_tcomplete_member(fam, index, x)), 1.0)
+            X.append((0.5 + 1.5 * rng.random()) * d)
+        X = np.array(X)
+        res = steady_operator_fd_block(op, lambda P: tcomplete_member_block(fam, index, P), X)
+        assert np.all(np.abs(res) <= 1e-4 * np.maximum(
+            np.abs(tcomplete_member_block(fam, index, X)), 1.0))
 
 
 # ---------------------------------------------------------------------------

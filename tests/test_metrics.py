@@ -7,18 +7,19 @@ from pikfnn.errors import DomainError
 from pikfnn.metrics import (
     build_metrics,
     metric_l2,
-    metric_rerr,
     r_squared,
     write_field_csv,
 )
 
 
 def test_rerr_values():
-    assert metric_rerr(1.1, 1.0) == pytest.approx(0.1)
-    assert metric_rerr(1.0, 1.0) == 0.0
-    assert metric_rerr(0.9, 1.0) == pytest.approx(-0.1)
-    with pytest.raises(DomainError):
-        metric_rerr(1.0, 0.0)
+    # the rerr column is (pred - ana)/ana; a point with ana = 0 is guarded
+    rep = build_metrics(np.zeros((4, 1)), [1.1, 1.0, 0.9, 1.0], [1.0, 1.0, 1.0, 0.0])
+    rerr = rep.per_point[:, -1]
+    assert rerr[0] == pytest.approx(0.1)
+    assert rerr[1] == 0.0
+    assert rerr[2] == pytest.approx(-0.1)
+    assert math.isnan(rerr[3]) and rep.excluded == 1
 
 
 def test_l2_values():

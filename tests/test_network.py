@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 import tempfile
@@ -38,7 +39,7 @@ from pikfnn.network import (
     residual,
     save_model,
 )
-from pikfnn.operators import OperatorSpec, apply_steady_operator_fd, steady_operator_fd_block
+from pikfnn.operators import OperatorSpec, steady_operator_fd_block
 from pikfnn.registry import parse_kernel_id
 from pikfnn.runner import run_benchmark
 
@@ -79,6 +80,16 @@ def test_dim_mismatch_errors():
     colloc = CollocationSet([[1.0, 0.0]], ["D"], [0.0])
     with pytest.raises(ConfigurationError):
         assemble([laplace_family(dim=3)], SourceSet([[3.0, 0.0, 0.0]]), colloc)
+
+
+@pytest.mark.parametrize("dim, source_dim", [(2, 3), (3, 2)])
+def test_sources_of_another_dimension_are_rejected(dim, source_dim):
+    colloc = CollocationSet(np.full((1, dim), 0.5), ["D"], [0.0])
+    sources = SourceSet(np.full((1, source_dim), 3.0))
+    with pytest.raises(ConfigurationError, match=f"source dim {source_dim} != collocation"):
+        assemble([laplace_family(dim)], sources, colloc)
+    with pytest.raises(ConfigurationError, match=f"sources have dim {source_dim}, model"):
+        PikfnnModel([laplace_family(dim)], sources, dim)
 
 
 def test_singularity_propagates():
@@ -148,16 +159,14 @@ def test_forward_field_satisfies_pde_for_any_weights():
     op = OperatorSpec("helmholtz", 2, k=2.0)
     fam = KernelFamily("fundamental-real", op)
     model = PikfnnModel([fam], sources, 2, weights=rng.normal(size=n))
+    X = []
     for _ in range(20):
         th = rng.uniform(0, 2 * math.pi)
         r = rng.uniform(0.0, 0.9)
-        x = np.array([r * math.cos(th), r * math.sin(th)])
-
-        def u(pt):
-            return float(forward(model, np.asarray(pt).reshape(1, -1))[0])
-
-        res = apply_steady_operator_fd(op, u, x)
-        assert abs(res) <= 1e-5 * max(abs(u(x)), 1.0)
+        X.append([r * math.cos(th), r * math.sin(th)])
+    X = np.array(X)
+    res = steady_operator_fd_block(op, lambda P: forward(model, P), X)
+    assert np.all(np.abs(res) <= 1e-5 * np.maximum(np.abs(forward(model, X)), 1.0))
 
 
 def test_neumann_rows_use_normal_gradient():
@@ -182,17 +191,14 @@ def test_interior_residual_rows_apply_operator():
     fam = KernelFamily("fundamental-real", op, shift=0.5)
     pts = np.array([[0.2, -0.1], [0.4, 0.3]])
     colloc = CollocationSet(pts, ["R", "R"], np.zeros(2))
-    sources = SourceSet(np.array([[0.0, 0.0], [1.0, 1.0]]), enhanced=True)
+    sources = SourceSet(np.array([[0.0, 0.0], [1.0, 1.0]]))
     mtx = assemble([fam], sources, colloc)
 
-    def kernel_at(pt, s):
-        return eval_kernel(fam, pt, s)
-
     # cross-check one entry against FD application of (lap + k^2)
-    x = pts[0]
-    s = sources.points[1]
-    fn = lambda q: kernel_at(np.asarray(q), s)
-    fd = apply_steady_operator_fd(op, fn, x, h=2e-3)
+    def fn(P):
+        return kernel_block(fam, P, sources.points[1:2])[:, 0]
+
+    fd = steady_operator_fd_block(op, fn, pts[:1], h=2e-3)[0]
     assert mtx.entries[0, 1] == pytest.approx(fd, rel=1e-5)
 
 
@@ -392,13 +398,9 @@ def test_complex_split_mode():
     # any weight vector still yields a PDE solution (both parts solve it)
     rng = np.random.default_rng(3)
     model = PikfnnModel([fam], sources, 2, weights=rng.normal(size=2 * n))
-    x = np.array([0.3, -0.2])
-
-    def u(pt):
-        return float(forward(model, np.asarray(pt).reshape(1, -1))[0])
-
-    res = apply_steady_operator_fd(op, u, x)
-    assert abs(res) <= 1e-5 * max(abs(u(x)), 1.0)
+    X = np.array([[0.3, -0.2]])
+    res = steady_operator_fd_block(op, lambda P: forward(model, P), X)[0]
+    assert abs(res) <= 1e-5 * max(abs(forward(model, X)[0]), 1.0)
 
 
 @pytest.mark.parametrize("ident", ["fundamental:helmholtz:2d?k=3&split=1",
@@ -510,16 +512,16 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=60, deadline=None)
 @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 12), timed=st.booleans(),
-       enhanced=st.booleans(), delay=_FINITE, data=st.data())
-def test_model_round_trip_is_bit_identical(dim, n, timed, enhanced, delay, data):
-    # save_model then load_model: the same families, and sources, times,
-    # weights and delay bit for bit (-0.0 and subnormals included)
+       data=st.data())
+def test_model_round_trip_is_bit_identical(dim, n, timed, data):
+    # save_model then load_model: the same families, and sources, times and
+    # weights bit for bit (-0.0 and subnormals included)
     pool = _TIMED_POOL if timed else _STEADY_POOL
     idents = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
     families = [parse_kernel_id(ident.format(d=dim)) for ident in idents]
     points = data.draw(arrays(float, (n, dim), elements=_FINITE))
     times = data.draw(arrays(float, n, elements=_FINITE)) if timed else None
-    sources = SourceSet(points, times=times, enhanced=enhanced, delay_dt=delay)
+    sources = SourceSet(points, times=times)
     width = sum(family_width(f, sources) for f in families)
     model = PikfnnModel(families, sources, dim,
                         weights=data.draw(arrays(float, width, elements=_FINITE)))
@@ -528,8 +530,6 @@ def test_model_round_trip_is_bit_identical(dim, n, timed, enhanced, delay, data)
         save_model(path, model)
         back = load_model(path)
     assert back.families == families and back.dim == dim
-    assert back.sources.enhanced == enhanced
-    assert np.float64(back.sources.delay_dt).tobytes() == np.float64(delay).tobytes()
     pairs = [(back.sources.points, points), (back.weights, model.weights)]
     if timed:
         pairs.append((back.sources.times, times))
@@ -538,6 +538,45 @@ def test_model_round_trip_is_bit_identical(dim, n, timed, enhanced, delay, data)
     for got, want in pairs:
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# a model file as earlier versions wrote it: its sources also carry the
+# "enhanced" and "delay_dt" keys, which nothing reads
+_OLD_MODEL_FILE = """{
+ "dim": 2,
+ "kernels": [
+  "time-fundamental:heat:2d?k=0.5",
+  "time-radial-trefftz:wave:2d?c1=1.3"
+ ],
+ "sources": {
+  "points": [[0.1, -0.0], [0.3333333333333333, 2.5e-310]],
+  "times": [-0.25, 0.14285714285714285],
+  "enhanced": true,
+  "delay_dt": 0.25
+ },
+ "weights": [1.0, -0.3333333333333333, 5e-324, -0.0]
+}"""
+
+
+def test_model_file_with_source_flags_loads_bit_for_bit(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(_OLD_MODEL_FILE)
+    model = load_model(path)
+    assert model.families == [parse_kernel_id("time-fundamental:heat:2d?k=0.5"),
+                              parse_kernel_id("time-radial-trefftz:wave:2d?c1=1.3")]
+    assert model.dim == 2
+    for got, want in [(model.sources.points, [[0.1, -0.0], [1 / 3, 2.5e-310]]),
+                      (model.sources.times, [-0.25, 1 / 7]),
+                      (model.weights, [1.0, -1 / 3, 5e-324, -0.0])]:
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(want).tobytes()
+    # saved again, the file keeps every value and drops the two flags
+    save_model(tmp_path / "again.json", model)
+    doc = json.loads((tmp_path / "again.json").read_text())
+    assert doc == {key: value for key, value in json.loads(_OLD_MODEL_FILE).items()
+                   if key != "sources"} | {"sources": {
+                       "points": [[0.1, -0.0], [1 / 3, 2.5e-310]],
+                       "times": [-0.25, 1 / 7]}}
 
 
 # row-block assembly: the rows of each kind are evaluated in blocks of

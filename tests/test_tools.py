@@ -1,5 +1,7 @@
-"""The measurement tools under tools/ still find the stages they report."""
+"""The measurement tools under tools/ still find the stages they report,
+and the benchmark worker still runs on the package's API."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +10,8 @@ import pytest
 
 import pikfnn
 
-_TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_TOOLS = os.path.join(_ROOT, "tools")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -30,3 +33,21 @@ def test_stage_rss_reports_every_stage():
     assert all(value > 0.0 for value in seconds.values())
     assert seconds["run"] >= seconds["assembly"] + seconds["eigendecomposition"] \
         + seconds["forward"]
+
+
+@pytest.mark.parametrize("op", ["example3", "example10", "verify-sweep"])
+def test_benchmark_worker_runs_every_check(op, tmp_path):
+    # perfbench/worker.py calls run_benchmark, result.extras["sigma"],
+    # build_verify_entries and verify_kernels by name; an API change that
+    # breaks it fails here, not as failed benchmark operations
+    from pikfnn.runner import build_verify_entries
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pikfnn.__file__)))
+    proc = subprocess.run([sys.executable, os.path.join(_ROOT, "perfbench", "worker.py"),
+                           "--op", op, "--seed", "0", "--out", str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    report = json.loads(proc.stdout.splitlines()[-1])
+    checks = report["checks"]
+    assert len(checks) == (len(build_verify_entries()) if op == "verify-sweep" else 1)
+    assert all(check["failed"] == 0 for check in checks), checks

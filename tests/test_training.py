@@ -15,13 +15,13 @@ from pikfnn.kernels import KernelFamily
 from pikfnn.network import DesignMatrix, PikfnnModel, family_width
 from pikfnn.operators import OperatorSpec
 from pikfnn.training import (
+    ScaledProblem,
     TrainConfig,
     _Damping,
     grad_loss,
     init_weights,
     loss,
-    train_adam,
-    train_lm,
+    train_problem,
     write_loss_csv,
 )
 from pikfnn.runner import run_benchmark
@@ -153,7 +153,7 @@ def test_init_weights():
 
 def textbook_adam(entries, targets, config, steps):
     """Adam as Kingma & Ba write it, on the one-group boundary loss: the
-    reference for train_adam.  Returns (loss history, weights, iteration of
+    reference for Adam.  Returns (loss history, weights, iteration of
     the first non-finite loss or None)."""
     scale = 1.0 / math.sqrt(entries.shape[0])
     J, y = entries * scale, np.asarray(targets, dtype=float) * scale
@@ -181,7 +181,7 @@ def test_adam_first_step_sign():
     model = toy_model(1)
     mtx = dmatrix([[1.0]])
     cfg = TrainConfig(optimizer="adam", init="zeros", max_iters=1, lr=1e-3, tol=1e-30)
-    train_adam(model, mtx, [1.0], cfg)
+    train_problem(model, ScaledProblem(mtx, [1.0]), cfg)
     # grad at p=0: 2*1*(0-1) = -2 -> step +lr
     assert model.weights[0] == pytest.approx(1e-3, rel=1e-6)
 
@@ -190,7 +190,7 @@ def test_adam_zero_iterations_at_loss_goal():
     model = toy_model(1)
     mtx = dmatrix([[1.0]])
     cfg = TrainConfig(optimizer="adam", init="zeros", loss_goal=2.0, max_iters=50)
-    report = train_adam(model, mtx, [1.0], cfg)  # initial loss = 1 <= goal
+    report = train_problem(model, ScaledProblem(mtx, [1.0]), cfg)  # initial loss = 1 <= goal
     assert report.iters == 0
     assert report.stop_reason == "loss_goal"
     assert report.final_loss == report.loss_history[-1]
@@ -201,7 +201,7 @@ def test_adam_converges_on_small_ls():
     model, mtx, targets = random_instance(rng, n=15, m=8)
     cfg = TrainConfig(optimizer="adam", init="zeros", max_iters=60_000, lr=5e-3,
                       tol=1e-14, seed=5)
-    report = train_adam(model, mtx, targets, cfg)
+    report = train_problem(model, ScaledProblem(mtx, targets), cfg)
     p_star, *_ = np.linalg.lstsq(mtx.entries, np.asarray(targets), rcond=None)
     best = loss(PikfnnModel(model.families, model.sources, 2, weights=p_star),
                 mtx, targets)
@@ -215,7 +215,7 @@ def test_adam_divergence_raises():
     mtx = dmatrix([[1e200]])
     cfg = TrainConfig(optimizer="adam", init="uniform_pm1", seed=0, max_iters=10)
     with pytest.raises(DivergenceError) as err:
-        train_adam(model, mtx, [1.0], cfg)
+        train_problem(model, ScaledProblem(mtx, [1.0]), cfg)
     assert err.value.iteration is not None
     with np.errstate(all="ignore"):
         _, _, first_bad = textbook_adam(mtx.entries, [1.0], cfg, cfg.max_iters)
@@ -239,7 +239,7 @@ def test_adam_matches_textbook_adam(seed, n, extra, log_lr):
     model, mtx, targets = random_instance(rng, n=n + extra, m=n)
     cfg = TrainConfig(optimizer="adam", lr=10.0 ** log_lr, max_iters=300, tol=1e-300,
                       seed=seed)
-    report = train_adam(model, mtx, targets, cfg)
+    report = train_problem(model, ScaledProblem(mtx, targets), cfg)
     assert report.iters >= 200 and report.stop_reason in ("max_iters", "tol_loss")
     ref, p, _ = textbook_adam(mtx.entries, targets, cfg, report.iters)
     assert len(report.loss_history) == report.iters + 1
@@ -252,7 +252,7 @@ def test_adam_without_loss_goal_runs_to_max_iters():
     model, mtx, targets = random_instance(rng, n=12, m=5)
     cfg = TrainConfig(optimizer="adam", lr=1e-2, max_iters=150, tol=1e-300, seed=2)
     assert cfg.loss_goal is None
-    report = train_adam(model, mtx, targets, cfg)
+    report = train_problem(model, ScaledProblem(mtx, targets), cfg)
     assert (report.iters, report.stop_reason) == (150, "max_iters")
     assert report.log_rows == [(i, value, cfg.lr, 1)
                                for i, value in enumerate(report.loss_history)]
@@ -276,7 +276,7 @@ def test_adam_tol_loss_stop_matches_textbook(seed):
     assert window[stop_at - 100] < 1e-3 * window[0] <= np.min(window[:stop_at - 100])
     tol = math.sqrt(window[stop_at - 100] * np.min(window[:stop_at - 100]))
     cfg = TrainConfig(optimizer="adam", lr=1e-2, max_iters=3000, tol=tol, seed=seed)
-    report = train_adam(model, mtx, targets, cfg)
+    report = train_problem(model, ScaledProblem(mtx, targets), cfg)
     assert (report.iters, report.stop_reason) == (stop_at, "tol_loss")
     np.testing.assert_allclose(report.loss_history, ref[:stop_at + 1], rtol=1e-9, atol=0.0)
 
@@ -288,7 +288,7 @@ def test_lm_one_by_one_exact():
     model = toy_model(1)
     mtx = dmatrix([[2.0]])
     cfg = TrainConfig(optimizer="lm", init="zeros", tol=1e-14, max_iters=50)
-    report = train_lm(model, mtx, [4.0], cfg)
+    report = train_problem(model, ScaledProblem(mtx, [4.0]), cfg)
     assert model.weights[0] == pytest.approx(2.0, abs=1e-10)
     assert report.final_loss <= 1e-20
 
@@ -299,7 +299,7 @@ def test_lm_reaches_least_squares_optimum():
         model, mtx, targets = random_instance(rng, n=25, m=12)
         cfg = TrainConfig(optimizer="lm", init="uniform_pm1", seed=2, tol=1e-14,
                           max_iters=200)
-        report = train_lm(model, mtx, targets, cfg)
+        report = train_problem(model, ScaledProblem(mtx, targets), cfg)
         p_star, *_ = np.linalg.lstsq(mtx.entries, np.asarray(targets), rcond=None)
         star = toy_model(12)
         star.weights = p_star
@@ -311,7 +311,7 @@ def test_lm_accepted_steps_never_increase_loss():
     model, mtx, targets = random_instance(rng, n=30, m=25)
     cfg = TrainConfig(optimizer="lm", init="uniform_pm1", seed=9, tol=1e-12,
                       max_iters=100)
-    report = train_lm(model, mtx, targets, cfg)
+    report = train_problem(model, ScaledProblem(mtx, targets), cfg)
     accepted_losses = [row[1] for row in report.log_rows if row[3] == 1]
     assert all(b <= a + 1e-300 for a, b in zip(accepted_losses, accepted_losses[1:]))
 
@@ -320,7 +320,7 @@ def test_lm_stop_reason_recheckable():
     rng = np.random.default_rng(17)
     model, mtx, targets = random_instance(rng, n=25, m=10)
     cfg = TrainConfig(optimizer="lm", init="zeros", tol=1e-9, max_iters=300)
-    report = train_lm(model, mtx, targets, cfg)
+    report = train_problem(model, ScaledProblem(mtx, targets), cfg)
     assert report.stop_reason in ("tol_weights", "tol_loss")
     if report.stop_reason == "tol_loss":
         assert abs(report.loss_history[-1] - report.loss_history[-2]) < cfg.tol
@@ -336,7 +336,7 @@ def test_lm_deterministic():
         model = toy_model(10)
         cfg = TrainConfig(optimizer="lm", init="uniform_pm1", seed=31, tol=1e-12,
                           max_iters=100)
-        train_lm(model, dmatrix(entries), targets, cfg)
+        train_problem(model, ScaledProblem(dmatrix(entries), targets), cfg)
         results.append(model.weights.copy())
     assert np.array_equal(results[0], results[1])
 
@@ -348,7 +348,7 @@ def test_lm_loss_goal():
     model = toy_model(10)
     cfg = TrainConfig(optimizer="lm", init="uniform_pm1", seed=3, tol=1e-14,
                       max_iters=200, loss_goal=1e-3)
-    report = train_lm(model, dmatrix(entries), targets, cfg)
+    report = train_problem(model, ScaledProblem(dmatrix(entries), targets), cfg)
     assert report.stop_reason == "loss_goal"
     assert report.final_loss <= 1e-3
 
@@ -371,9 +371,9 @@ def test_eigen_step_equals_damped_solve(seed, m, log_lam):
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("trainer", [train_adam, train_lm])
+@pytest.mark.parametrize("optimizer", ["adam", "lm"])
 @pytest.mark.parametrize("where", ["entry", "target"])
-def test_non_finite_row_raises_conditioning_error(trainer, where):
+def test_non_finite_row_raises_conditioning_error(optimizer, where):
     # named up front, not as a non-finite loss at iteration 1
     rng = np.random.default_rng(31)
     model, mtx, targets = random_instance(rng, n=12, m=6)
@@ -382,16 +382,17 @@ def test_non_finite_row_raises_conditioning_error(trainer, where):
         mtx.entries[9, 0] = np.inf
     else:
         targets[7] = np.inf
-    cfg = TrainConfig(optimizer="lm" if trainer is train_lm else "adam", max_iters=5)
+    cfg = TrainConfig(optimizer=optimizer, max_iters=5)
     with pytest.raises(ConditioningError, match="design row 7 "):
-        trainer(model, mtx, targets, cfg)
+        train_problem(model, ScaledProblem(mtx, targets), cfg)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_lm_overflowing_normal_matrix_raises_conditioning_error():
     model = toy_model(1)
     with pytest.raises(ConditioningError, match="overflows"):
-        train_lm(model, dmatrix([[1e200]]), [1.0], TrainConfig(max_iters=5))
+        train_problem(model, ScaledProblem(dmatrix([[1e200]]), [1.0]),
+                      TrainConfig(max_iters=5))
 
 
 def test_lm_reports_spectrum_diagnostics():
@@ -399,7 +400,7 @@ def test_lm_reports_spectrum_diagnostics():
     entries = rng.normal(size=(30, 8)) * rng.uniform(0.5, 2.0, size=8)
     targets = rng.normal(size=30)
     cfg = TrainConfig(tol=1e-12, max_iters=100, seed=1)
-    report = train_lm(toy_model(8), dmatrix(entries), targets, cfg)
+    report = train_problem(toy_model(8), ScaledProblem(dmatrix(entries), targets), cfg)
     J = entries / math.sqrt(30)  # one group of 30 rows
     J = J / np.sqrt(np.diag(J.T @ J))  # Marquardt's column scaling
     assert report.effective_rank == 8
@@ -416,14 +417,15 @@ def test_lm_leaves_an_unresolved_condition_number_out():
     entries = rng.normal(size=(30, 8))
     dup = np.column_stack([entries, entries[:, 0]])
     cfg = TrainConfig(tol=1e-12, max_iters=100, seed=1)
-    report = train_lm(toy_model(9), dmatrix(dup), rng.normal(size=30), cfg)
+    report = train_problem(toy_model(9), ScaledProblem(dmatrix(dup), rng.normal(size=30)), cfg)
     assert (report.effective_rank, report.cond_estimate) == (8, None)
 
 
 def test_adam_reports_no_spectrum():
     rng = np.random.default_rng(41)
     model, mtx, targets = random_instance(rng, n=10, m=4)
-    report = train_adam(model, mtx, targets, TrainConfig(optimizer="adam", max_iters=20))
+    report = train_problem(model, ScaledProblem(mtx, targets),
+                           TrainConfig(optimizer="adam", max_iters=20))
     assert (report.cond_estimate, report.effective_rank, report.rejected_steps) == (None, None, 0)
 
 
@@ -431,7 +433,7 @@ def test_loss_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(29)
     model, mtx, targets = random_instance(rng, n=10, m=5)
     cfg = TrainConfig(optimizer="lm", init="zeros", tol=1e-10, max_iters=50)
-    report = train_lm(model, mtx, targets, cfg)
+    report = train_problem(model, ScaledProblem(mtx, targets), cfg)
     path = tmp_path / "loss.csv"
     write_loss_csv(path, report)
     lines = path.read_text().strip().splitlines()
