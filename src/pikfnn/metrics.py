@@ -9,6 +9,7 @@ max_rerr with a logged count (division guard); they still enter L2 and R^2,
 which are denominator-safe.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -61,7 +62,10 @@ class MetricsReport:
 
 
 def build_metrics(points, pred, ana, times=None, rerr_floor=0.0):
-    """Assemble a MetricsReport; |ana| <= rerr_floor * max|ana| is guarded."""
+    """Assemble a MetricsReport; |ana| <= rerr_floor * max|ana| is guarded.  A
+    floor outside [0, 1), which could leave max_rerr non-finite, raises DomainError."""
+    if not 0 <= rerr_floor < 1:
+        raise DomainError(f"rerr_floor must be in [0, 1), got {rerr_floor!r}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     pred = np.asarray(pred, dtype=float)
     ana = np.asarray(ana, dtype=float)
@@ -81,13 +85,21 @@ def build_metrics(points, pred, ana, times=None, rerr_floor=0.0):
                          excluded=int(np.sum(guarded)))
 
 
+def write_csv(path, headers, rows):
+    """Write the headers, then rows (a list of sequences): every value at 17
+    significant digits, which a double survives and an integer prints as,
+    4096 rows to one % on the repeated row format, so no string spans the file."""
+    line = ",".join(["%.17g"] * len(headers)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(headers) + "\n")
+        for start in range(0, len(rows), 4096):
+            block = rows[start:start + 4096]
+            fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
+
+
 def write_field_csv(path, report, dim, has_time=False):
     """Emit the per-point table (17 significant digits, deterministic)."""
     headers = [f"x{i + 1}" for i in range(dim)]
     if has_time:
         headers.append("t")
-    headers += ["u_pred", "u_ana", "rerr"]
-    with open(path, "w") as fh:
-        fh.write(",".join(headers) + "\n")
-        for row in report.per_point:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(path, headers + ["u_pred", "u_ana", "rerr"], report.per_point.tolist())

@@ -58,10 +58,6 @@ class DesignMatrix:
     def shape(self):
         return self.entries.shape
 
-    def group_rows(self, kinds):
-        mask = np.isin(self.row_kinds, list(kinds))
-        return np.nonzero(mask)[0]
-
 
 @dataclass
 class PikfnnModel:
@@ -349,15 +345,6 @@ def _solve_upper(R, c):
     for i in range(len(c) - 1, -1, -1):
         y[i] = (c[i] - R[i, i + 1:] @ y[i + 1:]) / R[i, i]
     return y
-
-
-def apply_row_weights(matrix, targets, weight_by_kind):
-    """Scale matrix rows and targets per row kind (Cauchy balancing)."""
-    scale = np.ones(matrix.entries.shape[0])
-    for kind, w in weight_by_kind.items():
-        scale[matrix.row_kinds == kind] = w
-    scaled = DesignMatrix(entries=matrix.entries * scale[:, None], row_kinds=matrix.row_kinds)
-    return scaled, np.asarray(targets, dtype=float) * scale
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .kernels import (
 from .metrics import build_metrics, write_field_csv
 from .network import (
     PikfnnModel,
-    apply_row_weights,
     assemble,
     forward,
     forward_displacement,
@@ -67,7 +66,10 @@ def run_benchmark(problem, seed=0, out_dir=None, train=None, **params):
         setup = problem
 
     model = PikfnnModel(setup.families, setup.sources, setup.colloc.dim)
-    report = train_problem(model, _training_problem(setup), setup.train)
+    # held by no name: the design matrix is freed before training, J and A after it
+    report = train_problem(model, ScaledProblem(
+        assemble(setup.families, setup.sources, setup.colloc, governing=setup.operator),
+        setup.colloc.values, setup.row_weights), setup.train)
     if setup.pretrained:
         # append the source-fitted annihilator families (fixed weights)
         fams = list(setup.families) + [f for f, _ in setup.pretrained]
@@ -101,17 +103,6 @@ def run_benchmark(problem, seed=0, out_dir=None, train=None, **params):
     if out_dir:
         _write_outputs(result, seed)
     return result
-
-
-def _training_problem(setup):
-    """The scaled least-squares problem of the setup's rows.  The unscaled
-    design matrix lives only in this frame, so training runs without it."""
-    matrix = assemble(setup.families, setup.sources, setup.colloc,
-                      governing=setup.operator)
-    targets = setup.colloc.values
-    if setup.row_weights:
-        matrix, targets = apply_row_weights(matrix, targets, setup.row_weights)
-    return ScaledProblem(matrix, targets)
 
 
 def _config_hash(setup, seed):
@@ -323,7 +314,11 @@ def build_verify_entries(pattern=None):
 
 def verify_kernels(pattern=None, n_points=100, seed=12345, entries=None):
     """FD PDE-residual sweep across the catalog; returns (rows, all_passed).
-    Each entry is logged, a pass at INFO and a failure at WARNING."""
+    Each entry is logged, a pass at INFO and a failure at WARNING.  n_points
+    < 1 or seed < 0 raises ConfigurationError."""
+    for name, value, low in (("n_points", n_points, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ConfigurationError(f"{name} must be an int >= {low}, got {value!r}")
     if entries is None:
         entries = build_verify_entries(pattern)
     rows = []
@@ -414,6 +409,8 @@ def check_config(doc):
             ("test", "test", _NODE_FILE)]:
         if doc.get(key) is not None:
             _check(f"{key}.", owner, doc[key], fields)
+    if not 0 <= doc.get("rerr_floor", 0.0) < 1:
+        raise ConfigurationError(f"rerr_floor must be in [0, 1), got {doc['rerr_floor']!r}")
     TrainConfig(seed=doc.get("seed", 0))
     try:
         TrainConfig(**doc.get("train", {}))

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import ConditioningError, ConfigurationError, DivergenceError
+from .metrics import write_csv
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -107,33 +108,38 @@ class TrainReport:
         return sum(1 for row in self.log_rows if not row[3])
 
 
-def _groups(matrix):
-    """Row-index groups entering the loss, in a fixed order: the boundary rows,
-    then the initial (I) or interior-residual (R) rows, whichever are present.
-    No boundary rows, or both I and R rows, raise ConfigurationError."""
-    groups = [matrix.group_rows((geo.DIRICHLET, geo.NEUMANN))]
-    if not len(groups[0]):
-        raise ConfigurationError("no boundary rows present")
-    for kind in (geo.INITIAL, geo.INTERIOR_RESIDUAL):
-        rows = matrix.group_rows((kind,))
-        if len(rows):
-            groups.append(rows)
-    if len(groups) > 2:
-        raise ConfigurationError("initial and interior-residual rows cannot share one loss")
-    return groups
-
-
 class ScaledProblem:
     """min |J p - y|^2, the loss with each group's 1/N_g folded into its rows;
-    gradient 2 (A p - b), A = J^T J and b = J^T y formed on first use.  Raises
-    ConditioningError naming the first row of J or y that is not finite."""
+    gradient 2 (A p - b), A = J^T J and b = J^T y formed on first use.
 
-    def __init__(self, matrix, targets):
-        scale = np.zeros(matrix.entries.shape[0])
-        for g in _groups(matrix):
-            scale[g] = 1.0 / math.sqrt(len(g))
-        self.J = matrix.entries * scale[:, None]
-        self.y = np.asarray(targets, dtype=float) * scale
+    The groups are the boundary (D, N) rows and the initial (I) or the
+    interior-residual (R) rows.  row_weights, {row kind: w} (Cauchy
+    balancing), multiplies each kind's rows by w before the group scale.
+    Raises ConfigurationError without D or N rows, with both I and R rows or
+    for a weight of a kind outside geometry.KINDS, and ConditioningError
+    naming the first row of J or y that is not finite."""
+
+    def __init__(self, matrix, targets, row_weights=None):
+        kinds = matrix.row_kinds
+        groups = [np.isin(kinds, (geo.DIRICHLET, geo.NEUMANN)), kinds == geo.INITIAL,
+                  kinds == geo.INTERIOR_RESIDUAL]
+        if not groups[0].any():
+            raise ConfigurationError("no boundary rows present")
+        if groups[1].any() and groups[2].any():
+            raise ConfigurationError("initial and interior-residual rows cannot share one loss")
+        scale = np.zeros(len(kinds))
+        for rows in groups:
+            scale[rows] = 1.0 / math.sqrt(max(np.count_nonzero(rows), 1))
+        weight = np.ones(len(kinds))
+        for kind, w in (row_weights or {}).items():
+            if kind not in geo.KINDS:
+                raise ConfigurationError(f"row weight of unknown kind {kind!r}; valid: {geo.KINDS}")
+            weight[kinds == kind] = w
+        # (E w) s, in place: E (w s) would round the product w s
+        self.J = matrix.entries * weight[:, None]
+        self.J *= scale[:, None]
+        self.y = np.asarray(targets, dtype=float) * weight
+        self.y *= scale
         bad = np.flatnonzero(~(np.isfinite(self.J).all(axis=1) & np.isfinite(self.y)))
         if bad.size:
             raise ConditioningError(f"design row {bad[0]} has a non-finite entry or target")
@@ -345,7 +351,4 @@ def train_problem(model, prob, config):
 
 def write_loss_csv(path, report):
     """Persist per-iteration history: iter,loss,lambda_or_lr,accepted."""
-    with open(path, "w") as fh:
-        fh.write("iter,loss,lambda_or_lr,accepted\n")
-        for it, value, knob, ok in report.log_rows:
-            fh.write(f"{it},{value:.17g},{knob:.17g},{ok}\n")
+    write_csv(path, ["iter", "loss", "lambda_or_lr", "accepted"], report.log_rows)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import pikfnn
 from pikfnn import runner
 from pikfnn.benchmarks import BUILTINS
 from pikfnn.cli import main
@@ -28,7 +32,9 @@ def test_bench_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "summary.json").exists()
     assert (tmp_path / "field.csv").exists()
     assert (tmp_path / "loss.csv").exists()
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    # strict JSON: no NaN or Infinity
+    summary = json.loads((tmp_path / "summary.json").read_text(),
+                         parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"))
     assert summary["name"] == "example3"
     assert summary["seed"] == 1
 
@@ -66,6 +72,19 @@ def test_quiet_logs_only_warnings(tmp_path, capsys):
     assert f"outputs written to {tmp_path}" in captured.err
     assert main(["bench", "example3", "--out", str(tmp_path), "--tol", "1e-6", "--quiet"]) == 0
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("flags, named", [(["--points", "0"], "n_points"),
+                                          (["--points", "-5"], "n_points"),
+                                          (["--seed", "-1"], "seed")])
+def test_verify_kernels_rejects_points_below_1_and_a_negative_seed(flags, named):
+    # zero points would pass every entry on no residual at all
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pikfnn.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "pikfnn.cli", "verify-kernels", *flags],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert f"{named} must be an int >= " in proc.stderr and flags[1] in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_verify_kernels_no_match(capsys):

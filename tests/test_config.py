@@ -198,6 +198,19 @@ def test_a_center_of_the_wrong_length_exits_2_naming_it(tmp_path, sources):
     assert "center" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("rerr_floor", [1, -0.5])
+def test_a_rerr_floor_outside_0_1_exits_2_naming_it(tmp_path, rerr_floor):
+    # 1 guards every test point (max_rerr NaN), -0.5 none, so the zero value
+    # at (r, 0) divides (Infinity); neither is JSON for summary.json
+    points, _ = gen_boundary("circle", 40)
+    save_nodes(tmp_path / "b.txt", CollocationSet(points, ["D"] * 40,
+                                                  points[:, 0] * points[:, 1]))
+    proc = _run_process(tmp_path, _CUSTOM | {"rerr_floor": rerr_floor})
+    assert proc.returncode == 2
+    assert f"rerr_floor must be in [0, 1), got {rerr_floor}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_an_int_too_long_to_read_exits_2(tmp_path, capsys):
     # Python reads no int of more than 4300 digits
     cfg = tmp_path / "c.json"

@@ -8,6 +8,7 @@ from pikfnn.metrics import (
     build_metrics,
     metric_l2,
     r_squared,
+    write_csv,
     write_field_csv,
 )
 
@@ -53,6 +54,32 @@ def test_build_metrics_guards_near_zero():
     table_pred = rep.per_point[:, 2]
     table_ana = rep.per_point[:, 3]
     assert abs(metric_l2(table_pred, table_ana) - rep.l2) <= 1e-14
+
+
+@pytest.mark.parametrize("rerr_floor", [1.0, -0.5])
+def test_build_metrics_rejects_a_floor_outside_0_1(rerr_floor):
+    # 1 guards every point (max_rerr nan), -0.5 none (a zero value divides)
+    with pytest.raises(DomainError, match="rerr_floor"):
+        build_metrics(np.zeros((2, 1)), [1.0, 0.5], [1.0, 0.0], rerr_floor=rerr_floor)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])
+def test_csv_bytes_equal_value_by_value_formatting(tmp_path, n):
+    # rows formatted a block at a time read as rows formatted one value at a
+    # time, across block edges, for integers and special values
+    rng = np.random.default_rng(n)
+    table = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+    table.flat[::7] = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-320, 5.0])[
+        np.arange(len(table.flat[::7])) % 7]
+    rows = [(i, *map(float, row), i % 2) for i, row in enumerate(table)]
+    headers = ["a", "b", "c", "d", "e"]
+    expected = "a,b,c,d,e\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                       for row in rows)
+    write_csv(tmp_path / "rows.csv", headers, rows)
+    assert (tmp_path / "rows.csv").read_text() == expected
+    write_csv(tmp_path / "array.csv", headers[1:4], table.tolist())
+    assert (tmp_path / "array.csv").read_text() == "b,c,d\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in table)
 
 
 def test_field_csv_roundtrip_and_determinism(tmp_path):

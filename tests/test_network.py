@@ -28,7 +28,6 @@ from pikfnn.network import (
     DesignMatrix,
     PikfnnModel,
     _solve_upper,
-    apply_row_weights,
     assemble,
     family_width,
     fit_particular_weights,
@@ -308,15 +307,6 @@ def test_tcomplete_neumann_rows_match_finite_differences(ident):
     rows = assemble([family], SourceSet(np.zeros((0, dim))), colloc).entries
     fd = _fd_neumann_rows(family, P, normals)
     assert np.all(np.abs(rows - fd) <= 1e-7 * np.maximum(1.0, np.abs(fd)))
-
-
-def test_row_weights_scaling():
-    entries = np.array([[1.0, 2.0], [3.0, 4.0]])
-    mtx = DesignMatrix(entries=entries, row_kinds=np.asarray(["D", "N"]))
-    scaled, t = apply_row_weights(mtx, [1.0, 1.0], {"N": 10.0})
-    assert np.allclose(scaled.entries[1], [30.0, 40.0])
-    assert t[1] == 10.0
-    assert np.allclose(scaled.entries[0], entries[0])
 
 
 def test_elastic_assembly_and_postprocessing():

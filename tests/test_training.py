@@ -7,12 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pikfnn import runner
 from pikfnn.benchmarks import BUILTINS
 from pikfnn.errors import ConditioningError, ConfigurationError, DivergenceError
 from pikfnn.geometry import SourceSet
 from pikfnn.kernels import KernelFamily
-from pikfnn.network import DesignMatrix, PikfnnModel, family_width
+from pikfnn.network import DesignMatrix, PikfnnModel, assemble, family_width
 from pikfnn.operators import OperatorSpec
 from pikfnn.training import (
     ScaledProblem,
@@ -86,6 +85,59 @@ def test_loss_rejects_rows_it_cannot_group():
         loss(model, dmatrix([[1.0]] * 3, kinds=["D", "I", "R"]), [0.0] * 3)
     with pytest.raises(ConfigurationError, match="no boundary rows"):
         loss(model, dmatrix([[1.0]] * 2, kinds=["I", "I"]), [0.0] * 2)
+
+
+def test_row_weights_scaling():
+    # D and N rows form one group of two rows, scaled by 1/sqrt(2) after the weights
+    entries = np.array([[1.0, 2.0], [3.0, 4.0]])
+    prob = ScaledProblem(dmatrix(entries, kinds=["D", "N"]), [1.0, 1.0], {"N": 10.0})
+    assert np.allclose(prob.J[1], np.array([30.0, 40.0]) / math.sqrt(2.0))
+    assert prob.y[1] == pytest.approx(10.0 / math.sqrt(2.0))
+    assert np.allclose(prob.J[0], entries[0] / math.sqrt(2.0))
+
+
+def _weighted_then_scaled(matrix, targets, row_weights):
+    """(E w) s and (t w) s, two roundings each: w the row kind's weight, s
+    its group's 1/sqrt(N_g), the boundary (D, N) rows forming one group."""
+    kinds = matrix.row_kinds
+    weight = np.array([row_weights.get(kind, 1.0) for kind in kinds])
+    scale = np.zeros(len(kinds))
+    for group in (["D", "N"], ["I"], ["R"]):
+        rows = np.isin(kinds, group)
+        scale[rows] = 1.0 / math.sqrt(max(rows.sum(), 1))
+    return ((matrix.entries * weight[:, None]) * scale[:, None],
+            (np.asarray(targets, dtype=float) * weight) * scale)
+
+
+def _example10_rows():
+    setup = BUILTINS["example10"](seed=0)
+    matrix = assemble(setup.families, setup.sources, setup.colloc, governing=setup.operator)
+    return matrix, setup.colloc.values, setup.row_weights
+
+
+def _random_rows():
+    rng = np.random.default_rng(17)
+    kinds = rng.choice(["D", "N", "I"], size=40)
+    kinds[:2] = ["D", "N"]
+    matrix = dmatrix(rng.normal(size=(40, 12)) * 10.0 ** rng.uniform(-3, 3, size=(40, 1)), kinds)
+    return matrix, rng.normal(size=40), {"D": 7.3, "N": 0.37}
+
+
+@pytest.mark.parametrize("rows", [_example10_rows, _random_rows])
+def test_row_weights_apply_before_the_group_scale(rows):
+    matrix, targets, row_weights = rows()
+    prob = ScaledProblem(matrix, targets, row_weights)
+    J, y = _weighted_then_scaled(matrix, targets, row_weights)
+    assert np.array_equal(prob.J, J) and np.array_equal(prob.y, y)
+    plain = ScaledProblem(matrix, targets)
+    for none in (None, {}):
+        same = ScaledProblem(matrix, targets, none)
+        assert np.array_equal(same.J, plain.J) and np.array_equal(same.y, plain.y)
+
+
+def test_row_weight_of_an_unknown_kind_is_rejected():
+    with pytest.raises(ConfigurationError, match="'X'"):
+        ScaledProblem(dmatrix([[1.0], [2.0]], kinds=["D", "N"]), [0.0, 0.0], {"X": 2.0})
 
 
 def test_grad_hand_value():
@@ -507,7 +559,9 @@ def test_damping_restores_A_on_random_instances(seed, m, extra, repeat):
 
 @pytest.mark.parametrize("name", ["example3", "example6", "example8-synthetic"])
 def test_damping_restores_A_on_builtins(name):
-    _check_damping_in_place(runner._training_problem(BUILTINS[name](seed=0)).J)
+    setup = BUILTINS[name](seed=0)
+    matrix = assemble(setup.families, setup.sources, setup.colloc, governing=setup.operator)
+    _check_damping_in_place(ScaledProblem(matrix, setup.colloc.values, setup.row_weights).J)
 
 
 def test_damping_restores_A_when_eigh_fails():
@@ -524,9 +578,9 @@ def test_damping_restores_A_when_eigh_fails():
 
 @pytest.mark.parametrize("name", ["example3", "example10"])
 def test_run_holds_only_J_and_A_at_the_eigendecomposition(name):
-    # the unscaled design matrix (and example10's row-weighted copy of it) is
-    # gone before training, and the scaled matrix lives in A's buffer: at the
-    # call into eigh the run holds J, A and arrays far below a design size
+    # the unscaled design matrix is gone before training, and the scaled
+    # matrix lives in A's buffer: at the call into eigh the run holds J, A
+    # and arrays far below a design size
     setup = BUILTINS[name](seed=0)
     width = sum(family_width(f, setup.sources) for f in setup.families)
     design = len(setup.colloc) * width * 8
