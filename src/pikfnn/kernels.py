@@ -16,8 +16,13 @@ _radial_profile (times the convection-diffusion drift factor), or a harmonic
 sum (_harmonic_terms), and _steady_terms builds all three row kinds from
 that; a time kernel is one form G(q, dt) (_time_form), whose value, spatial
 slope and time derivative serve value, Neumann and initial-velocity rows.
-No row here is a finite difference, and the FD oracle in operators reads
-kernel values only, never the rows it checks.
+A Kelvin column is one displacement form U; its gradient gives traction
+and stress through plane_strain_stress.  elasto-trac assembles the same
+columns as elasto-disp (a row's kind picks displacement or traction) and
+differs only in eval_elasticity_kernel, which returns the printed traction
+kernel: minus the column's own traction.  No row here is a finite
+difference, and the FD oracle in operators reads kernel values only, never
+the rows it checks.
 
 Sign conventions: the heat-type exponent is negative (boundedness as
 r -> inf); Heaviside uses theta(0) = 0; the 3D Helmholtz fundamental
@@ -790,48 +795,32 @@ def _legendre_angular(v, m, x, s):
 # 2D elastostatics (Kelvin plane-strain kernels)
 
 def _elastic_geometry(X, S):
-    """The coordinate differences dx_l = x_l - s_l, r and r_{,l} = dx_l / r,
-    each (n, m), dx and r_{,l} one per coordinate; raises at r = 0."""
+    """r and r_{,l} = (x_l - s_l) / r, each (n, m), r_{,l} one per
+    coordinate; raises at r = 0."""
     dx = pairwise_differences(X, S)
     r = np.sqrt(coordinate_dot(dx, dx))
     if np.any(r == 0.0):
         raise SingularityError("elasticity kernel evaluated at r = 0")
-    return dx, r, [d / r for d in dx]
+    return r, [d / r for d in dx]
 
 
-def elastic_block(op, X, S, normals=None):
-    """Kelvin kernels for every (field point X[n], source S[m]) pair.
-
-    Returns U[n, m, l, k], displacement component l at X[n] of a unit point
-    force along k at S[m] (indices 0-based), or the traction kernels
-    T[n, m, l, k] when the unit outward normals (n, 2) at the field points
-    are given.
-    """
-    dx, r, rr = _elastic_geometry(X, S)
+def elastic_block(op, X, S):
+    """Kelvin displacement kernels U[n, m, l, k]: component l at X[n] of a
+    unit point force along k at S[m] (indices 0-based)."""
+    r, rr = _elastic_geometry(X, S)
     nu, mu = op.nu, op.shear
     delta = np.eye(2)
+    c = 1.0 / (8.0 * math.pi * mu * (1.0 - nu))
+    log = (3.0 - 4.0 * nu) * np.log(1.0 / r)
     out = np.empty(r.shape + (2, 2))
-    if normals is None:
-        c = 1.0 / (8.0 * math.pi * mu * (1.0 - nu))
-        log = (3.0 - 4.0 * nu) * np.log(1.0 / r)
-        for l, k in np.ndindex(2, 2):
-            out[..., l, k] = c * (log * delta[l, k] + rr[l] * rr[k])
-        return out
-    n = np.asarray(normals, dtype=float)
-    if np.any(np.abs(np.linalg.norm(n, axis=1) - 1.0) > 1e-10):
-        raise DomainError("normal must have unit length")
-    n = n.T[:, :, None]  # one (n, 1) column per coordinate
-    rn = coordinate_dot(dx, n) / r
-    c = 1.0 / (4.0 * math.pi * (1.0 - nu) * r)
     for l, k in np.ndindex(2, 2):
-        out[..., l, k] = c * (((1.0 - 2.0 * nu) * delta[l, k] + 2.0 * rr[l] * rr[k]) * rn
-                              + (1.0 - 2.0 * nu) * (rr[l] * n[k] - rr[k] * n[l]))
+        out[..., l, k] = c * (log * delta[l, k] + rr[l] * rr[k])
     return out
 
 
 def elastic_gradient_block(op, X, S):
     """dU_lk/dx_j of the Kelvin displacement kernels, shape (n, m, l, k, j)."""
-    _, r, rr = _elastic_geometry(X, S)
+    r, rr = _elastic_geometry(X, S)
     nu, mu = op.nu, op.shear
     delta = np.eye(2)
     c = 1.0 / (8.0 * math.pi * mu * (1.0 - nu))
@@ -843,21 +832,41 @@ def elastic_gradient_block(op, X, S):
     return out
 
 
+def plane_strain_stress(op, grad):
+    """Hooke's law in plane strain: sigma[..., l, j] of a displacement
+    gradient grad[..., l, j] = du_l/dx_j, with lambda = 2 mu nu / (1 - 2 nu)."""
+    lam = 2.0 * op.shear * op.nu / (1.0 - 2.0 * op.nu)
+    trace = grad[..., 0, 0] + grad[..., 1, 1]
+    return op.shear * (grad + np.swapaxes(grad, -1, -2)) + lam * trace[..., None, None] * np.eye(2)
+
+
+def elastic_traction_block(op, X, S, normals):
+    """Traction t_l = sigma_lj(U_k) n_j of each Kelvin displacement column
+    (source S[m], force component k) on the unit normals (n, 2) at X[n],
+    shape (n, m, l, k); the printed traction kernel is its negative."""
+    normals = np.asarray(normals, dtype=float)
+    if np.any(np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-10):
+        raise DomainError("normal must have unit length")
+    # sigma[n, m, k, l, j] of column k's gradient, summed over j with n_j
+    sigma = plane_strain_stress(op, np.swapaxes(elastic_gradient_block(op, X, S), 2, 3))
+    return coordinate_dot(sigma.transpose(4, 0, 1, 3, 2), normals.T[:, :, None, None, None])
+
+
 def eval_elasticity_kernel(family, l, k, field_point, source_point, normal=None):
-    """Displacement (Kelvin) or traction kernel component (l, k), 1-based; a
-    1x1 view of elastic_block.  Traction needs the unit outward normal at the
-    field point."""
+    """Displacement (Kelvin) or printed traction kernel component (l, k),
+    1-based: a 1x1 view of elastic_block or of -elastic_traction_block.
+    Traction needs the unit outward normal at the field point."""
     if family.kind not in (ELASTO_DISP, ELASTO_TRAC):
         raise UnsupportedKernelError("eval_elasticity_kernel needs an elasto family")
     if l not in (1, 2) or k not in (1, 2):
         raise DomainError("component indices l, k must be 1 or 2")
-    normals = None
-    if family.kind == ELASTO_TRAC:
-        if normal is None:
-            raise DomainError("traction kernel needs the unit normal at the field point")
-        normals = np.asarray(normal, dtype=float).reshape(1, -1)
-    block = elastic_block(family.operator, _as_row(field_point)[0], _as_row(source_point)[0],
-                          normals)
+    X, S = _as_row(field_point)[0], _as_row(source_point)[0]
+    if family.kind == ELASTO_DISP:
+        block = elastic_block(family.operator, X, S)
+    elif normal is None:
+        raise DomainError("traction kernel needs the unit normal at the field point")
+    else:
+        block = -elastic_traction_block(family.operator, X, S, _as_row(normal)[0])
     return float(block[0, 0, l - 1, k - 1])
 
 

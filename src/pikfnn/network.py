@@ -25,10 +25,12 @@ from .geometry import CollocationSet, SourceSet
 from .kernels import (
     elastic_block,
     elastic_gradient_block,
+    elastic_traction_block,
     governing_applied_block,
     kernel_block,
     kernel_gradient_block,
     kernel_time_derivative_block,
+    plane_strain_stress,
     tcomplete_member_block,
     tcomplete_member_gradient_block,
     tcomplete_members,
@@ -216,16 +218,9 @@ def _tcomplete_rows(family, group, rows, sources, colloc, governing):
 def _elastic_rows(family, group, rows, sources, colloc, governing):
     # columns: (source j, force component k); each row takes its own
     # displacement or traction component l from its component tag
-    P = colloc.points[rows]
-    if group == geo.DIRICHLET:
-        kelvin = elastic_block(family.operator, P, sources.points)
-    else:
-        # the traction of the Kelvin displacement column is the NEGATIVE
-        # of the printed traction kernel (verified against stress
-        # differentiation); rows must carry the field's own traction or
-        # mixed displacement/traction data turn inconsistent
-        kelvin = -elastic_block(family.operator, P, sources.points,
-                                normals=colloc.normals[rows])
+    P, S = colloc.points[rows], sources.points
+    kelvin = (elastic_block(family.operator, P, S) if group == geo.DIRICHLET
+              else elastic_traction_block(family.operator, P, S, colloc.normals[rows]))
     picked = kelvin[np.arange(len(rows)), :, colloc.components[rows] - 1, :]
     return picked.reshape(len(rows), -1)
 
@@ -271,17 +266,11 @@ def forward_stress(model, points):
     model.require_weights()
     points = np.atleast_2d(np.asarray(points, dtype=float))
     op = model.families[0].operator
-    nu, mu = op.nu, op.shear
-    lam = 2.0 * mu * nu / (1.0 - 2.0 * nu)
     sources = model.sources.points
     # grad[n, l, j] = d u_l / d x_j
     grad = np.einsum("nmlkj,mk->nlj", elastic_gradient_block(op, points, sources),
                      model.weights.reshape(len(sources), 2))
-    eps = 0.5 * (grad + grad.transpose(0, 2, 1))
-    tr = eps[:, 0, 0] + eps[:, 1, 1]
-    return np.column_stack([lam * tr + 2.0 * mu * eps[:, 0, 0],
-                            lam * tr + 2.0 * mu * eps[:, 1, 1],
-                            2.0 * mu * eps[:, 0, 1]])
+    return plane_strain_stress(op, grad)[:, [0, 1, 0], [0, 1, 1]]
 
 
 def fit_particular_weights(chain_families, sources, points, f_values,

@@ -26,6 +26,7 @@ from .geometry import SourceSet, gen_sources, load_nodes
 from .kernels import (
     elastic_block,
     kernel_block,
+    plane_strain_stress,
     tcomplete_member_block,
     tcomplete_members,
 )
@@ -266,7 +267,6 @@ def _elastic_check(family, n_points, seed):
     # sigma by central differences of sigma, itself from central differences
     # of the displacement values (16 points per sample, one block call)
     op = family.operator
-    lam = 2 * op.shear * op.nu / (1 - 2 * op.nu)
     rng = np.random.default_rng(seed)
     h = 3e-4
     n = max(10, n_points // 5)
@@ -280,9 +280,7 @@ def _elastic_check(family, n_points, seed):
     # u[p, o, i, l]: displacement l of force component comps[p] at stencil[p, o, i]
     u = kelvin.reshape(n, 4, 4, 2, 2)[np.arange(n), :, :, :, comps - 1]
     grad = ((u[:, :, 0::2] - u[:, :, 1::2]) / (2 * h)).swapaxes(-1, -2)  # d u_l / d x_j
-    eps = 0.5 * (grad + grad.swapaxes(-1, -2))
-    sigma = lam * np.trace(eps, axis1=-2, axis2=-1)[..., None, None] * np.eye(2) \
-        + 2 * op.shear * eps
+    sigma = plane_strain_stress(op, grad)
     div = (sigma[:, 0, :, 0] - sigma[:, 1, :, 0]) / (2 * h) \
         + (sigma[:, 2, :, 1] - sigma[:, 3, :, 1]) / (2 * h)
     return float(np.max(np.linalg.norm(div, axis=1)) / op.shear)

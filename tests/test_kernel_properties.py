@@ -1,8 +1,9 @@
 """Property tests for the Bessel-backed, Kelvin and time kernel blocks: the
 rows of a block can be partitioned freely, the blocks agree with the scalar
 formulas (the scalar entry points are 1x1 views of the block path), every
-block that sees only the pair geometry is bit-identical under reflections,
-and the unmasked time kernels equal their masked gather/scatter form bit for
+block that sees only the pair geometry is bit-identical under reflections
+(the Kelvin blocks up to a signed permutation of their components), and the
+unmasked time kernels equal their masked gather/scatter form bit for
 bit."""
 
 import contextlib
@@ -86,7 +87,7 @@ def _evaluate_everything(family):
              lambda: kernels.kernel_gradient_block(family, X, S, normals, T, TAU),
              lambda: kernels.governing_applied_block(family, family.operator, X, S)]
     if family.kind in (kernels.ELASTO_DISP, kernels.ELASTO_TRAC):
-        calls += [lambda: kernels.elastic_block(family.operator, X, S, normals),
+        calls += [lambda: kernels.elastic_traction_block(family.operator, X, S, normals),
                   lambda: kernels.elastic_gradient_block(family.operator, X, S)]
     if family.kind == kernels.T_COMPLETE:
         for index in kernels.tcomplete_members(family):
@@ -342,7 +343,7 @@ def test_elastic_blocks_match_scalar_formulas(X, S, theta):
     n, m = len(X), len(S)
     normals = np.column_stack([np.cos(theta[:n]), np.sin(theta[:n])])
     U = kernels.elastic_block(ELASTIC_OP, X, S)
-    T = kernels.elastic_block(ELASTIC_OP, X, S, normals=normals)
+    T = -kernels.elastic_traction_block(ELASTIC_OP, X, S, normals)
     G = kernels.elastic_gradient_block(ELASTIC_OP, X, S)
     assert U.shape == T.shape == (n, m, 2, 2) and G.shape == (n, m, 2, 2, 2)
     ref_u, ref_t, ref_g = np.empty(U.shape), np.empty(T.shape), np.empty(G.shape)
@@ -359,6 +360,37 @@ def test_elastic_blocks_match_scalar_formulas(X, S, theta):
     assert _close(U, ref_u)
     assert _close(T, ref_t)
     assert _close(G, ref_g)
+
+
+def _kelvin_blocks(X, S, normals):
+    return (kernels.elastic_block(ELASTIC_OP, X, S),
+            kernels.elastic_gradient_block(ELASTIC_OP, X, S),
+            kernels.elastic_traction_block(ELASTIC_OP, X, S, normals))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_kelvin_blocks_map_exactly_under_reflection(seed):
+    # moving points, sources and normals together by x_a -> -x_a changes
+    # each block by the signs s_l s_k (s_l s_k s_j for the gradient), and
+    # the axis swap permutes its indices, bit for bit: the pair geometry
+    # and each sum over the two coordinates are added in index order, and a
+    # two-term sum commutes
+    rng = np.random.default_rng(seed)
+    X, S = rng.uniform(-1.0, 1.0, (6, 2)), rng.uniform(-3.0, 3.0, (4, 2))
+    normals = rng.normal(size=X.shape)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    base = _kelvin_blocks(X, S, normals)
+    for flip in ([-1.0, 1.0], [1.0, -1.0]):
+        s = np.array(flip)
+        lk = np.multiply.outer(s, s)
+        signs = (lk, np.multiply.outer(lk, s), lk)
+        moved = _kelvin_blocks(X * s, S * s, normals * s)
+        assert all(_bitwise_equal(b * sign, m) for b, sign, m in zip(base, signs, moved))
+    swapped = _kelvin_blocks(X[:, ::-1], S[:, ::-1], normals[:, ::-1])
+    permuted = (base[0][..., ::-1, ::-1], base[1][..., ::-1, ::-1, ::-1],
+                base[2][..., ::-1, ::-1])
+    assert all(_bitwise_equal(p, m) for p, m in zip(permuted, swapped))
 
 
 @pytest.mark.parametrize("ident", ELASTIC_IDS)

@@ -343,6 +343,37 @@ def test_elastic_assembly_and_postprocessing():
     assert sig == pytest.approx(sig_fd, rel=1e-6)
 
 
+def test_elastic_traction_rows_match_displacement_gradient():
+    # traction rows times the weights are the field's own traction
+    # sigma(grad u) . n, with grad u by central differences of the
+    # displacement and Hooke's law written out here; a sign slip reads ~2
+    mu, nu = 100.0, 0.3
+    fam = KernelFamily("elasto-disp", OperatorSpec("elastostatic", 2, nu=nu, shear=mu))
+    rng = np.random.default_rng(11)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 6)
+    sources = SourceSet(5.0 * np.column_stack([np.cos(angles), np.sin(angles)]))
+    model = PikfnnModel([fam], sources, 2, weights=rng.uniform(-2.0, 2.0, 12))
+    n = 40
+    P = rng.uniform(-1.0, 1.0, (n, 2))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    normals = np.column_stack([np.cos(theta), np.sin(theta)])
+    comps = rng.integers(1, 3, n)
+    colloc = CollocationSet(P, ["N"] * n, np.zeros(n), normals=normals, components=comps)
+    assembled = assemble([fam], sources, colloc).entries @ model.weights
+    h = 1e-6
+    grad = np.empty((n, 2, 2))  # grad[i, l, j] = d u_l / d x_j
+    for j in range(2):
+        step = np.zeros(2)
+        step[j] = h
+        grad[:, :, j] = (forward_displacement(model, P + step)
+                         - forward_displacement(model, P - step)) / (2 * h)
+    eps = 0.5 * (grad + grad.transpose(0, 2, 1))
+    lam = 2 * mu * nu / (1 - 2 * nu)
+    sigma = lam * (eps[:, 0, 0] + eps[:, 1, 1])[:, None, None] * np.eye(2) + 2 * mu * eps
+    traction = np.einsum("ilj,ij->il", sigma, normals)
+    assert assembled == pytest.approx(traction[np.arange(n), comps - 1], rel=1e-6)
+
+
 def test_elastic_rows_need_component_tags(tmp_path):
     # a node file has no component column, so its rows carry tag 0; they
     # must not silently constrain u_1
