@@ -214,7 +214,7 @@ def example5(seed=0, train=None, n_boundary=200, n_interior=80):
                    spatial=SourceTerm("trig_eigen", eigenvalue=-1.0)), base)
     chain_fams = [KernelFamily("time-fundamental", op) for op in chain]
 
-    boundary, _ = gen_boundary("torus", n_boundary, r_major=2.0, r_minor=0.5, seed=seed)
+    boundary, _ = gen_boundary("torus", n_boundary, r_major=2.0, r_minor=0.5)
     interior = interior_torus(2.0, 0.5, n_interior, seed=seed + 1)
     instants = (20.0, 40.0, 60.0, 80.0, 100.0)
     colloc = gen_spacetime_grid(boundary, instants, np.vstack([boundary, interior]),
@@ -225,7 +225,7 @@ def example5(seed=0, train=None, n_boundary=200, n_interior=80):
     colloc, pretrained, fit_notes = _fit_particular(
         chain_fams, sources, colloc, source(colloc.points, colloc.times), base)
 
-    surf, _ = gen_boundary("torus", 150, r_major=2.0, r_minor=0.5, seed=seed + 7)
+    surf, _ = gen_boundary("torus", 150, r_major=2.0, r_minor=0.5)
     vol = interior_torus(2.0, 0.5, 100, seed=seed + 8)
     test = np.vstack([surf, vol])
     times = np.full(test.shape[0], 100.0)
@@ -331,7 +331,7 @@ def example8_synthetic(seed=0, train=None, n_outer=300):
     colloc = CollocationSet(points, kinds, values, normals=normals)
     sources = gen_sources(None, "scaled_sphere", n=n_outer, r=0.3)
     fam = KernelFamily("fundamental", OperatorSpec("laplace", 3))
-    test, _ = gen_boundary("sphere", 200, r=0.8, seed=seed + 3)
+    test, _ = gen_boundary("sphere", 200, r=0.8)
     return ProblemSetup(
         name="example8-synthetic", operator=fam.operator, families=[fam],
         colloc=colloc, sources=sources,

@@ -1,9 +1,10 @@
 """Collocation and source node generation, node-file I/O, space-time grids.
 
-Generators are deterministic given (shape, n, seed).  Collocation/source
-sets are treated as immutable once built and are safe to share across
-threads.  Row kinds use the node-file letters: D(irichlet), N(eumann),
-I(nitial), R = interior residual (enhanced mode only).
+Generators are deterministic given their arguments, a seed among them only
+where one draws.  Collocation/source sets are treated as immutable once
+built and are safe to share across threads.  Row kinds use the node-file
+letters: D(irichlet), N(eumann), I(nitial), R = interior residual (enhanced
+mode only).
 """
 
 import math
@@ -162,12 +163,12 @@ def coordinate_dot(a, b):
 # ---------------------------------------------------------------------------
 # boundary generators
 
-def gen_boundary(shape, n, seed=0, **params):
+def gen_boundary(shape, n, **params):
     """(points, normals): n nodes uniformly distributed on a named boundary
     and their unit outward normals, both (n, dim) arrays.
 
     Shapes: square(a, b), circle(r, center), lshape(scale), sphere(r),
-    torus(r_major, r_minor), hypersphere4(r).
+    torus(r_major, r_minor), hypersphere4(r, seed), the one that draws.
     """
     if n < 2:
         raise DomainError("need at least 2 boundary nodes")
@@ -175,10 +176,10 @@ def gen_boundary(shape, n, seed=0, **params):
             "sphere": _sphere, "torus": _torus, "hypersphere4": _hypersphere4}
     if shape not in gens:
         raise DomainError(f"unsupported shape {shape!r}; valid: {sorted(gens)}")
-    return gens[shape](n, seed=seed, **params)
+    return gens[shape](n, **params)
 
 
-def _square(n, a=-1.0, b=1.0, seed=0):
+def _square(n, a=-1.0, b=1.0):
     # midpoint-offset nodes per edge, corner-exclusive: bottom (x2 = a),
     # right (x1 = b), top (x2 = b), left (x1 = a)
     if not b > a:
@@ -193,7 +194,7 @@ def _square(n, a=-1.0, b=1.0, seed=0):
     return np.vstack(points), np.vstack(normals)
 
 
-def _circle(n, r=1.0, center=(0.0, 0.0), seed=0):
+def _circle(n, r=1.0, center=(0.0, 0.0)):
     if r <= 0:
         raise DomainError("circle needs r > 0")
     th = 2.0 * math.pi * np.arange(n) / n
@@ -209,7 +210,7 @@ _LSHAPE_PATH = [((-1, -1), (1, -1), (0.0, -1.0)),
                 ((-1, 1), (-1, -1), (-1.0, 0.0))]
 
 
-def _lshape(n, scale=1.0, seed=0):
+def _lshape(n, scale=1.0):
     # [-1,1]^2 minus [0,1]^2, scaled; arc-length uniform over the six edges.
     # Each node's arc length s loses the length of every edge it passes, and
     # the last edge takes the nodes that rounding carries past the others.
@@ -229,7 +230,7 @@ def _lshape(n, scale=1.0, seed=0):
     return points, normals
 
 
-def _sphere(n, r=1.0, center=(0.0, 0.0, 0.0), seed=0):
+def _sphere(n, r=1.0, center=(0.0, 0.0, 0.0)):
     # Fibonacci spiral with polar endpoints (n = 2 degenerates to the poles)
     if r <= 0:
         raise DomainError("sphere needs r > 0")
@@ -241,7 +242,7 @@ def _sphere(n, r=1.0, center=(0.0, 0.0, 0.0), seed=0):
     return np.asarray(center, dtype=float) + r * d, d
 
 
-def _torus(n, r_major=2.0, r_minor=0.5, center=(0.0, 0.0, 0.0), seed=0):
+def _torus(n, r_major=2.0, r_minor=0.5, center=(0.0, 0.0, 0.0)):
     # golden-ratio lattice in (u, w); w inverted through the area CDF in v
     if not (r_major > r_minor > 0):
         raise DomainError("torus needs r_major > r_minor > 0")

@@ -11,18 +11,21 @@ differences of pairwise_differences, summed in index order (coordinate_dot).
 No (n, m, dim) difference tensor is built.
 
 Each closed form is written once, and values, gradients and operator rows
-all derive from it: a steady kernel is a radial profile [g, g', g''] of
-_radial_profile (times the convection-diffusion drift factor), or a harmonic
-sum (_harmonic_terms), and _steady_terms builds all three row kinds from
-that; a time kernel is one form G(q, dt) (_time_form), whose value, spatial
-slope and time derivative serve value, Neumann and initial-velocity rows.
-A Kelvin column is one displacement form U; its gradient gives traction
-and stress through plane_strain_stress.  elasto-trac assembles the same
-columns as elasto-disp (a row's kind picks displacement or traction) and
-differs only in eval_elasticity_kernel, which returns the printed traction
-kernel: minus the column's own traction.  No row here is a finite
-difference, and the FD oracle in operators reads kernel values only, never
-the rows it checks.
+all derive from it: a steady kernel is a radial profile of _radial_profile
+(times the convection-diffusion drift factor), or a harmonic sum
+(_harmonic_terms), and _steady_terms builds all three row kinds from that.
+A radial part that solves its own equation lap g = s g (Laplace,
+Helmholtz, modified Helmholtz, the convection-diffusion part; s from
+_eigenvalue) is the profile [g, g'], and its Laplacian is s g plus the
+shift's term; the others carry [g, g', g''].  A time kernel is one form
+G(q, dt) (_time_form), whose value, spatial slope and time derivative serve
+value, Neumann and initial-velocity rows.  A Kelvin column is one
+displacement form U; its gradient gives traction and stress through
+plane_strain_stress.  elasto-trac assembles the same columns as
+elasto-disp (a row's kind picks displacement or traction) and differs only
+in eval_elasticity_kernel, which returns the printed traction kernel: minus
+the column's own traction.  No row here is a finite difference, and the FD
+oracle in operators reads kernel values only, never the rows it checks.
 
 Sign conventions: the heat-type exponent is negative (boundedness as
 r -> inf); Heaviside uses theta(0) = 0; the 3D Helmholtz fundamental
@@ -189,9 +192,12 @@ def _steady_terms(family, X, S, order):
     K is a harmonic sum, or a radial part g(R), R = sqrt(r^2 + shift^2),
     times the drift factor w = e^{-u . dx} of convection-diffusion (u =
     v / 2D; else w = 1): grad K = w (g'/R dx - g u) and
-    lap K = w (lap g - 2 g'/R dx . u + g |u|^2), lap g = g'' r^2/R^2 +
-    g' (shift^2/R^3 + (d-1)/R).  At R = 0 a kernel that is finite there is
-    smooth and even: g'/R dx -> 0, and lap g is _origin_laplacian's.
+    lap K = w (lap g - 2 g'/R dx . u + g |u|^2).  A radial part that solves
+    g'' + (d-1) g'/R = s g (_eigenvalue) has lap g = s g + shift^2 (d g'/R -
+    s g)/R^2, exactly s g unshifted, at R = 0 too; any other has
+    lap g = g'' r^2/R^2 + g' (shift^2/R^3 + (d-1)/R).  At R = 0 a kernel that
+    is finite there is smooth and even: g'/R dx -> 0, and a power piece's
+    lap g is _origin_laplacian's.
     """
     op = family.operator
     drifts = _drifts(op)
@@ -204,14 +210,19 @@ def _steady_terms(family, X, S, order):
         raise SingularityError(f"kernel {family.kind}:{op.kind} evaluated at r = 0")
     sigma = family.shift
     re = np.sqrt(r * r + sigma * sigma) if sigma > 0.0 else r
+    s = _eigenvalue(*_radial_kind(family)) if order == 2 else None
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at R = 0, replaced below
         g = _radial_profile(family, re, order)
         if order:  # d/dx g(R(r)) = g'(R) * (r/R) * unit(dx) = g'(R)/R * dx
             slope = np.where(re == 0.0, 0.0, g[1] / re)
-        if order == 2:
+        if s is not None:
+            lap = s * g[0]
+            if sigma > 0.0:
+                lap = lap + sigma * sigma * (op.dim * slope - lap) / re ** 2
+        elif order == 2:
             lap = g[2] * r2 / re ** 2 + g[1] * (sigma * sigma / re ** 3 + (op.dim - 1) / re)
-    if order == 2 and np.any(re == 0.0):
-        lap = np.where(re == 0.0, _origin_laplacian(family, g[0]), lap)
+    if order == 2 and s is None and np.any(re == 0.0):
+        lap = np.where(re == 0.0, _origin_laplacian(op), lap)
     terms = [g[0]]
     if order == 1:
         terms.append([slope * d for d in dx])
@@ -230,6 +241,24 @@ def _steady_terms(family, X, S, order):
     return terms
 
 
+def _eigenvalue(kind, k):
+    """s with lap g = s g for the radial solutions g of an operator kind at
+    wavenumber k: 0 for Laplace, -k^2 for Helmholtz, k^2 for modified
+    Helmholtz and for convection-diffusion's radial part (k = mu there); None
+    for every other kind."""
+    return {ops.LAPLACE: 0.0, ops.HELMHOLTZ: -k * k, ops.MODIFIED_HELMHOLTZ: k * k,
+            ops.CONVECTION_DIFFUSION: k * k}.get(kind)
+
+
+def _radial_kind(family):
+    """(operator kind, k) of the family's radial part: k is mu for
+    convection-diffusion, and a radial-Trefftz power kind at n = 0 is its
+    base kind."""
+    op = family.operator
+    kind = op.base().kind if family.kind == RADIAL_TREFFTZ and not op.power_n else op.kind
+    return kind, op.mu_cd if _drifts(op) else op.k
+
+
 # the Bessel function F of each class's Helmholtz and modified-Helmholtz
 # radial parts: F_0(kR) / 2 pi in 2D (i/4 H_0 for "h", the Hankel form
 # J + iY), and A_n z^n F_n(z) for the power kinds
@@ -238,10 +267,11 @@ _BESSEL = {FUNDAMENTAL: ("h", "k"), FUNDAMENTAL_REAL: ("y", None),
 
 
 def _radial_profile(family, re, order):
-    """[g, g', g''][:order + 1] of the family's radial part at the radial
-    arguments re (an ndarray).  The radial part is the kernel itself, or for
+    """The family's radial part at the radial arguments re (an ndarray):
+    [g, g'][:order + 1] where g solves lap g = s g (_eigenvalue), else
+    [g, g', g''][:order + 1].  The radial part is the kernel itself, or for
     convection-diffusion the factor of the drift e^{-v . dx / 2D}, the
-    modified-Helmholtz part at k = mu.  A radial-Trefftz power kind at n = 0 is its base kind.
+    modified-Helmholtz part at k = mu.
 
     Each Bessel function is evaluated once, and only the orders asked are
     computed.
@@ -251,20 +281,15 @@ def _radial_profile(family, re, order):
     if family.kind not in _BESSEL:
         raise UnsupportedKernelError(
             f"no steady formula for class={family.kind!r} operator={op.kind!r} dim={dim}")
-    kind = op.base().kind if family.kind == RADIAL_TREFFTZ and not op.power_n else op.kind
+    kind, k = _radial_kind(family)
     if kind == ops.LAPLACE:
         if dim == 2:
-            terms = (lambda: -np.log(re) / _TWO_PI,
-                     lambda: -1.0 / (_TWO_PI * re),
-                     lambda: 1.0 / (_TWO_PI * re ** 2))
+            terms = (lambda: -np.log(re) / _TWO_PI, lambda: -1.0 / (_TWO_PI * re))
         elif dim == 3:
-            terms = (lambda: 1.0 / (_FOUR_PI * re),
-                     lambda: -1.0 / (_FOUR_PI * re * re),
-                     lambda: 2.0 / (_FOUR_PI * re ** 3))
+            terms = (lambda: 1.0 / (_FOUR_PI * re), lambda: -1.0 / (_FOUR_PI * re * re))
         else:
             terms = (lambda: 1.0 / (4.0 * math.pi ** 2 * re * re),
-                     lambda: -2.0 / (4.0 * math.pi ** 2 * re ** 3),
-                     lambda: 6.0 / (4.0 * math.pi ** 2 * re ** 4))
+                     lambda: -2.0 / (4.0 * math.pi ** 2 * re ** 3))
         return [term() for term in terms[:order + 1]]
     if kind in (ops.BIHARMONIC, ops.POLY_LAPLACE):  # biharmonic: poly-Laplace n = 1
         n = 1 if kind == ops.BIHARMONIC else op.power_n
@@ -282,50 +307,33 @@ def _radial_profile(family, re, order):
                      lambda: (2 * n - 1) * re ** (2 * n - 2) / f,
                      lambda: (2 * n - 1) * (2 * n - 2) * re ** (2 * n - 3) / f)
         return [term() for term in terms[:order + 1]]
-    k = op.mu_cd if _drifts(op) else op.k
     bessel = _BESSEL[family.kind][kind not in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER)]
     if kind in ops.POWER_KINDS:
         return _power_profile(op, bessel, k, re, order)
     z = k * re
-    if dim == 2:
-        f0 = _bessel(bessel, 0, z)
-        f1 = _bessel(bessel, 1, z) if order else None
-        if bessel == "k":
-            terms = (lambda: -k * f1, lambda: k * k * (f0 + f1 / z))
-        elif bessel == "i":
-            terms = (lambda: k * f1, lambda: k * k * (f0 - f1 / z))
-        else:  # J0, Y0 and H0: F0' = -F1, F0'' = -F0 + F1/z
-            terms = (lambda: -k * f1, lambda: -k * k * (f0 - f1 / z))
+    if dim == 2:  # F0' = F1 for I, -F1 for J, Y, H and K
         scale = (lambda f: 0.25j * f) if bessel == "h" else (lambda f: f / _TWO_PI)
-        return [scale(f0)] + [scale(term()) for term in terms[:order]]
+        terms = (lambda: _bessel(bessel, 0, z),
+                 lambda: (k if bessel == "i" else -k) * _bessel(bessel, 1, z))
+        return [scale(term()) for term in terms[:order + 1]]
     if family.kind == FUNDAMENTAL_REAL:
         cos = np.cos(z)
-        sin = np.sin(z) if order else None
         terms = (lambda: cos / (_FOUR_PI * re),
-                 lambda: -(k * sin * re + cos) / (_FOUR_PI * re * re),
-                 lambda: (-k * k * cos * re ** 2 + 2.0 * k * sin * re
-                          + 2.0 * cos) / (_FOUR_PI * re ** 3))
+                 lambda: -(k * np.sin(z) * re + cos) / (_FOUR_PI * re * re))
     elif bessel in ("k", "h"):  # e^{-z} / 4 pi R: z = kR, or -+ikR for e^{+-ikR}
         if bessel == "h":
             z = -((1.0 if family.outgoing_3d else -1.0) * 1j * k * re)
         e = np.exp(-z)
-        terms = (lambda: e / (_FOUR_PI * re),
-                 lambda: -e * (z + 1.0) / (_FOUR_PI * re * re),
-                 lambda: e * (z * z + 2.0 * z + 2.0) / (_FOUR_PI * re ** 3))
-    elif bessel == "j":  # radial-Trefftz Helmholtz
-        # g' = -k^2 j_1(kR) / 4 pi and g'' = -k^3 (j_0 - 2 j_1 / z) / 4 pi keep
-        # full precision near the source, where sin and cos forms cancel
-        j1 = spherical_bessel_block("j", 1, z) if order else None
-        terms = (lambda: np.sinc(z / math.pi) * k / _FOUR_PI,  # sin(kR)/(4 pi R)
-                 lambda: -k * k * j1 / _FOUR_PI,
-                 lambda: -k ** 3 * (spherical_bessel_block("j", 0, z) - 2.0 * j1 / z) / _FOUR_PI)
-    else:  # radial-Trefftz modified Helmholtz, k / 4 pi at R = 0
-        # g' = k^2 i_1(kR) / 4 pi and g'' = k^3 (i_0 - 2 i_1 / z) / 4 pi
-        i1 = spherical_bessel_block("i", 1, z) if order else None
+        terms = (lambda: e / (_FOUR_PI * re), lambda: -e * (z + 1.0) / (_FOUR_PI * re * re))
+    elif bessel == "j":  # radial-Trefftz Helmholtz: sin(kR) / 4 pi R
+        # g' = -k^2 j_1(kR) / 4 pi keeps full precision near the source,
+        # where the sin and cos form cancels
+        terms = (lambda: np.sinc(z / math.pi) * k / _FOUR_PI,
+                 lambda: -k * k * spherical_bessel_block("j", 1, z) / _FOUR_PI)
+    else:  # radial-Trefftz modified Helmholtz, k / 4 pi at R = 0; g' = k^2 i_1(kR) / 4 pi
         terms = (lambda: np.divide(np.sinh(z), _FOUR_PI * re, where=re != 0.0,
                                    out=np.full(re.shape, k / _FOUR_PI)),
-                 lambda: k * k * i1 / _FOUR_PI,
-                 lambda: k ** 3 * (spherical_bessel_block("i", 0, z) - 2.0 * i1 / z) / _FOUR_PI)
+                 lambda: k * k * spherical_bessel_block("i", 1, z) / _FOUR_PI)
     return [term() for term in terms[:order + 1]]
 
 
@@ -552,17 +560,6 @@ def _gradient_block(family, X, S, T=None, TAU=None):
     return [slope * d for d in pairwise_differences(X, S)]
 
 
-def _laplace_eigenvalue(op):
-    """s with lap(phi) = s * phi for exactly-satisfied radial eigen-kernels."""
-    if op.kind == ops.LAPLACE:
-        return 0.0
-    if op.kind == ops.HELMHOLTZ:
-        return -op.k ** 2
-    if op.kind == ops.MODIFIED_HELMHOLTZ:
-        return op.k ** 2
-    return None
-
-
 def kernel_time_derivative_block(family, X, S, T, TAU):
     """d/dt of the kernel for each (row, column) pair: rows = field points X
     (n, dim) at times T (n,), columns = sources S (m, dim) at times TAU (m,).
@@ -583,11 +580,12 @@ def kernel_time_derivative_block(family, X, S, T, TAU):
 def governing_applied_block(family, governing, X, S, T=None, TAU=None):
     """(L0 phi)(x_i; s_j) for a whole block, L0 the governing operator.
 
-    Fast paths: exact-satisfaction zeros when the family solves L0 itself;
-    eigen-factor scaling between Laplace-family operators; analytic d/dt for
-    heat-by-heat.  Otherwise L0 is Laplace-type and the block is the
-    closed-form Laplacian of the family's kernel (_steady_terms) plus or
-    minus k^2 times its values.  The block has the family's dtype.
+    Fast paths: exact-satisfaction zeros when the family solves L0 itself,
+    and analytic d/dt for heat-by-heat.  Otherwise L0 = lap - s is
+    Laplace-type, s its _eigenvalue, and the block is lap K - s K: the
+    closed-form Laplacian of the family's kernel K (_steady_terms, where a
+    radial part that solves lap g = s' g reads s' g) minus s times its
+    values.  The block has the family's dtype.
     """
     same = governing == family.operator
     exact = family.shift == 0.0 and family.kind in (
@@ -595,11 +593,6 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
         TIME_FUNDAMENTAL, TIME_RADIAL_TREFFTZ)
     if same and exact:
         return np.zeros((len(X), len(S)), complex if family.is_complex else float)
-    if exact and not governing.is_time_dependent and not family.operator.is_time_dependent:
-        s_fam = _laplace_eigenvalue(family.operator)
-        s_gov = _laplace_eigenvalue(governing)
-        if s_fam is not None and s_gov is not None and _is_radial(family):
-            return (s_fam - s_gov) * kernel_block(family, X, S)
     if exact and governing.kind == ops.HEAT and family.operator.kind == ops.HEAT:
         k1, k0 = family.operator.k, governing.k
         return (k1 - k0) / k1 * kernel_time_derivative_block(family, X, S, T, TAU)
@@ -607,23 +600,14 @@ def governing_applied_block(family, governing, X, S, T=None, TAU=None):
         raise UnsupportedKernelError(
             f"interior-residual rows not implemented for operator {governing.kind!r}")
     vals, _, lap = _steady_terms(family, X, S, 2)
-    if governing.kind == ops.LAPLACE:
-        return lap
-    if governing.kind == ops.HELMHOLTZ:
-        return lap + governing.k ** 2 * vals
-    return lap - governing.k ** 2 * vals
+    return lap - _eigenvalue(governing.kind, governing.k) * vals
 
 
-def _origin_laplacian(family, g):
-    """lap g at R = 0 of a radial-Trefftz part: -e k^2 g at n = 0 (e = -1 for
-    the modified kinds); a power piece goes as A_n z^2n / 2^n n! (3D: sqrt(2/pi)
-    A_n z^2n / (2n+1)!!), which at n = 1 gives 2 k^2 A_1 = 1 (sqrt(2/pi) in
-    3D) and above n = 1 gives 0."""
-    op = family.operator
-    if op.power_n:
-        return float(op.power_n == 1) * (1.0 if op.dim == 2 else math.sqrt(2.0 / math.pi))
-    k = op.mu_cd if _drifts(op) else op.k
-    return (-k * k if op.kind in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER) else k * k) * g
+def _origin_laplacian(op):
+    """lap g at R = 0 of a radial-Trefftz power piece: it goes as A_n z^2n /
+    2^n n! (3D: sqrt(2/pi) A_n z^2n / (2n+1)!!), which at n = 1 gives
+    2 k^2 A_1 = 1 (sqrt(2/pi) in 3D) and above n = 1 gives 0."""
+    return float(op.power_n == 1) * (1.0 if op.dim == 2 else math.sqrt(2.0 / math.pi))
 
 
 # ---------------------------------------------------------------------------

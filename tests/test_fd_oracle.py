@@ -339,7 +339,8 @@ def test_oracle_independent_of_analytic_operators(monkeypatch):
         raise AssertionError("the FD oracle used analytic operator code")
 
     for name in ("governing_applied_block", "kernel_gradient_block", "_gradient_block",
-                 "_origin_laplacian", "elastic_gradient_block", "kernel_time_derivative_block"):
+                 "_origin_laplacian", "_eigenvalue", "elastic_gradient_block",
+                 "kernel_time_derivative_block"):
         monkeypatch.setattr(kernels, name, forbidden)
         monkeypatch.setattr(runner, name, forbidden, raising=False)
     rows, _ = verify_kernels(n_points=10)

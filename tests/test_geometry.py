@@ -49,12 +49,12 @@ def test_sphere_two_nodes_are_poles():
 @pytest.mark.parametrize("shape,params,implicit", [
     ("circle", dict(r=2.5), lambda p: np.abs(np.linalg.norm(p, axis=1) - 2.5)),
     ("sphere", dict(r=1.5), lambda p: np.abs(np.linalg.norm(p, axis=1) - 1.5)),
-    ("hypersphere4", dict(r=1.0), lambda p: np.abs(np.linalg.norm(p, axis=1) - 1.0)),
+    ("hypersphere4", dict(r=1.0, seed=3), lambda p: np.abs(np.linalg.norm(p, axis=1) - 1.0)),
     ("torus", dict(r_major=2.0, r_minor=0.5),
      lambda p: np.abs((np.hypot(p[:, 0], p[:, 1]) - 2.0) ** 2 + p[:, 2] ** 2 - 0.25)),
 ])
 def test_implicit_equation_satisfied(shape, params, implicit):
-    pts, _ = gen_boundary(shape, 97, seed=3, **params)
+    pts, _ = gen_boundary(shape, 97, **params)
     assert np.max(implicit(pts)) <= 1e-12
 
 
@@ -84,10 +84,17 @@ def test_lshape_nodes_on_boundary_with_outward_normals():
 
 
 def test_generation_deterministic():
-    for shape in ("hypersphere4", "torus"):
-        a = gen_boundary(shape, 40, seed=11)
-        b = gen_boundary(shape, 40, seed=11)
+    for shape, params in (("hypersphere4", {"seed": 11}), ("torus", {})):
+        a = gen_boundary(shape, 40, **params)
+        b = gen_boundary(shape, 40, **params)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("shape", ["square", "circle", "lshape", "sphere", "torus"])
+def test_only_a_drawing_generator_takes_a_seed(shape):
+    # the other shapes place their nodes by formula, so a seed would do nothing
+    with pytest.raises(TypeError, match="seed"):
+        gen_boundary(shape, 40, seed=1)
 
 
 def test_unsupported_shape():

@@ -2,9 +2,9 @@
 rows of a block can be partitioned freely, the blocks agree with the scalar
 formulas (the scalar entry points are 1x1 views of the block path), every
 block that sees only the pair geometry is bit-identical under reflections
-(the Kelvin blocks up to a signed permutation of their components), and the
-unmasked time kernels equal their masked gather/scatter form bit for
-bit."""
+(the Kelvin blocks up to a signed permutation of their components, the
+T-complete members up to a signed member), and the unmasked time kernels
+equal their masked gather/scatter form bit for bit."""
 
 import contextlib
 import math
@@ -391,6 +391,62 @@ def test_kelvin_blocks_map_exactly_under_reflection(seed):
     permuted = (base[0][..., ::-1, ::-1], base[1][..., ::-1, ::-1, ::-1],
                 base[2][..., ::-1, ::-1])
     assert all(_bitwise_equal(p, m) for p, m in zip(permuted, swapped))
+
+
+# ---------------------------------------------------------------------------
+# T-complete members: R(rho) cos(m theta) or sin(m theta) in 2D, times
+# P_v^m(cos phi) in 3D
+
+TCOMPLETE_IDS = [ident.replace("m=2", "m=3") for ident in list_kernel_ids()
+                 if parse_kernel_id(ident).kind == kernels.T_COMPLETE]
+
+
+def _tcomplete_image(index, axis):
+    """(sign, parity) with member (v, m, parity)(F x) = sign * member (v, m,
+    parity')(x), F negating axis 0, 1 or 2 or, for "swap", exchanging the 2D
+    axes: x1 -> -x1 sends theta to pi - theta, x2 -> -x2 sends it to
+    -theta, the swap to pi/2 - theta (cos and sin trade places at odd m),
+    and x3 -> -x3 sends cos phi to -cos phi, so P_v^m takes (-1)^(v + m)."""
+    v, m, parity = index
+    odd = 1 if parity == "sin" else 0
+    if axis == 0:
+        return (-1) ** (m + odd), parity
+    if axis == 1:
+        return (-1) ** odd, parity
+    if axis == 2:
+        return (-1) ** (v + m), parity
+    if m % 2 == 0:
+        return (-1) ** (m // 2 + odd), parity
+    return (-1) ** (m // 2), "cos" if odd else "sin"
+
+
+@pytest.mark.parametrize("ident", TCOMPLETE_IDS)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_tcomplete_members_map_to_signed_members_under_reflection(ident, seed):
+    # value and gradient blocks at F X against +-1 times a member of the
+    # same (v, m) at X (its gradient times F).  x2 -> -x2 and x3 -> -x3 keep
+    # rho, cos phi and sin phi and negate theta or cos phi exactly, so they
+    # map bit for bit; x1 -> -x1 and the swap round theta, which moved the
+    # blocks by at most 6.0e-15 of their largest entry over 40 seeds at m = 3
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    X = np.random.default_rng(seed).uniform(-1.0, 1.0, (8, dim))
+    for axis in list(range(dim)) + (["swap"] if dim == 2 else []):
+        F = np.eye(dim)[::-1] if axis == "swap" else np.diag(
+            np.where(np.arange(dim) == axis, -1.0, 1.0))
+        for index in kernels.tcomplete_members(family):
+            sign, parity = _tcomplete_image(index, axis)
+            image = index[:2] + (parity,)
+            moved = (kernels.tcomplete_member_block(family, index, X @ F),
+                     kernels.tcomplete_member_gradient_block(family, index, X @ F))
+            expected = (sign * kernels.tcomplete_member_block(family, image, X),
+                        sign * kernels.tcomplete_member_gradient_block(family, image, X) @ F)
+            for got, want in zip(moved, expected):
+                if axis in (1, 2):
+                    assert np.array_equal(got, want), (axis, index)
+                else:
+                    assert np.abs(got - want).max() <= 5e-14 * np.abs(want).max(), (axis, index)
 
 
 @pytest.mark.parametrize("ident", ELASTIC_IDS)

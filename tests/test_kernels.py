@@ -753,7 +753,7 @@ NEAR_SOURCE_CASES = [
 def test_smooth_3d_rows_near_the_source_match_mpmath(ident, radial, factor, eigen):
     # Neumann rows (normal along dx) read f'(R) (dx . n) / R; the sin/cos and
     # sinh/cosh quotients cancelled there (8e-5 relative at R = 1e-6), j_1 and
-    # i_1 do not.  Operator rows read Delta f = g'' + 2 g' / R likewise.
+    # i_1 do not.  Operator rows read Delta f = s f, the value times +-k^2.
     mp = pytest.importorskip("mpmath")
     family = parse_kernel_id(ident)
     normal = np.array([[1.0, 2.0, 2.0]]) / 3.0
@@ -771,6 +771,44 @@ def test_smooth_3d_rows_near_the_source_match_mpmath(ident, radial, factor, eige
                 lap = kernels._steady_terms(family, X, S, 2)[2][0, 0]
                 expected = float(eigen * radial(R, mp))
                 assert abs(lap - expected) <= 1e-12 * abs(expected), (r, lap, expected)
+
+
+EIGEN_NEAR_SOURCE_CASES = [
+    # (id, g(R) in mpmath, shift): each solves Delta g = s g away from R = 0
+    ("fundamental:modified-helmholtz:3d?k=1.3",
+     lambda R, mp: mp.exp(-1.3 * R) / (4 * mp.pi * R), 0.0),
+    ("fundamental:helmholtz:3d?k=1.3", lambda R, mp: mp.exp(1.3j * R) / (4 * mp.pi * R), 0.0),
+    ("fundamental-real:helmholtz:2d?k=1.3",
+     lambda R, mp: mp.bessely(0, 1.3 * R) / (2 * mp.pi), 0.0),
+    ("fundamental:laplace:3d", lambda R, mp: 1 / (4 * mp.pi * R), 0.0),
+    ("fundamental-real:helmholtz:2d?k=1.3&shift=0.5",
+     lambda R, mp: mp.bessely(0, 1.3 * R) / (2 * mp.pi), 0.5),
+]
+
+
+@pytest.mark.parametrize("ident,radial,shift", EIGEN_NEAR_SOURCE_CASES,
+                         ids=[case[0] for case in EIGEN_NEAR_SOURCE_CASES])
+def test_eigen_laplacian_rows_near_the_source_match_mpmath(ident, radial, shift):
+    # Delta of f(r) = g(sqrt(r^2 + shift^2)) is f'' + (d-1) f'/r; from g'' the
+    # two terms cancelled near an unshifted source (4.0e-4 of |g| at
+    # r = 1e-6), and the rows read s g instead
+    mp = pytest.importorskip("mpmath")
+    family = parse_kernel_id(ident)
+    dim = family.operator.dim
+    direction = (np.array([1.0, 2.0, 2.0]) / 3.0 if dim == 3 else np.array([0.6, 0.8]))[None]
+    S = np.zeros((1, dim))
+    with mp.workdps(40):
+        for r in (1e-2, 1e-4, 1e-6):
+            X = r * direction
+            rr = mp.sqrt(sum(mp.mpf(c) ** 2 for c in X[0]))
+
+            def f(t):
+                return radial(mp.sqrt(t * t + mp.mpf(shift) ** 2), mp)
+
+            expected = complex(mp.diff(f, rr, 2) + (dim - 1) * mp.diff(f, rr) / rr)
+            scale = max(abs(expected), abs(complex(f(rr))))
+            lap = kernels._steady_terms(family, X, S, 2)[2][0, 0]
+            assert abs(lap - expected) <= 1e-12 * scale, (r, lap, expected)
 
 
 TIME_IDS = [ident for ident in list_kernel_ids()
@@ -899,15 +937,14 @@ def test_radial_trefftz_power_kinds_at_n0_evaluate_as_base_kind(power, base):
     X = RNG.uniform(-1.0, 1.0, size=(5, dim))
     S = RNG.uniform(2.0, 3.0, size=(3, dim))
     assert np.array_equal(kernel_block(power, X, S), kernel_block(base, X, S))
-    # both take their gradient rows from the base kind's radial profile
+    # both take their gradient and Laplacian rows from the base kind's
+    # radial profile and eigenvalue
     normals = np.full((5, dim), 1.0 / math.sqrt(dim))
     assert np.array_equal(kernels.kernel_gradient_block(power, X, S, normals),
                           kernels.kernel_gradient_block(base, X, S, normals))
-    if base.operator.kind == "convection-diffusion":
-        # not radial, so no eigenvalue shortcut: both Laplacians are the profile's
-        laplace = OperatorSpec("laplace", dim)
-        assert np.array_equal(governing_applied_block(power, laplace, X, S),
-                              governing_applied_block(base, laplace, X, S))
+    laplace = OperatorSpec("laplace", dim)
+    assert np.array_equal(governing_applied_block(power, laplace, X, S),
+                          governing_applied_block(base, laplace, X, S))
 
 
 def test_governing_applied_block_rejects_other_operators(monkeypatch):
