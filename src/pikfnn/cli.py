@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: run <config.json>, bench <name|all>, verify-kernels [filter],
-list-kernels.  Exit codes: 0 success, 2 validation error, 3 numerical
-failure.  The command output (kernel ids, the verify pass count) goes to
-stdout; progress and diagnostics are logged to stderr, at INFO, or from
-WARNING up with --quiet.
+list-kernels.  Exit codes: 0 success, 2 validation error (a size too large
+for memory included), 3 numerical failure.  The command output (kernel ids,
+the verify pass count) goes to stdout; progress and diagnostics are logged
+to stderr, at INFO, or from WARNING up with --quiet.
 """
 
 import argparse
@@ -32,8 +32,10 @@ EXIT_NUMERICAL = 3
 
 log = logging.getLogger("pikfnn")
 
-_VALIDATION_ERRORS = (ConfigurationError, DomainError, NodeFileError,
-                      UnsupportedKernelError, UnsupportedSourceError, FileNotFoundError)
+# MemoryError: a size that int64 holds but memory does not; numpy's message
+# names the shape and the bytes asked for
+_VALIDATION_ERRORS = (ConfigurationError, DomainError, NodeFileError, UnsupportedKernelError,
+                      UnsupportedSourceError, FileNotFoundError, MemoryError)
 _NUMERICAL_ERRORS = (ConditioningError, DivergenceError, SingularityError)
 
 

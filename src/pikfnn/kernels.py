@@ -24,7 +24,10 @@ displacement form U; its gradient gives traction and stress through
 plane_strain_stress.  elasto-trac assembles the same columns as
 elasto-disp (a row's kind picks displacement or traction) and differs only
 in eval_elasticity_kernel, which returns the printed traction kernel: minus
-the column's own traction.  No row here is a finite difference, and the FD
+the column's own traction.  A T-complete member is one form R(rho) P(cos
+phi) A(theta) (_tcomplete_member); a 2D member is that form on the plane
+phi = pi/2, where P = 1, and one Bessel rule gives every radial part and
+its derivative (_tcomplete_radial).  No row here is a finite difference, and the FD
 oracle in operators reads kernel values only, never the rows it checks.
 
 Sign conventions: the heat-type exponent is negative (boundedness as
@@ -614,25 +617,13 @@ def _origin_laplacian(op):
 # T-complete members
 
 def tcomplete_members(family):
-    """Ordered member indices (v, m, parity) for a T-complete family.
-
-    2D: {1} then (m, cos), (m, sin) for m = 1..M  -> 2M + 1 members.
-    3D: degrees v = 0..M, orders 0 <= m <= v, cos and (m > 0) sin -> (M+1)^2.
-    """
+    """Ordered member indices (v, m, parity) for a T-complete family: degrees
+    v = 0..M, orders m <= v (in 2D only m = v), cos and (m > 0) sin; 2M + 1
+    members in 2D, (M + 1)^2 in 3D."""
     M = family.tcomplete_max_order
-    if family.operator.dim == 2:
-        out = [(0, 0, "cos")]
-        for m in range(1, M + 1):
-            out.append((m, m, "cos"))
-            out.append((m, m, "sin"))
-        return out
-    out = []
-    for v in range(M + 1):
-        for m in range(v + 1):
-            out.append((v, m, "cos"))
-            if m > 0:
-                out.append((v, m, "sin"))
-    return out
+    return [(v, m, parity) for v in range(M + 1)
+            for m in (range(v + 1) if family.operator.dim == 3 else (v,))
+            for parity in (("cos", "sin") if m else ("cos",))]
 
 
 def eval_tcomplete_member(family, index, point):
@@ -656,7 +647,16 @@ def tcomplete_member_gradient_block(family, index, X):
     return _tcomplete_member(family, index, X, gradient=True)
 
 
+def _tcomplete_power(op):
+    """n of a member's radial part z^n F: the operator's power in 2D, 0 for
+    biharmonic and in 3D."""
+    return op.power_n if op.dim == 2 and op.kind != ops.BIHARMONIC else 0
+
+
 def _tcomplete_member(family, index, X, gradient):
+    """f = R(rho) P(cos phi) A(theta), A = cos or sin m theta, in polar
+    angle phi from x3 and azimuth theta; a 2D member is the form on the
+    plane phi = pi/2, where P = 1, and its radial order is m + n."""
     v, m, parity = index
     if parity not in ("cos", "sin"):
         raise DomainError(f"parity must be cos|sin, got {parity!r}")
@@ -664,12 +664,14 @@ def _tcomplete_member(family, index, X, gradient):
     op = family.operator
     if X.ndim != 2 or X.shape[1] != op.dim:
         raise DomainError(f"points must have dim {op.dim}")
-    if op.dim == 3 and m > v:
-        raise DomainError(f"need m <= v, got m={m} v={v}")
     if op.dim == 2:
+        v = m + _tcomplete_power(op)
         rho = np.hypot(X[:, 0], X[:, 1])
         theta = np.arctan2(X[:, 1], X[:, 0])
-    else:  # rho, polar angle phi from x3, azimuth theta
+        cosphi, sinphi, pvm = 0.0, 1.0, 1.0
+    else:
+        if m > v:
+            raise DomainError(f"need m <= v, got m={m} v={v}")
         rho = np.sqrt(coordinate_dot(X.T, X.T))
         origin = rho == 0.0
         with np.errstate(invalid="ignore"):
@@ -677,23 +679,13 @@ def _tcomplete_member(family, index, X, gradient):
             # from the distance to the axis, as cos phi rounds to +-1 near it
             sinphi = np.where(origin, 0.0, np.hypot(X[:, 0], X[:, 1]) / rho)
         theta = np.where(origin, 0.0, np.arctan2(X[:, 1], X[:, 0]))
+        pvm = assoc_legendre_block(v, m, cosphi, sinphi)
     ang = np.cos(m * theta) if parity == "cos" else np.sin(m * theta)
-    if op.dim == 2:
-        if not gradient:
-            return _tcomplete_radial_2d(op, m, rho, False) * ang
-        # f = R(rho) A(theta): grad f = R' A rho^ + (R / rho) A' theta^
-        dr, rr = _tcomplete_radial_2d(op, m, rho, True)
-        dang = -m * np.sin(m * theta) if parity == "cos" else m * np.cos(m * theta)
-        along, across = dr * ang, rr * dang
-        c, s = np.cos(theta), np.sin(theta)
-        return np.stack([along * c - across * s, along * s + across * c], axis=1)
-    pvm = assoc_legendre_block(v, m, cosphi, sinphi)
     if not gradient:
-        return _tcomplete_radial_3d(op, v, rho, False) * pvm * ang
-    # f = R(rho) P(cos phi) A(theta): grad f = R' P A rho^
-    #   + (R / rho) (dP/dphi A phi^ + (P / sin phi) A' theta^)
-    dr, rr = _tcomplete_radial_3d(op, v, rho, True)
-    dpdphi, m_p_over_sin = _legendre_angular(v, m, cosphi, sinphi)
+        return _tcomplete_radial(op, v, rho, False) * pvm * ang
+    # grad f = R' P A rho^ + (R / rho) (dP/dphi A phi^ + (P / sin phi) A' theta^)
+    dr, rr = _tcomplete_radial(op, v, rho, True)
+    dpdphi, m_p_over_sin = (0.0, m) if op.dim == 2 else _legendre_angular(v, m, cosphi, sinphi)
     across = -np.sin(m * theta) if parity == "cos" else np.cos(m * theta)  # A' / m
     along = dr * pvm * ang
     polar = rr * dpdphi * ang
@@ -701,63 +693,38 @@ def _tcomplete_member(family, index, X, gradient):
     planar = along * sinphi + polar * cosphi
     c, s = np.cos(theta), np.sin(theta)
     return np.stack([planar * c - across * s, planar * s + across * c,
-                     along * cosphi - polar * sinphi], axis=1)
+                     along * cosphi - polar * sinphi][:op.dim], axis=1)
 
 
-def _tcomplete_radial_2d(op, m, rho, gradient):
-    """R(rho) of a 2D member of order m, or (R', R / rho) for its gradient."""
-    n = op.power_n
+def _tcomplete_radial(op, v, rho, gradient):
+    """R(rho) of a member of radial order v, or (R', R / rho) for its
+    gradient: rho^p for the Laplace-type kinds, else R = z^n F_v(z), z = k
+    rho, F the Bessel function (J or I) in 2D and its spherical form (j or
+    i, order v + 1/2) in 3D; d = dim - 2."""
+    n, d = _tcomplete_power(op), op.dim - 2
     if op.kind in (ops.LAPLACE, ops.POLY_LAPLACE, ops.BIHARMONIC):
-        p = m + 2 if op.kind == ops.BIHARMONIC else m + 2 * n
+        p = v + 2 if op.kind == ops.BIHARMONIC else v + n
         if not gradient:
             return rho ** p
         over = rho ** (p - 1) if p else np.zeros(rho.shape)
         return p * over, over
-    if op.kind in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER):
-        kind, sign = "j", -1.0
-    elif op.kind in (ops.MODIFIED_HELMHOLTZ, ops.MOD_HELMHOLTZ_POWER):
-        kind, sign = "i", 1.0
-    else:
-        raise UnsupportedKernelError(f"no 2D T-complete row for {op.kind!r}")
-    # R = z^n F_v(z), z = k rho, v = m + n; F'_v = F_{v-1} - (v / z) F_v and
-    # F_v / z = (F_{v-1} - sign F_{v+1}) / 2v (DLMF 10.6.1-2, 10.29.1-2) give
-    # R' = k z^n ((m + 2n) F_{v-1} + sign m F_{v+1}) / 2v and
-    # R / rho = k z^n (F_{v-1} - sign F_{v+1}) / 2v, finite at rho = 0
-    dn = (op.k * rho) ** n
-    v = m + n
-    if not gradient:
-        return dn * bessel_block(kind, v, op.k * rho)
-    if v == 0:  # J_0' = -J_1, I_0' = I_1; A' = 0 at m = 0
-        return sign * op.k * bessel_block(kind, 1, op.k * rho), np.zeros(rho.shape)
-    lo, hi = bessel_block(kind, v - 1, op.k * rho), bessel_block(kind, v + 1, op.k * rho)
-    scale = op.k * dn / (2 * v)
-    return scale * ((m + 2 * n) * lo + sign * m * hi), scale * (lo - sign * hi)
-
-
-def _tcomplete_radial_3d(op, v, rho, gradient):
-    """R(rho) of a 3D member of degree v, or (R', R / rho) for its gradient."""
-    if op.kind in (ops.LAPLACE, ops.BIHARMONIC):
-        p = v + 2 if op.kind == ops.BIHARMONIC else v
-        if not gradient:
-            return rho ** p
-        over = rho ** (p - 1) if p else np.zeros(rho.shape)
-        return p * over, over
-    if op.kind == ops.HELMHOLTZ:
-        kind, sign = "j", -1.0
-    elif op.kind == ops.MODIFIED_HELMHOLTZ:
-        kind, sign = "i", 1.0
-    else:
-        raise UnsupportedKernelError(f"no 3D T-complete row for {op.kind!r}")
-    # R = f_v(z), z = k rho: (2v + 1) f'_v = v f_{v-1} + sign (v + 1) f_{v+1}
-    # and (2v + 1) f_v / z = f_{v-1} - sign f_{v+1} (DLMF 10.51.2, 10.51.5)
+    kind, sign = ("j", -1.0) if op.kind in (ops.HELMHOLTZ, ops.HELMHOLTZ_POWER) else ("i", 1.0)
     z = op.k * rho
+
+    def f(order):
+        return _bessel(kind, order, z, spherical=d == 1)
+
     if not gradient:
-        return spherical_bessel_block(kind, v, z)
-    if v == 0:  # j_0' = -j_1, i_0' = i_1; dP/dphi = 0 at v = 0
-        return sign * op.k * spherical_bessel_block(kind, 1, z), np.zeros(rho.shape)
-    lo, hi = spherical_bessel_block(kind, v - 1, z), spherical_bessel_block(kind, v + 1, z)
-    scale = op.k / (2 * v + 1)
-    return scale * (v * lo + sign * (v + 1) * hi), scale * (lo - sign * hi)
+        return z ** n * f(v)
+    if v == 0:  # J_0' = -J_1, I_0' = I_1 and likewise spherical; A' = 0 and dP/dphi = 0
+        return sign * op.k * f(1), np.zeros(rho.shape)
+    # F'_v = F_{v-1} - ((v + d) / z) F_v and (2v + d) F_v / z = F_{v-1} -
+    # sign F_{v+1} (DLMF 10.6.1-2, 10.29.1-2, 10.51.1-2, 10.51.4-5) give
+    # R' = k z^n ((v + n) F_{v-1} + sign (v - n + d) F_{v+1}) / (2v + d) and
+    # R / rho = k z^n (F_{v-1} - sign F_{v+1}) / (2v + d), finite at rho = 0
+    lo, hi = f(v - 1), f(v + 1)
+    scale = op.k * z ** n / (2 * v + d)
+    return scale * ((v + n) * lo + sign * (v - n + d) * hi), scale * (lo - sign * hi)
 
 
 def _legendre_angular(v, m, x, s):

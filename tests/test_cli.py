@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pikfnn
-from pikfnn import runner
+from pikfnn import geometry, runner
 from pikfnn.benchmarks import BUILTINS
 from pikfnn.cli import main
 from pikfnn.geometry import (
@@ -334,3 +334,21 @@ def test_custom_config_scaled_circle_without_n_exits_2(tmp_path, capsys, n):
     sources = {"placement": "scaled_circle", "r": 3.0} | ({} if n is None else {"n": n})
     assert main(["run", str(_custom_config(tmp_path, sources=sources))]) == 2
     assert "scaled_circle placement needs n" in capsys.readouterr().err
+
+
+def test_run_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # numpy's MemoryError names the shape and size; it is raised by hand, as
+    # whether a 7 TiB request fails at once depends on the host's overcommit
+    message = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+               "and data type float64")
+
+    def too_large(n, *args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(geometry, "_circle", too_large)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"builtin": "example3", "params": {"n_boundary": 10 ** 12}}))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: {message}" in err
+    assert "Traceback" not in err
